@@ -1,8 +1,13 @@
 """Benchmark: compiled vs pure Smith-normal-form kernel.
 
-Runs the reduction on random dense matrices and on the real workload
-(the degree-3 homotopy computation, whose constraint system is the
-largest the acceptance suite solves), printing a timing table.
+Runs dense SNF on sparse incidence-like matrices of the constraint
+systems' shape, and times the real workload (the degree-3 homotopy
+computation, whose constraint system is the largest the acceptance
+suite solves) under each kernel.  That workload no longer sends its
+constraint systems through SNF: ``whcalc.lattice`` solves them by sparse
+unimodular elimination, and SNF only sees the small relation matrices
+of the quotients, so the two workload times differ little.  The matrix
+table still measures the SNF kernels themselves.
 
     python benchmarks/bench_snf.py [--seed N]
 """

@@ -338,10 +338,32 @@ class InvolutiveAbelianGroup:
 
     @classmethod
     def from_dict(cls, data):
-        g = int(data["generators"])
-        rel_rows = data.get("relations") or [[] for _ in range(g)]
-        return cls(g, IntMatrix.from_rows(rel_rows) if g else IntMatrix.zero(0, 0),
-                   IntMatrix.from_rows(data["involution"]) if g else IntMatrix.zero(0, 0))
+        """Inverse of ``to_dict``; a malformed shape raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("group presentation must be a JSON object")
+        g = data.get("generators")
+        if not _is_int(g) or g < 0:
+            raise ValueError("'generators' must be a nonnegative integer")
+        if not g:
+            return cls.zero()
+        rel_rows = _int_rows(data.get("relations") or [[] for _ in range(g)],
+                             "relations")
+        inv_rows = _int_rows(data.get("involution"), "involution")
+        return cls(g, IntMatrix.from_rows(rel_rows), IntMatrix.from_rows(inv_rows))
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_rows(rows, name):
+    """``rows`` as a list of equally long integer lists, else ValueError."""
+    if not isinstance(rows, list) or not all(
+            isinstance(r, list) and all(_is_int(x) for x in r) for r in rows):
+        raise ValueError(f"'{name}' must be a list of integer rows")
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError(f"'{name}' rows must have equal length")
+    return rows
 
 
 @lru_cache(maxsize=None)

@@ -129,11 +129,11 @@ def _cmd_falg_check(args):
         data = json.loads(args.element)
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed element JSON: {exc}") from exc
-    target = data.get("target")
-    group = _parse_target(target) if isinstance(target, str) \
-        else abelian.InvolutiveAbelianGroup.from_dict(target)
+    target = data.get("target") if isinstance(data, dict) else None
+    group, p, values = falg.FAlgElement.parse_dict(
+        data, _parse_target(target) if isinstance(target, str) else None)
     try:
-        el = falg.FAlgElement.from_dict(data, group)
+        el = falg.FAlgElement.from_face_values(group, p, values)
     except ValueError as exc:
         doc.add("membership", FAILED, {"reason": str(exc)})
         return doc

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import lattice
-from .abelian import FgAbGroup, InvolutiveAbelianGroup
+from .abelian import FgAbGroup, InvolutiveAbelianGroup, _is_int
 from .simplicial import (SubComplex, _collapses_to_point, codegeneracy_face,
                          coface_face, face_boundary, face_dim, face_str,
                          face_from_str, subfaces)
@@ -580,12 +580,32 @@ class FAlgElement:
 
     @classmethod
     def from_dict(cls, data, target=None):
+        return cls.from_face_values(*cls.parse_dict(data, target))
+
+    @staticmethod
+    def parse_dict(data, target=None):
+        """``(target, p, face_values)`` of a serialized simplex.
+
+        Checks the shape only, not membership; a malformed shape raises
+        ValueError.  ``target`` overrides the serialized one.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("simplex must be a JSON object")
         if target is None:
-            target = InvolutiveAbelianGroup.from_dict(data["target"])
-        p = int(data["p"])
-        vals = {face_from_str(s): tuple(int(x) for x in v)
-                for s, v in data["face_values"].items()}
-        return cls.from_face_values(target, p, vals)
+            target = InvolutiveAbelianGroup.from_dict(data.get("target"))
+        p = data.get("p")
+        if not _is_int(p):
+            raise ValueError("'p' must be an integer")
+        raw = data.get("face_values")
+        if not isinstance(raw, dict):
+            raise ValueError("'face_values' must be a JSON object")
+        vals = {}
+        for s, v in raw.items():
+            if not s.isdigit() or not isinstance(v, list) \
+                    or not all(_is_int(x) for x in v):
+                raise ValueError(f"malformed face value {s!r}: {v!r}")
+            vals[face_from_str(s)] = tuple(v)
+        return target, p, vals
 
 
 # -- constraint systems ---------------------------------------------------

@@ -1,7 +1,12 @@
 """Exact integer linear algebra: solving, kernels, lattices, subquotients.
 
 All vectors are tuples/lists of Python ints, matrices are lists of rows.
-Everything here reduces to the Smith normal form kernel in ``_snf``.
+Kernels, lattice bases and quotient coordinates come from one sparse
+unimodular column elimination (``_eliminate``; Dumas, Saunders and
+Villard 2001, Kaczynski, Mischaikow and Mrozek 2004, ch. 3) applied to
+the constraint systems directly.  Dense Smith normal form from ``_snf``
+only sees the small relation matrices of quotients, whose invariant
+factors are canonical, and the square systems of ``solve``.
 """
 
 from __future__ import annotations
@@ -39,8 +44,116 @@ def columns_of(a):
     return [list(c) for c in zip(*a)] if a else []
 
 
-def smith(rows, want_transforms=True):
-    return _snf.smith(rows, want_transforms)
+def _sparse(vec):
+    return {i: x for i, x in enumerate(vec) if x}
+
+
+def _dense(col, dim):
+    return [col.get(i, 0) for i in range(dim)]
+
+
+def _sparse_columns(rows, n):
+    """The columns of a dense matrix (list of n-wide rows) as sparse dicts."""
+    cols = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = x
+    return cols
+
+
+def _eliminate(cols, keep=0):
+    """Sparse unimodular column elimination (consumes ``cols``).
+
+    ``cols`` are ``{row: value}`` dicts.  Rows are processed in increasing
+    order.  At each row the pivot is the column whose entry there has the
+    least absolute value, ties broken by fewest nonzeros and then by
+    lowest column index; every other column with an entry in that row is
+    reduced against it by the nearest quotient, and the choice repeats
+    until the pivot is the only column left in the row.  The pivot then
+    retires.  Only unimodular column operations are applied, tracked on
+    the first ``keep`` coordinates of each column's transform.
+
+    Returns ``(pivots, kernel)``: ``pivots`` lists ``(row, column)`` by
+    increasing row with a positive entry at ``row`` and zeros above it,
+    a column echelon basis of the span; ``kernel`` lists the transforms
+    (``{coordinate: value}``, cut to the first ``keep`` coordinates) of
+    the columns that became zero, which project an exact Z-basis of the
+    kernel onto those coordinates.
+    """
+    active = {}
+    trans = {}
+    kernel = []
+    by_row = {}  # row -> indices of the active columns with an entry there
+    for j, col in enumerate(cols):
+        t = {j: 1} if j < keep else {}
+        if not col:
+            kernel.append(t)
+            continue
+        active[j] = col
+        trans[j] = t
+        for r in col:
+            by_row.setdefault(r, set()).add(j)
+
+    pivots = []
+    for r in sorted(by_row):
+        here = by_row[r]
+        while len(here) > 1:
+            piv = min(here, key=lambda j: (abs(active[j][r]), len(active[j]), j))
+            p, tp = active[piv], trans[piv]
+            pr2 = 2 * p[r]
+            for j in sorted(here - {piv}):
+                c, t = active[j], trans[j]
+                q = (2 * c[r] + p[r]) // pr2  # nearest quotient
+                for i, x in p.items():
+                    y = c.get(i, 0) - q * x
+                    if y:
+                        if i not in c:
+                            by_row[i].add(j)
+                        c[i] = y
+                    else:
+                        del c[i]
+                        by_row[i].discard(j)
+                for i, x in tp.items():
+                    y = t.get(i, 0) - q * x
+                    if y:
+                        t[i] = y
+                    else:
+                        del t[i]
+                if not c:
+                    del active[j]
+                    kernel.append(trans.pop(j))
+        if here:
+            (piv,) = here
+            p = active.pop(piv)
+            del trans[piv]
+            for i in p:
+                by_row[i].discard(piv)
+            if p[r] < 0:
+                p = {i: -x for i, x in p.items()}
+            pivots.append((r, p))
+    return pivots, kernel
+
+
+def _coordinates(pivots, vec):
+    """Coefficients of ``vec`` in an echelon basis, or None if outside its span.
+
+    Back-substitution by increasing pivot row: a remainder left at a pivot
+    row, like any entry off the pivot rows, is never cleared again.
+    """
+    v = _sparse(vec)
+    coords = []
+    for r, col in pivots:
+        q = v.get(r, 0) // col[r]
+        if q:
+            for i, x in col.items():
+                y = v.get(i, 0) - q * x
+                if y:
+                    v[i] = y
+                else:
+                    del v[i]
+        coords.append(q)
+    return None if v else coords
 
 
 class Solver:
@@ -68,18 +181,16 @@ class Solver:
                 return None
         return mat_vec(self.right, y)
 
-    def kernel(self):
-        """Basis vectors of the integer kernel."""
-        return [[self.right[i][j] for i in range(self.n)]
-                for j in range(self.rank, self.n)]
-
 
 def solve(rows, b):
     return Solver(rows).solve(b)
 
 
 def kernel_basis(rows):
-    return Solver(rows).kernel()
+    """Basis vectors of the integer kernel of a dense matrix."""
+    n = len(rows[0]) if rows else 0
+    _pivots, kernel = _eliminate(_sparse_columns(rows, n), keep=n)
+    return [_dense(t, n) for t in kernel]
 
 
 def unimodular_inverse(u):
@@ -91,14 +202,10 @@ def unimodular_inverse(u):
 
 
 def lattice_basis(gens, dim):
-    """Independent vectors spanning the same lattice as ``gens`` in Z^dim."""
-    cols = [g for g in gens if any(g)]
-    if not cols:
-        return []
-    a = from_columns(cols, dim)
-    diag, _left, right = _snf.smith(a, True)
-    ar = mat_mul(a, right)
-    return [[ar[i][j] for i in range(dim)] for j in range(len(diag))]
+    """Independent vectors spanning the same lattice as ``gens`` in Z^dim:
+    the column echelon basis of sparse elimination."""
+    pivots, _kernel = _eliminate([_sparse(g) for g in gens])
+    return [_dense(col, dim) for _row, col in pivots]
 
 
 def cokernel_factors(gens, dim):
@@ -115,32 +222,39 @@ def kernel_with_denominator(c_rows, den_cols, n_unknowns):
     """Basis of the lattice {x in Z^n : C x lies in span(den_cols)}.
 
     ``den_cols`` are vectors in the row space Z^m of C; an empty list asks
-    for the plain integer kernel.
+    for the plain integer kernel.  The kernel of the augmented matrix
+    [C | den] projects onto the first n coordinates as exactly this
+    lattice, so only those coordinates of the transforms are tracked.
     """
     if not c_rows:
-        return [e for e in identity(n_unknowns)]
-    aug = [list(r) + [-col[i] for col in den_cols] for i, r in enumerate(c_rows)]
-    ker = kernel_basis(aug)
-    projected = [v[:n_unknowns] for v in ker]
-    return lattice_basis(projected, n_unknowns)
+        return identity(n_unknowns)
+    cols = _sparse_columns(c_rows, n_unknowns) + [_sparse(d) for d in den_cols]
+    _pivots, kernel = _eliminate(cols, keep=n_unknowns)
+    return lattice_basis([_dense(t, n_unknowns) for t in kernel], n_unknowns)
 
 
-def quotient_factors(num_basis, den_gens, dim):
-    """Invariant factors of span(num_basis)/span(den_gens), den inside num."""
-    basis = [b for b in num_basis if any(b)]
-    if not basis:
-        for d in den_gens:
-            if any(d):
-                raise ValueError("denominator not contained in numerator")
-        return []
-    solver = Solver(from_columns(basis, dim))
+def _relations(num_basis, den_gens):
+    """Echelon basis of span(num_basis) and the coordinates of each
+    denominator vector in it."""
+    pivots, _kernel = _eliminate([_sparse(b) for b in num_basis])
     rel = []
     for d in den_gens:
-        y = solver.solve(d)
+        y = _coordinates(pivots, d)
         if y is None:
             raise ValueError("denominator not contained in numerator")
         rel.append(y)
-    return cokernel_factors(rel, len(basis))
+    return pivots, rel
+
+
+def quotient_factors(num_basis, den_gens, dim):
+    """Invariant factors of span(num_basis)/span(den_gens), den inside num.
+
+    Only the relation matrix, reduced to an independent basis, reaches
+    dense SNF: its size is the rank of the numerator.
+    """
+    pivots, rel = _relations(num_basis, den_gens)
+    k = len(pivots)
+    return cokernel_factors(lattice_basis(rel, k), k)
 
 
 def quotient_with_generators(num_basis, den_gens, dim):
@@ -150,24 +264,17 @@ def quotient_with_generators(num_basis, den_gens, dim):
     (0 meaning infinite) in the quotient, expressed in ambient Z^dim.
     Trivial (order-1) cyclic summands are dropped.
     """
-    basis = [b for b in num_basis if any(b)]
-    if not basis:
+    pivots, rel = _relations(num_basis, den_gens)
+    k = len(pivots)
+    if not k:
         return [], []
-    k = len(basis)
-    solver = Solver(from_columns(basis, dim))
-    rel = []
-    for d in den_gens:
-        y = solver.solve(d)
-        if y is None:
-            raise ValueError("denominator not contained in numerator")
-        rel.append(y)
+    rel = lattice_basis(rel, k)
     if not rel:
         rel_mat_diag, left = [], identity(k)
     else:
-        rel_mat = from_columns(rel, k)
-        rel_mat_diag, left, _right = _snf.smith(rel_mat, True)
+        rel_mat_diag, left, _right = _snf.smith(from_columns(rel, k), True)
     left_inv = unimodular_inverse(left)
-    b_mat = from_columns(basis, dim)
+    b_mat = from_columns([_dense(col, dim) for _row, col in pivots], dim)
     full = rel_mat_diag + [0] * (k - len(rel_mat_diag))
     factors, gens = [], []
     for j, d in enumerate(full):

@@ -86,6 +86,21 @@ def test_malformed_json_is_usage_error(capsys):
     assert code == 2 and "malformed" in err
 
 
+@pytest.mark.parametrize("element", [
+    '{"p":0}', '[]', '"x"', '{"p":0,"target":5,"face_values":{}}',
+    '{"p":"0","target":"z2-trivial","face_values":{}}',
+    '{"p":0,"target":"z2-trivial","face_values":[]}',
+    '{"p":0,"target":"z2-trivial","face_values":{"0":1}}',
+    '{"p":0,"target":"z2-trivial","face_values":{"zz":[1]}}',
+    '{"p":0,"target":{"generators":1,"involution":"x"},"face_values":{}}',
+    '{"p":0,"target":{"generators":1,"relations":[[2],[2,2]],'
+    '"involution":[[1]]},"face_values":{}}',
+])
+def test_malformed_element_shape_is_usage_error(element, capsys):
+    code, out, err = run(["falg", "check", "--element", element], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -1,0 +1,135 @@
+"""Sparse unimodular elimination: kernels, lattice bases and quotients
+checked against dense Smith normal form on seeded random sparse systems."""
+
+from __future__ import annotations
+
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from whcalc import _snf, lattice
+from whcalc.lattice import Lattice
+
+from _oracles import fraction_rank
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def sparse_matrix(rng, m, n):
+    density = rng.choice((0.05, 0.1, 0.2, 0.35))
+    return [[rng.randint(-3, 3) if rng.random() < density else 0
+             for _ in range(n)] for _ in range(m)]
+
+
+def random_systems(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randint(1, 30), rng.randint(1, 40)
+        yield rng, sparse_matrix(rng, m, n), m, n
+
+
+def same_lattice(a, b, dim):
+    la, lb = Lattice(a, dim), Lattice(b, dim)
+    return all(lb.contains(v) for v in a) and all(la.contains(v) for v in b)
+
+
+def smith_kernel(rows, n):
+    """Integer kernel from the right transform of dense SNF."""
+    diag, _left, right = _snf.smith(rows, True)
+    return [[right[i][j] for i in range(n)] for j in range(len(diag), n)]
+
+
+def test_plain_kernel_rank_and_lattice():
+    for _rng, c, m, n in random_systems(11, 40):
+        ker = lattice.kernel_with_denominator(c, [], n)
+        assert len(ker) == n - fraction_rank(c)
+        assert len(lattice.kernel_basis(c)) == len(ker)
+        for v in ker:
+            assert lattice.mat_vec(c, v) == [0] * m
+        assert same_lattice(ker, smith_kernel(c, n), n)
+        assert same_lattice(lattice.kernel_basis(c), ker, n)
+
+
+def test_kernel_with_denominator():
+    for rng, c, m, n in random_systems(12, 40):
+        den = lattice.columns_of(sparse_matrix(rng, m, rng.randint(1, 8)))
+        ker = lattice.kernel_with_denominator(c, den, n)
+        den_lat = Lattice(den, m)
+        for v in ker:
+            assert den_lat.contains(lattice.mat_vec(c, v))
+        # {x : C x in span(den)} is the kernel of [C | den] projected
+        aug = [list(r) + [d[i] for d in den] for i, r in enumerate(c)]
+        expect = [v[:n] for v in smith_kernel(aug, n + len(den))]
+        assert same_lattice(ker, expect, n)
+
+
+def test_lattice_basis_independent_and_same_span():
+    rng = random.Random(13)
+    for _ in range(40):
+        dim, k = rng.randint(1, 30), rng.randint(0, 40)
+        gens = lattice.columns_of(sparse_matrix(rng, dim, k))
+        basis = lattice.lattice_basis(gens, dim)
+        if basis:
+            assert fraction_rank(basis) == len(basis)
+        # column echelon form: strictly increasing leading rows, positive
+        leads = [next(i for i, x in enumerate(v) if x) for v in basis]
+        assert leads == sorted(set(leads))
+        assert all(v[i] > 0 for v, i in zip(basis, leads))
+        assert len(basis) == (fraction_rank(gens) if gens else 0)
+        assert same_lattice(basis, gens, dim)
+
+
+def test_quotient_factors_match_smith():
+    # span(B) / span(B R) is Z^k / span(R) when B has independent columns
+    rng = random.Random(14)
+    checked = 0
+    while checked < 30:
+        dim, k = rng.randint(1, 30), rng.randint(1, 12)
+        b = lattice.columns_of(sparse_matrix(rng, dim, k))
+        if fraction_rank(b) != k:
+            continue
+        r = lattice.columns_of(sparse_matrix(rng, k, rng.randint(0, 10)))
+        den = [lattice.mat_vec(lattice.from_columns(b, dim), col) for col in r]
+        expect = lattice.cokernel_factors(r, k)
+        assert lattice.quotient_factors(b, den, dim) == expect
+        factors, gens = lattice.quotient_with_generators(b, den, dim)
+        assert factors == [d for d in expect if d != 1]
+        assert same_lattice(gens + den, b, dim)
+        checked += 1
+
+
+def test_quotient_rejects_denominator_outside_numerator():
+    for fn in (lattice.quotient_factors, lattice.quotient_with_generators):
+        with pytest.raises(ValueError):
+            fn([[2, 0], [0, 1]], [[1, 0]], 2)
+
+
+DIGEST_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import test_lattice as t
+from whcalc import lattice
+out = []
+for rng, c, m, n in t.random_systems(15, 12):
+    den = lattice.columns_of(t.sparse_matrix(rng, m, 3))
+    ker = lattice.kernel_with_denominator(c, den, n)
+    out.append([ker, lattice.lattice_basis(ker, n),
+                lattice.quotient_factors(ker, [], n)])
+print(json.dumps(out))
+"""
+
+
+def test_output_identical_across_processes():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    here = str(Path(__file__).resolve().parent)
+    runs = [subprocess.run([sys.executable, "-c", DIGEST_SCRIPT, here],
+                           capture_output=True, env=env, timeout=120, check=True).stdout
+            for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0])
