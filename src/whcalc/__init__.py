@@ -2,8 +2,8 @@
 homology of the order-two group, and lens-space inertia sets.
 
 Everything is computed over Z or Q with arbitrary precision; outputs are
-deterministic byte for byte.  A compiled Smith-normal-form kernel is
-used when available, with a pure-Python fallback selected at import.
+deterministic byte for byte.  All integer linear algebra goes through
+one pure-Python exact kernel (``lattice`` and ``_snf``).
 """
 
 __version__ = "0.1.0"

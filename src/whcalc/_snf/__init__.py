@@ -1,32 +1,8 @@
-"""Integer Smith-normal-form kernel with backend selection.
+"""Integer Smith normal form: the arbitrary-precision kernel in ``pure``.
 
-The compiled extension (checked int64) is used when importable; setting
-``WHCALC_PURE=1`` in the environment, or any OverflowError raised by the
-compiled path, falls back to the arbitrary-precision reference backend.
-Both backends implement the identical deterministic reduction.
+``BACKEND`` names the kernel in benchmark stamps; there is only one.
 """
 
-from __future__ import annotations
+from .pure import smith
 
-import os
-
-from . import pure
-
-_compiled = None
-if not os.environ.get("WHCALC_PURE"):
-    try:
-        from . import _core as _compiled
-    except ImportError:
-        _compiled = None
-
-BACKEND = "compiled" if _compiled is not None else "pure"
-
-
-def smith(rows, want_transforms=True):
-    """Smith normal form: ``(diag, left, right)`` with left*A*right diagonal."""
-    if _compiled is not None:
-        try:
-            return _compiled.smith(rows, want_transforms)
-        except OverflowError:
-            pass
-    return pure.smith(rows, want_transforms)
+BACKEND = "pure"

@@ -1,10 +1,10 @@
-"""Smith normal form over Z, reference implementation.
+"""Smith normal form over Z.
 
 Arbitrary-precision and deterministic: the pivot is always the smallest
 nonzero entry in absolute value of the remaining block, ties broken in
-row-major order.  The compiled backend in ``_core`` implements the same
-rule over checked 64-bit integers and must reproduce this output bit for
-bit; it raises ``OverflowError`` instead of ever returning a wrong answer.
+row-major order.  Dense, so it only sees small matrices: the relation
+matrices of quotients and the square systems of ``lattice.Solver``; the
+sparse constraint systems go through ``lattice._eliminate`` instead.
 """
 
 from __future__ import annotations

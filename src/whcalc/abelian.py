@@ -21,7 +21,6 @@ __all__ = [
     "FgAbGroup",
     "InvolutiveAbelianGroup",
     "DoubleSubgroup",
-    "smith_normal_form",
     "homology_c2",
     "tate_homology_c2",
     "double_subgroup",
@@ -65,60 +64,11 @@ class IntMatrix:
     def column_list(self):
         return [list(c) for c in zip(*self.entries)] if self.rows else []
 
-    def __mul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        return IntMatrix.from_rows(lattice.mat_mul(self.row_list(), other.row_list()))
-
     def apply(self, vec):
         return tuple(lattice.mat_vec(self.row_list(), list(vec)))
 
-    def transpose(self):
-        return IntMatrix.from_rows(lattice.transpose(self.row_list()))
-
     def scale(self, c):
         return IntMatrix.from_rows([[c * x for x in row] for row in self.entries])
-
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
-        return IntMatrix.from_rows(
-            [list(a) + list(b) for a, b in zip(self.entries, other.entries)])
-
-    def determinant(self):
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
-
-def smith_normal_form(m):
-    """SNF of an IntMatrix: ``(diag, left, right)``, left*m*right diagonal.
-
-    ``diag`` lists the nonzero invariant factors (each dividing the next);
-    the transforms are unimodular IntMatrices.
-    """
-    diag, left, right = _snf.smith(m.row_list(), True)
-    return diag, IntMatrix.from_rows(left), IntMatrix.from_rows(right)
 
 
 def _factor_chain(values):
@@ -229,7 +179,8 @@ class InvolutiveAbelianGroup:
         if self.relations.rows != g or self.involution.rows != g \
                 or self.involution.cols != g:
             raise ValueError("relation/involution shapes must match generators")
-        lat = self.relation_lattice()
+        lat = lattice.Lattice(self.relations.column_list(), g)
+        object.__setattr__(self, "_lattice", lat)
         t = self.involution.row_list()
         t2 = lattice.mat_mul(t, t)
         for j in range(g):
@@ -282,7 +233,8 @@ class InvolutiveAbelianGroup:
     # -- element helpers ----------------------------------------------
 
     def relation_lattice(self):
-        return lattice.Lattice(self.relations.column_list(), self.generator_count)
+        """The relation lattice, built once when the group is created."""
+        return self._lattice
 
     def reduce(self, vec):
         return self.relation_lattice().reduce(vec)

@@ -13,8 +13,8 @@ import json
 import sys
 
 from . import __version__, abelian, falg, ktheory, lens, simplicial
-from .groupring import (GroupRingElement, WhiteheadClass, invert_unit,
-                        wh_class_equal)
+from .groupring import (GroupRingElement, NotAUnitError, WhiteheadClass,
+                        invert_unit, wh_class_equal)
 from .report import ASSUMED, DERIVED, FAILED, VERIFIED, ReportDocument
 from .torsion import HCobordismSymbol, compose, double, reverse
 
@@ -79,10 +79,11 @@ def _cmd_unit_verify(args):
 
 def _cmd_wh_eq(args):
     doc = _document("wh eq", {"order": args.order, "x": args.x, "y": args.y})
+    x = GroupRingElement(args.order, _parse_coeffs(args.x))
+    y = GroupRingElement(args.order, _parse_coeffs(args.y))
     try:
-        cx = WhiteheadClass(GroupRingElement(args.order, _parse_coeffs(args.x)))
-        cy = WhiteheadClass(GroupRingElement(args.order, _parse_coeffs(args.y)))
-    except ValueError as exc:
+        cx, cy = WhiteheadClass(x), WhiteheadClass(y)
+    except NotAUnitError as exc:
         doc.add("class-equality", FAILED, {"reason": str(exc)})
         return doc
     equal = wh_class_equal(cx, cy)
@@ -147,6 +148,8 @@ def _cmd_falg_check(args):
 
 def _cmd_subcomplex_enum(args):
     doc = _document("subcomplex enum", {"p": args.p, "all": args.all})
+    if args.p < 0:
+        raise UsageError("subcomplex degree must be nonnegative")
     if args.p > 3:
         raise UsageError("exhaustive enumeration is capped at p = 3")
     if args.all:

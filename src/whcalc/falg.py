@@ -117,8 +117,11 @@ class TorsionFunctor:
                 raise ValueError("face value has wrong coordinate length")
             values[face] = target.reduce(vec)
         top = _top_mask(ambient)
-        if top in face_values and not target.is_zero_element(face_values[top]):
-            raise ValueError("the top face value must be zero")
+        if top in face_values:
+            if len(face_values[top]) != g:
+                raise ValueError("face value has wrong coordinate length")
+            if not target.is_zero_element(face_values[top]):
+                raise ValueError("the top face value must be zero")
         values[top] = zero
         self.values = values
         self.table = None

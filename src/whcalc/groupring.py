@@ -99,21 +99,6 @@ class GroupRingElement:
                         out[(i + j) % n] += a * b
         return GroupRingElement(n, tuple(out))
 
-    def __pow__(self, k):
-        if k < 0:
-            inv = invert_unit(self)
-            if inv is None:
-                raise NotAUnitError("negative power of a non-unit")
-            return inv ** (-k)
-        result = GroupRingElement.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def augmentation(self):
         """Sum of coefficients (image under t -> 1)."""
         return sum(self.coeffs)

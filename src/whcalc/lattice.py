@@ -1,21 +1,19 @@
 """Exact integer linear algebra: solving, kernels, lattices, subquotients.
 
 All vectors are tuples/lists of Python ints, matrices are lists of rows.
-Kernels, lattice bases and quotient coordinates come from one sparse
-unimodular column elimination (``_eliminate``; Dumas, Saunders and
-Villard 2001, Kaczynski, Mischaikow and Mrozek 2004, ch. 3) applied to
-the constraint systems directly.  Dense Smith normal form from ``_snf``
-only sees the small relation matrices of quotients, whose invariant
-factors are canonical, and the square systems of ``solve``.
+Kernels, lattice bases, quotient coordinates and the echelon bases of
+``Lattice`` come from one sparse unimodular column elimination
+(``_eliminate``; Dumas, Saunders and Villard 2001, Kaczynski, Mischaikow
+and Mrozek 2004, ch. 3) applied to the constraint systems directly.
+Dense Smith normal form from ``_snf`` only sees the small relation
+matrices of quotients, whose invariant factors are canonical, and the
+square systems of ``solve``.
 """
 
 from __future__ import annotations
 
 from . import _snf
-
-
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+from ._snf.pure import identity
 
 
 def mat_mul(a, b):
@@ -29,10 +27,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def transpose(a):
-    return [list(r) for r in zip(*a)] if a else []
 
 
 def from_columns(cols, dim):
@@ -288,34 +282,18 @@ def quotient_with_generators(num_basis, den_gens, dim):
 
 
 class Lattice:
-    """Sublattice of Z^dim with echelon basis and canonical coset reps."""
+    """Sublattice of Z^dim spanned by ``gens``, with canonical coset reps.
+
+    The basis is the column echelon form from ``_eliminate``.  ``reduce``
+    returns the unique representative whose entry at each pivot row lies
+    in [0, pivot); pivot rows and positive pivot values are invariants of
+    the lattice, so the representative does not depend on the generators.
+    """
 
     def __init__(self, gens, dim):
         self.dim = dim
-        self.pivots = []  # (row, column vector) by increasing row
-        work = [list(g) for g in gens if any(g)]
-        for row in range(dim):
-            sel = [c for c in work if c[row] != 0]
-            rest = [c for c in work if c[row] == 0]
-            while len(sel) > 1:
-                sel.sort(key=lambda c: (abs(c[row]), c))
-                piv = sel[0]
-                out = [piv]
-                for c in sel[1:]:
-                    q = c[row] // piv[row]
-                    if q:
-                        c = [x - q * y for x, y in zip(c, piv)]
-                    if c[row] != 0:
-                        out.append(c)
-                    elif any(c):
-                        rest.append(c)
-                sel = out
-            if sel:
-                piv = sel[0]
-                if piv[row] < 0:
-                    piv = [-x for x in piv]
-                self.pivots.append((row, piv))
-            work = rest
+        pivots, _kernel = _eliminate([_sparse(g) for g in gens])
+        self.pivots = [(row, _dense(col, dim)) for row, col in pivots]
 
     def reduce(self, v):
         """Canonical representative of ``v`` modulo the lattice."""
@@ -328,6 +306,3 @@ class Lattice:
 
     def contains(self, v):
         return not any(self.reduce(v))
-
-    def basis(self):
-        return [list(col) for _row, col in self.pivots]

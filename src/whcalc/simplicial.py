@@ -178,9 +178,6 @@ class SubComplex:
     __and__ = intersection
     __le__ = is_subcomplex_of
 
-    def contains_face(self, face):
-        return face in self.faces
-
     # -- serialization ------------------------------------------------
 
     def to_dict(self):

@@ -46,6 +46,15 @@ def test_wh_eq(capsys):
     assert "false" in out
 
 
+def test_wh_eq_non_unit_fails_and_bad_length_is_usage_error(capsys):
+    code, out, _ = run(["wh", "eq", "--order", "7", "--x", "1,1,0,0,0,0,0",
+                        "--y", "1,0,0,0,0,0,0"], capsys)
+    assert code == 1 and "[failed] class-equality" in out
+    code, out, err = run(["wh", "eq", "--order", "7", "--x", "1", "--y", "1"],
+                         capsys)
+    assert code == 2 and out == "" and "length" in err
+
+
 def test_homology_and_tate(capsys):
     code, out, _ = run(["homology", "--target", "z2xz2-trivial",
                         "--n", "1", "--json"], capsys)
@@ -75,10 +84,12 @@ def test_falg_check(capsys):
     code, out, _ = run(["falg", "check", "--element", json.dumps(element)],
                        capsys)
     assert code == 0 and "[verified] membership" in out
-    bad = dict(element, face_values={"0": [1], "1": [0]})
-    code, out, _ = run(["falg", "check", "--element", json.dumps(bad)],
-                       capsys)
-    assert code == 1 and "[failed]" in out
+    # a non-dual value, and a top-face value of the wrong length
+    for values in ({"0": [1], "1": [0]}, {"0": [1], "1": [1], "01": []}):
+        bad = dict(element, face_values=values)
+        code, out, _ = run(["falg", "check", "--element", json.dumps(bad)],
+                           capsys)
+        assert code == 1 and "[failed] membership" in out
 
 
 def test_malformed_json_is_usage_error(capsys):
@@ -112,6 +123,11 @@ def test_subcomplex_enum(capsys):
     assert data["stages"][0]["witness"]["count"] == 10
     code, _, err = run(["subcomplex", "enum", "--p", "4"], capsys)
     assert code == 2
+    code, out, err = run(["subcomplex", "enum", "--p", "-1"], capsys)
+    assert code == 2 and out == "" and "nonnegative" in err
+    code, out, _ = run(["subcomplex", "enum", "--p", "0", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["stages"][0]["witness"]["count"] == 1
 
 
 def test_torsion_commands(capsys):

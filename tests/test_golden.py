@@ -1,9 +1,8 @@
-"""Golden CLI outputs, compared byte for byte across processes and kernels.
+"""Golden CLI outputs, compared byte for byte across processes and commits.
 
 Each case runs ``python -m whcalc.cli ... --json`` in a fresh interpreter
 and compares its exit code and stdout bytes with the files recorded under
-``tests/golden/``.  When the compiled SNF kernel is importable, every case
-runs a second time with ``WHCALC_PURE=1``.
+``tests/golden/``.
 
 Re-record (only on a commit whose outputs are trusted):
 
@@ -19,8 +18,6 @@ import sys
 from pathlib import Path
 
 import pytest
-
-from whcalc import _snf
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
@@ -63,12 +60,9 @@ CASES = [argv + ["--json"] for argv in README_COMMANDS
          + [c for c in SWEEP_COMMANDS if c not in README_COMMANDS]]
 
 
-def run_cli(argv, pure=False):
+def run_cli(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("WHCALC_PURE", None)
-    if pure:
-        env["WHCALC_PURE"] = "1"
     proc = subprocess.run([sys.executable, "-m", "whcalc.cli", *argv],
                           capture_output=True, env=env, timeout=300)
     return proc.returncode, proc.stdout
@@ -78,15 +72,14 @@ def load_manifest():
     return json.loads((GOLDEN / "manifest.json").read_text())
 
 
-KERNELS = [False, True] if _snf.BACKEND == "compiled" else [False]
-
-
-@pytest.mark.parametrize("pure", KERNELS, ids=lambda p: "pure" if p else "default")
-@pytest.mark.parametrize("argv", CASES, ids=case_name)
-def test_golden_output(argv, pure):
+# The ids keep their "-default" suffix so that results stay comparable
+# with earlier runs of the suite.
+@pytest.mark.parametrize("argv", [pytest.param(a, id=f"{case_name(a)}-default")
+                                  for a in CASES])
+def test_golden_output(argv):
     entry = load_manifest()[case_name(argv)]
     assert entry["argv"] == argv
-    code, out = run_cli(argv, pure)
+    code, out = run_cli(argv)
     assert code == entry["exit"]
     assert out == (GOLDEN / f"{case_name(argv)}.out").read_bytes()
 

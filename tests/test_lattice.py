@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from whcalc import _snf, lattice
+from whcalc.abelian import InvolutiveAbelianGroup
 from whcalc.lattice import Lattice
 
 from _oracles import fraction_rank
@@ -133,3 +134,32 @@ def test_output_identical_across_processes():
             for _ in range(2)]
     assert runs[0] == runs[1]
     assert json.loads(runs[0])
+
+
+def test_lattice_reduce_depends_only_on_the_lattice():
+    # another spanning set: the generators shuffled, plus integer
+    # combinations of them, must give the same coset representatives
+    rng = random.Random(16)
+    for _ in range(60):
+        dim, k = rng.randint(1, 12), rng.randint(0, 10)
+        gens = lattice.columns_of(sparse_matrix(rng, dim, k))
+        gens2 = [list(g) for g in gens]
+        rng.shuffle(gens2)
+        for _ in range(rng.randint(0, 4)):
+            coeffs = [rng.randint(-3, 3) for _ in gens]
+            gens2.append([sum(c * g[i] for c, g in zip(coeffs, gens))
+                          for i in range(dim)])
+        la, lb = Lattice(gens, dim), Lattice(gens2, dim)
+        for _ in range(10):
+            v = [rng.randint(-20, 20) for _ in range(dim)]
+            rep = la.reduce(v)
+            assert rep == lb.reduce(v)
+            assert la.contains([x - y for x, y in zip(v, rep)])
+            assert all(0 <= rep[r] < col[r] for r, col in la.pivots)
+
+
+def test_relation_lattice_built_once_per_group():
+    group = InvolutiveAbelianGroup.from_factors([2, 4], sign=-1)
+    assert group.relation_lattice() is group.relation_lattice()
+    assert group.reduce((3, 5)) == (1, 1)
+    assert group.is_zero_element((2, -4))
