@@ -4,6 +4,9 @@ A group is presented as Z^g modulo the column lattice of an integer
 relation matrix, together with a g x g involution matrix giving the full
 action of the order-two symmetry (any dimension-dependent sign is baked
 into that matrix by the caller; see ``InvolutiveAbelianGroup.parity_action``).
+As in ``lattice``, a matrix is a sequence of int rows and a generating
+set is a list of column vectors; a group stores its two matrices as
+tuples of row tuples, so groups are hashable and equal by value.
 Homology and Tate homology are computed by Smith normal form on stacked
 relation/action matrices; the textbook closed forms only appear in tests,
 as oracles.
@@ -17,7 +20,6 @@ from functools import lru_cache
 from . import _snf, lattice
 
 __all__ = [
-    "IntMatrix",
     "FgAbGroup",
     "InvolutiveAbelianGroup",
     "DoubleSubgroup",
@@ -25,50 +27,6 @@ __all__ = [
     "tate_homology_c2",
     "double_subgroup",
 ]
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix; entries are arbitrary-precision ints."""
-
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        ent = tuple(tuple(int(x) for x in row) for row in self.entries)
-        object.__setattr__(self, "entries", ent)
-        if len(ent) != self.rows or any(len(r) != self.cols for r in ent):
-            raise ValueError("matrix dimensions do not match entries")
-
-    @classmethod
-    def from_rows(cls, rows):
-        rows = [list(r) for r in rows]
-        return cls(len(rows), len(rows[0]) if rows else 0, tuple(map(tuple, rows)))
-
-    @classmethod
-    def identity(cls, n):
-        return cls.from_rows(lattice.identity(n))
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
-    @classmethod
-    def from_columns(cls, cols, dim):
-        return cls.from_rows(lattice.from_columns(cols, dim))
-
-    def row_list(self):
-        return [list(r) for r in self.entries]
-
-    def column_list(self):
-        return [list(c) for c in zip(*self.entries)] if self.rows else []
-
-    def apply(self, vec):
-        return tuple(lattice.mat_vec(self.row_list(), list(vec)))
-
-    def scale(self, c):
-        return IntMatrix.from_rows([[c * x for x in row] for row in self.entries])
 
 
 def _factor_chain(values):
@@ -171,24 +129,28 @@ class InvolutiveAbelianGroup:
     """
 
     generator_count: int
-    relations: IntMatrix
-    involution: IntMatrix
+    relations: tuple
+    involution: tuple
 
     def __post_init__(self):
         g = self.generator_count
-        if self.relations.rows != g or self.involution.rows != g \
-                or self.involution.cols != g:
+        rel = tuple(tuple(int(x) for x in row) for row in self.relations)
+        inv = tuple(tuple(int(x) for x in row) for row in self.involution)
+        if len(rel) != g or len({len(row) for row in rel}) > 1 \
+                or len(inv) != g or any(len(row) != g for row in inv):
             raise ValueError("relation/involution shapes must match generators")
-        lat = lattice.Lattice(self.relations.column_list(), g)
+        object.__setattr__(self, "relations", rel)
+        object.__setattr__(self, "involution", inv)
+        rel_cols = self.relation_columns()
+        lat = lattice.Lattice(rel_cols, g)
         object.__setattr__(self, "_lattice", lat)
-        t = self.involution.row_list()
-        t2 = lattice.mat_mul(t, t)
+        t2 = lattice.mat_mul(inv, inv)
         for j in range(g):
             col = [t2[i][j] - (1 if i == j else 0) for i in range(g)]
             if not lat.contains(col):
                 raise ValueError("involution does not square to the identity")
-        for col in self.relations.column_list():
-            if not lat.contains(lattice.mat_vec(t, col)):
+        for col in rel_cols:
+            if not lat.contains(lattice.mat_vec(inv, col)):
                 raise ValueError("involution does not preserve the relations")
 
     # -- constructors -------------------------------------------------
@@ -204,9 +166,8 @@ class InvolutiveAbelianGroup:
                 col = [0] * g
                 col[i] = d
                 cols.append(col)
-        rel = IntMatrix.from_columns(cols, g) if cols else IntMatrix.zero(g, 0)
-        inv = IntMatrix.identity(g).scale(sign)
-        return cls(g, rel, inv)
+        inv = [[sign * x for x in row] for row in lattice.identity(g)]
+        return cls(g, lattice.from_columns(cols, g), inv)
 
     @classmethod
     def cyclic(cls, m, sign=1):
@@ -218,7 +179,7 @@ class InvolutiveAbelianGroup:
 
     @classmethod
     def zero(cls):
-        return cls(0, IntMatrix.zero(0, 0), IntMatrix.zero(0, 0))
+        return cls(0, (), ())
 
     def parity_action(self, d):
         """Same group with the action rescaled by (-1)^(d-1).
@@ -228,9 +189,14 @@ class InvolutiveAbelianGroup:
         """
         sign = 1 if (d - 1) % 2 == 0 else -1
         return InvolutiveAbelianGroup(
-            self.generator_count, self.relations, self.involution.scale(sign))
+            self.generator_count, self.relations,
+            [[sign * x for x in row] for row in self.involution])
 
     # -- element helpers ----------------------------------------------
+
+    def relation_columns(self):
+        """The relation generators, as a list of column vectors."""
+        return lattice.columns_of(self.relations)
 
     def relation_lattice(self):
         """The relation lattice, built once when the group is created."""
@@ -240,14 +206,14 @@ class InvolutiveAbelianGroup:
         return self.relation_lattice().reduce(vec)
 
     def act(self, vec):
-        return self.involution.apply(vec)
+        return tuple(lattice.mat_vec(self.involution, vec))
 
     def is_zero_element(self, vec):
         return self.relation_lattice().contains(list(vec))
 
     def isomorphism_type(self):
         return FgAbGroup.from_factors(
-            lattice.cokernel_factors(self.relations.column_list(),
+            lattice.cokernel_factors(self.relation_columns(),
                                      self.generator_count))
 
     def order(self):
@@ -259,7 +225,7 @@ class InvolutiveAbelianGroup:
         if g == 0:
             yield ()
             return
-        diag, left, _right = _snf.smith(self.relations.row_list(), True)
+        diag, left, _right = _snf.smith(self.relations, True)
         full = list(diag) + [0] * (g - len(diag))
         if any(d == 0 for d in full):
             raise ValueError("cannot enumerate an infinite group")
@@ -284,8 +250,8 @@ class InvolutiveAbelianGroup:
     def to_dict(self):
         return {
             "generators": self.generator_count,
-            "relations": [list(r) for r in self.relations.entries],
-            "involution": [list(r) for r in self.involution.entries],
+            "relations": [list(r) for r in self.relations],
+            "involution": [list(r) for r in self.involution],
         }
 
     @classmethod
@@ -301,7 +267,7 @@ class InvolutiveAbelianGroup:
         rel_rows = _int_rows(data.get("relations") or [[] for _ in range(g)],
                              "relations")
         inv_rows = _int_rows(data.get("involution"), "involution")
-        return cls(g, IntMatrix.from_rows(rel_rows), IntMatrix.from_rows(inv_rows))
+        return cls(g, rel_rows, inv_rows)
 
 
 def _is_int(x):
@@ -318,21 +284,23 @@ def _int_rows(rows, name):
     return rows
 
 
+def _one_plus(a, s):
+    """Rows of 1 + s*T for the stored involution T of ``a``."""
+    return [[(i == j) + s * x for j, x in enumerate(row)]
+            for i, row in enumerate(a.involution)]
+
+
 @lru_cache(maxsize=None)
 def _norm_subquotient(a, eps):
     """ker(1 - eps*T) / im(1 + eps*T) inside A, via SNF lattices."""
     g = a.generator_count
     if g == 0:
         return FgAbGroup.trivial()
-    t = a.involution.row_list()
-    ident = lattice.identity(g)
-    ker_map = [[ident[i][j] - eps * t[i][j] for j in range(g)] for i in range(g)]
-    im_map = [[ident[i][j] + eps * t[i][j] for j in range(g)] for i in range(g)]
-    rel_cols = a.relations.column_list()
-    numerator = lattice.kernel_with_denominator(ker_map, rel_cols, g)
-    denominator = lattice.columns_of(im_map) + rel_cols
+    rel_cols = a.relation_columns()
+    numerator = lattice.kernel_with_denominator(_one_plus(a, -eps), rel_cols, g)
+    denominator = lattice.columns_of(_one_plus(a, eps)) + rel_cols
     return FgAbGroup.from_factors(
-        lattice.quotient_factors(numerator, denominator, g))
+        lattice.quotient_factors(numerator, denominator))
 
 
 @lru_cache(maxsize=None)
@@ -341,10 +309,7 @@ def _coinvariants(a):
     g = a.generator_count
     if g == 0:
         return FgAbGroup.trivial()
-    t = a.involution.row_list()
-    ident = lattice.identity(g)
-    one_minus_t = [[ident[i][j] - t[i][j] for j in range(g)] for i in range(g)]
-    gens = a.relations.column_list() + lattice.columns_of(one_minus_t)
+    gens = a.relation_columns() + lattice.columns_of(_one_plus(a, -1))
     return FgAbGroup.from_factors(lattice.cokernel_factors(gens, g))
 
 
@@ -392,7 +357,7 @@ def tate_homology_c2(a, n):
 class DoubleSubgroup:
     """Image of id + (-1)^d * involution, as a subgroup of A."""
 
-    generators: IntMatrix
+    generators: tuple
     subgroup: FgAbGroup
     quotient: FgAbGroup
 
@@ -417,14 +382,10 @@ def double_subgroup(a, d_parity):
     """
     sign = _parity_sign(d_parity)
     g = a.generator_count
-    t = a.involution.row_list()
-    ident = lattice.identity(g)
-    endo = [[ident[i][j] + sign * t[i][j] for j in range(g)] for i in range(g)]
-    gens = lattice.columns_of(endo)
-    rel_cols = a.relations.column_list()
-    numerator = lattice.lattice_basis(gens + rel_cols, g)
-    sub = FgAbGroup.from_factors(
-        lattice.quotient_factors(numerator, rel_cols, g))
-    quot = FgAbGroup.from_factors(
-        lattice.cokernel_factors(gens + rel_cols, g))
-    return DoubleSubgroup(IntMatrix.from_rows(endo), sub, quot)
+    endo = _one_plus(a, sign)
+    rel_cols = a.relation_columns()
+    gens = lattice.columns_of(endo) + rel_cols
+    sub = FgAbGroup.from_factors(lattice.quotient_factors(
+        lattice.lattice_basis(gens, g), rel_cols))
+    quot = FgAbGroup.from_factors(lattice.cokernel_factors(gens, g))
+    return DoubleSubgroup(tuple(map(tuple, endo)), sub, quot)

@@ -65,7 +65,20 @@ def _top_mask(p):
 
 
 def _all_faces(p):
-    return sorted(range(1, _top_mask(p) + 1), key=lambda f: (face_dim(f), f))
+    """The faces of the p-simplex by dimension, then mask, lazily.
+
+    Masks with k vertices come in increasing order by Gosper's
+    next-combination step, so a caller that stops early never pays for
+    all 2^(p+1) - 1 faces.
+    """
+    top = _top_mask(p)
+    for k in range(1, p + 2):
+        f = (1 << k) - 1
+        while f <= top:
+            yield f
+            low = f & -f
+            high = f + low
+            f = (((high ^ f) >> 2) // low) | high
 
 
 def _proper_faces(p):
@@ -179,12 +192,6 @@ class TorsionFunctor:
         return hash((self.ambient, tuple(sorted(self.values.items()))))
 
     # -- evaluation --------------------------------------------------------
-
-    def _zero_vec(self):
-        return (0,) * self.target.generator_count
-
-    def face_value(self, face):
-        return self.values[face]
 
     def value_on(self, complex_or_faces):
         """tau(ambient simplex, K) for a contractible subcomplex K."""
@@ -599,6 +606,8 @@ class FAlgElement:
         p = data.get("p")
         if not _is_int(p):
             raise ValueError("'p' must be an integer")
+        if p < 0:
+            raise ValueError("simplex degree must be nonnegative")
         raw = data.get("face_values")
         if not isinstance(raw, dict):
             raise ValueError("'face_values' must be a JSON object")
@@ -625,7 +634,7 @@ def _membership_rows(target, ambient):
     faces = _proper_faces(ambient)
     index = {f: k for k, f in enumerate(faces)}
     n_unknowns = g * len(faces)
-    t_rows = target.involution.row_list()
+    t_rows = target.involution
     top = _top_mask(ambient)
     rows = []
 
@@ -675,74 +684,65 @@ def _membership_rows(target, ambient):
     return rows, len(faces)
 
 
+def _face_blocks(degree, i):
+    """The face map delta_i at simplex degree ``degree``, on face blocks.
+
+    One pair per proper face sigma one degree down, in order: the block
+    (index into ``_proper_faces(degree + 1)``) of the image of sigma under
+    the (i+1)-st coface, and the block of the (i+1)-st boundary face of
+    the top.  The block of delta_i(x) at sigma is their difference.
+    """
+    ambient = degree + 1
+    index = {f: k for k, f in enumerate(_proper_faces(ambient))}
+    base = index[_top_mask(ambient) & ~(1 << (i + 1))]
+    return [(index[coface_face(sigma, i + 1)], base)
+            for sigma in _proper_faces(degree)]
+
+
+def _face_rows(target, degree, i):
+    """Rows forcing delta_i = 0 at the given degree."""
+    g = target.generator_count
+    n_unknowns = g * (_top_mask(degree + 1) - 1)
+    rows = []
+    for k, base in _face_blocks(degree, i):
+        for r in range(g):
+            row = [0] * n_unknowns
+            row[k * g + r] = 1
+            row[base * g + r] = -1
+            rows.append(row)
+    return rows
+
+
+def _apply_face(blocks, g, vec):
+    """Coordinates of delta_i(x) one degree down, from raw coordinates and
+    the ``_face_blocks`` of delta_i."""
+    out = []
+    for k, base in blocks:
+        out.extend(x - y for x, y in zip(vec[k * g:(k + 1) * g],
+                                         vec[base * g:(base + 1) * g]))
+    return out
+
+
 def _normalization_rows(target, degree):
     """Rows forcing delta_i = 0 for 1 <= i <= degree (on top of membership)."""
-    ambient = degree + 1
-    g = target.generator_count
-    faces = _proper_faces(ambient)
-    index = {f: k for k, f in enumerate(faces)}
-    n_unknowns = g * len(faces)
-    top = _top_mask(ambient)
-    rows = []
-    for i in range(1, degree + 1):
-        base_face = top & ~(1 << (i + 1))
-        for sigma in _proper_faces(degree):
-            img = coface_face(sigma, i + 1)
-            for r in range(g):
-                row = [0] * n_unknowns
-                if img != top:
-                    row[index[img] * g + r] += 1
-                row[index[base_face] * g + r] -= 1
-                if any(row):
-                    rows.append(row)
-    return rows
+    return [row for i in range(1, degree + 1)
+            for row in _face_rows(target, degree, i)]
 
 
 def _delta0_rows(target, degree):
     """Rows forcing delta_0 = 0 at the given degree."""
-    ambient = degree + 1
-    g = target.generator_count
-    faces = _proper_faces(ambient)
-    index = {f: k for k, f in enumerate(faces)}
-    n_unknowns = g * len(faces)
-    top = _top_mask(ambient)
-    base_face = top & ~2
-    rows = []
-    for sigma in _proper_faces(degree):
-        img = coface_face(sigma, 1)
-        for r in range(g):
-            row = [0] * n_unknowns
-            if img != top:
-                row[index[img] * g + r] += 1
-            row[index[base_face] * g + r] -= 1
-            if any(row):
-                rows.append(row)
-    return rows
+    return _face_rows(target, degree, 0)
 
 
-def _block_lattice_cols(target, n_faces):
-    """Relation columns of the target, one copy per face block."""
+def _block_lattice_cols(target, n_blocks):
+    """Relation columns of the target, one copy per g-coordinate block."""
     g = target.generator_count
-    rel_cols = target.relations.column_list()
+    rel_cols = target.relation_columns()
     out = []
-    for k in range(n_faces):
+    for k in range(n_blocks):
         for col in rel_cols:
-            vec = [0] * (g * n_faces)
+            vec = [0] * (g * n_blocks)
             vec[k * g:(k + 1) * g] = col
-            out.append(vec)
-    return out
-
-
-def _den_for_rows(target, n_rows_blocks):
-    """Denominator columns in constraint-output space: one relation copy
-    per g-row block."""
-    g = target.generator_count
-    rel_cols = target.relations.column_list()
-    out = []
-    for b in range(n_rows_blocks):
-        for col in rel_cols:
-            vec = [0] * (g * n_rows_blocks)
-            vec[b * g:(b + 1) * g] = col
             out.append(vec)
     return out
 
@@ -756,7 +756,7 @@ def _solution_basis(target, rows, n_unknowns):
         return lattice.identity(n_unknowns)
     if len(rows) % g:
         raise AssertionError("constraint rows are not block aligned")
-    den = _den_for_rows(target, len(rows) // g)
+    den = _block_lattice_cols(target, len(rows) // g)
     return lattice.kernel_with_denominator(rows, den, n_unknowns)
 
 
@@ -771,7 +771,7 @@ def _falg_basis(target, ambient):
 def _normalized_basis(target, degree):
     ambient = degree + 1
     rows, n_faces = _membership_rows(target, ambient)
-    rows = [list(r) for r in rows] + _normalization_rows(target, degree)
+    rows = rows + _normalization_rows(target, degree)
     g = target.generator_count
     return _solution_basis(target, rows, g * n_faces), n_faces
 
@@ -864,27 +864,6 @@ def normalized_group(target, degree):
     return FAlgGroup(target, degree, FgAbGroup.from_factors(factors), gens, faces)
 
 
-def _delta0_matrix_apply(target, degree, vec):
-    """Coordinates of delta_0(x) one level down, from raw coordinates."""
-    ambient = degree + 1
-    g = target.generator_count
-    faces_hi = _proper_faces(ambient)
-    idx_hi = {f: k for k, f in enumerate(faces_hi)}
-    top = _top_mask(ambient)
-    base_face = top & ~2
-    out = []
-    for sigma in _proper_faces(degree):
-        img = coface_face(sigma, 1)
-        block = [0] * g
-        if img != top:
-            k = idx_hi[img]
-            block = list(vec[k * g:(k + 1) * g])
-        kb = idx_hi[base_face]
-        base = vec[kb * g:(kb + 1) * g]
-        out.extend(x - y for x, y in zip(block, base))
-    return out
-
-
 def moore_homotopy(target, n):
     """Homotopy of the simplicial group: homology of the normalized
     complex at degree n, computed purely from the constraint lattices.
@@ -906,16 +885,16 @@ def moore_homotopy(target, n):
         return FgAbGroup.trivial()
 
     rows, _ = _membership_rows(target, ambient)
-    rows = [list(r) for r in rows] + _normalization_rows(target, n)
+    rows = rows + _normalization_rows(target, n)
     if n >= 1:
         rows += _delta0_rows(target, n)
     cycles = _solution_basis(target, rows, n_unknowns)
 
     upstairs, _ = _normalized_basis(target, n + 1)
-    boundary_cols = [_delta0_matrix_apply(target, n + 1, v) for v in upstairs]
+    blocks = _face_blocks(n + 1, 0)
+    boundary_cols = [_apply_face(blocks, g, v) for v in upstairs]
     den = boundary_cols + _block_lattice_cols(target, len(faces))
-    return FgAbGroup.from_factors(
-        lattice.quotient_factors(cycles, den, n_unknowns))
+    return FgAbGroup.from_factors(lattice.quotient_factors(cycles, den))
 
 
 @dataclass
@@ -929,11 +908,11 @@ class MooreComplex:
     boundary_images: list  # boundary_images[m] = delta_0(basis of degree m+1)
 
     def boundary_squares_to_zero(self):
+        g = self.target.generator_count
         for m in range(self.max_degree - 1):
+            upper, lower = _face_blocks(m + 2, 0), _face_blocks(m + 1, 0)
             for vec in self.bases[m + 2]:
-                once = _delta0_matrix_apply(self.target, m + 2, vec)
-                twice = _delta0_matrix_apply(self.target, m + 1, once)
-                g = self.target.generator_count
+                twice = _apply_face(lower, g, _apply_face(upper, g, vec))
                 for k in range(len(twice) // g if g else 0):
                     if not self.target.is_zero_element(twice[k * g:(k + 1) * g]):
                         return False
@@ -942,10 +921,11 @@ class MooreComplex:
 
 def moore_complex(target, max_degree):
     bases = [_normalized_basis(target, m)[0] for m in range(max_degree + 1)]
+    g = target.generator_count
     images = []
     for m in range(max_degree):
-        images.append([_delta0_matrix_apply(target, m + 1, v)
-                       for v in bases[m + 1]])
+        blocks = _face_blocks(m + 1, 0)
+        images.append([_apply_face(blocks, g, v) for v in bases[m + 1]])
     return MooreComplex(target, max_degree, bases, images)
 
 

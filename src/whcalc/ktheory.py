@@ -33,8 +33,9 @@ def load_facts():
     return json.loads(text)
 
 
-def _mult_matrix_zeta_minus_one(p):
-    """Multiplication by (zeta - 1) on Z[zeta_p] in the power basis."""
+def _mult_zeta_minus_one(p):
+    """Multiplication by (zeta - 1) on Z[zeta_p] in the power basis, as
+    the list of its columns (the images of the basis vectors)."""
     dim = p - 1
     cols = []
     for k in range(dim):
@@ -48,11 +49,12 @@ def _mult_matrix_zeta_minus_one(p):
             for j in range(dim):
                 vec[j] -= 1
         cols.append(vec)
-    return lattice.from_columns(cols, dim)
+    return cols
 
 
-def _mult_matrix_norm(p):
-    """Multiplication by 1 + zeta + ... + zeta^(p-1), which is zero."""
+def _mult_norm(p):
+    """Multiplication by 1 + zeta + ... + zeta^(p-1), which is zero, as
+    the list of its columns."""
     dim = p - 1
     cols = []
     for k in range(dim):
@@ -65,7 +67,7 @@ def _mult_matrix_norm(p):
                 for j in range(dim):
                     acc[j] -= 1
         cols.append(acc)
-    return lattice.from_columns(cols, dim)
+    return cols
 
 
 def tor_pi_r(p, i):
@@ -80,18 +82,17 @@ def tor_pi_r(p, i):
     if i < 0:
         raise ValueError("degree must be nonnegative")
     dim = p - 1
-    zeta_minus_one = _mult_matrix_zeta_minus_one(p)
-    norm = _mult_matrix_norm(p)
-    # boundary entering degree i and boundary leaving degree i
+    zeta_minus_one = _mult_zeta_minus_one(p)
+    norm = _mult_norm(p)
+    # boundary entering degree i and boundary leaving degree i; the image
+    # of the entering one is spanned by its columns
     d_in = zeta_minus_one if i % 2 == 0 else norm      # d_{i+1}
-    d_out = None if i == 0 else (norm if i % 2 == 0 else zeta_minus_one)
-    if d_out is None:
-        return FgAbGroup.from_factors(
-            lattice.cokernel_factors(lattice.columns_of(d_in), dim))
-    cycles = lattice.kernel_with_denominator(d_out, [], dim)
-    image = [lattice.mat_vec(d_in, col) for col in lattice.identity(dim)]
-    return FgAbGroup.from_factors(
-        lattice.quotient_factors(cycles, image, dim))
+    if i == 0:
+        return FgAbGroup.from_factors(lattice.cokernel_factors(d_in, dim))
+    d_out = norm if i % 2 == 0 else zeta_minus_one
+    cycles = lattice.kernel_with_denominator(
+        lattice.from_columns(d_out, dim), [], dim)
+    return FgAbGroup.from_factors(lattice.quotient_factors(cycles, d_in))
 
 
 def _v3(n):

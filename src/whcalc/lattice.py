@@ -1,6 +1,9 @@
 """Exact integer linear algebra: solving, kernels, lattices, subquotients.
 
-All vectors are tuples/lists of Python ints, matrices are lists of rows.
+All vectors are tuples or lists of Python ints.  A matrix is a sequence
+of int rows (``from_columns`` and ``columns_of`` convert), and a
+generating set of a lattice -- relations, numerators, denominators,
+bases -- is a list of column vectors.
 Kernels, lattice bases, quotient coordinates and the echelon bases of
 ``Lattice`` come from one sparse unimodular column elimination
 (``_eliminate``; Dumas, Saunders and Villard 2001, Kaczynski, Mischaikow
@@ -180,13 +183,6 @@ def solve(rows, b):
     return Solver(rows).solve(b)
 
 
-def kernel_basis(rows):
-    """Basis vectors of the integer kernel of a dense matrix."""
-    n = len(rows[0]) if rows else 0
-    _pivots, kernel = _eliminate(_sparse_columns(rows, n), keep=n)
-    return [_dense(t, n) for t in kernel]
-
-
 def unimodular_inverse(u):
     """Exact inverse of a unimodular integer matrix."""
     diag, left, right = _snf.smith(u, True)
@@ -240,7 +236,7 @@ def _relations(num_basis, den_gens):
     return pivots, rel
 
 
-def quotient_factors(num_basis, den_gens, dim):
+def quotient_factors(num_basis, den_gens):
     """Invariant factors of span(num_basis)/span(den_gens), den inside num.
 
     Only the relation matrix, reduced to an independent basis, reaches

@@ -20,6 +20,7 @@ from math import gcd
 
 from .abelian import InvolutiveAbelianGroup
 from .groupring import WhiteheadClass, wh_class_equal
+from .lattice import mat_vec
 
 __all__ = [
     "HCobordismSymbol",
@@ -160,7 +161,8 @@ class ModuleValues:
     """Whitehead values in an abstract involutive abelian group.
 
     The stored matrix is read as the raw algebraic involution; the twist
-    is an optional automorphism matrix (identity when omitted).
+    is an optional automorphism matrix, a sequence of int rows (identity
+    when omitted).
     """
 
     def __init__(self, group: InvolutiveAbelianGroup, twist_matrix=None):
@@ -182,7 +184,7 @@ class ModuleValues:
     def twist(self, x):
         if self.twist_matrix is None:
             return self.group.reduce(x)
-        return self.group.reduce(self.twist_matrix.apply(x))
+        return self.group.reduce(mat_vec(self.twist_matrix, x))
 
     def eq(self, x, y):
         return self.group.is_zero_element(

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +97,34 @@ def test_falg_check(capsys):
         assert code == 1 and "[failed] membership" in out
 
 
+def test_huge_degree_with_missing_values_fails_fast(capsys):
+    # 2^42 - 2 proper faces: the first missing one is found without
+    # listing them all
+    element = {"p": 40, "target": "z2-trivial", "face_values": {}}
+    start = time.perf_counter()
+    code, out, _ = run(["falg", "check", "--element", json.dumps(element)],
+                       capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and "[failed] membership" in out
+
+
+@pytest.mark.parametrize("nbytes", [0, 10])
+def test_closed_stdout_is_not_a_crash(nbytes):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "whcalc.cli", "subcomplex", "enum", "--p", "3",
+         "--all", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.read(nbytes)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) in (0, 1)
+    assert b"Traceback" not in err
+
+
 def test_malformed_json_is_usage_error(capsys):
     code, _, err = run(["falg", "check", "--element", "{not json"], capsys)
     assert code == 2 and "malformed" in err
@@ -106,6 +139,8 @@ def test_malformed_json_is_usage_error(capsys):
     '{"p":0,"target":{"generators":1,"involution":"x"},"face_values":{}}',
     '{"p":0,"target":{"generators":1,"relations":[[2],[2,2]],'
     '"involution":[[1]]},"face_values":{}}',
+    '{"p":-1,"target":"z2-trivial","face_values":{}}',
+    '{"p":-3,"target":"z2-trivial","face_values":{}}',
 ])
 def test_malformed_element_shape_is_usage_error(element, capsys):
     code, out, err = run(["falg", "check", "--element", element], capsys)

@@ -77,7 +77,7 @@ targets = st.one_of(
 
 @st.composite
 def element(draw):
-    p = draw(st.integers(-1, 2))
+    p = draw(st.integers(-3, 64))
     faces = st.sampled_from(["0", "1", "2", "3", "01", "12", "012"])
     data = {"p": p, "target": draw(targets | st.integers()),
             "face_values": draw(st.dictionaries(

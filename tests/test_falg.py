@@ -449,12 +449,8 @@ def test_central_comparison_small():
 
 
 def test_central_comparison_nonscalar_involutions():
-    from whcalc.abelian import IntMatrix
-    swap = IntMatrix.from_rows([[0, 1], [1, 0]])
-    swap_sq = InvolutiveAbelianGroup(
-        2, IntMatrix.from_rows([[3, 0], [0, 3]]), swap)
-    mul5 = InvolutiveAbelianGroup(
-        1, IntMatrix.from_rows([[12]]), IntMatrix.from_rows([[5]]))
+    swap_sq = InvolutiveAbelianGroup(2, [[3, 0], [0, 3]], [[0, 1], [1, 0]])
+    mul5 = InvolutiveAbelianGroup(1, [[12]], [[5]])
     assert [str(homology_c2(mul5, n)) for n in range(3)] == \
         ["Z/4", "Z/2", "Z/2"]
     for target in (swap_sq, mul5):

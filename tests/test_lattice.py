@@ -49,11 +49,9 @@ def test_plain_kernel_rank_and_lattice():
     for _rng, c, m, n in random_systems(11, 40):
         ker = lattice.kernel_with_denominator(c, [], n)
         assert len(ker) == n - fraction_rank(c)
-        assert len(lattice.kernel_basis(c)) == len(ker)
         for v in ker:
             assert lattice.mat_vec(c, v) == [0] * m
         assert same_lattice(ker, smith_kernel(c, n), n)
-        assert same_lattice(lattice.kernel_basis(c), ker, n)
 
 
 def test_kernel_with_denominator():
@@ -97,7 +95,7 @@ def test_quotient_factors_match_smith():
         r = lattice.columns_of(sparse_matrix(rng, k, rng.randint(0, 10)))
         den = [lattice.mat_vec(lattice.from_columns(b, dim), col) for col in r]
         expect = lattice.cokernel_factors(r, k)
-        assert lattice.quotient_factors(b, den, dim) == expect
+        assert lattice.quotient_factors(b, den) == expect
         factors, gens = lattice.quotient_with_generators(b, den, dim)
         assert factors == [d for d in expect if d != 1]
         assert same_lattice(gens + den, b, dim)
@@ -105,9 +103,10 @@ def test_quotient_factors_match_smith():
 
 
 def test_quotient_rejects_denominator_outside_numerator():
-    for fn in (lattice.quotient_factors, lattice.quotient_with_generators):
-        with pytest.raises(ValueError):
-            fn([[2, 0], [0, 1]], [[1, 0]], 2)
+    with pytest.raises(ValueError):
+        lattice.quotient_factors([[2, 0], [0, 1]], [[1, 0]])
+    with pytest.raises(ValueError):
+        lattice.quotient_with_generators([[2, 0], [0, 1]], [[1, 0]], 2)
 
 
 DIGEST_SCRIPT = """
@@ -120,7 +119,7 @@ for rng, c, m, n in t.random_systems(15, 12):
     den = lattice.columns_of(t.sparse_matrix(rng, m, 3))
     ker = lattice.kernel_with_denominator(c, den, n)
     out.append([ker, lattice.lattice_basis(ker, n),
-                lattice.quotient_factors(ker, [], n)])
+                lattice.quotient_factors(ker, [])])
 print(json.dumps(out))
 """
 

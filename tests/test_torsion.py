@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from whcalc.abelian import (IntMatrix, InvolutiveAbelianGroup, homology_c2)
+from whcalc.abelian import InvolutiveAbelianGroup, homology_c2
 from whcalc.groupring import (GroupRingElement, WhiteheadClass, galois_twist,
                               invert_unit, involution, wh_class_equal)
 from whcalc.lattice import Lattice, columns_of, identity
@@ -200,12 +200,12 @@ def test_gluing_correction_is_a_double_multiplicatively():
 def _h_denominator_lattice(group, full_action_sign, n):
     """Denominator of degree-(n-1) homology for the parity-twisted action."""
     g = group.generator_count
-    t = group.involution.row_list()
+    t = group.involution
     eps = 1 if n % 2 == 0 else -1  # (-1)^n matches degree n-1 boundaries
     ident = identity(g)
     endo = [[ident[i][j] + eps * full_action_sign * t[i][j] for j in range(g)]
             for i in range(g)]
-    gens = columns_of(endo) + group.relations.column_list()
+    gens = columns_of(endo) + columns_of(group.relations)
     return Lattice(gens, g)
 
 
@@ -215,7 +215,7 @@ def test_gluing_class_equals_twist_image_in_homology():
     # degree n-1 homology of the parity-twisted module
     rng = random.Random(99)
     free2 = InvolutiveAbelianGroup.free(2, 1)
-    twist_mat = IntMatrix.from_rows([[1, 1], [0, 1]])
+    twist_mat = [[1, 1], [0, 1]]
     z8s = InvolutiveAbelianGroup.cyclic(8, -1)
     cases = [(free2, ModuleValues(free2, twist_mat)),
              (z8s, ModuleValues(z8s))]
