@@ -264,9 +264,11 @@ class InvolutiveAbelianGroup:
             raise ValueError("'generators' must be a nonnegative integer")
         if not g:
             return cls.zero()
+        # the involution's row count bounds g by the input's size before
+        # any row, or the default empty relation rows, is built
+        inv_rows = _int_rows(data.get("involution"), "involution", g)
         rel_rows = _int_rows(data.get("relations") or [[] for _ in range(g)],
-                             "relations")
-        inv_rows = _int_rows(data.get("involution"), "involution")
+                             "relations", g)
         return cls(g, rel_rows, inv_rows)
 
 
@@ -274,10 +276,16 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _int_rows(rows, name):
-    """``rows`` as a list of equally long integer lists, else ValueError."""
-    if not isinstance(rows, list) or not all(
-            isinstance(r, list) and all(_is_int(x) for x in r) for r in rows):
+def _int_rows(rows, name, count):
+    """``rows`` as ``count`` equally long integer lists, else ValueError.
+
+    The row count is checked before any row is looked at.
+    """
+    if not isinstance(rows, list):
+        raise ValueError(f"'{name}' must be a list of integer rows")
+    if len(rows) != count:
+        raise ValueError(f"'{name}' must have one row per generator")
+    if not all(isinstance(r, list) and all(_is_int(x) for x in r) for r in rows):
         raise ValueError(f"'{name}' must be a list of integer rows")
     if len({len(r) for r in rows}) > 1:
         raise ValueError(f"'{name}' rows must have equal length")

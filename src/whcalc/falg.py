@@ -14,6 +14,20 @@ duality for every face.  Its normalized chain complex is degreewise
 isomorphic to the two-periodic complex ... -> A -> A -> A -> 0 via the
 evaluation at the 0-th vertex, which is the central comparison this
 package verifies against the independent C2-homology computation.
+
+The element-level checks split their work by what it depends on.  The
+combinatorics of an ambient simplex are computed once and cached
+(``lru_cache``, filled on first use, never at import): the pushout
+squares among its contractible subcomplexes as index quadruples
+(``_squares``), the collapsed inclusion-exclusion coefficients of each
+union of face closures (``_union_coeffs``) and each face's boundary
+faces (``_boundaries``).  Everything that depends on the functor stays
+per functor: its value on each subcomplex, through ``value_on`` with the
+two-attachment-order check, and the relation-lattice membership of every
+square's or duality's defect.  The constraint rows of the homotopy path
+(``_membership_rows``) expand their own inclusion-exclusion and do not
+use ``_union_coeffs``, so the element checks and the constraint systems
+still cross-check each other.
 """
 
 from __future__ import annotations
@@ -100,6 +114,42 @@ def _maximal(faces):
 
 def _sign(k):
     return 1 if k % 2 == 0 else -1
+
+
+# -- per-ambient plans: combinatorics shared by every functor -------------
+
+
+@lru_cache(maxsize=None)
+def _boundaries(sigma):
+    """The codimension-one faces of sigma, in ``face_boundary`` order."""
+    if face_dim(sigma) < 1:
+        return ()
+    return tuple(face_boundary(sigma, i) for i in range(face_dim(sigma) + 1))
+
+
+@lru_cache(maxsize=None)
+def _union_coeffs(ambient, faces):
+    """Inclusion-exclusion over the closures of ``faces``, collapsed.
+
+    The nonzero ``(face, coefficient)`` pairs, sorted by face, with
+    value(union) = sum of coefficient * value(face) for every functor at
+    this ambient.  Raises ValueError when an iterated intersection is
+    empty.
+    """
+    faces = sorted(faces)
+    n = len(faces)
+    coeffs = {}
+    for mask in range(1, 1 << n):
+        inter = _top_mask(ambient)
+        bits = 0
+        for i in range(n):
+            if mask >> i & 1:
+                inter &= faces[i]
+                bits += 1
+        if inter == 0:
+            raise ValueError("intersection pattern leaves the face poset")
+        coeffs[inter] = coeffs.get(inter, 0) + _sign(bits + 1)
+    return tuple((f, c) for f, c in sorted(coeffs.items()) if c)
 
 
 class TorsionFunctor:
@@ -258,31 +308,20 @@ class TorsionFunctor:
 
         Requires every iterated intersection to be a nonempty face (true
         for horns and unions of boundary faces of a common face), which
-        makes the inclusion-exclusion expansion exact in one pass.
+        makes the inclusion-exclusion expansion exact in one pass; its
+        collapsed coefficients come from ``_union_coeffs``.
         """
-        faces = sorted(set(face_list))
-        n = len(faces)
         g = self.target.generator_count
         acc = [0] * g
-        for mask in range(1, 1 << n):
-            inter = _top_mask(self.ambient)
-            bits = 0
-            for i in range(n):
-                if mask >> i & 1:
-                    inter &= faces[i]
-                    bits += 1
-            if inter == 0:
-                raise ValueError("intersection pattern leaves the face poset")
-            val = self.values[inter]
-            sgn = _sign(bits + 1)
+        for face, coeff in _union_coeffs(self.ambient, frozenset(face_list)):
+            val = self.values[face]
             for r in range(g):
-                acc[r] += sgn * val[r]
+                acc[r] += coeff * val[r]
         return self.target.reduce(tuple(acc))
 
     def horn_value(self, sigma, i):
-        d = face_dim(sigma)
         return self.union_of_faces_value(
-            [face_boundary(sigma, j) for j in range(d + 1) if j != i])
+            [b for j, b in enumerate(_boundaries(sigma)) if j != i])
 
     # -- cosimplicial structure maps ----------------------------------------
 
@@ -335,6 +374,25 @@ def _contractible_keys(p):
     return [frozenset(k.faces) for k in enumerate_contractible_subcomplexes(p)]
 
 
+@lru_cache(maxsize=None)
+def _squares(p):
+    """The pushout squares among the contractible subcomplexes of the
+    p-simplex: index quadruples ``(K0 & K1, K0 | K1, K0, K1)`` into
+    ``_contractible_keys(p)``, one per pair K0 before K1 whose
+    intersection is nonempty and whose intersection and union are
+    contractible, in pair order."""
+    keys = _contractible_keys(p)
+    index = {k: i for i, k in enumerate(keys)}
+    out = []
+    for a in range(len(keys)):
+        for b in range(a + 1, len(keys)):
+            inter = keys[a] & keys[b]
+            union = keys[a] | keys[b]
+            if inter and inter in index and union in index:
+                out.append((index[inter], index[union], a, b))
+    return tuple(out)
+
+
 def raw_degeneracy(tf, i):
     """The uncorrected degeneracy: plain pullback of all values along the
     codegeneracy.  Generally leaves the square-condition subgroup; kept
@@ -365,35 +423,37 @@ def raw_degeneracy(tf, i):
 
 
 def check_square(tf):
-    """Exhaustively verify the pushout-square condition (ambient <= 3)."""
+    """Exhaustively verify the pushout-square condition (ambient <= 3).
+
+    The squares are the per-ambient plan ``_squares``, computed once per
+    ambient.  Per functor, each contractible subcomplex is evaluated by
+    ``value_on`` once, when a square first needs it, so table lookups,
+    the contractibility check and the two-order guard of ``_value`` all
+    still run; each square's defect is then tested for membership in the
+    relation lattice, and the first failing square ends the scan.  The
+    constraint rows of ``_membership_rows`` share none of this.
+    """
     p = tf.ambient
     if p > 3:
         raise ValueError("exhaustive square checking is capped at ambient 3")
     keys = _contractible_keys(p)
-    keyset = set(keys)
-    for a in range(len(keys)):
-        for b in range(a + 1, len(keys)):
-            k0, k1 = keys[a], keys[b]
-            inter = k0 & k1
-            if not inter:
-                continue
-            union = k0 | k1
-            if inter not in keyset or union not in keyset:
-                continue
-            lhs = tf.value_on(inter)
-            rhs = tf.value_on(union)
-            v0 = tf.value_on(k0)
-            v1 = tf.value_on(k1)
-            test = tuple(w + x - y - z for w, x, y, z in zip(lhs, rhs, v0, v1))
-            if not tf.target.is_zero_element(test):
-                return False
+    values = [None] * len(keys)
+    for square in _squares(p):
+        for k in square:
+            if values[k] is None:
+                values[k] = tf.value_on(keys[k])
+        i01, i, i0, i1 = square
+        test = tuple(w + x - y - z for w, x, y, z in
+                     zip(values[i01], values[i], values[i0], values[i1]))
+        if not tf.target.is_zero_element(test):
+            return False
     return True
 
 
 def _duality_ok(tf, sigma, i):
     d = face_dim(sigma)
     lhs = tf.target.reduce(tuple(
-        x - y for x, y in zip(tf.values[face_boundary(sigma, i)],
+        x - y for x, y in zip(tf.values[_boundaries(sigma)[i]],
                               tf.values[sigma])))
     inner = tuple(x - y for x, y in zip(tf.horn_value(sigma, i),
                                         tf.values[sigma]))
@@ -421,9 +481,12 @@ def generalized_duality_holds(tf, sigma, index_set):
     idx = sorted(set(index_set))
     if not idx or len(idx) > d:
         raise ValueError("the index set must be a proper nonempty subset")
+    if idx[0] < 0 or idx[-1] > d:
+        raise IndexError("boundary index out of range")
+    bounds = _boundaries(sigma)
     comp = [j for j in range(d + 1) if j not in idx]
-    lhs_inner = tf.union_of_faces_value([face_boundary(sigma, j) for j in idx])
-    rhs_inner = tf.union_of_faces_value([face_boundary(sigma, j) for j in comp])
+    lhs_inner = tf.union_of_faces_value([bounds[j] for j in idx])
+    rhs_inner = tf.union_of_faces_value([bounds[j] for j in comp])
     base = tf.values[sigma]
     lhs = tuple(x - y for x, y in zip(lhs_inner, base))
     acted = tf.target.act(tuple(x - y for x, y in zip(rhs_inner, base)))
@@ -436,9 +499,7 @@ def _pure_boundary(k_faces):
     """Codim-one faces lying in exactly one of the given top faces."""
     counts = {}
     for f in k_faces:
-        verts = face_dim(f) + 1
-        for i in range(verts):
-            b = face_boundary(f, i)
+        for b in _boundaries(f):
             counts[b] = counts.get(b, 0) + 1
     return sorted(b for b, c in counts.items() if c == 1)
 

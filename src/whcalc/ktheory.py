@@ -24,7 +24,13 @@ __all__ = [
     "localize",
     "LocalizedGroup",
     "load_facts",
+    "TOR_MAX_P",
 ]
+
+
+# Largest p ``tor_pi_r`` accepts: its boundaries are dense (p-1) x (p-1)
+# matrices, so cost grows as p^2 (p = 997: 0.4 s and 41 MiB peak).
+TOR_MAX_P = 1000
 
 
 def load_facts():
@@ -76,7 +82,10 @@ def tor_pi_r(p, i):
     Alternating multiplication by (t - 1) and the norm element, tensored
     over Z[C_p] into the cyclotomic integers viewed as Z^(p-1); homology
     via Smith normal form.  Two-periodic: Z/p in even degrees, else 0.
+    Capped at ``TOR_MAX_P``.
     """
+    if p > TOR_MAX_P:
+        raise ValueError(f"p is capped at {TOR_MAX_P}")
     if not _is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
     if i < 0:

@@ -3,16 +3,19 @@
 Everything here is deliberately implemented by a different route than
 the package: fraction Gaussian elimination instead of integer SNF,
 brute-force element enumeration instead of lattice subquotients,
-Sylvester resultants instead of conjugate products.
+Sylvester resultants instead of conjugate products, and plain pair and
+subset loops instead of the per-ambient plans of ``whcalc.falg``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from whcalc.abelian import FgAbGroup
-from whcalc.simplicial import face_dim, vertices_of
+from whcalc.simplicial import (enumerate_contractible_subcomplexes, face_dim,
+                               vertices_of)
 
 
 def bareiss_determinant(rows):
@@ -266,3 +269,48 @@ def unit_order_pow(i, n):
         x = (x * i) % n
         k += 1
     return k
+
+
+# -- torsion-functor checks by brute force -----------------------------------
+
+
+def pushout_squares(p):
+    """Every pair K0 before K1 of contractible subcomplexes of the
+    p-simplex with nonempty intersection and contractible intersection
+    and union, as ``(K0 & K1, K0 | K1, K0, K1)`` face sets, in pair order."""
+    keys = [frozenset(k.faces) for k in enumerate_contractible_subcomplexes(p)]
+    keyset = set(keys)
+    out = []
+    for a, b in combinations(range(len(keys)), 2):
+        inter, union = keys[a] & keys[b], keys[a] | keys[b]
+        if inter and inter in keyset and union in keyset:
+            out.append((inter, union, keys[a], keys[b]))
+    return out
+
+
+def square_condition_holds(tf):
+    """The pushout-square condition, one ``value_on`` call per corner."""
+    for inter, union, k0, k1 in pushout_squares(tf.ambient):
+        test = tuple(w + x - y - z for w, x, y, z in zip(
+            tf.value_on(inter), tf.value_on(union),
+            tf.value_on(k0), tf.value_on(k1)))
+        if not tf.target.is_zero_element(test):
+            return False
+    return True
+
+
+def union_of_faces_value(tf, faces):
+    """Inclusion-exclusion over every nonempty subset of ``faces``, one
+    term per subset; None when some intersection is empty."""
+    faces = sorted(set(faces))
+    acc = [0] * tf.target.generator_count
+    for r in range(1, len(faces) + 1):
+        sign = 1 if r % 2 else -1
+        for subset in combinations(faces, r):
+            inter = subset[0]
+            for f in subset[1:]:
+                inter &= f
+            if not inter:
+                return None
+            acc = [a + sign * v for a, v in zip(acc, tf.values[inter])]
+    return tf.target.reduce(tuple(acc))

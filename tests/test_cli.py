@@ -208,6 +208,25 @@ def test_max_p_cap(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("p", ["1001", "1009", str(10**18 + 9)])
+def test_kapp_tor_cap_is_usage_error(p, capsys):
+    # just above the documented cap (1009 is prime), and far above it:
+    # refused before the primality test or any matrix
+    start = time.perf_counter()
+    code, out, err = run(["kapp", "tor", "--p", p, "--i", "1"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "capped at 1000" in err
+
+
+def test_huge_generator_count_with_empty_involution_fails_fast(capsys):
+    # the row count is checked before g rows are built
+    target = json.dumps({"generators": 10**9, "involution": []})
+    start = time.perf_counter()
+    code, out, err = run(["homology", "--target", target, "--n", "1"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "one row per generator" in err
+
+
 def test_kapp_commands(capsys):
     code, out, _ = run(["kapp", "tor", "--p", "7", "--i", "2"], capsys)
     assert code == 0 and "[verified]" in out

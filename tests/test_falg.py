@@ -20,6 +20,8 @@ from whcalc.falg import (FAlgElement, InconsistentFunctorError,
 from whcalc.simplicial import (SubComplex, boundary_face, face_dim, horn,
                                single_face)
 
+import _oracles
+
 Z2 = InvolutiveAbelianGroup.cyclic(2, 1)
 Z4 = InvolutiveAbelianGroup.cyclic(4, 1)
 Z4S = InvolutiveAbelianGroup.cyclic(4, -1)
@@ -160,6 +162,102 @@ def test_zero_functor_square():
     assert check_square(TorsionFunctor.zero(2, Z4))
 
 
+# -- per-ambient plans against brute force ---------------------------------
+
+
+def test_squares_plan_matches_pair_scan():
+    counts = {}
+    for p in (0, 1, 2, 3):
+        keys = falg._contractible_keys(p)
+        plan = [tuple(keys[k] for k in square) for square in falg._squares(p)]
+        assert plan == _oracles.pushout_squares(p)
+        counts[p] = len(plan)
+    assert counts == {0: 0, 1: 2, 2: 33, 3: 1180}
+
+
+def random_table_functor(rng, p, target, corrupt):
+    """A table-backed copy of a random functor, one entry corrupted."""
+    fv = {f: target.reduce(tuple(rng.randrange(4) for _ in range(
+        target.generator_count))) for f in falg._proper_faces(p)}
+    tf = iota_shriek(fv, p, target)
+    table = {tuple(sorted(k)): tf.value_on(k) for k in falg._contractible_keys(p)}
+    if corrupt:
+        key = rng.choice(sorted(table))
+        table[key] = tuple(x + 1 for x in table[key])
+    return tf, TorsionFunctor(p, target, fv, table)
+
+
+def test_check_square_matches_oracle():
+    # every element of F^alg_2(Z/2), then seeded face values and corrupted
+    # tables at ambient 1..3, including the table of
+    # test_inconsistent_table_detected
+    for el in falg_group(Z2, 2).elements():
+        assert check_square(el.functor) is _oracles.square_condition_holds(
+            el.functor) is True
+    rng = random.Random(41)
+    verdicts = set()
+    for target in (Z4S, InvolutiveAbelianGroup.from_factors([2, 2], -1)):
+        for p in (1, 2, 3):
+            for trial in range(4):
+                tf, table_tf = random_table_functor(rng, p, target, trial > 0)
+                for f in (tf, table_tf):
+                    verdict = check_square(f)
+                    assert verdict == _oracles.square_condition_holds(f)
+                    verdicts.add(verdict)
+    fv = {f: (0,) for f in falg._proper_faces(2)}
+    table = {tuple(sorted(k)): (0,) for k in falg._contractible_keys(2)}
+    table[tuple(sorted(horn(2, 0).faces))] = (1,)
+    broken = TorsionFunctor(2, Z4, fv, table)
+    assert check_square(broken) is _oracles.square_condition_holds(broken) \
+        is False
+    assert verdicts == {True, False}
+
+
+class CountingFunctor(TorsionFunctor):
+    __slots__ = ("calls",)
+
+    def value_on(self, complex_or_faces):
+        self.calls.append(frozenset(complex_or_faces))
+        return super().value_on(complex_or_faces)
+
+
+def test_check_square_evaluates_each_key_once():
+    rng = random.Random(43)
+    for p in (1, 2, 3):
+        fv = {f: (rng.randrange(4),) for f in falg._proper_faces(p)}
+        tf = CountingFunctor(p, Z4S, fv)
+        tf.calls = []
+        assert check_square(tf)
+        assert sorted(tf.calls, key=sorted) == \
+            sorted(falg._contractible_keys(p), key=sorted)
+
+
+def test_union_of_faces_value_matches_inclusion_exclusion():
+    rng = random.Random(47)
+    z2z2 = InvolutiveAbelianGroup.from_factors([2, 2], -1)
+    raised = 0
+    for target in (Z4S, z2z2):
+        for p in (1, 2, 3, 4):
+            faces = falg._proper_faces(p)
+            for _ in range(15):
+                fv = {f: tuple(rng.randrange(4) for _ in
+                               range(target.generator_count)) for f in faces}
+                tf = iota_shriek(fv, p, target)
+                face_list = rng.sample(faces, rng.randint(1, min(5, len(faces))))
+                want = _oracles.union_of_faces_value(tf, face_list)
+                if want is None:
+                    raised += 1
+                    with pytest.raises(ValueError, match="face poset"):
+                        tf.union_of_faces_value(face_list)
+                else:
+                    assert tf.union_of_faces_value(face_list) == want
+    assert raised
+    tf = TorsionFunctor.zero(2, Z4)
+    for disjoint in ([0b001, 0b010], [0b011, 0b100], [0b011, 0b101, 0b110]):
+        with pytest.raises(ValueError, match="face poset"):
+            tf.union_of_faces_value(disjoint)
+
+
 # -- dualities ---------------------------------------------------------------
 
 
@@ -234,6 +332,16 @@ def test_generalized_dualities_exhaustive_p2():
                     assert generalized_duality_holds(tf, sigma, idx)
                     checked += 1
     assert checked == 6 ** 4 * (6 * 2 + 4 * 6 + 14)
+
+
+def test_generalized_duality_rejects_bad_index_sets():
+    tf = TorsionFunctor.zero(3, Z4S)
+    for idx in ([], [0, 1, 2, 3]):
+        with pytest.raises(ValueError):
+            generalized_duality_holds(tf, 0b1111, idx)
+    for idx in ([-1], [4], [0, 5]):
+        with pytest.raises(IndexError):
+            generalized_duality_holds(tf, 0b1111, idx)
 
 
 def test_mixed_duality_on_horns():

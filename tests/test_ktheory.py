@@ -39,6 +39,8 @@ def test_tor_rejects_bad_input():
         tor_pi_r(4, 0)
     with pytest.raises(ValueError):
         tor_pi_r(7, -1)
+    with pytest.raises(ValueError, match="capped"):
+        tor_pi_r(1009, 1)  # the first prime above the cap
 
 
 def test_k3_divisibility():
