@@ -14,8 +14,8 @@ import os
 import sys
 
 from . import __version__, abelian, falg, ktheory, lens, simplicial
-from .groupring import (GroupRingElement, NotAUnitError, WhiteheadClass,
-                        invert_unit, wh_class_equal)
+from .groupring import (ORDER_MAX, GroupRingElement, NotAUnitError,
+                        WhiteheadClass, invert_unit, wh_class_equal)
 from .report import ASSUMED, DERIVED, FAILED, VERIFIED, ReportDocument
 from .torsion import HCobordismSymbol, compose, double, reverse
 
@@ -31,6 +31,14 @@ def _parse_coeffs(text):
         return tuple(int(c) for c in text.split(","))
     except ValueError as exc:
         raise UsageError(f"malformed coefficient list: {text!r}") from exc
+
+
+def _element(order, text):
+    """The group-ring element of ``order`` with coefficients ``text``; an
+    order above ``ORDER_MAX`` is refused before anything is built."""
+    if order > ORDER_MAX:
+        raise UsageError(f"the group order is capped at {ORDER_MAX}")
+    return GroupRingElement(order, _parse_coeffs(text))
 
 
 _NAMED_TARGETS = {
@@ -66,7 +74,7 @@ def _document(command, params):
 
 def _cmd_unit_verify(args):
     doc = _document("unit verify", {"order": args.order, "coeffs": args.coeffs})
-    x = GroupRingElement(args.order, _parse_coeffs(args.coeffs))
+    x = _element(args.order, args.coeffs)
     inv = invert_unit(x)
     if inv is None:
         doc.add("unit-inverse", FAILED,
@@ -80,8 +88,8 @@ def _cmd_unit_verify(args):
 
 def _cmd_wh_eq(args):
     doc = _document("wh eq", {"order": args.order, "x": args.x, "y": args.y})
-    x = GroupRingElement(args.order, _parse_coeffs(args.x))
-    y = GroupRingElement(args.order, _parse_coeffs(args.y))
+    x = _element(args.order, args.x)
+    y = _element(args.order, args.y)
     try:
         cx, cy = WhiteheadClass(x), WhiteheadClass(y)
     except NotAUnitError as exc:
@@ -164,7 +172,7 @@ def _cmd_subcomplex_enum(args):
 
 
 def _parse_symbol(order, d, coeffs, twist):
-    x = GroupRingElement(order, _parse_coeffs(coeffs))
+    x = _element(order, coeffs)
     try:
         cls = WhiteheadClass(x)
     except ValueError as exc:

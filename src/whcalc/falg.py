@@ -19,14 +19,19 @@ The element-level checks split their work by what it depends on.  The
 combinatorics of an ambient simplex are computed once and cached
 (``lru_cache``, filled on first use, never at import): the pushout
 squares among its contractible subcomplexes as index quadruples
-(``_squares``), the collapsed inclusion-exclusion coefficients of each
-union of face closures (``_union_coeffs``) and each face's boundary
-faces (``_boundaries``).  Everything that depends on the functor stays
-per functor: its value on each subcomplex, through ``value_on`` with the
-two-attachment-order check, and the relation-lattice membership of every
-square's or duality's defect.  The constraint rows of the homotopy path
-(``_membership_rows``) expand their own inclusion-exclusion and do not
-use ``_union_coeffs``, so the element checks and the constraint systems
+(``_squares``) and a Z-basis of their integer forms (``_square_basis``:
+the 1180 squares of the 3-simplex span a lattice of rank 50 over its 65
+contractible subcomplexes), the face-attachment steps of each complex
+(``_attachment_plan``), the collapsed inclusion-exclusion coefficients
+of each union of face closures (``_union_coeffs``), each face's
+boundary faces (``_boundaries``) and, per face and index set, the two
+collapsed forms of a generalized duality (``_duality_plan``).
+Everything that depends on the functor stays per functor: its value on
+each subcomplex, through ``value_on`` with the two-attachment-order
+check, and one relation-lattice membership test per square-basis form
+or per duality.  The constraint rows of the homotopy path
+(``_membership_rows``) expand their own inclusion-exclusion and use
+none of these plans, so the element checks and the constraint systems
 still cross-check each other.
 """
 
@@ -152,6 +157,38 @@ def _union_coeffs(ambient, faces):
     return tuple((f, c) for f, c in sorted(coeffs.items()) if c)
 
 
+@lru_cache(maxsize=None)
+def _attachment_plan(faces):
+    """The face-attachment steps of ``TorsionFunctor._value`` on ``faces``.
+
+    ``(face, ())`` when ``faces`` has the single maximal face ``face``;
+    otherwise ``(None, steps)`` with ``steps`` the first and the last
+    admissible triple (sigma, closure of the other maximal faces, their
+    intersection) in maximal-face order: both when there are several,
+    one when there is one, none when no attachment order is admissible.
+    """
+    maximal = _maximal(faces)
+    if len(maximal) == 1:
+        return maximal[0], ()
+    admissible = []
+    for sigma in maximal:
+        rest = [m for m in maximal if m != sigma]
+        rest_closure = _closure(rest)
+        inter = rest_closure & frozenset(subfaces(sigma))
+        if inter and _collapses_to_point(rest_closure) \
+                and _collapses_to_point(inter):
+            admissible.append((sigma, rest_closure, inter))
+    if len(admissible) > 1:
+        return None, (admissible[0], admissible[-1])
+    return None, tuple(admissible)
+
+
+def _combine(form, values, g):
+    """sum of coefficient * values[key] over the ``(key, coefficient)``
+    pairs of ``form``, unreduced."""
+    return [sum([c * values[key][r] for key, c in form]) for r in range(g)]
+
+
 class TorsionFunctor:
     """Functor on contractible subcomplexes of the ambient simplex,
     valued in an involutive abelian group, satisfying the pushout-square
@@ -265,26 +302,15 @@ class TorsionFunctor:
         memo = self._memo
         if faces in memo:
             return memo[faces]
-        maximal = _maximal(faces)
-        if len(maximal) == 1:
-            out = self.values[maximal[0]]
-            memo[faces] = out
-            return out
-        admissible = []
-        for sigma in maximal:
-            rest = [m for m in maximal if m != sigma]
-            rest_closure = _closure(rest)
-            inter = rest_closure & frozenset(subfaces(sigma))
-            if inter and _collapses_to_point(rest_closure) \
-                    and _collapses_to_point(inter):
-                admissible.append((sigma, rest_closure, inter))
-        if not admissible:
+        face, steps = _attachment_plan(faces)
+        if face is not None:
+            out = self.values[face]
+        elif not steps:
             raise NotContractibleError(
                 "no admissible face-attachment order for this complex")
-        out = self._attach(*admissible[0])
-        if len(admissible) > 1:
-            alt = self._attach(*admissible[-1])
-            if alt != out:
+        else:
+            out = self._attach(*steps[0])
+            if len(steps) > 1 and self._attach(*steps[1]) != out:
                 raise InconsistentFunctorError(
                     "attachment orders disagree: malformed functor data")
         memo[faces] = out
@@ -311,17 +337,9 @@ class TorsionFunctor:
         makes the inclusion-exclusion expansion exact in one pass; its
         collapsed coefficients come from ``_union_coeffs``.
         """
-        g = self.target.generator_count
-        acc = [0] * g
-        for face, coeff in _union_coeffs(self.ambient, frozenset(face_list)):
-            val = self.values[face]
-            for r in range(g):
-                acc[r] += coeff * val[r]
-        return self.target.reduce(tuple(acc))
-
-    def horn_value(self, sigma, i):
-        return self.union_of_faces_value(
-            [b for j, b in enumerate(_boundaries(sigma)) if j != i])
+        return self.target.reduce(_combine(
+            _union_coeffs(self.ambient, frozenset(face_list)), self.values,
+            self.target.generator_count))
 
     # -- cosimplicial structure maps ----------------------------------------
 
@@ -393,6 +411,45 @@ def _squares(p):
     return tuple(out)
 
 
+def _square_form(square):
+    """v[K0 & K1] + v[K0 | K1] - v[K0] - v[K1] of one ``_squares`` entry,
+    as ``(key, coefficient)`` pairs with zero coefficients dropped."""
+    coeffs = {}
+    for k, c in zip(square, (1, 1, -1, -1)):
+        coeffs[k] = coeffs.get(k, 0) + c
+    return tuple((k, c) for k, c in sorted(coeffs.items()) if c)
+
+
+@lru_cache(maxsize=None)
+def _square_basis(p):
+    """The pushout-square condition at ambient p as a few integer forms.
+
+    Returns ``(order, first, basis)``.  ``order`` lists, as indices into
+    ``_contractible_keys(p)``, every subcomplex some square uses, in the
+    order a square-by-square scan of ``_squares(p)`` first needs it, and
+    ``first[k]`` is the index of the square that first needs
+    ``order[k]``.  ``basis`` is a Z-basis of the span of the square forms
+    (``_square_form``), from ``lattice._eliminate``, each form as
+    ``(key, coefficient)`` pairs: 50 forms for the 1180 squares at
+    ambient 3.  Every basis form is an integer combination of square forms
+    and every square form one of basis forms, so the values of a functor
+    satisfy every square exactly when every basis form of them lies in
+    the relation lattice.
+    """
+    order, first, cols = [], [], []
+    seen = set()
+    for s, square in enumerate(_squares(p)):
+        for k in square:
+            if k not in seen:
+                seen.add(k)
+                order.append(k)
+                first.append(s)
+        cols.append(dict(_square_form(square)))
+    pivots, _kernel = lattice._eliminate(cols)
+    basis = tuple(tuple(sorted(col.items())) for _row, col in pivots)
+    return tuple(order), tuple(first), basis
+
+
 def raw_degeneracy(tf, i):
     """The uncorrected degeneracy: plain pullback of all values along the
     codegeneracy.  Generally leaves the square-condition subgroup; kept
@@ -425,42 +482,82 @@ def raw_degeneracy(tf, i):
 def check_square(tf):
     """Exhaustively verify the pushout-square condition (ambient <= 3).
 
-    The squares are the per-ambient plan ``_squares``, computed once per
-    ambient.  Per functor, each contractible subcomplex is evaluated by
-    ``value_on`` once, when a square first needs it, so table lookups,
-    the contractibility check and the two-order guard of ``_value`` all
-    still run; each square's defect is then tested for membership in the
-    relation lattice, and the first failing square ends the scan.  The
-    constraint rows of ``_membership_rows`` share none of this.
+    Per functor, every contractible subcomplex that some square uses is
+    evaluated by ``value_on`` once, in the order a square-by-square scan
+    first needs it, so table lookups, the contractibility check and the
+    two-order guard of ``_value`` all still run.  Then each form of the
+    per-ambient ``_square_basis`` (50 forms for the 1180 squares at
+    ambient 3) is tested for membership in the relation lattice, which
+    holds for all of them exactly when it holds for every square.  When
+    ``value_on`` raises, the squares a scan would have tested before
+    needing that subcomplex decide: False if one of them fails, else the
+    exception propagates, as from a scan that stops at the first failing
+    square.  The constraint rows of ``_membership_rows`` share none of
+    this.
     """
     p = tf.ambient
     if p > 3:
         raise ValueError("exhaustive square checking is capped at ambient 3")
     keys = _contractible_keys(p)
+    order, first, basis = _square_basis(p)
+    target = tf.target
+    g = target.generator_count
     values = [None] * len(keys)
-    for square in _squares(p):
-        for k in square:
-            if values[k] is None:
-                values[k] = tf.value_on(keys[k])
-        i01, i, i0, i1 = square
-        test = tuple(w + x - y - z for w, x, y, z in
-                     zip(values[i01], values[i], values[i0], values[i1]))
-        if not tf.target.is_zero_element(test):
-            return False
-    return True
+
+    def holds(form):
+        return target.is_zero_element(_combine(form, values, g))
+
+    for k, s in zip(order, first):
+        try:
+            values[k] = tf.value_on(keys[k])
+        except Exception:
+            if not all(holds(_square_form(sq)) for sq in _squares(p)[:s]):
+                return False
+            raise
+    return all(holds(form) for form in basis)
+
+
+@lru_cache(maxsize=None)
+def _duality_plan(ambient, sigma, index_set):
+    """The generalized duality of face ``sigma`` at ``index_set``.
+
+    Raises ValueError unless the index set is a proper nonempty subset of
+    the boundary indices, IndexError for an index out of range.  Returns
+    ``(lhs, rhs, sgn)``: ``lhs`` = sum of c_f * v_f - v_sigma over
+    the collapsed inclusion-exclusion (``_union_coeffs``) of the boundary
+    faces in the index set, ``rhs`` the same over the complementary
+    boundary faces, and sgn = (-1)^dim(sigma).  The duality holds exactly
+    when lhs(v) - sgn * T(rhs(v)) lies in the relation lattice: reducing
+    either side first only subtracts lattice vectors, and the involution
+    T preserves the lattice.
+    """
+    d = face_dim(sigma)
+    idx = sorted(set(index_set))
+    if not idx or len(idx) > d:
+        raise ValueError("the index set must be a proper nonempty subset")
+    if idx[0] < 0 or idx[-1] > d:
+        raise IndexError("boundary index out of range")
+    bounds = _boundaries(sigma)
+    comp = [j for j in range(d + 1) if j not in idx]
+    lhs = _union_coeffs(ambient, frozenset(bounds[j] for j in idx))
+    rhs = _union_coeffs(ambient, frozenset(bounds[j] for j in comp))
+    return lhs + ((sigma, -1),), rhs + ((sigma, -1),), _sign(d)
+
+
+def _duality_vanishes(tf, plan):
+    """One relation-lattice membership test of a ``_duality_plan``."""
+    lhs, rhs, sgn = plan
+    target = tf.target
+    g = target.generator_count
+    acted = target.act(_combine(rhs, tf.values, g))
+    return target.is_zero_element(
+        [x - sgn * y for x, y in zip(_combine(lhs, tf.values, g), acted)])
 
 
 def _duality_ok(tf, sigma, i):
-    d = face_dim(sigma)
-    lhs = tf.target.reduce(tuple(
-        x - y for x, y in zip(tf.values[_boundaries(sigma)[i]],
-                              tf.values[sigma])))
-    inner = tuple(x - y for x, y in zip(tf.horn_value(sigma, i),
-                                        tf.values[sigma]))
-    acted = tf.target.act(inner)
-    sgn = _sign(d)
-    diff = tuple(x - sgn * y for x, y in zip(lhs, acted))
-    return tf.target.is_zero_element(diff)
+    """Face-horn duality of tau at ``sigma`` for the omitted index i: the
+    generalized duality at the index set {i}."""
+    return _duality_vanishes(tf, _duality_plan(tf.ambient, sigma, (i,)))
 
 
 def check_face_horn_duality(tf, sigma):
@@ -476,23 +573,10 @@ def all_dualities_hold(tf):
 
 
 def generalized_duality_holds(tf, sigma, index_set):
-    """tau(sigma, boundary union over I) against the complementary union."""
-    d = face_dim(sigma)
-    idx = sorted(set(index_set))
-    if not idx or len(idx) > d:
-        raise ValueError("the index set must be a proper nonempty subset")
-    if idx[0] < 0 or idx[-1] > d:
-        raise IndexError("boundary index out of range")
-    bounds = _boundaries(sigma)
-    comp = [j for j in range(d + 1) if j not in idx]
-    lhs_inner = tf.union_of_faces_value([bounds[j] for j in idx])
-    rhs_inner = tf.union_of_faces_value([bounds[j] for j in comp])
-    base = tf.values[sigma]
-    lhs = tuple(x - y for x, y in zip(lhs_inner, base))
-    acted = tf.target.act(tuple(x - y for x, y in zip(rhs_inner, base)))
-    sgn = _sign(d)
-    diff = tuple(x - sgn * y for x, y in zip(lhs, acted))
-    return tf.target.is_zero_element(diff)
+    """tau(sigma, boundary union over I) against the complementary union,
+    as one membership test of the per-face ``_duality_plan``."""
+    return _duality_vanishes(
+        tf, _duality_plan(tf.ambient, sigma, tuple(index_set)))
 
 
 def _pure_boundary(k_faces):

@@ -43,26 +43,30 @@ def bareiss_determinant(rows):
 
 
 def fraction_rank(rows):
-    """Rank by Gaussian elimination over Q."""
+    """Rank by forward Gaussian elimination over Q.
+
+    Each pivot row is subtracted from the rows below it only, on the
+    columns where the pivot row is nonzero.
+    """
     a = [[Fraction(x) for x in r] for r in rows]
     m = len(a)
     n = len(a[0]) if m else 0
     rank = 0
-    row = 0
     for col in range(n):
-        piv = next((i for i in range(row, m) if a[i][col]), None)
+        piv = next((i for i in range(rank, m) if a[i][col]), None)
         if piv is None:
             continue
-        a[row], a[piv] = a[piv], a[row]
-        pv = a[row][col]
-        a[row] = [x / pv for x in a[row]]
-        for i in range(m):
-            if i != row and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
+        a[rank], a[piv] = a[piv], a[rank]
+        prow = a[rank]
+        support = [j for j in range(col, n) if prow[j]]
+        for i in range(rank + 1, m):
+            row = a[i]
+            if row[col]:
+                f = row[col] / prow[col]
+                for j in support:
+                    row[j] -= f * prow[j]
         rank += 1
-        row += 1
-        if row == m:
+        if rank == m:
             break
     return rank
 
@@ -153,18 +157,22 @@ def is_acyclic_and_connected(k):
     if not k.is_connected():
         return False
     by_dim = _ordered_faces(k)
-    top = max(by_dim)
-    for d in range(1, top + 1):
-        bd = _boundary_matrix(by_dim, d)
-        bd_up = _boundary_matrix(by_dim, d + 1) if d + 1 <= top else []
-        n_d = len(by_dim.get(d, []))
-        rank_d = fraction_rank(bd) if _nonempty(bd) else 0
-        rank_up = fraction_rank(bd_up) if _nonempty(bd_up) else 0
-        if n_d - rank_d != rank_up:
+    # each boundary matrix is built and ranked once: the one leaving
+    # degree d + 1 serves degree d here and is the next step's own
+    bd, rank_d = _ranked_boundary(by_dim, 1)
+    for d in range(1, max(by_dim) + 1):
+        bd_up, rank_up = _ranked_boundary(by_dim, d + 1)
+        if len(by_dim.get(d, [])) - rank_d != rank_up:
             return False
         if _nonempty(bd) and any(abs(e) > 1 for e in diagonal_divisors(bd)):
             return False
+        bd, rank_d = bd_up, rank_up
     return True
+
+
+def _ranked_boundary(by_dim, d):
+    bd = _boundary_matrix(by_dim, d)
+    return bd, fraction_rank(bd) if _nonempty(bd) else 0
 
 
 def _nonempty(mat):
@@ -288,12 +296,24 @@ def pushout_squares(p):
     return out
 
 
-def square_condition_holds(tf):
-    """The pushout-square condition, one ``value_on`` call per corner."""
-    for inter, union, k0, k1 in pushout_squares(tf.ambient):
-        test = tuple(w + x - y - z for w, x, y, z in zip(
-            tf.value_on(inter), tf.value_on(union),
-            tf.value_on(k0), tf.value_on(k1)))
+def square_condition_holds(tf, squares=None):
+    """The pushout-square condition, square by square in pair order,
+    stopping at the first failing square.
+
+    Each distinct corner is evaluated by ``value_on`` once, when a square
+    first needs it, so an exception from ``value_on`` propagates exactly
+    when no earlier square fails.  ``squares`` defaults to
+    ``pushout_squares(tf.ambient)``; pass it in to scan many functors.
+    """
+    if squares is None:
+        squares = pushout_squares(tf.ambient)
+    seen = {}
+    for square in squares:
+        for key in square:
+            if key not in seen:
+                seen[key] = tf.value_on(key)
+        inter, union, k0, k1 = (seen[key] for key in square)
+        test = tuple(w + x - y - z for w, x, y, z in zip(inter, union, k0, k1))
         if not tf.target.is_zero_element(test):
             return False
     return True
@@ -314,3 +334,39 @@ def union_of_faces_value(tf, faces):
                 return None
             acc = [a + sign * v for a, v in zip(acc, tf.values[inter])]
     return tf.target.reduce(tuple(acc))
+
+
+def boundary_faces(sigma):
+    """The codimension-one faces of ``sigma``, the i-th without its i-th
+    smallest vertex."""
+    return [sigma & ~(1 << v) for v in vertices_of(sigma)]
+
+
+def duality_holds(tf, sigma, index_set):
+    """Generalized duality of ``tf`` at face ``sigma`` and index set I.
+
+    The value on the union of the boundary faces in I, minus the value on
+    sigma, against the same for the complementary boundary faces acted on
+    by the involution (a plain product with its rows) and signed by
+    (-1)^dim(sigma); each union by ``union_of_faces_value``, one term per
+    subset.  I must be a proper nonempty subset of the boundary indices:
+    ValueError otherwise, IndexError for an index out of range.
+    """
+    bounds = boundary_faces(sigma)
+    d = len(bounds) - 1
+    idx = sorted(set(index_set))
+    if not idx or len(idx) > d:
+        raise ValueError("the index set must be a proper nonempty subset")
+    if idx[0] < 0 or idx[-1] > d:
+        raise IndexError("boundary index out of range")
+    base = tf.values[sigma]
+    lhs = union_of_faces_value(tf, [bounds[j] for j in idx])
+    rhs = union_of_faces_value(
+        tf, [b for j, b in enumerate(bounds) if j not in idx])
+    inner = [x - y for x, y in zip(rhs, base)]
+    acted = [sum(t * x for t, x in zip(row, inner))
+             for row in tf.target.involution]
+    sgn = 1 if d % 2 == 0 else -1
+    return tf.target.is_zero_element(tuple(
+        x - y - sgn * z for x, y, z in zip(lhs, base, acted)))
+

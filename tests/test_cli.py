@@ -218,6 +218,22 @@ def test_kapp_tor_cap_is_usage_error(p, capsys):
     assert code == 2 and out == "" and "capped at 1000" in err
 
 
+ONE_AT_1001 = "1" + ",0" * 1000
+
+
+@pytest.mark.parametrize("argv", [
+    ["unit", "verify", "--order", "1001", "--coeffs", ONE_AT_1001],
+    ["wh", "eq", "--order", "1001", "--x", ONE_AT_1001, "--y", ONE_AT_1001],
+    ["torsion", "double", "--d", "11", "--order", "1001", "--u", ONE_AT_1001],
+], ids=["unit-verify", "wh-eq", "torsion"])
+def test_group_order_cap_is_usage_error(argv, capsys):
+    # one above groupring.ORDER_MAX: refused before the circulant system
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "capped at 1000" in err
+
+
 def test_huge_generator_count_with_empty_involution_fails_fast(capsys):
     # the row count is checked before g rows are built
     target = json.dumps({"generators": 10**9, "involution": []})

@@ -38,7 +38,9 @@ def test_caches_are_cold_after_import():
                          capture_output=True, text=True).stdout
     sizes = json.loads(out)
     # the scan sees the caches it is meant to guard
-    assert {"whcalc.falg._squares", "whcalc.falg._union_coeffs",
-            "whcalc.falg._boundaries", "whcalc.falg._contractible_keys",
+    assert {"whcalc.falg._squares", "whcalc.falg._square_basis",
+            "whcalc.falg._attachment_plan", "whcalc.falg._duality_plan",
+            "whcalc.falg._union_coeffs", "whcalc.falg._boundaries",
+            "whcalc.falg._contractible_keys",
             "whcalc.simplicial._collapses_to_point"} <= set(sizes)
     assert {name: n for name, n in sizes.items() if n} == {}

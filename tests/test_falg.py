@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -47,7 +47,8 @@ def test_horn_value_inclusion_exclusion():
     # values a, b on the two back faces and c on their shared vertex
     tf = functor_from({0b011: (1,), 0b101: (2,), 0b001: (3,)}, 2, Z4)
     assert tf.value_on(horn(2, 0)) == Z4.reduce((1 + 2 - 3,))
-    assert tf.horn_value(0b111, 0) == Z4.reduce((0,))  # includes c twice
+    # the 0-th horn of the top face: the union of the faces 02 and 01
+    assert tf.union_of_faces_value([0b101, 0b011]) == Z4.reduce((0,))
 
 
 def test_union_formula_matches_general_evaluator():
@@ -211,6 +212,130 @@ def test_check_square_matches_oracle():
     assert check_square(broken) is _oracles.square_condition_holds(broken) \
         is False
     assert verdicts == {True, False}
+
+
+def outcome(check, *args):
+    """A check's verdict, or the type and message of what it raised."""
+    try:
+        return check(*args)
+    except Exception as exc:  # compared by the caller, never swallowed
+        return type(exc), str(exc)
+
+
+def assert_dualities_match(tf, verdicts):
+    """Every generalized duality of ``tf``, valid index set or not, and
+    every face-horn duality, against the brute-force oracle."""
+    for sigma in falg._all_faces(tf.ambient):
+        d = face_dim(sigma)
+        valid = [idx for r in range(1, d + 1)
+                 for idx in combinations(range(d + 1), r)]
+        for idx in valid + [(), tuple(range(d + 1)), (-1,), (d + 1,)]:
+            got = outcome(generalized_duality_holds, tf, sigma, idx)
+            assert got == outcome(_oracles.duality_holds, tf, sigma, idx), \
+                (tf, sigma, idx)
+            verdicts.add(got if isinstance(got, bool) else got[0])
+        if d >= 1:
+            assert check_face_horn_duality(tf, sigma) == all(
+                _oracles.duality_holds(tf, sigma, (i,)) for i in range(d + 1))
+
+
+def test_plans_match_oracles_on_falg_elements():
+    # every element of F^alg_2 for the square targets of the benchmark
+    squares = _oracles.pushout_squares(3)
+    verdicts = set()
+    for target in (Z2, Z4S):
+        for el in falg_group(target, 2).elements():
+            tf = el.functor
+            assert check_square(tf) is _oracles.square_condition_holds(
+                tf, squares) is True
+            assert_dualities_match(tf, verdicts)
+    assert verdicts == {True, ValueError, IndexError}
+
+
+def test_check_square_matches_oracle_on_raw_degeneracies():
+    verdicts = set()
+    for p in (0, 1):
+        faces = falg._proper_faces(p)
+        for combo in product(range(4), repeat=len(faces)):
+            tf = iota_shriek({f: (c,) for f, c in zip(faces, combo)}, p, Z4S)
+            for i in range(p + 1):
+                raw = raw_degeneracy(tf, i)
+                verdict = check_square(raw)
+                assert verdict is _oracles.square_condition_holds(raw)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_check_square_on_partial_tables_matches_first_failure_scan():
+    # a table missing one complex makes value_on raise partway through;
+    # check_square returns False exactly when a square the scan reaches
+    # first fails, and otherwise raises what value_on raised
+    rng = random.Random(59)
+    seen = set()
+    for p in (2, 3):
+        squares = _oracles.pushout_squares(p)
+        for trial in range(8):
+            tf, table_tf = random_table_functor(rng, p, Z4S, trial % 2)
+            table = dict(table_tf.table)
+            del table[rng.choice(sorted(table))]
+            partial = TorsionFunctor(p, Z4S, tf.face_values_copy(), table)
+            got = outcome(check_square, partial)
+            assert got == outcome(_oracles.square_condition_holds, partial,
+                                  squares)
+            seen.add(got if isinstance(got, bool) else got[0])
+    assert seen == {False, NotContractibleError}
+
+
+def test_generalized_duality_matches_oracle_at_every_index_set():
+    # ambients 1 to 3: elements of F^alg, the same with one face value
+    # perturbed, and random face values; one target with a non-scalar
+    # involution
+    rng = random.Random(61)
+    swap_sq = InvolutiveAbelianGroup(2, [[3, 0], [0, 3]], [[0, 1], [1, 0]])
+    z2z2 = InvolutiveAbelianGroup.from_factors([2, 2], -1)
+    verdicts = set()
+    for target in (Z4S, z2z2, swap_sq):
+        g = target.generator_count
+        for p in (1, 2, 3):
+            faces = falg._proper_faces(p)
+            els = list(islice(falg_group(target, p - 1).elements(), 3))
+            for el in els:
+                fv = el.functor.face_values_copy()
+                face = rng.choice(faces)
+                fv[face] = tuple(x + 1 for x in fv[face])
+                rand = {f: tuple(rng.randrange(6) for _ in range(g))
+                        for f in faces}
+                for tf in (el.functor, iota_shriek(fv, p, target),
+                           iota_shriek(rand, p, target)):
+                    assert_dualities_match(tf, verdicts)
+    assert verdicts == {True, False, ValueError, IndexError}
+
+
+def test_face_horn_duality_is_one_check_per_index(monkeypatch):
+    # _duality_ok evaluates its own plan: routing it through
+    # generalized_duality_holds would count each check twice in a trace
+    def refuse(*args):
+        raise AssertionError("generalized_duality_holds called")
+
+    el = psi_section(Z4S, 2, (1,))
+    monkeypatch.setattr(falg, "generalized_duality_holds", refuse)
+    assert all_dualities_hold(el.functor)
+    assert duality_criterion(el.functor)
+
+
+def test_square_basis_plan():
+    # first-need order covers every key a square uses; ranks per ambient
+    ranks = {}
+    for p in (0, 1, 2, 3):
+        order, first, basis = falg._square_basis(p)
+        squares = falg._squares(p)
+        assert len(order) == len(set(order)) == len(first)
+        assert set(order) == {k for square in squares for k in square}
+        for k, s in zip(order, first):
+            assert k in squares[s]
+            assert all(k not in squares[t] for t in range(s))
+        ranks[p] = len(basis)
+    assert ranks == {0: 0, 1: 0, 2: 3, 3: 50}
 
 
 class CountingFunctor(TorsionFunctor):

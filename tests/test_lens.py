@@ -190,6 +190,22 @@ def test_report_k1_and_k2():
         assert doc.params["dimension"] == 12 * k - 1
 
 
+def test_report_p5_uses_rank_one():
+    # Wh(C_5) is free abelian of rank (5-3)/2 = 1, so H_1 is Z/2
+    doc = discrepancy_report(1, p=5)
+    assert doc.exit_code() == 0
+    stages = {s.name: s for s in doc.stages}
+    rank = stages["whitehead-group-rank"]
+    assert rank.status == "assumed"
+    assert rank.witness["statement"] == "Wh(C_5) is free abelian of rank 1"
+    assert rank.citation.endswith("Wh(C_5) is free abelian of rank 1")
+    assert stages["double-subgroup-trivial"].status == "verified"
+    h1 = stages["h1-of-whitehead-group"]
+    assert h1.status == "verified" and h1.witness["group"] == "Z/2"
+    assert stages["inertia-mod-doubles"].witness["cardinality"] == 2
+    assert doc.params["dimension"] == 7
+
+
 def test_report_degenerate_unit_halts():
     doc = discrepancy_report(1, unit_coeffs=(1, 0, 0, 0, 0, 0, 0))
     assert doc.exit_code() == 1
