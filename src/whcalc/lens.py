@@ -234,9 +234,8 @@ def discrepancy_report(k, p=7, unit_coeffs=None):
     doc.params["lens_space"] = str(lens)
     doc.params["dimension"] = d
 
-    coeffs = tuple(unit_coeffs) if unit_coeffs is not None \
-        else _KNOWN_UNITS[p]
-    element = GroupRingElement(p, coeffs)
+    element = GroupRingElement(p, tuple(unit_coeffs)) \
+        if unit_coeffs is not None else standard_inertia_unit(p)
     try:
         unit = WhiteheadClass(element)
     except ValueError:

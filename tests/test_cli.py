@@ -174,6 +174,9 @@ def test_torsion_commands(capsys):
                         "--u", "2,2,0,-1,-1,-1,0",
                         "--u2", "1,0,0,0,0,0,0"], capsys)
     assert code == 0
+    code, out, _ = run(["torsion", "reverse", "--d", "11", "--order", "7",
+                        "--u", "2,2,0,-1,-1,-1,0"], capsys)
+    assert code == 0 and "[derived] symbol" in out
 
 
 def test_lens_report_exit_and_stage(capsys):
@@ -197,6 +200,9 @@ def test_lens_inertia_p5(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["stages"][0]["witness"]["cardinality"] == 2
+    code, explicit, _ = run(["lens", "inertia", "--p", "5",
+                             "--unit", "1,-1,0,0,-1", "--json"], capsys)
+    assert code == 0 and explicit == out
 
 
 def test_max_p_cap(capsys):
@@ -206,6 +212,13 @@ def test_max_p_cap(capsys):
     code, _, _ = run(["kapp", "tor", "--p", "7", "--i", "0",
                       "--max-p", "5"], capsys)
     assert code == 2
+    # a cap of 0 is a cap, not "no cap"; every prime-taking command checks it
+    for argv in (["lens", "inertia", "--p", "5", "--max-p", "0"],
+                 ["lens", "report-theorem-a", "--k", "1", "--max-p", "0"],
+                 ["kapp", "tor", "--p", "7", "--i", "4", "--max-p", "0"],
+                 ["kapp", "k3", "--p", "7", "--max-p", "5"]):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == "" and "cap" in err, argv
 
 
 @pytest.mark.parametrize("p", ["1001", "1009", str(10**18 + 9)])

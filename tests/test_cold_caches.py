@@ -4,7 +4,9 @@ The benchmark refuses a repetition whose ``whcalc`` caches are already
 filled when it starts, since that work would go unmeasured; a plan
 computed at import time would therefore fail every benchmark run.  This
 test looks at a fresh interpreter the same way: every module-level
-object with ``cache_info`` defined in a ``whcalc`` module.
+object with ``cache_info`` defined in a ``whcalc`` module.  The CLI
+imports some modules only when a command needs them, so the scan first
+imports every ``whcalc`` module to see their caches too.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ import sys
 from pathlib import Path
 
 SCRIPT = """
-import json, sys
-import whcalc.cli
+import importlib, json, pkgutil, sys
+import whcalc, whcalc.cli
+for info in pkgutil.walk_packages(whcalc.__path__, "whcalc."):
+    importlib.import_module(info.name)
 sizes = {}
 for name, mod in sorted(sys.modules.items()):
     if mod is None or not (name == "whcalc" or name.startswith("whcalc.")):
@@ -29,14 +33,24 @@ for name, mod in sorted(sys.modules.items()):
 print(json.dumps(sizes))
 """
 
+STARTUP_SCRIPT = """
+import json, sys
+import whcalc.cli
+print(json.dumps(sorted(sys.modules)))
+"""
 
-def test_caches_are_cold_after_import():
+
+def _fresh_interpreter(script):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run([sys.executable, "-c", SCRIPT], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
-    sizes = json.loads(out)
+    return json.loads(out)
+
+
+def test_caches_are_cold_after_import():
+    sizes = _fresh_interpreter(SCRIPT)
     # the scan sees the caches it is meant to guard
     assert {"whcalc.falg._squares", "whcalc.falg._square_basis",
             "whcalc.falg._attachment_plan", "whcalc.falg._duality_plan",
@@ -44,3 +58,13 @@ def test_caches_are_cold_after_import():
             "whcalc.falg._contractible_keys",
             "whcalc.simplicial._collapses_to_point"} <= set(sizes)
     assert {name: n for name, n in sizes.items() if n} == {}
+
+
+def test_cli_import_set():
+    loaded = set(_fresh_interpreter(STARTUP_SCRIPT))
+    # perfbench's cold check fails a cli-mix repetition unless the lru
+    # caches of these modules are loaded once ``whcalc.cli`` is imported
+    assert {"whcalc.falg", "whcalc.abelian", "whcalc.simplicial"} <= loaded
+    # the rest load per subcommand, so commands that need none skip them
+    assert loaded.isdisjoint({"whcalc.groupring", "whcalc.ktheory",
+                              "whcalc.lens", "whcalc.torsion", "fractions"})

@@ -206,6 +206,12 @@ def test_report_p5_uses_rank_one():
     assert doc.params["dimension"] == 7
 
 
+def test_report_without_standard_unit_is_value_error():
+    # a clear ValueError, which the CLI maps to exit 2, not a bare KeyError
+    with pytest.raises(ValueError, match="no standard unit recorded for p = 11"):
+        discrepancy_report(1, p=11)
+
+
 def test_report_degenerate_unit_halts():
     doc = discrepancy_report(1, unit_coeffs=(1, 0, 0, 0, 0, 0, 0))
     assert doc.exit_code() == 1
