@@ -209,7 +209,7 @@ class InvolutiveAbelianGroup:
         return tuple(lattice.mat_vec(self.involution, vec))
 
     def is_zero_element(self, vec):
-        return self.relation_lattice().contains(list(vec))
+        return self._lattice.contains(vec)
 
     def isomorphism_type(self):
         return FgAbGroup.from_factors(

@@ -24,8 +24,13 @@ the 1180 squares of the 3-simplex span a lattice of rank 50 over its 65
 contractible subcomplexes), the face-attachment steps of each complex
 (``_attachment_plan``), the collapsed inclusion-exclusion coefficients
 of each union of face closures (``_union_coeffs``), each face's
-boundary faces (``_boundaries``) and, per face and index set, the two
-collapsed forms of a generalized duality (``_duality_plan``).
+boundary faces (``_boundaries``), the (face, omitted index) pairs of
+its face-horn dualities (``_face_horns``) and, per face and index set,
+the two collapsed forms L and R of a generalized duality
+(``_duality_plan``).  The duality holds when L(v) - sgn T(R(v)) lies in
+the relation lattice; that map is linear in the face values, so it is
+folded once per involution T into one form per output coordinate
+(``_duality_form``), shared by every target with the same action.
 Everything that depends on the functor stays per functor: its value on
 each subcomplex, through ``value_on`` with the two-attachment-order
 check, and one relation-lattice membership test per square-basis form
@@ -544,20 +549,45 @@ def _duality_plan(ambient, sigma, index_set):
     return lhs + ((sigma, -1),), rhs + ((sigma, -1),), _sign(d)
 
 
-def _duality_vanishes(tf, plan):
-    """One relation-lattice membership test of a ``_duality_plan``."""
-    lhs, rhs, sgn = plan
-    target = tf.target
-    g = target.generator_count
-    acted = target.act(_combine(rhs, tf.values, g))
-    return target.is_zero_element(
-        [x - sgn * y for x, y in zip(_combine(lhs, tf.values, g), acted)])
+@lru_cache(maxsize=None)
+def _duality_form(involution, ambient, sigma, index_set):
+    """``_duality_plan`` folded with the involution into one linear form.
+
+    lhs(v) - sgn * T(rhs(v)) is linear in the face values, so it is
+    stored as one tuple per output coordinate r of ``(face, j,
+    coefficient)`` triples, zeros dropped: coordinate r is the sum of
+    coefficient * v[face][j].  For even-dimensional sigma under the
+    identity (odd under -1) the two ``(sigma, -1)`` terms cancel.  The
+    form depends on the target only through ``involution``, so targets
+    with the same action share it.  Raises what ``_duality_plan`` raises
+    on a bad index set.
+    """
+    lhs, rhs, sgn = _duality_plan(ambient, sigma, index_set)
+    forms = []
+    for r, t_row in enumerate(involution):
+        coeffs = {}
+        for f, c in lhs:
+            coeffs[f, r] = coeffs.get((f, r), 0) + c
+        for f, c in rhs:
+            for j, t in enumerate(t_row):
+                coeffs[f, j] = coeffs.get((f, j), 0) - sgn * c * t
+        forms.append(tuple((f, j, c) for (f, j), c in sorted(coeffs.items())
+                           if c))
+    return tuple(forms)
+
+
+def _duality_vanishes(tf, forms):
+    """One relation-lattice membership test of a ``_duality_form``."""
+    values = tf.values
+    return tf.target.is_zero_element(
+        [sum([c * values[f][j] for f, j, c in form]) for form in forms])
 
 
 def _duality_ok(tf, sigma, i):
     """Face-horn duality of tau at ``sigma`` for the omitted index i: the
     generalized duality at the index set {i}."""
-    return _duality_vanishes(tf, _duality_plan(tf.ambient, sigma, (i,)))
+    return _duality_vanishes(tf, _duality_form(
+        tf.target.involution, tf.ambient, sigma, (i,)))
 
 
 def check_face_horn_duality(tf, sigma):
@@ -567,16 +597,24 @@ def check_face_horn_duality(tf, sigma):
     return all(_duality_ok(tf, sigma, i) for i in range(face_dim(sigma) + 1))
 
 
+@lru_cache(maxsize=None)
+def _face_horns(ambient):
+    """Every ``(sigma, i)`` with sigma a face of dimension >= 1 of the
+    ambient simplex and 0 <= i <= dim sigma, in ``_all_faces`` order."""
+    return tuple((sigma, i) for sigma in _all_faces(ambient)
+                 if face_dim(sigma) >= 1 for i in range(face_dim(sigma) + 1))
+
+
 def all_dualities_hold(tf):
-    return all(check_face_horn_duality(tf, sigma)
-               for sigma in _all_faces(tf.ambient) if face_dim(sigma) >= 1)
+    """Face-horn duality at every face, one ``_duality_ok`` per horn."""
+    return all(_duality_ok(tf, sigma, i) for sigma, i in _face_horns(tf.ambient))
 
 
 def generalized_duality_holds(tf, sigma, index_set):
     """tau(sigma, boundary union over I) against the complementary union,
-    as one membership test of the per-face ``_duality_plan``."""
-    return _duality_vanishes(
-        tf, _duality_plan(tf.ambient, sigma, tuple(index_set)))
+    as one membership test of the folded ``_duality_form``."""
+    return _duality_vanishes(tf, _duality_form(
+        tf.target.involution, tf.ambient, sigma, tuple(index_set)))
 
 
 def _pure_boundary(k_faces):
@@ -742,7 +780,11 @@ class FAlgElement:
         """``(target, p, face_values)`` of a serialized simplex.
 
         Checks the shape only, not membership; a malformed shape raises
-        ValueError.  ``target`` overrides the serialized one.
+        ValueError.  ``target`` overrides the serialized one.  Every key
+        must be the ``face_str`` of a face of the (p+1)-simplex, so a
+        key names one face in one way, and every value must have one
+        integer per generator.  Vertex names are single digits, which
+        address vertices 0 to 9 only: degrees above 8 are refused.
         """
         if not isinstance(data, dict):
             raise ValueError("simplex must be a JSON object")
@@ -753,15 +795,25 @@ class FAlgElement:
             raise ValueError("'p' must be an integer")
         if p < 0:
             raise ValueError("simplex degree must be nonnegative")
+        if p > 8:
+            raise ValueError("single-digit vertex names cap the degree at 8")
         raw = data.get("face_values")
         if not isinstance(raw, dict):
             raise ValueError("'face_values' must be a JSON object")
+        top = _top_mask(p + 1)
+        g = target.generator_count
         vals = {}
         for s, v in raw.items():
-            if not s.isdigit() or not isinstance(v, list) \
-                    or not all(_is_int(x) for x in v):
+            digits = isinstance(s, str) and s.isascii() and s.isdigit()
+            face = face_from_str(s) if digits else 0
+            if not 0 < face <= top or face_str(face) != s:
+                raise ValueError(f"{s!r} is not a face of the {p + 1}-simplex")
+            if not isinstance(v, list) or not all(_is_int(x) for x in v):
                 raise ValueError(f"malformed face value {s!r}: {v!r}")
-            vals[face_from_str(s)] = tuple(v)
+            if len(v) != g:
+                raise ValueError(
+                    f"face value {s!r} has {len(v)} coordinates, not {g}")
+            vals[face] = tuple(v)
         return target, p, vals
 
 

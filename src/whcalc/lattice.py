@@ -301,4 +301,17 @@ class Lattice:
         return tuple(v)
 
     def contains(self, v):
-        return not any(self.reduce(v))
+        """Whether ``v`` lies in the lattice: ``reduce(v)`` is zero.
+
+        Stops at the first pivot row whose entry the pivot does not
+        divide: the pivots of later rows are zero there, so that entry of
+        ``reduce(v)`` is already final and nonzero.
+        """
+        for row, col in self.pivots:
+            x = v[row]
+            if x:
+                if x % col[row]:
+                    return False
+                q = x // col[row]
+                v = [a - q * b for a, b in zip(v, col)]
+        return not any(v)

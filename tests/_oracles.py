@@ -1,7 +1,7 @@
 """Independent oracles used to cross-check library computations.
 
 Everything here is deliberately implemented by a different route than
-the package: fraction Gaussian elimination instead of integer SNF,
+the package: fraction-free (Bareiss) elimination instead of integer SNF,
 brute-force element enumeration instead of lattice subquotients,
 Sylvester resultants instead of conjugate products, and plain pair and
 subset loops instead of the per-ambient plans of ``whcalc.falg``.
@@ -42,29 +42,40 @@ def bareiss_determinant(rows):
     return sign * a[n - 1][n - 1]
 
 
-def fraction_rank(rows):
-    """Rank by forward Gaussian elimination over Q.
+def bareiss_rank(rows):
+    """Rank by fraction-free (Bareiss) forward elimination over Z.
 
-    Each pivot row is subtracted from the rows below it only, on the
-    columns where the pivot row is nonzero.
+    After the k-th pivot every entry below the pivot rows is the minor on
+    the pivot rows and columns so far plus its own row and column, so the
+    division by the previous pivot is exact (Sylvester's identity) and no
+    entry outgrows a minor of the input.  While the pivot equals the
+    previous one the division cancels the scaling: rows with a zero in
+    the pivot column stay as they are, and the others change on the
+    pivot row's support only.
     """
-    a = [[Fraction(x) for x in r] for r in rows]
+    a = [list(r) for r in rows]
     m = len(a)
     n = len(a[0]) if m else 0
     rank = 0
+    prev = 1
     for col in range(n):
         piv = next((i for i in range(rank, m) if a[i][col]), None)
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
         prow = a[rank]
-        support = [j for j in range(col, n) if prow[j]]
+        p = prow[col]
+        support = [j for j in range(col + 1, n) if prow[j]]
         for i in range(rank + 1, m):
             row = a[i]
-            if row[col]:
-                f = row[col] / prow[col]
+            x = row[col]
+            if p != prev:
+                for j in range(col + 1, n):
+                    row[j] = (p * row[j] - x * prow[j]) // prev
+            elif x:
                 for j in support:
-                    row[j] -= f * prow[j]
+                    row[j] -= x * prow[j] // p
+        prev = p
         rank += 1
         if rank == m:
             break
@@ -172,7 +183,7 @@ def is_acyclic_and_connected(k):
 
 def _ranked_boundary(by_dim, d):
     bd = _boundary_matrix(by_dim, d)
-    return bd, fraction_rank(bd) if _nonempty(bd) else 0
+    return bd, bareiss_rank(bd) if _nonempty(bd) else 0
 
 
 def _nonempty(mat):

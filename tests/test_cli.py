@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from whcalc.abelian import InvolutiveAbelianGroup
 from whcalc.cli import main
+from whcalc.falg import FAlgElement
 from whcalc.report import ReportDocument
 
 
@@ -89,23 +91,60 @@ def test_falg_check(capsys):
     code, out, _ = run(["falg", "check", "--element", json.dumps(element)],
                        capsys)
     assert code == 0 and "[verified] membership" in out
-    # a non-dual value, and a top-face value of the wrong length
-    for values in ({"0": [1], "1": [0]}, {"0": [1], "1": [1], "01": []}):
+    # a non-dual value, and a nonzero value on the top face
+    for values in ({"0": [1], "1": [0]}, {"0": [1], "1": [1], "01": [1]}):
         bad = dict(element, face_values=values)
         code, out, _ = run(["falg", "check", "--element", json.dumps(bad)],
                            capsys)
         assert code == 1 and "[failed] membership" in out
 
 
+def test_falg_check_above_the_square_cap_reports_no_square_verdict(capsys):
+    # at degree 3 the functor has ambient 4, past the exhaustive square
+    # check: the condition is reported as not checked, never as true
+    target = InvolutiveAbelianGroup.cyclic(2, 1)
+    element = FAlgElement.zero(target, 3).to_dict("z2-trivial")
+    code, out, _ = run(["falg", "check", "--element", json.dumps(element),
+                        "--json"], capsys)
+    assert code == 0
+    (stage,) = json.loads(out)["stages"]
+    assert stage["status"] == "verified"
+    assert stage["witness"]["p"] == 3
+    assert stage["witness"]["square_condition"] is None
+    assert "capped at ambient 3" in stage["witness"]["note"]
+
+
 def test_huge_degree_with_missing_values_fails_fast(capsys):
-    # 2^42 - 2 proper faces: the first missing one is found without
-    # listing them all
+    # single-digit vertex names stop at vertex 9, so the CLI refuses the
+    # degree before anything is built; the library constructor finds the
+    # first of 2^42 - 2 missing faces without listing them all
     element = {"p": 40, "target": "z2-trivial", "face_values": {}}
     start = time.perf_counter()
-    code, out, _ = run(["falg", "check", "--element", json.dumps(element)],
-                       capsys)
+    code, out, err = run(["falg", "check", "--element", json.dumps(element)],
+                         capsys)
+    with pytest.raises(ValueError, match="missing value"):
+        FAlgElement.from_face_values(InvolutiveAbelianGroup.cyclic(2, 1),
+                                     40, {})
     assert time.perf_counter() - start < 1
-    assert code == 1 and "[failed] membership" in out
+    assert code == 2 and out == "" and "degree" in err
+
+
+@pytest.mark.parametrize("p, values, message", [
+    (0, {"0": [1], "1": [1], "7": [1]}, "not a face"),
+    (0, {"0": [1], "00": [0], "1": [1]}, "not a face"),
+    (0, {"0": [1], "1": [1], "10": [0]}, "not a face"),
+    (0, {"0": [1], "1": [1], "": [0]}, "not a face"),
+    (1, {"0": [1], "\u0661": [1]}, "not a face"),
+    (0, {"0": [1], "1": [1, 0]}, "coordinates"),
+    (0, {"0": [1], "1": [1], "01": []}, "coordinates"),
+    (9, {}, "degree"),
+])
+def test_malformed_face_keys_and_values_are_usage_errors(p, values, message,
+                                                         capsys):
+    element = {"p": p, "target": "z2-trivial", "face_values": values}
+    code, out, err = run(["falg", "check", "--element", json.dumps(element)],
+                         capsys)
+    assert code == 2 and out == "" and message in err
 
 
 @pytest.mark.parametrize("nbytes", [0, 10])

@@ -54,6 +54,7 @@ def test_caches_are_cold_after_import():
     # the scan sees the caches it is meant to guard
     assert {"whcalc.falg._squares", "whcalc.falg._square_basis",
             "whcalc.falg._attachment_plan", "whcalc.falg._duality_plan",
+            "whcalc.falg._duality_form", "whcalc.falg._face_horns",
             "whcalc.falg._union_coeffs", "whcalc.falg._boundaries",
             "whcalc.falg._contractible_keys",
             "whcalc.simplicial._collapses_to_point"} <= set(sizes)

@@ -323,6 +323,72 @@ def test_face_horn_duality_is_one_check_per_index(monkeypatch):
     assert duality_criterion(el.functor)
 
 
+def test_duality_forms_match_plain_arithmetic():
+    # each folded form against L(v) - sgn * T(R(v)) computed from the
+    # plan on random integer face values, with no membership test; one
+    # non-diagonal involution and one sign involution
+    rng = random.Random(67)
+    swap_sq = InvolutiveAbelianGroup(2, [[3, 0], [0, 3]], [[0, 1], [1, 0]])
+    z2z2 = InvolutiveAbelianGroup.from_factors([2, 2], -1)
+    for target in (swap_sq, z2z2):
+        t = target.involution
+        g = target.generator_count
+        for p in (1, 2, 3):
+            for sigma in falg._all_faces(p):
+                d = face_dim(sigma)
+                for idx in (idx for r in range(1, d + 1)
+                            for idx in combinations(range(d + 1), r)):
+                    lhs, rhs, sgn = falg._duality_plan(p, sigma, idx)
+                    forms = falg._duality_form(t, p, sigma, idx)
+                    assert len(forms) == g
+                    for form in forms:
+                        assert all(c for _f, _j, c in form)
+                        assert len({(f, j) for f, j, _c in form}) == len(form)
+                    for _ in range(4):
+                        v = {f: [rng.randrange(-50, 50) for _ in range(g)]
+                             for f in falg._all_faces(p)}
+                        left = [sum(c * v[f][r] for f, c in lhs)
+                                for r in range(g)]
+                        right = [sum(c * v[f][r] for f, c in rhs)
+                                 for r in range(g)]
+                        want = [left[r] - sgn * sum(t[r][j] * right[j]
+                                                    for j in range(g))
+                                for r in range(g)]
+                        got = [sum(c * v[f][j] for f, j, c in form)
+                               for form in forms]
+                        assert got == want, (target, p, sigma, idx)
+
+
+def test_all_dualities_hold_checks_each_horn_once(monkeypatch):
+    # one _duality_ok per (face of dimension >= 1, omitted index), so a
+    # trace counts every face-horn check exactly once
+    calls = []
+    original = falg._duality_ok
+
+    def counted(tf, sigma, i):
+        calls.append((sigma, i))
+        return original(tf, sigma, i)
+
+    monkeypatch.setattr(falg, "_duality_ok", counted)
+    for n in (0, 1, 2, 3):
+        el = psi_section(Z4S, n, (1,))
+        calls.clear()
+        assert all_dualities_hold(el.functor)
+        faces = [s for s in falg._all_faces(n + 1) if face_dim(s) >= 1]
+        assert len(calls) == sum(face_dim(s) + 1 for s in faces)
+        assert sorted(calls) == sorted((s, i) for s in faces
+                                       for i in range(face_dim(s) + 1))
+
+
+def test_targets_with_one_involution_share_duality_forms():
+    # the forms depend on the target only through its involution
+    falg._duality_form.cache_clear()
+    for target in (Z2, Z4, Z6):
+        assert all_dualities_hold(TorsionFunctor.zero(3, target))
+    assert falg._duality_form.cache_info().currsize == len(
+        falg._face_horns(3))
+
+
 def test_square_basis_plan():
     # first-need order covers every key a square uses; ranks per ambient
     ranks = {}

@@ -16,7 +16,7 @@ from whcalc import _snf, lattice
 from whcalc.abelian import InvolutiveAbelianGroup
 from whcalc.lattice import Lattice
 
-from _oracles import fraction_rank
+from _oracles import bareiss_rank
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -48,7 +48,7 @@ def smith_kernel(rows, n):
 def test_plain_kernel_rank_and_lattice():
     for _rng, c, m, n in random_systems(11, 40):
         ker = lattice.kernel_with_denominator(c, [], n)
-        assert len(ker) == n - fraction_rank(c)
+        assert len(ker) == n - bareiss_rank(c)
         for v in ker:
             assert lattice.mat_vec(c, v) == [0] * m
         assert same_lattice(ker, smith_kernel(c, n), n)
@@ -74,12 +74,12 @@ def test_lattice_basis_independent_and_same_span():
         gens = lattice.columns_of(sparse_matrix(rng, dim, k))
         basis = lattice.lattice_basis(gens, dim)
         if basis:
-            assert fraction_rank(basis) == len(basis)
+            assert bareiss_rank(basis) == len(basis)
         # column echelon form: strictly increasing leading rows, positive
         leads = [next(i for i, x in enumerate(v) if x) for v in basis]
         assert leads == sorted(set(leads))
         assert all(v[i] > 0 for v, i in zip(basis, leads))
-        assert len(basis) == (fraction_rank(gens) if gens else 0)
+        assert len(basis) == (bareiss_rank(gens) if gens else 0)
         assert same_lattice(basis, gens, dim)
 
 
@@ -90,7 +90,7 @@ def test_quotient_factors_match_smith():
     while checked < 30:
         dim, k = rng.randint(1, 30), rng.randint(1, 12)
         b = lattice.columns_of(sparse_matrix(rng, dim, k))
-        if fraction_rank(b) != k:
+        if bareiss_rank(b) != k:
             continue
         r = lattice.columns_of(sparse_matrix(rng, k, rng.randint(0, 10)))
         den = [lattice.mat_vec(lattice.from_columns(b, dim), col) for col in r]
@@ -154,6 +154,7 @@ def test_lattice_reduce_depends_only_on_the_lattice():
             rep = la.reduce(v)
             assert rep == lb.reduce(v)
             assert la.contains([x - y for x, y in zip(v, rep)])
+            assert la.contains(tuple(v)) is not any(rep)
             assert all(0 <= rep[r] < col[r] for r, col in la.pivots)
 
 

@@ -7,7 +7,7 @@ import random
 from whcalc import _snf, lattice
 from whcalc._snf import pure
 
-from _oracles import bareiss_determinant, fraction_rank
+from _oracles import bareiss_determinant, bareiss_rank
 
 
 def check_contract(rows):
@@ -25,7 +25,7 @@ def check_contract(rows):
         assert abs(bareiss_determinant(left)) == 1
     if n:
         assert abs(bareiss_determinant(right)) == 1
-    assert len(diag) == fraction_rank(rows) if rows and rows[0] else True
+    assert len(diag) == bareiss_rank(rows) if rows and rows[0] else True
     return diag
 
 
@@ -37,7 +37,7 @@ def test_frozen_example():
     # independent oracle: rank 2 over Q, |det| = |2*8 - 4*6| = 8 = 2*4
     rows = [[2, 4], [6, 8]]
     assert abs(bareiss_determinant(rows)) == 8
-    assert fraction_rank(rows) == 2
+    assert bareiss_rank(rows) == 2
     assert check_contract(rows) == [2, 4]
 
 
