@@ -227,23 +227,9 @@ class InvolutiveAbelianGroup:
             return
         diag, left, _right = _snf.smith(self.relations, True)
         full = list(diag) + [0] * (g - len(diag))
-        if any(d == 0 for d in full):
-            raise ValueError("cannot enumerate an infinite group")
         left_inv = lattice.unimodular_inverse(left)
-        lat = self.relation_lattice()
-
-        def rec(i, z):
-            if i == g:
-                yield lat.reduce(lattice.mat_vec(left_inv, z))
-                return
-            for v in range(full[i]):
-                yield from rec(i + 1, z + [v])
-
-        seen = set()
-        for el in rec(0, []):
-            if el not in seen:
-                seen.add(el)
-                yield el
+        yield from lattice.span_elements(lattice.columns_of(left_inv), full, g,
+                                         self.relation_lattice().reduce)
 
     # -- serialization ------------------------------------------------
 
@@ -393,7 +379,6 @@ def double_subgroup(a, d_parity):
     endo = _one_plus(a, sign)
     rel_cols = a.relation_columns()
     gens = lattice.columns_of(endo) + rel_cols
-    sub = FgAbGroup.from_factors(lattice.quotient_factors(
-        lattice.lattice_basis(gens, g), rel_cols))
+    sub = FgAbGroup.from_factors(lattice.quotient_factors(gens, rel_cols))
     quot = FgAbGroup.from_factors(lattice.cokernel_factors(gens, g))
     return DoubleSubgroup(tuple(map(tuple, endo)), sub, quot)

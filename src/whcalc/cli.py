@@ -228,9 +228,11 @@ def _cmd_lens_inertia(args):
 
     doc = _document("lens inertia", {"p": args.p, "k": args.k})
     _check_max_p(args, args.p)
-    space = lens.balanced_lens_space(args.p, args.k)
+    # the unit refuses an unknown or mismatched p before the lens space
+    # builds (p - 1) * k weights
     unit = GroupRingElement(args.p, _parse_coeffs(args.unit)) \
         if args.unit else lens.standard_inertia_unit(args.p)
+    space = lens.balanced_lens_space(args.p, args.k)
     iner = lens.inertia_set(space, WhiteheadClass(unit))
     doc.add("inertia-set", DERIVED,
             {"lens_space": str(space),

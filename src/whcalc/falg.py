@@ -17,20 +17,18 @@ package verifies against the independent C2-homology computation.
 
 The element-level checks split their work by what it depends on.  The
 combinatorics of an ambient simplex are computed once and cached
-(``lru_cache``, filled on first use, never at import): the pushout
-squares among its contractible subcomplexes as index quadruples
-(``_squares``) and a Z-basis of their integer forms (``_square_basis``:
-the 1180 squares of the 3-simplex span a lattice of rank 50 over its 65
-contractible subcomplexes), the face-attachment steps of each complex
-(``_attachment_plan``), the collapsed inclusion-exclusion coefficients
-of each union of face closures (``_union_coeffs``), each face's
-boundary faces (``_boundaries``), the (face, omitted index) pairs of
-its face-horn dualities (``_face_horns``) and, per face and index set,
-the two collapsed forms L and R of a generalized duality
-(``_duality_plan``).  The duality holds when L(v) - sgn T(R(v)) lies in
-the relation lattice; that map is linear in the face values, so it is
-folded once per involution T into one form per output coordinate
-(``_duality_form``), shared by every target with the same action.
+(``lru_cache``, filled on first use, never at import): a Z-basis of the
+integer forms of the pushout squares among its contractible
+subcomplexes (``_square_basis``: the 1180 squares of the 3-simplex span
+a lattice of rank 50 over its 65 contractible subcomplexes), the
+face-attachment steps of each complex (``_attachment_plan``), the
+(face, omitted index) pairs of its face-horn dualities
+(``_face_horns``) and, per involution T, face and index set, one
+linear form per output coordinate of a generalized duality
+(``_duality_form``), shared by every target with the same action.  The
+duality holds when L(v) - sgn T(R(v)) lies in the relation lattice,
+where L and R collapse the inclusion-exclusion over the boundary faces
+in the index set and its complement (``_union_coeffs``).
 Everything that depends on the functor stays per functor: its value on
 each subcomplex, through ``value_on`` with the two-attachment-order
 check, and one relation-lattice membership test per square-basis form
@@ -129,15 +127,6 @@ def _sign(k):
 # -- per-ambient plans: combinatorics shared by every functor -------------
 
 
-@lru_cache(maxsize=None)
-def _boundaries(sigma):
-    """The codimension-one faces of sigma, in ``face_boundary`` order."""
-    if face_dim(sigma) < 1:
-        return ()
-    return tuple(face_boundary(sigma, i) for i in range(face_dim(sigma) + 1))
-
-
-@lru_cache(maxsize=None)
 def _union_coeffs(ambient, faces):
     """Inclusion-exclusion over the closures of ``faces``, collapsed.
 
@@ -343,7 +332,7 @@ class TorsionFunctor:
         collapsed coefficients come from ``_union_coeffs``.
         """
         return self.target.reduce(_combine(
-            _union_coeffs(self.ambient, frozenset(face_list)), self.values,
+            _union_coeffs(self.ambient, set(face_list)), self.values,
             self.target.generator_count))
 
     # -- cosimplicial structure maps ----------------------------------------
@@ -397,7 +386,6 @@ def _contractible_keys(p):
     return [frozenset(k.faces) for k in enumerate_contractible_subcomplexes(p)]
 
 
-@lru_cache(maxsize=None)
 def _squares(p):
     """The pushout squares among the contractible subcomplexes of the
     p-simplex: index quadruples ``(K0 & K1, K0 | K1, K0, K1)`` into
@@ -523,18 +511,24 @@ def check_square(tf):
 
 
 @lru_cache(maxsize=None)
-def _duality_plan(ambient, sigma, index_set):
-    """The generalized duality of face ``sigma`` at ``index_set``.
+def _duality_form(involution, ambient, sigma, index_set):
+    """The generalized duality of face ``sigma`` at ``index_set`` under
+    the involution T, as one linear form.
 
     Raises ValueError unless the index set is a proper nonempty subset of
-    the boundary indices, IndexError for an index out of range.  Returns
-    ``(lhs, rhs, sgn)``: ``lhs`` = sum of c_f * v_f - v_sigma over
-    the collapsed inclusion-exclusion (``_union_coeffs``) of the boundary
-    faces in the index set, ``rhs`` the same over the complementary
-    boundary faces, and sgn = (-1)^dim(sigma).  The duality holds exactly
-    when lhs(v) - sgn * T(rhs(v)) lies in the relation lattice: reducing
-    either side first only subtracts lattice vectors, and the involution
-    T preserves the lattice.
+    the boundary indices, IndexError for an index out of range.  Let L =
+    sum of c_f * v_f - v_sigma over the collapsed inclusion-exclusion
+    (``_union_coeffs``) of the boundary faces in the index set, R the
+    same over the complementary boundary faces, and sgn = (-1)^dim(sigma).
+    The duality holds exactly when L(v) - sgn * T(R(v)) lies in the
+    relation lattice: reducing either side first only subtracts lattice
+    vectors, and T preserves the lattice.  That map is linear in the face
+    values, so it is stored as one tuple per output coordinate r of
+    ``(face, j, coefficient)`` triples, zeros dropped: coordinate r is the
+    sum of coefficient * v[face][j].  For even-dimensional sigma under the
+    identity (odd under -1) the two ``(sigma, -1)`` terms cancel.  The
+    form depends on the target only through ``involution``, so targets
+    with the same action share it.
     """
     d = face_dim(sigma)
     idx = sorted(set(index_set))
@@ -542,27 +536,11 @@ def _duality_plan(ambient, sigma, index_set):
         raise ValueError("the index set must be a proper nonempty subset")
     if idx[0] < 0 or idx[-1] > d:
         raise IndexError("boundary index out of range")
-    bounds = _boundaries(sigma)
-    comp = [j for j in range(d + 1) if j not in idx]
-    lhs = _union_coeffs(ambient, frozenset(bounds[j] for j in idx))
-    rhs = _union_coeffs(ambient, frozenset(bounds[j] for j in comp))
-    return lhs + ((sigma, -1),), rhs + ((sigma, -1),), _sign(d)
-
-
-@lru_cache(maxsize=None)
-def _duality_form(involution, ambient, sigma, index_set):
-    """``_duality_plan`` folded with the involution into one linear form.
-
-    lhs(v) - sgn * T(rhs(v)) is linear in the face values, so it is
-    stored as one tuple per output coordinate r of ``(face, j,
-    coefficient)`` triples, zeros dropped: coordinate r is the sum of
-    coefficient * v[face][j].  For even-dimensional sigma under the
-    identity (odd under -1) the two ``(sigma, -1)`` terms cancel.  The
-    form depends on the target only through ``involution``, so targets
-    with the same action share it.  Raises what ``_duality_plan`` raises
-    on a bad index set.
-    """
-    lhs, rhs, sgn = _duality_plan(ambient, sigma, index_set)
+    bounds = [face_boundary(sigma, j) for j in range(d + 1)]
+    lhs = _union_coeffs(ambient, [bounds[j] for j in idx]) + ((sigma, -1),)
+    rhs = _union_coeffs(ambient, [b for j, b in enumerate(bounds)
+                                  if j not in idx]) + ((sigma, -1),)
+    sgn = _sign(d)
     forms = []
     for r, t_row in enumerate(involution):
         coeffs = {}
@@ -621,7 +599,10 @@ def _pure_boundary(k_faces):
     """Codim-one faces lying in exactly one of the given top faces."""
     counts = {}
     for f in k_faces:
-        for b in _boundaries(f):
+        if face_dim(f) < 1:
+            continue
+        for i in range(face_dim(f) + 1):
+            b = face_boundary(f, i)
             counts[b] = counts.get(b, 0) + 1
     return sorted(b for b, c in counts.items() if c == 1)
 
@@ -762,6 +743,10 @@ class FAlgElement:
         return self.functor.values[1]
 
     def to_dict(self, target_name=None):
+        """The form ``parse_dict`` reads; refused above degree 8, whose
+        vertex 10 has no single-digit name."""
+        if self.degree > 8:
+            raise ValueError("single-digit vertex names cap the degree at 8")
         return {
             "p": self.degree,
             "target": target_name if target_name is not None
@@ -999,11 +984,7 @@ class FAlgGroup:
 
     def element_vectors(self):
         """All solution vectors, canonically reduced per face block."""
-        factors = self.isomorphism_type.invariant_factors
-        if any(f == 0 for f in factors):
-            raise ValueError("cannot enumerate an infinite group")
         g = self.target.generator_count
-        n = len(self.faces) * g
 
         def reduce_vec(vec):
             out = []
@@ -1011,21 +992,9 @@ class FAlgGroup:
                 out.extend(self.target.reduce(vec[k * g:(k + 1) * g]))
             return tuple(out)
 
-        seen = set()
-        coeffs = [range(f) for f in factors]
-
-        def rec(i, acc):
-            if i == len(factors):
-                red = reduce_vec(acc)
-                if red not in seen:
-                    seen.add(red)
-                    yield red
-                return
-            gen = self.generator_vectors[i]
-            for c in coeffs[i]:
-                yield from rec(i + 1, [a + c * b for a, b in zip(acc, gen)])
-
-        yield from rec(0, [0] * n)
+        return lattice.span_elements(
+            self.generator_vectors, self.isomorphism_type.invariant_factors,
+            len(self.faces) * g, reduce_vec)
 
     def elements(self):
         g = self.target.generator_count
@@ -1034,31 +1003,29 @@ class FAlgGroup:
                 self.target, self.degree, _vector_to_values(vec, g, self.faces))
 
 
+def _solved_group(target, degree, basis, n_faces):
+    """The group spanned by ``basis`` modulo the relation blocks."""
+    g = target.generator_count
+    den = _block_lattice_cols(target, n_faces)
+    factors, gens = lattice.quotient_with_generators(basis, den, g * n_faces)
+    return FAlgGroup(target, degree, FgAbGroup.from_factors(factors), gens,
+                     _proper_faces(degree + 1))
+
+
 def falg_group(target, p):
     """Solve the membership constraints at simplex degree p (finite target)."""
     if p > 3:
         raise ValueError("constraint solving is capped at degree 3")
     if target.order() is None:
         raise ValueError("the constraint solver requires a finite target")
-    ambient = p + 1
-    basis, n_faces = _falg_basis(target, ambient)
-    g = target.generator_count
-    faces = _proper_faces(ambient)
-    den = _block_lattice_cols(target, n_faces)
-    factors, gens = lattice.quotient_with_generators(basis, den, g * n_faces)
-    return FAlgGroup(target, p, FgAbGroup.from_factors(factors), gens, faces)
+    return _solved_group(target, p, *_falg_basis(target, p + 1))
 
 
 def normalized_group(target, degree):
     """The degree-n part of the normalized chain complex, as a group."""
     if target.order() is None:
         raise ValueError("normalized enumeration requires a finite target")
-    basis, n_faces = _normalized_basis(target, degree)
-    g = target.generator_count
-    faces = _proper_faces(degree + 1)
-    den = _block_lattice_cols(target, n_faces)
-    factors, gens = lattice.quotient_with_generators(basis, den, g * n_faces)
-    return FAlgGroup(target, degree, FgAbGroup.from_factors(factors), gens, faces)
+    return _solved_group(target, degree, *_normalized_basis(target, degree))
 
 
 def moore_homotopy(target, n):
@@ -1097,12 +1064,11 @@ def moore_homotopy(target, n):
 @dataclass
 class MooreComplex:
     """Normalized chain complex data: per-degree lattice bases for the
-    normalized subgroups and the images of the 0-th face map."""
+    normalized subgroups."""
 
     target: InvolutiveAbelianGroup
     max_degree: int
     bases: list
-    boundary_images: list  # boundary_images[m] = delta_0(basis of degree m+1)
 
     def boundary_squares_to_zero(self):
         g = self.target.generator_count
@@ -1118,12 +1084,7 @@ class MooreComplex:
 
 def moore_complex(target, max_degree):
     bases = [_normalized_basis(target, m)[0] for m in range(max_degree + 1)]
-    g = target.generator_count
-    images = []
-    for m in range(max_degree):
-        blocks = _face_blocks(m + 1, 0)
-        images.append([_apply_face(blocks, g, v) for v in bases[m + 1]])
-    return MooreComplex(target, max_degree, bases, images)
+    return MooreComplex(target, max_degree, bases)
 
 
 def psi(element):

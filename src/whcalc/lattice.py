@@ -277,6 +277,31 @@ def quotient_with_generators(num_basis, den_gens, dim):
     return factors, gens
 
 
+def span_elements(gens, orders, dim, reduce):
+    """``reduce(sum c_i * gens[i])`` for every 0 <= c_i < orders[i], the
+    first coefficient varying slowest, each distinct value once.
+
+    The elements of a finite group with generators of the given orders,
+    as canonical representatives in Z^dim.  A zero order means an
+    infinite generator and raises ValueError.
+    """
+    if any(f == 0 for f in orders):
+        raise ValueError("cannot enumerate an infinite group")
+    seen = set()
+
+    def rec(i, acc):
+        if i == len(orders):
+            red = reduce(acc)
+            if red not in seen:
+                seen.add(red)
+                yield red
+            return
+        for c in range(orders[i]):
+            yield from rec(i + 1, [a + c * b for a, b in zip(acc, gens[i])])
+
+    yield from rec(0, [0] * dim)
+
+
 class Lattice:
     """Sublattice of Z^dim spanned by ``gens``, with canonical coset reps.
 

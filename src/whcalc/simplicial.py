@@ -181,6 +181,13 @@ class SubComplex:
     # -- serialization ------------------------------------------------
 
     def to_dict(self):
+        """``{"p", "faces"}`` with each face as its ``face_str``.
+
+        Vertex names are single digits, so a face with a vertex above 9
+        would not read back: such a subcomplex is refused.
+        """
+        if any(f >> 10 for f in self.faces):
+            raise ValueError("single-digit vertex names stop at vertex 9")
         return {"p": self.p, "faces": [face_str(f) for f in sorted(self.faces)]}
 
     @classmethod

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -242,6 +243,30 @@ def test_lens_inertia_p5(capsys):
     code, explicit, _ = run(["lens", "inertia", "--p", "5",
                              "--unit", "1,-1,0,0,-1", "--json"], capsys)
     assert code == 0 and explicit == out
+
+
+def _limit_address_space():
+    limit = 600 << 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("argv", [
+    ["lens", "report-theorem-a", "--k", "100000000"],
+    ["lens", "inertia", "--p", "7", "--k", "100000000"],
+    ["lens", "inertia", "--p", "10000000019"],
+    ["lens", "inertia", "--p", "10000000019", "--unit", "1,0,0"],
+], ids=["report-k", "inertia-k", "inertia-p", "inertia-p-unit"])
+def test_huge_lens_degree_or_prime_is_usage_error(argv):
+    # in a child capped at 600 MB of address space and 60 s, so building
+    # the weights of a huge lens space fails this test, not the machine
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-m", "whcalc.cli", *argv],
+                          capture_output=True, env=env, timeout=60,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert b"Traceback" not in proc.stderr
 
 
 def test_max_p_cap(capsys):

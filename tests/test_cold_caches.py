@@ -52,10 +52,8 @@ def _fresh_interpreter(script):
 def test_caches_are_cold_after_import():
     sizes = _fresh_interpreter(SCRIPT)
     # the scan sees the caches it is meant to guard
-    assert {"whcalc.falg._squares", "whcalc.falg._square_basis",
-            "whcalc.falg._attachment_plan", "whcalc.falg._duality_plan",
+    assert {"whcalc.falg._square_basis", "whcalc.falg._attachment_plan",
             "whcalc.falg._duality_form", "whcalc.falg._face_horns",
-            "whcalc.falg._union_coeffs", "whcalc.falg._boundaries",
             "whcalc.falg._contractible_keys",
             "whcalc.simplicial._collapses_to_point"} <= set(sizes)
     assert {name: n for name, n in sizes.items() if n} == {}

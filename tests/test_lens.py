@@ -8,7 +8,7 @@ import pytest
 
 from whcalc.groupring import (CyclotomicElement, GroupRingElement,
                               WhiteheadClass, galois_twist, wh_class_equal)
-from whcalc.lens import (LensSpace, RTorsion, balanced_lens_space,
+from whcalc.lens import (K_MAX, LensSpace, RTorsion, balanced_lens_space,
                          discrepancy_report, homotopy_auto_image, inertia_set,
                          is_simple_auto, reidemeister_torsion, rt_equivalent,
                          standard_inertia_unit)
@@ -232,3 +232,12 @@ def test_report_round_trip():
     doc = discrepancy_report(1)
     again = ReportDocument.from_json(doc.to_json())
     assert again.to_json() == doc.to_json()
+
+
+def test_balanced_lens_space_caps_k():
+    # refused before any of the (p - 1) * k weights is built
+    assert balanced_lens_space(7, K_MAX).n == 6 * K_MAX
+    with pytest.raises(ValueError, match=f"capped at {K_MAX}"):
+        balanced_lens_space(7, K_MAX + 1)
+    with pytest.raises(ValueError, match=f"capped at {K_MAX}"):
+        balanced_lens_space(7, 10**12)

@@ -135,6 +135,17 @@ def test_serialization_round_trip():
     assert SubComplex.from_dict(data) == k
 
 
+def test_serialization_refuses_vertices_past_nine():
+    # face names concatenate single-digit vertices: vertex 10 would be
+    # written "10", which reads back as the edge 01
+    with pytest.raises(ValueError, match="vertex 9"):
+        SubComplex.closure(10, [1 << 10 | 1]).to_dict()
+    top = full_simplex(9)
+    data = top.to_dict()
+    assert data["faces"][-1] == "0123456789"
+    assert SubComplex.from_dict(data) == top
+
+
 def test_face_helpers():
     assert face_from_vertices([0, 2]) == 0b101
     with pytest.raises(ValueError):

@@ -22,12 +22,33 @@ def load_tracer():
     return module
 
 
-def test_every_traced_name_resolves():
-    missing = []
-    for mod_name, attr, _span in load_tracer().SPANS:
+def missing(names):
+    out = []
+    for mod_name, attr in names:
         obj = importlib.import_module(mod_name)
         for part in attr.split("."):
             obj = getattr(obj, part, None)
         if not callable(obj):
-            missing.append(f"{mod_name}.{attr}")
-    assert not missing, missing
+            out.append(f"{mod_name}.{attr}")
+    return out
+
+
+def test_every_traced_name_resolves():
+    names = [(mod_name, attr) for mod_name, attr, _span in load_tracer().SPANS]
+    assert not missing(names), missing(names)
+
+
+# ``install`` binds these by name too, outside ``SPANS``
+OTHER_BINDINGS = [
+    ("whcalc.lattice", "Solver.solve"),
+    ("whcalc._snf", "pure.smith"),
+    ("whcalc.falg", "FAlgGroup.elements"),
+    ("whcalc.simplicial", "_collapses_to_point"),
+]
+
+
+def test_every_other_bound_name_resolves():
+    assert not missing(OTHER_BINDINGS), missing(OTHER_BINDINGS)
+    # the collapse hit ratio reads this cache's statistics
+    simplicial = importlib.import_module("whcalc.simplicial")
+    assert callable(simplicial._collapses_to_point.cache_info)
