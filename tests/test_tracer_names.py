@@ -23,6 +23,7 @@ def load_tracer():
 
 
 def missing(names):
+    """The ``(module, dotted attribute)`` pairs that name no callable."""
     out = []
     for mod_name, attr in names:
         obj = importlib.import_module(mod_name)
