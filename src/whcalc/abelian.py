@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 from . import _snf, lattice
 
@@ -30,30 +31,19 @@ __all__ = [
 
 
 def _factor_chain(values):
-    """Canonical invariant-factor chain from an arbitrary factor list."""
+    """Canonical invariant-factor chain from an arbitrary factor list.
+
+    Replacing a pair (a, b) by (gcd, lcm) keeps every prime's multiset of
+    exponents; done for every pair i < j in order, it leaves each entry
+    dividing all later ones, so no factor is ever factored.
+    """
     free = sum(1 for v in values if v == 0)
-    exps = {}
-    for v in values:
-        v = abs(v)
-        if v in (0, 1):
-            continue
-        d = 2
-        while d * d <= v:
-            e = 0
-            while v % d == 0:
-                v //= d
-                e += 1
-            if e:
-                exps.setdefault(d, []).append(e)
-            d += 1
-        if v > 1:
-            exps.setdefault(v, []).append(1)
-    depth = max((len(v) for v in exps.values()), default=0)
-    chain = [1] * depth
-    for p, es in exps.items():
-        es = sorted(es)
-        for slot, e in enumerate(es):
-            chain[depth - len(es) + slot] *= p ** e
+    chain = [abs(v) for v in values if abs(v) > 1]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            a, b = chain[i], chain[j]
+            d = gcd(a, b)
+            chain[i], chain[j] = d, a // d * b
     return tuple(c for c in chain if c != 1) + (0,) * free
 
 

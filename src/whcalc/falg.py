@@ -47,7 +47,7 @@ from . import lattice
 from .abelian import FgAbGroup, InvolutiveAbelianGroup, _is_int
 from .simplicial import (SubComplex, _collapses_to_point, codegeneracy_face,
                          coface_face, face_boundary, face_dim, face_str,
-                         face_from_str, subfaces)
+                         face_from_str, maximal_faces, subfaces)
 
 __all__ = [
     "TorsionFunctor",
@@ -115,11 +115,6 @@ def _closure(faces):
     return frozenset(out)
 
 
-def _maximal(faces):
-    return sorted(f for f in faces
-                  if not any(g != f and g & f == f for g in faces))
-
-
 def _sign(k):
     return 1 if k % 2 == 0 else -1
 
@@ -161,7 +156,7 @@ def _attachment_plan(faces):
     intersection) in maximal-face order: both when there are several,
     one when there is one, none when no attachment order is admissible.
     """
-    maximal = _maximal(faces)
+    maximal = maximal_faces(faces)
     if len(maximal) == 1:
         return maximal[0], ()
     admissible = []
@@ -466,7 +461,7 @@ def raw_degeneracy(tf, i):
         img = frozenset(codegeneracy_face(f, i) for f in faces)
         val = tf.value_on(img)
         table[tuple(sorted(faces))] = val
-        maximal = _maximal(faces)
+        maximal = maximal_faces(faces)
         if len(maximal) == 1 and len(faces) == len(set(subfaces(maximal[0]))):
             face_values[maximal[0]] = val
     return TorsionFunctor(p, tf.target, face_values, table)
@@ -810,30 +805,32 @@ def _membership_rows(target, ambient):
     """Integer constraint rows for membership at the given ambient level.
 
     Unknowns: one coordinate block per proper face (dimension g each).
-    Each returned block of g rows must land in the relation lattice.
+    Each row is a ``{unknown: coefficient}`` dict (an entry may cancel to
+    zero), and each returned block of g rows must land in the relation
+    lattice.
     """
     g = target.generator_count
     faces = _proper_faces(ambient)
     index = {f: k for k, f in enumerate(faces)}
-    n_unknowns = g * len(faces)
     t_rows = target.involution
     top = _top_mask(ambient)
     rows = []
 
     def emit(ident_coeffs, act_coeffs):
         for r in range(g):
-            row = [0] * n_unknowns
+            row = {}
             for f, c in ident_coeffs.items():
                 if f == top or c == 0:
                     continue
-                row[index[f] * g + r] += c
+                k = index[f] * g + r
+                row[k] = row.get(k, 0) + c
             for f, c in act_coeffs.items():
                 if f == top or c == 0:
                     continue
                 base = index[f] * g
                 for j in range(g):
                     if t_rows[r][j]:
-                        row[base + j] += c * t_rows[r][j]
+                        row[base + j] = row.get(base + j, 0) + c * t_rows[r][j]
             rows.append(row)
 
     # vanishing on the 0-th face region
@@ -882,17 +879,10 @@ def _face_blocks(degree, i):
 
 
 def _face_rows(target, degree, i):
-    """Rows forcing delta_i = 0 at the given degree."""
+    """Rows forcing delta_i = 0 at the given degree, as sparse dicts."""
     g = target.generator_count
-    n_unknowns = g * (_top_mask(degree + 1) - 1)
-    rows = []
-    for k, base in _face_blocks(degree, i):
-        for r in range(g):
-            row = [0] * n_unknowns
-            row[k * g + r] = 1
-            row[base * g + r] = -1
-            rows.append(row)
-    return rows
+    return [{k * g + r: 1, base * g + r: -1}
+            for k, base in _face_blocks(degree, i) for r in range(g)]
 
 
 def _apply_face(blocks, g, vec):
@@ -917,16 +907,12 @@ def _delta0_rows(target, degree):
 
 
 def _block_lattice_cols(target, n_blocks):
-    """Relation columns of the target, one copy per g-coordinate block."""
+    """Relation columns of the target, one copy per g-coordinate block,
+    as sparse dicts."""
     g = target.generator_count
     rel_cols = target.relation_columns()
-    out = []
-    for k in range(n_blocks):
-        for col in rel_cols:
-            vec = [0] * (g * n_blocks)
-            vec[k * g:(k + 1) * g] = col
-            out.append(vec)
-    return out
+    return [{k * g + i: x for i, x in enumerate(col) if x}
+            for k in range(n_blocks) for col in rel_cols]
 
 
 def _solution_basis(target, rows, n_unknowns):
@@ -934,8 +920,6 @@ def _solution_basis(target, rows, n_unknowns):
     g = target.generator_count
     if n_unknowns == 0:
         return []
-    if not rows or g == 0:
-        return lattice.identity(n_unknowns)
     if len(rows) % g:
         raise AssertionError("constraint rows are not block aligned")
     den = _block_lattice_cols(target, len(rows) // g)

@@ -28,8 +28,10 @@ __all__ = [
 ]
 
 
-# Largest p ``tor_pi_r`` accepts: its boundaries are dense (p-1) x (p-1)
-# matrices, so cost grows as p^2 (p = 997: 0.4 s and 41 MiB peak).
+# Largest p ``tor_pi_r`` and ``k3_divisibility`` accept: the boundaries of
+# ``tor_pi_r`` are dense (p-1) x (p-1) matrices, so cost grows as p^2
+# (p = 997: 0.4 s and 41 MiB peak), and both test primality by trial
+# division, which takes seconds from about 16 digits on.
 TOR_MAX_P = 1000
 
 
@@ -114,7 +116,10 @@ def _v3(n):
 
 def k3_divisibility(p):
     """Divisibility report in degree three: p^2 - 1, its 3-adic valuation,
-    and whether the cited injectivity conclusion applies (p != 3)."""
+    and whether the cited injectivity conclusion applies (p != 3).
+    Capped at ``TOR_MAX_P``, checked before the primality test."""
+    if p > TOR_MAX_P:
+        raise ValueError(f"p is capped at {TOR_MAX_P}")
     if not _is_prime(p):
         raise ValueError("p must be prime")
     order = p * p - 1

@@ -3,7 +3,9 @@
 All vectors are tuples or lists of Python ints.  A matrix is a sequence
 of int rows (``from_columns`` and ``columns_of`` convert), and a
 generating set of a lattice -- relations, numerators, denominators,
-bases -- is a list of column vectors.
+bases -- is a list of column vectors.  Rows and vectors handed to the
+eliminating functions (kernels, bases, quotients, ``Lattice``) may also
+be sparse ``{index: value}`` dicts, as ``falg`` builds them; results are dense.
 Kernels, lattice bases, quotient coordinates and the echelon bases of
 ``Lattice`` come from one sparse unimodular column elimination
 (``_eliminate``; Dumas, Saunders and Villard 2001, Kaczynski, Mischaikow
@@ -42,7 +44,10 @@ def columns_of(a):
 
 
 def _sparse(vec):
-    return {i: x for i, x in enumerate(vec) if x}
+    """A fresh zero-free ``{index: value}`` copy of a dense sequence or a
+    dict: ``_eliminate`` consumes its columns and divides by their entries."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    return {i: x for i, x in items if x}
 
 
 def _dense(col, dim):
@@ -50,12 +55,11 @@ def _dense(col, dim):
 
 
 def _sparse_columns(rows, n):
-    """The columns of a dense matrix (list of n-wide rows) as sparse dicts."""
+    """The columns of a matrix (rows dense or sparse, n wide) as sparse dicts."""
     cols = [{} for _ in range(n)]
     for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if x:
-                cols[j][i] = x
+        for j, x in _sparse(row).items():
+            cols[j][i] = x
     return cols
 
 
@@ -211,16 +215,17 @@ def cokernel_factors(gens, dim):
 def kernel_with_denominator(c_rows, den_cols, n_unknowns):
     """Basis of the lattice {x in Z^n : C x lies in span(den_cols)}.
 
-    ``den_cols`` are vectors in the row space Z^m of C; an empty list asks
-    for the plain integer kernel.  The kernel of the augmented matrix
-    [C | den] projects onto the first n coordinates as exactly this
-    lattice, so only those coordinates of the transforms are tracked.
+    Rows of C and ``den_cols`` (vectors in its row space Z^m) are dense
+    or ``{index: value}`` dicts; an empty ``den_cols`` asks for the plain
+    integer kernel.  The kernel of the augmented matrix [C | den]
+    projects onto the first n coordinates as exactly this lattice, so
+    only those coordinates of the transforms are tracked; eliminated once
+    more, they give the echelon basis.
     """
-    if not c_rows:
-        return identity(n_unknowns)
     cols = _sparse_columns(c_rows, n_unknowns) + [_sparse(d) for d in den_cols]
     _pivots, kernel = _eliminate(cols, keep=n_unknowns)
-    return lattice_basis([_dense(t, n_unknowns) for t in kernel], n_unknowns)
+    pivots, _kernel = _eliminate(kernel)
+    return [_dense(col, n_unknowns) for _row, col in pivots]
 
 
 def _relations(num_basis, den_gens):

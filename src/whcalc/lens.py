@@ -242,13 +242,15 @@ def discrepancy_report(k, p=7, unit_coeffs=None):
                          {"k": k, "p": p})
     if k < 1:
         raise ValueError("k must be positive")
+    # the unit refuses an unknown or mismatched p before the lens space
+    # builds (p - 1) * k weights
+    element = GroupRingElement(p, tuple(unit_coeffs)) \
+        if unit_coeffs is not None else standard_inertia_unit(p)
     lens = balanced_lens_space(p, k)
     d = lens.dim
     doc.params["lens_space"] = str(lens)
     doc.params["dimension"] = d
 
-    element = GroupRingElement(p, tuple(unit_coeffs)) \
-        if unit_coeffs is not None else standard_inertia_unit(p)
     try:
         unit = WhiteheadClass(element)
     except ValueError:

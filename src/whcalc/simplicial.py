@@ -21,6 +21,7 @@ __all__ = [
     "face_dim",
     "face_str",
     "face_boundary",
+    "maximal_faces",
     "full_simplex",
     "single_face",
     "boundary_face",
@@ -84,6 +85,12 @@ def face_boundary(face, i):
     return face & ~(1 << verts[i])
 
 
+def maximal_faces(faces):
+    """The faces contained in no other face of ``faces``, sorted."""
+    return sorted(f for f in faces
+                  if not any(g != f and g & f == f for g in faces))
+
+
 @dataclass(frozen=True)
 class SubComplex:
     """Downward-closed nonempty set of faces of the p-simplex."""
@@ -117,8 +124,7 @@ class SubComplex:
         return max(face_dim(f) for f in self.faces)
 
     def maximal_faces(self):
-        return sorted(f for f in self.faces
-                      if not any(g != f and g & f == f for g in self.faces))
+        return maximal_faces(self.faces)
 
     def vertices(self):
         mask = 0

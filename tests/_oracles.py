@@ -82,6 +82,36 @@ def bareiss_rank(rows):
     return rank
 
 
+def factored_chain(values):
+    """Invariant factors of a factor list by trial-division factoring,
+    independent of the pairwise gcd/lcm normal form of
+    ``abelian._factor_chain``."""
+    free = sum(1 for v in values if v == 0)
+    exps = {}
+    for v in values:
+        v = abs(v)
+        if v in (0, 1):
+            continue
+        d = 2
+        while d * d <= v:
+            e = 0
+            while v % d == 0:
+                v //= d
+                e += 1
+            if e:
+                exps.setdefault(d, []).append(e)
+            d += 1
+        if v > 1:
+            exps.setdefault(v, []).append(1)
+    depth = max((len(v) for v in exps.values()), default=0)
+    chain = [1] * depth
+    for p, es in exps.items():
+        es = sorted(es)
+        for slot, e in enumerate(es):
+            chain[depth - len(es) + slot] *= p ** e
+    return tuple(c for c in chain if c != 1) + (0,) * free
+
+
 def cyclic_c2_homology(m, sign, n):
     """Closed-form homology of the order-two group on Z/m (m=0 means Z),
     evaluated by brute force on elements, never by matrices.

@@ -9,7 +9,7 @@ import pytest
 from whcalc.abelian import (FgAbGroup, InvolutiveAbelianGroup,
                             double_subgroup, homology_c2, tate_homology_c2)
 
-from _oracles import cyclic_c2_homology
+from _oracles import cyclic_c2_homology, factored_chain
 
 
 def test_fgab_normalization():
@@ -19,6 +19,19 @@ def test_fgab_normalization():
     assert str(FgAbGroup.from_factors([2, 0])) == "Z/2 x Z"
     assert FgAbGroup.from_factors([4, 6]).order() == 24
     assert FgAbGroup.from_factors([0]).order() is None
+
+
+def test_factor_chain_matches_factoring_oracle():
+    # gcd/lcm normal form against trial-division factoring, on lists with
+    # shared prime powers, units, zeros and signs
+    rng = random.Random(16)
+    for _ in range(3000):
+        values = [rng.choice((-1, 1)) * rng.choice((0, 1, 2, 3, 4, 5, 6, 8, 9,
+                                                     12, 25, 27, 36, 49, 60,
+                                                     rng.randint(0, 400)))
+                  for _ in range(rng.randint(0, 6))]
+        assert FgAbGroup.from_factors(values).invariant_factors \
+            == factored_chain(values), values
 
 
 def test_fgab_rejects_bad_chain():

@@ -120,7 +120,7 @@ def test_criterion_05_cardinality_law():
         bits = set()
         for row in rows:
             word = 0
-            for j, c in enumerate(row):
+            for j, c in row.items():
                 if c % 2:
                     word |= 1 << j
             if word:

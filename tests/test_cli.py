@@ -250,6 +250,18 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+def _run_limited(args):
+    """Python with ``args`` in a child capped at 600 MB of address space
+    and 60 s, so building the weights of a huge lens space fails the
+    test, not the machine."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env=env, timeout=60,
+                          preexec_fn=_limit_address_space)
+
+
 @pytest.mark.parametrize("argv", [
     ["lens", "report-theorem-a", "--k", "100000000"],
     ["lens", "inertia", "--p", "7", "--k", "100000000"],
@@ -257,16 +269,24 @@ def _limit_address_space():
     ["lens", "inertia", "--p", "10000000019", "--unit", "1,0,0"],
 ], ids=["report-k", "inertia-k", "inertia-p", "inertia-p-unit"])
 def test_huge_lens_degree_or_prime_is_usage_error(argv):
-    # in a child capped at 600 MB of address space and 60 s, so building
-    # the weights of a huge lens space fails this test, not the machine
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-m", "whcalc.cli", *argv],
-                          capture_output=True, env=env, timeout=60,
-                          preexec_fn=_limit_address_space)
+    proc = _run_limited(["-m", "whcalc.cli", *argv])
     assert proc.returncode == 2 and proc.stdout == b""
     assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("unit", ["None", "(1, 0, 0)"])
+def test_discrepancy_report_resolves_unit_before_lens_space(unit):
+    # no recorded unit, or one of the wrong length, at a huge p: refused
+    # before the (p - 1) * k weights are built
+    proc = _run_limited(["-c", f"""
+from whcalc.lens import discrepancy_report
+try:
+    discrepancy_report(1, p=10**10 + 19, unit_coeffs={unit})
+except ValueError as exc:
+    print("refused:", exc)
+"""])
+    assert proc.returncode == 0 and proc.stdout.startswith(b"refused:")
+    assert proc.stderr == b""
 
 
 def test_max_p_cap(capsys):
@@ -293,6 +313,32 @@ def test_kapp_tor_cap_is_usage_error(p, capsys):
     code, out, err = run(["kapp", "tor", "--p", p, "--i", "1"], capsys)
     assert time.perf_counter() - start < 1
     assert code == 2 and out == "" and "capped at 1000" in err
+
+
+@pytest.mark.parametrize("p", ["1001", "1009", str(10**16 + 61),
+                               str(10**20 + 39)])
+def test_kapp_k3_cap_is_usage_error(p, capsys):
+    # above ktheory.TOR_MAX_P: refused before the trial-division
+    # primality test, which takes seconds from about 16 digits on
+    start = time.perf_counter()
+    code, out, err = run(["kapp", "k3", "--p", p], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "capped at 1000" in err
+
+
+def test_homology_of_a_huge_prime_relation(capsys):
+    # the invariant factors of a 20-digit prime relation come from
+    # gcd/lcm, not from factoring it by trial division
+    p = 10**19 + 51
+    target = json.dumps({"generators": 1, "relations": [[p]],
+                         "involution": [[1]]})
+    start = time.perf_counter()
+    code, out, _ = run(["homology", "--target", target, "--n", "0",
+                        "--json"], capsys)
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert json.loads(out)["stages"][0]["witness"] == \
+        {"invariant_factors": [p]}
 
 
 ONE_AT_1001 = "1" + ",0" * 1000

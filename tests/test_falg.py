@@ -685,6 +685,17 @@ def test_moore_homotopy_examples():
         assert moore_homotopy(zero, n).is_trivial()
 
 
+def test_moore_homotopy_leaves_cached_rows_intact():
+    # the elimination consumes its columns, so the lru-cached membership
+    # rows must reach it only as copies
+    target = InvolutiveAbelianGroup.from_factors([2, 2], -1)
+    before = [repr(falg._membership_rows(target, a)) for a in range(1, 5)]
+    for n in range(3):
+        moore_homotopy(target, n)
+    assert [repr(falg._membership_rows(target, a))
+            for a in range(1, 5)] == before
+
+
 def test_moore_homotopy_against_enumeration_oracle():
     # brute-force the homology of the normalized complex for Z/2 at low
     # degrees by enumerating simplices directly

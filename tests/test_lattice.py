@@ -54,7 +54,13 @@ def test_plain_kernel_rank_and_lattice():
         assert same_lattice(ker, smith_kernel(c, n), n)
 
 
+def with_explicit_zeros(rng, vec):
+    """``vec`` as an ``{index: value}`` dict that also holds some zeros."""
+    return {i: x for i, x in enumerate(vec) if x or rng.random() < 0.3}
+
+
 def test_kernel_with_denominator():
+    zeros = random.Random(17)  # apart from the systems' own stream
     for rng, c, m, n in random_systems(12, 40):
         den = lattice.columns_of(sparse_matrix(rng, m, rng.randint(1, 8)))
         ker = lattice.kernel_with_denominator(c, den, n)
@@ -65,6 +71,13 @@ def test_kernel_with_denominator():
         aug = [list(r) + [d[i] for d in den] for i, r in enumerate(c)]
         expect = [v[:n] for v in smith_kernel(aug, n + len(den))]
         assert same_lattice(ker, expect, n)
+        # the same system as sparse dicts with explicit zeros, which the
+        # elimination must neither keep nor write back into
+        c_dicts = [with_explicit_zeros(zeros, r) for r in c]
+        den_dicts = [with_explicit_zeros(zeros, d) for d in den]
+        before = repr((c_dicts, den_dicts))
+        assert lattice.kernel_with_denominator(c_dicts, den_dicts, n) == ker
+        assert repr((c_dicts, den_dicts)) == before
 
 
 def test_lattice_basis_independent_and_same_span():
