@@ -14,11 +14,11 @@ as oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 from . import _snf, lattice
+from ._value import Frozen
 
 __all__ = [
     "FgAbGroup",
@@ -47,18 +47,16 @@ def _factor_chain(values):
     return tuple(c for c in chain if c != 1) + (0,) * free
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(Frozen):
     """Finitely generated abelian group by invariant factors d1 | d2 | ...
 
     A factor 0 denotes a free summand; no factor equals 1.
     """
 
-    invariant_factors: tuple
+    _fields = ("invariant_factors",)
 
-    def __post_init__(self):
-        facs = tuple(int(x) for x in self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", facs)
+    def __init__(self, invariant_factors):
+        facs = tuple(int(x) for x in invariant_factors)
         torsion = [f for f in facs if f != 0]
         if any(f < 2 for f in torsion):
             raise ValueError("invariant factors must be 0 or at least 2")
@@ -67,6 +65,7 @@ class FgAbGroup:
                 raise ValueError("invariant factors must form a divisibility chain")
         if facs != tuple(torsion) + (0,) * (len(facs) - len(torsion)):
             raise ValueError("free factors must come last")
+        self._freeze(facs)
 
     @classmethod
     def from_factors(cls, values):
@@ -109,8 +108,7 @@ class FgAbGroup:
                           for f in self.invariant_factors)
 
 
-@dataclass(frozen=True)
-class InvolutiveAbelianGroup:
+class InvolutiveAbelianGroup(Frozen):
     """Z^g modulo the relation columns, with a full order-two action.
 
     The involution matrix is the complete action of the group generator
@@ -118,19 +116,16 @@ class InvolutiveAbelianGroup:
     the relation lattice and preserve that lattice.
     """
 
-    generator_count: int
-    relations: tuple
-    involution: tuple
+    _fields = ("generator_count", "relations", "involution")
 
-    def __post_init__(self):
-        g = self.generator_count
-        rel = tuple(tuple(int(x) for x in row) for row in self.relations)
-        inv = tuple(tuple(int(x) for x in row) for row in self.involution)
+    def __init__(self, generator_count, relations, involution):
+        g = generator_count
+        rel = tuple(tuple(int(x) for x in row) for row in relations)
+        inv = tuple(tuple(int(x) for x in row) for row in involution)
         if len(rel) != g or len({len(row) for row in rel}) > 1 \
                 or len(inv) != g or any(len(row) != g for row in inv):
             raise ValueError("relation/involution shapes must match generators")
-        object.__setattr__(self, "relations", rel)
-        object.__setattr__(self, "involution", inv)
+        self._freeze(g, rel, inv)
         rel_cols = self.relation_columns()
         lat = lattice.Lattice(rel_cols, g)
         object.__setattr__(self, "_lattice", lat)
@@ -337,13 +332,13 @@ def tate_homology_c2(a, n):
     return cohomology_c2(a, -n - 1)
 
 
-@dataclass(frozen=True)
-class DoubleSubgroup:
+class DoubleSubgroup(Frozen):
     """Image of id + (-1)^d * involution, as a subgroup of A."""
 
-    generators: tuple
-    subgroup: FgAbGroup
-    quotient: FgAbGroup
+    _fields = ("generators", "subgroup", "quotient")
+
+    def __init__(self, generators, subgroup, quotient):
+        self._freeze(generators, subgroup, quotient)
 
 
 def _parity_sign(d_parity):

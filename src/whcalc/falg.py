@@ -40,10 +40,10 @@ still cross-check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import lattice
+from ._value import Frozen, Record
 from .abelian import FgAbGroup, InvolutiveAbelianGroup, _is_int
 from .simplicial import (SubComplex, _collapses_to_point, codegeneracy_face,
                          coface_face, face_boundary, face_dim, face_str,
@@ -662,20 +662,20 @@ def _z_condition_holds(tf):
     return True
 
 
-@dataclass(frozen=True)
-class FAlgElement:
+class FAlgElement(Frozen):
     """A p-simplex of the simplicial group: a torsion functor at ambient
     p+1 vanishing on the 0-th face region and dual at every face."""
 
-    functor: TorsionFunctor
+    _fields = ("functor",)
 
-    def __post_init__(self):
-        if self.functor.ambient < 1:
+    def __init__(self, functor):
+        if functor.ambient < 1:
             raise ValueError("simplex degree must be at least 0")
-        if not _z_condition_holds(self.functor):
+        if not _z_condition_holds(functor):
             raise ValueError("functor does not vanish on the 0-th face region")
-        if not all_dualities_hold(self.functor):
+        if not all_dualities_hold(functor):
             raise ValueError("functor violates face-horn duality")
+        self._freeze(functor)
 
     @property
     def degree(self):
@@ -946,15 +946,19 @@ def _vector_to_values(vec, g, faces):
     return {f: tuple(vec[k * g:(k + 1) * g]) for k, f in enumerate(faces)}
 
 
-@dataclass
-class FAlgGroup:
+class FAlgGroup(Record):
     """The group of p-simplices, solved from the linear constraint system."""
 
-    target: InvolutiveAbelianGroup
-    degree: int
-    isomorphism_type: FgAbGroup
-    generator_vectors: list
-    faces: list
+    _fields = ("target", "degree", "isomorphism_type", "generator_vectors",
+               "faces")
+
+    def __init__(self, target, degree, isomorphism_type, generator_vectors,
+                 faces):
+        self.target = target
+        self.degree = degree
+        self.isomorphism_type = isomorphism_type
+        self.generator_vectors = generator_vectors
+        self.faces = faces
 
     @property
     def order(self):
@@ -1045,14 +1049,16 @@ def moore_homotopy(target, n):
     return FgAbGroup.from_factors(lattice.quotient_factors(cycles, den))
 
 
-@dataclass
-class MooreComplex:
+class MooreComplex(Record):
     """Normalized chain complex data: per-degree lattice bases for the
     normalized subgroups."""
 
-    target: InvolutiveAbelianGroup
-    max_degree: int
-    bases: list
+    _fields = ("target", "max_degree", "bases")
+
+    def __init__(self, target, max_degree, bases):
+        self.target = target
+        self.max_degree = max_degree
+        self.bases = bases
 
     def boundary_squares_to_zero(self):
         g = self.target.generator_count

@@ -16,11 +16,11 @@ for the primes used here; that is a standing assumption of this library
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from . import lattice
+from ._value import Frozen
 
 __all__ = [
     "GroupRingElement",
@@ -47,19 +47,18 @@ class NotAUnitError(ValueError):
     """Raised when a unit was required but the element is not invertible."""
 
 
-@dataclass(frozen=True)
-class GroupRingElement:
+class GroupRingElement(Frozen):
     """An element sum_k coeffs[k] * t^k of Z[C_n], n = order."""
 
-    order: int
-    coeffs: tuple
+    _fields = ("order", "coeffs")
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, order, coeffs):
+        if order < 1:
             raise ValueError("order must be positive")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-        if len(self.coeffs) != self.order:
+        coeffs = tuple(int(c) for c in coeffs)
+        if len(coeffs) != order:
             raise ValueError("coefficient vector must have length = order")
+        self._freeze(order, coeffs)
 
     @classmethod
     def zero(cls, n):
@@ -151,15 +150,15 @@ class GroupRingElement:
         return out
 
 
-@dataclass(frozen=True)
-class OrientationCharacter:
+class OrientationCharacter(Frozen):
     """Homomorphism C_n -> {+-1}, recorded by its value on the generator."""
 
-    sign_of_generator: int = 1
+    _fields = ("sign_of_generator",)
 
-    def __post_init__(self):
-        if self.sign_of_generator not in (1, -1):
+    def __init__(self, sign_of_generator=1):
+        if sign_of_generator not in (1, -1):
             raise ValueError("character value must be +1 or -1")
+        self._freeze(sign_of_generator)
 
     def value(self, k):
         return 1 if self.sign_of_generator == 1 or k % 2 == 0 else -1
@@ -215,28 +214,25 @@ def invert_unit(x):
     return GroupRingElement(n, tuple(y))
 
 
-@dataclass(frozen=True)
-class WhiteheadClass:
+class WhiteheadClass(Frozen):
     """Unit class in Z[C_n] modulo trivial units +-t^k.
 
     The constructor inverts the representative; non-units are rejected
     with NotAUnitError, which callers building torsion data propagate.
     """
 
-    representative: GroupRingElement
-    inverse: GroupRingElement = None
+    _fields = ("representative", "inverse")
 
-    def __post_init__(self):
-        inv = self.inverse
-        if inv is None:
-            inv = invert_unit(self.representative)
-            if inv is None:
+    def __init__(self, representative, inverse=None):
+        if inverse is None:
+            inverse = invert_unit(representative)
+            if inverse is None:
                 raise NotAUnitError(
-                    f"{self.representative} is not a unit of Z[C_{self.representative.order}]")
-            object.__setattr__(self, "inverse", inv)
-        check = self.representative * inv
+                    f"{representative} is not a unit of Z[C_{representative.order}]")
+        check = representative * inverse
         if check.trivial_unit_form() != (1, 0):
             raise NotAUnitError("stored inverse does not invert the representative")
+        self._freeze(representative, inverse)
 
     @property
     def order(self):
@@ -290,20 +286,18 @@ def _is_prime(p):
     return True
 
 
-@dataclass(frozen=True)
-class CyclotomicElement:
+class CyclotomicElement(Frozen):
     """Element of Q(zeta_p) in the basis 1, zeta, ..., zeta^{p-2}."""
 
-    p: int
-    coeffs: tuple
+    _fields = ("p", "coeffs")
 
-    def __post_init__(self):
-        if not _is_prime(self.p):
+    def __init__(self, p, coeffs):
+        if not _is_prime(p):
             raise ValueError("p must be prime")
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-        if len(self.coeffs) != self.p - 1:
+        coeffs = tuple(Fraction(c) for c in coeffs)
+        if len(coeffs) != p - 1:
             raise ValueError("coefficient vector must have length p-1")
+        self._freeze(p, coeffs)
 
     @classmethod
     def zero(cls, p):

@@ -11,10 +11,10 @@ never recomputed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 
 from . import lattice
+from ._value import Frozen
 from .abelian import FgAbGroup
 from .groupring import _is_prime
 
@@ -133,13 +133,13 @@ def k3_divisibility(p):
     }
 
 
-@dataclass(frozen=True)
-class LocalizedGroup:
+class LocalizedGroup(Frozen):
     """The l-primary part of a finite group, tagged with the prime."""
 
-    base: FgAbGroup
-    prime: int
-    localized: FgAbGroup
+    _fields = ("base", "prime", "localized")
+
+    def __init__(self, base, prime, localized):
+        self._freeze(base, prime, localized)
 
 
 def localize(group, ell):

@@ -14,10 +14,11 @@ is realized by a diffeomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from . import __version__
+from ._value import Frozen
 from .abelian import (FgAbGroup, InvolutiveAbelianGroup, double_subgroup,
                       homology_c2)
 from .groupring import (CyclotomicElement, GroupRingElement, WhiteheadClass,
@@ -42,28 +43,27 @@ __all__ = [
 
 
 # Largest repetition count ``balanced_lens_space`` accepts: a report's
-# cost grows linearly in k, about 0.01 s per step at p = 7 (k = 80: 0.9 s,
-# k = 100: 1.5 s, k = 320: 3.0 s on 2 vCPUs), and the weights are built
-# before any other check can refuse them.
+# cost grows linearly in k, about 0.5 ms per step at p = 7 with the torsion
+# computed once per lens space (k = 20: 0.011 s, k = 100: 0.050 s on
+# 2 vCPUs), and the weights are built before any other check can refuse
+# them.
 K_MAX = 100
 
 
-@dataclass(frozen=True)
-class LensSpace:
+class LensSpace(Frozen):
     """Quotient of the (2n-1)-sphere by the weighted rotation action."""
 
-    p: int
-    weights: tuple
+    _fields = ("p", "weights")
 
-    def __post_init__(self):
-        if not _is_prime(self.p) or self.p == 2:
+    def __init__(self, p, weights):
+        if not _is_prime(p) or p == 2:
             raise ValueError("the order must be an odd prime")
-        ws = tuple(int(w) % self.p for w in self.weights)
+        ws = tuple(int(w) % p for w in weights)
         if not ws:
             raise ValueError("at least one weight is required")
         if any(w == 0 for w in ws):
             raise ValueError("weights must be prime to p")
-        object.__setattr__(self, "weights", ws)
+        self._freeze(p, ws)
 
     @property
     def n(self):
@@ -78,22 +78,27 @@ class LensSpace:
         return f"L^{self.dim}_{self.p}({w})"
 
 
-@dataclass(frozen=True)
-class RTorsion:
+class RTorsion(Frozen):
     """Reidemeister torsion, recorded in the cyclotomic component."""
 
-    p: int
-    value: CyclotomicElement
+    _fields = ("p", "value")
 
-    def __post_init__(self):
-        if self.value.p != self.p:
+    def __init__(self, p, value):
+        if value.p != p:
             raise ValueError("component prime mismatch")
-        if self.value.is_zero():
+        if value.is_zero():
             raise ValueError("torsion must be nonzero")
+        self._freeze(p, value)
 
 
+@lru_cache(maxsize=None)
 def reidemeister_torsion(lens):
-    """Product of (zeta^w - 1) over the weights, exactly in Q(zeta_p)."""
+    """Product of (zeta^w - 1) over the weights, exactly in Q(zeta_p).
+
+    Cached per lens space: ``is_simple_auto`` compares against it once
+    for every realizable degree, and a report asks for every degree
+    twice, directly and through ``inertia_set``.
+    """
     p = lens.p
     prod = CyclotomicElement.one(p)
     for w in lens.weights:
@@ -147,12 +152,15 @@ def is_simple_auto(lens, i, require_realizable=True):
     return rt_equivalent(twisted, delta)
 
 
-@dataclass(frozen=True)
-class InertiaSet:
-    """Distinct inertia torsion classes with their witnessing degrees."""
+class InertiaSet(Frozen):
+    """Distinct inertia torsion classes with their witnessing degrees:
+    one WhiteheadClass per distinct class in ``classes``, and in
+    ``witnesses[k]`` the sorted degrees i giving ``classes[k]``."""
 
-    classes: tuple      # one WhiteheadClass per distinct class
-    witnesses: tuple    # witnesses[k] = sorted degrees i giving classes[k]
+    _fields = ("classes", "witnesses")
+
+    def __init__(self, classes, witnesses):
+        self._freeze(classes, witnesses)
 
     @property
     def cardinality(self):

@@ -8,7 +8,8 @@ never blur together in the output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+
+from ._value import Record
 
 VERIFIED = "verified"
 DERIVED = "derived"
@@ -18,18 +19,18 @@ FAILED = "failed"
 _STATUSES = (VERIFIED, DERIVED, ASSUMED, FAILED)
 
 
-@dataclass
-class Stage:
-    name: str
-    status: str
-    witness: object = None
-    citation: str = None
+class Stage(Record):
+    _fields = ("name", "status", "witness", "citation")
 
-    def __post_init__(self):
-        if self.status not in _STATUSES:
-            raise ValueError(f"unknown stage status {self.status!r}")
-        if self.status == ASSUMED and not self.citation:
+    def __init__(self, name, status, witness=None, citation=None):
+        if status not in _STATUSES:
+            raise ValueError(f"unknown stage status {status!r}")
+        if status == ASSUMED and not citation:
             raise ValueError("assumed stages must carry a citation")
+        self.name = name
+        self.status = status
+        self.witness = witness
+        self.citation = citation
 
     def to_dict(self):
         data = {"name": self.name, "status": self.status,
@@ -44,13 +45,18 @@ class Stage:
                    data.get("citation"))
 
 
-@dataclass
-class ReportDocument:
-    tool: str
-    version: str
-    command: str
-    params: dict = field(default_factory=dict)
-    stages: list = field(default_factory=list)
+class ReportDocument(Record):
+    """A command's report; ``params`` and ``stages`` default to a fresh
+    dict and list per document."""
+
+    _fields = ("tool", "version", "command", "params", "stages")
+
+    def __init__(self, tool, version, command, params=None, stages=None):
+        self.tool = tool
+        self.version = version
+        self.command = command
+        self.params = {} if params is None else params
+        self.stages = [] if stages is None else stages
 
     def add(self, name, status, witness=None, citation=None):
         stage = Stage(name, status, witness, citation)

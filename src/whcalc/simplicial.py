@@ -10,8 +10,9 @@ the test suite cross-checks every verdict against a homology oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+
+from ._value import Frozen
 
 __all__ = [
     "SubComplex",
@@ -91,24 +92,23 @@ def maximal_faces(faces):
                   if not any(g != f and g & f == f for g in faces))
 
 
-@dataclass(frozen=True)
-class SubComplex:
+class SubComplex(Frozen):
     """Downward-closed nonempty set of faces of the p-simplex."""
 
-    p: int
-    faces: frozenset
+    _fields = ("p", "faces")
 
-    def __post_init__(self):
-        object.__setattr__(self, "faces", frozenset(self.faces))
-        if not self.faces:
+    def __init__(self, p, faces):
+        faces = frozenset(faces)
+        if not faces:
             raise ValueError("a subcomplex must be nonempty")
-        ambient = (1 << (self.p + 1)) - 1
-        for f in self.faces:
+        ambient = (1 << (p + 1)) - 1
+        for f in faces:
             if f == 0 or f & ~ambient:
                 raise ValueError("face outside the ambient simplex")
             for sub in subfaces(f):
-                if sub not in self.faces:
+                if sub not in faces:
                     raise ValueError("face set is not downward closed")
+        self._freeze(p, faces)
 
     @classmethod
     def closure(cls, p, seeds):

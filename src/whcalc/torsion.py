@@ -15,9 +15,9 @@ also run additively over an involutive abelian group through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from ._value import Frozen
 from .abelian import InvolutiveAbelianGroup
 from .groupring import WhiteheadClass, wh_class_equal
 from .lattice import mat_vec
@@ -37,19 +37,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HCobordismSymbol:
+class HCobordismSymbol(Frozen):
     """(dimension, torsion class, identification twist)."""
 
-    dim: int
-    torsion: WhiteheadClass
-    twist: int
+    _fields = ("dim", "torsion", "twist")
 
-    def __post_init__(self):
-        n = self.torsion.order
-        if gcd(self.twist, n) != 1:
+    def __init__(self, dim, torsion, twist):
+        n = torsion.order
+        if gcd(twist, n) != 1:
             raise ValueError("the twist must be invertible mod the group order")
-        object.__setattr__(self, "twist", self.twist % n)
+        self._freeze(dim, torsion, twist % n)
 
     @property
     def order(self):

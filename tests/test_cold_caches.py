@@ -39,6 +39,14 @@ import whcalc.cli
 print(json.dumps(sorted(sys.modules)))
 """
 
+ALL_MODULES_SCRIPT = """
+import importlib, json, pkgutil, sys
+import whcalc
+for info in pkgutil.walk_packages(whcalc.__path__, "whcalc."):
+    importlib.import_module(info.name)
+print(json.dumps(sorted(sys.modules)))
+"""
+
 
 def _fresh_interpreter(script):
     env = dict(os.environ)
@@ -55,7 +63,8 @@ def test_caches_are_cold_after_import():
     assert {"whcalc.falg._square_basis", "whcalc.falg._attachment_plan",
             "whcalc.falg._duality_form", "whcalc.falg._face_horns",
             "whcalc.falg._contractible_keys",
-            "whcalc.simplicial._collapses_to_point"} <= set(sizes)
+            "whcalc.simplicial._collapses_to_point",
+            "whcalc.lens.reidemeister_torsion"} <= set(sizes)
     assert {name: n for name, n in sizes.items() if n} == {}
 
 
@@ -67,3 +76,8 @@ def test_cli_import_set():
     # the rest load per subcommand, so commands that need none skip them
     assert loaded.isdisjoint({"whcalc.groupring", "whcalc.ktheory",
                               "whcalc.lens", "whcalc.torsion", "fractions"})
+    # importing dataclasses and compiling each generated class took about
+    # a third of what ``import whcalc.cli`` adds to a bare interpreter; no
+    # whcalc module, eager or loaded per subcommand, may bring it back
+    assert "dataclasses" not in loaded
+    assert "dataclasses" not in _fresh_interpreter(ALL_MODULES_SCRIPT)

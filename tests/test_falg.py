@@ -804,7 +804,7 @@ def test_caps():
 
 
 def unchecked_element(functor):
-    """An FAlgElement without ``__post_init__``, whose duality checks take
+    """An FAlgElement built without its constructor, whose duality checks take
     seconds at degree 8 and above."""
     el = object.__new__(FAlgElement)
     object.__setattr__(el, "functor", functor)

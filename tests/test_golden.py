@@ -2,7 +2,10 @@
 
 Each case runs ``python -m whcalc.cli ... --json`` in a fresh interpreter
 and compares its exit code and stdout bytes with the files recorded under
-``tests/golden/``.
+``tests/golden/``.  The cases are independent processes, so a module
+fixture starts them all at once through a pool of ``os.cpu_count()``
+threads, each waiting on its own child; every test then checks its own
+case's result.
 
 Re-record (only on a commit whose outputs are trusted):
 
@@ -15,6 +18,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -72,14 +76,21 @@ def load_manifest():
     return json.loads((GOLDEN / "manifest.json").read_text())
 
 
+@pytest.fixture(scope="module")
+def cli_runs():
+    """A future of ``run_cli(argv)`` per case name, all started at once."""
+    with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
+        yield {case_name(argv): pool.submit(run_cli, argv) for argv in CASES}
+
+
 # The ids keep their "-default" suffix so that results stay comparable
 # with earlier runs of the suite.
 @pytest.mark.parametrize("argv", [pytest.param(a, id=f"{case_name(a)}-default")
                                   for a in CASES])
-def test_golden_output(argv):
+def test_golden_output(argv, cli_runs):
     entry = load_manifest()[case_name(argv)]
     assert entry["argv"] == argv
-    code, out = run_cli(argv)
+    code, out = cli_runs[case_name(argv)].result()
     assert code == entry["exit"]
     assert out == (GOLDEN / f"{case_name(argv)}.out").read_bytes()
 
