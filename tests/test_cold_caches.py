@@ -7,6 +7,10 @@ test looks at a fresh interpreter the same way: every module-level
 object with ``cache_info`` defined in a ``whcalc`` module.  The CLI
 imports some modules only when a command needs them, so the scan first
 imports every ``whcalc`` module to see their caches too.
+
+The CLI also freezes the heap it starts with (``gc.freeze``), and only
+the CLI: a fresh interpreter shows whether importing it, or every other
+``whcalc`` module, leaves anything frozen.
 """
 
 from __future__ import annotations
@@ -47,6 +51,21 @@ for info in pkgutil.walk_packages(whcalc.__path__, "whcalc."):
 print(json.dumps(sorted(sys.modules)))
 """
 
+CLI_GC_SCRIPT = """
+import gc, json
+import whcalc.cli
+print(json.dumps([gc.get_freeze_count(), gc.isenabled()]))
+"""
+
+LIBRARY_GC_SCRIPT = """
+import gc, importlib, json, pkgutil
+import whcalc
+for info in pkgutil.walk_packages(whcalc.__path__, "whcalc."):
+    if info.name != "whcalc.cli":
+        importlib.import_module(info.name)
+print(json.dumps(gc.get_freeze_count()))
+"""
+
 
 def _fresh_interpreter(script):
     env = dict(os.environ)
@@ -81,3 +100,14 @@ def test_cli_import_set():
     # whcalc module, eager or loaded per subcommand, may bring it back
     assert "dataclasses" not in loaded
     assert "dataclasses" not in _fresh_interpreter(ALL_MODULES_SCRIPT)
+
+
+def test_only_the_cli_freezes_the_start_up_heap():
+    # the entry point freezes what is alive after its imports, so neither
+    # later collections nor the final one at shutdown walk it again, and
+    # leaves the collector on for what the command allocates
+    frozen, enabled = _fresh_interpreter(CLI_GC_SCRIPT)
+    assert frozen > 0
+    assert enabled
+    # a library module must not change the collector of its importer
+    assert _fresh_interpreter(LIBRARY_GC_SCRIPT) == 0
