@@ -55,9 +55,6 @@ class Frozen(Record):
             _setattr(self, name, value)
         _setattr(self, "_key", values)
 
-    def _values(self):
-        return self._key
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented

@@ -282,7 +282,6 @@ def _norm_subquotient(a, eps):
         lattice.quotient_factors(numerator, denominator))
 
 
-@lru_cache(maxsize=None)
 def _coinvariants(a):
     """A / {b - b*}: cokernel of the stacked relation/action matrix."""
     g = a.generator_count

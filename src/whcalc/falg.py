@@ -484,8 +484,6 @@ def check_square(tf):
     this.
     """
     p = tf.ambient
-    if p > 3:
-        raise ValueError("exhaustive square checking is capped at ambient 3")
     keys = _contractible_keys(p)
     order, first, basis = _square_basis(p)
     target = tf.target
@@ -926,14 +924,6 @@ def _solution_basis(target, rows, n_unknowns):
     return lattice.kernel_with_denominator(rows, den, n_unknowns)
 
 
-@lru_cache(maxsize=None)
-def _falg_basis(target, ambient):
-    rows, n_faces = _membership_rows(target, ambient)
-    g = target.generator_count
-    return _solution_basis(target, rows, g * n_faces), n_faces
-
-
-@lru_cache(maxsize=None)
 def _normalized_basis(target, degree):
     ambient = degree + 1
     rows, n_faces = _membership_rows(target, ambient)
@@ -963,12 +953,6 @@ class FAlgGroup(Record):
     @property
     def order(self):
         return self.isomorphism_type.order()
-
-    def generators(self):
-        g = self.target.generator_count
-        return [FAlgElement.from_face_values(
-            self.target, self.degree, _vector_to_values(v, g, self.faces))
-            for v in self.generator_vectors]
 
     def element_vectors(self):
         """All solution vectors, canonically reduced per face block."""
@@ -1004,13 +988,19 @@ def falg_group(target, p):
     """Solve the membership constraints at simplex degree p (finite target)."""
     if p > 3:
         raise ValueError("constraint solving is capped at degree 3")
+    if p < 0:
+        raise ValueError("degree must be nonnegative")
     if target.order() is None:
         raise ValueError("the constraint solver requires a finite target")
-    return _solved_group(target, p, *_falg_basis(target, p + 1))
+    rows, n_faces = _membership_rows(target, p + 1)
+    basis = _solution_basis(target, rows, target.generator_count * n_faces)
+    return _solved_group(target, p, basis, n_faces)
 
 
 def normalized_group(target, degree):
     """The degree-n part of the normalized chain complex, as a group."""
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
     if target.order() is None:
         raise ValueError("normalized enumeration requires a finite target")
     return _solved_group(target, degree, *_normalized_basis(target, degree))
@@ -1073,6 +1063,8 @@ class MooreComplex(Record):
 
 
 def moore_complex(target, max_degree):
+    if max_degree < 0:
+        raise ValueError("degree must be nonnegative")
     bases = [_normalized_basis(target, m)[0] for m in range(max_degree + 1)]
     return MooreComplex(target, max_degree, bases)
 

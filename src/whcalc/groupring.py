@@ -61,10 +61,6 @@ class GroupRingElement(Frozen):
         self._freeze(order, coeffs)
 
     @classmethod
-    def zero(cls, n):
-        return cls(n, (0,) * n)
-
-    @classmethod
     def one(cls, n):
         return cls(n, (1,) + (0,) * (n - 1))
 
@@ -109,9 +105,6 @@ class GroupRingElement(Frozen):
         """Sum of coefficients (image under t -> 1)."""
         return sum(self.coeffs)
 
-    def is_zero(self):
-        return not any(self.coeffs)
-
     def trivial_unit_form(self):
         """(sign, k) if the element is +-t^k, else None."""
         nonzero = [(k, c) for k, c in enumerate(self.coeffs) if c]
@@ -141,7 +134,7 @@ class GroupRingElement(Frozen):
                 elif c == -1:
                     terms.append(f"-{mon}")
                 else:
-                    terms.append(f"{c}{mon}" if c < 0 else f"{c}{mon}")
+                    terms.append(f"{c}{mon}")
         if not terms:
             return "0"
         out = terms[0]
@@ -263,9 +256,6 @@ class WhiteheadClass(Frozen):
     def to_dict(self):
         return self.representative.to_dict()
 
-    def __str__(self):
-        return f"[{self.representative}]"
-
 
 def wh_class_equal(x, y):
     """Whether two unit classes agree modulo the trivial units +-t^k."""
@@ -298,10 +288,6 @@ class CyclotomicElement(Frozen):
         if len(coeffs) != p - 1:
             raise ValueError("coefficient vector must have length p-1")
         self._freeze(p, coeffs)
-
-    @classmethod
-    def zero(cls, p):
-        return cls(p, (Fraction(0),) * (p - 1))
 
     @classmethod
     def one(cls, p):
@@ -347,10 +333,6 @@ class CyclotomicElement(Frozen):
                         ext[(i + j) % p] += a * b
         return CyclotomicElement._fold(p, ext)
 
-    def scale(self, c):
-        c = Fraction(c)
-        return CyclotomicElement(self.p, tuple(c * a for a in self.coeffs))
-
     def is_zero(self):
         return not any(self.coeffs)
 
@@ -373,22 +355,6 @@ class CyclotomicElement(Frozen):
         if any(prod.coeffs[1:]):
             raise ArithmeticError("norm did not land in Q")
         return prod.coeffs[0]
-
-    def to_dict(self):
-        return {"p": self.p, "coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(int(data["p"]), tuple(Fraction(c) for c in data["coeffs"]))
-
-    def __str__(self):
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mon = "1" if k == 0 else ("z" if k == 1 else f"z^{k}")
-            terms.append(f"{c}*{mon}" if k else str(c))
-        return " + ".join(terms) if terms else "0"
 
 
 def cyclotomic_project(x, p):

@@ -169,8 +169,6 @@ class Solver:
 
     def solve(self, b):
         """One integer solution of A x = b, or None."""
-        if self.m == 0:
-            return [0] * self.n
         c = mat_vec(self.left, b)
         y = [0] * self.n
         for i in range(self.rank):

@@ -43,10 +43,10 @@ __all__ = [
 
 
 # Largest repetition count ``balanced_lens_space`` accepts: a report's
-# cost grows linearly in k, about 0.5 ms per step at p = 7 with the torsion
-# computed once per lens space (k = 20: 0.011 s, k = 100: 0.050 s on
-# 2 vCPUs), and the weights are built before any other check can refuse
-# them.
+# cost grows linearly in k, about 1 ms per step at p = 7 with the torsion
+# computed once per lens space (k = 20: 0.02 to 0.03 s, k = 100: 0.08 to
+# 0.14 s in fresh processes on 2 vCPUs), and the weights are built before
+# any other check can refuse them.
 K_MAX = 100
 
 

@@ -100,13 +100,7 @@ class ReportDocument(Record):
     def to_text(self):
         lines = []
         for s in self.stages:
-            witness = "" if s.witness is None else f" -- {_short(s.witness)}"
+            witness = "" if s.witness is None else f" -- {json.dumps(s.witness)}"
             cite = f" [{s.citation}]" if s.citation else ""
             lines.append(f"[{s.status}] {s.name}{witness}{cite}")
         return "\n".join(lines)
-
-
-def _short(witness):
-    if isinstance(witness, str):
-        return witness
-    return json.dumps(witness, sort_keys=False)

@@ -119,10 +119,6 @@ class SubComplex(Frozen):
 
     # -- basic structure ----------------------------------------------
 
-    @property
-    def dim(self):
-        return max(face_dim(f) for f in self.faces)
-
     def maximal_faces(self):
         return maximal_faces(self.faces)
 
@@ -201,9 +197,6 @@ class SubComplex(Frozen):
         return cls(int(data["p"]),
                    frozenset(face_from_str(s) for s in data["faces"]))
 
-    def __str__(self):
-        return "{" + ",".join(face_str(f) for f in sorted(self.faces)) + "}"
-
 
 # -- standard complexes ------------------------------------------------
 
@@ -280,6 +273,8 @@ def enumerate_subcomplexes(p):
     """All nonempty subcomplexes of the p-simplex (order ideals), p <= 4."""
     if p > 4:
         raise ValueError("exhaustive enumeration is capped at p = 4")
+    if p < 0:
+        raise ValueError("subcomplex degree must be nonnegative")
     top = (1 << (p + 1)) - 1
     all_faces = sorted(range(1, top + 1), key=lambda f: (face_dim(f), f))
     out = []

@@ -150,9 +150,6 @@ class UnitClassValues:
     def twist(self, x):
         return x.twist(self.twist_index)
 
-    def eq(self, x, y):
-        return wh_class_equal(x, y)
-
 
 class ModuleValues:
     """Whitehead values in an abstract involutive abelian group.
@@ -165,9 +162,6 @@ class ModuleValues:
     def __init__(self, group: InvolutiveAbelianGroup, twist_matrix=None):
         self.group = group
         self.twist_matrix = twist_matrix
-
-    def zero(self):
-        return (0,) * self.group.generator_count
 
     def add(self, x, y):
         return self.group.reduce(tuple(a + b for a, b in zip(x, y)))
@@ -182,10 +176,6 @@ class ModuleValues:
         if self.twist_matrix is None:
             return self.group.reduce(x)
         return self.group.reduce(mat_vec(self.twist_matrix, x))
-
-    def eq(self, x, y):
-        return self.group.is_zero_element(
-            tuple(a - b for a, b in zip(x, y)))
 
 
 def basepoint_change_torsion(values, tau_w, tau_v, n, d):

@@ -71,6 +71,11 @@ def test_homology_and_tate(capsys):
     assert data["stages"][0]["witness"]["invariant_factors"] == [2, 2]
     code, out, _ = run(["tate", "--target", "z-trivial", "--n", "0"], capsys)
     assert code == 0
+    # a negative degree is refused by ``homology_c2`` alone
+    code, out, err = run(["homology", "--target", "z2-trivial", "--n", "-1"],
+                         capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert "Traceback" not in err and "nonnegative" in err
 
 
 def test_falg_pi_and_cap(capsys):
@@ -81,6 +86,11 @@ def test_falg_pi_and_cap(capsys):
                        capsys)
     assert code == 2
     assert "cap" in err
+    # an infinite target is refused by ``moore_homotopy`` alone
+    code, out, err = run(["falg", "pi", "--target", "z-trivial", "--n", "1"],
+                         capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert "Traceback" not in err and "finite target" in err
 
 
 def test_falg_check(capsys):

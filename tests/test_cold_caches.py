@@ -15,6 +15,7 @@ the CLI: a fresh interpreter shows whether importing it, or every other
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -49,6 +50,16 @@ import whcalc
 for info in pkgutil.walk_packages(whcalc.__path__, "whcalc."):
     importlib.import_module(info.name)
 print(json.dumps(sorted(sys.modules)))
+"""
+
+CLI_CACHE_MODULES_SCRIPT = """
+import json, sys
+import whcalc.cli
+print(json.dumps(sorted({
+    name for name, mod in sys.modules.items()
+    if mod is not None and (name == "whcalc" or name.startswith("whcalc."))
+    and any(hasattr(v, "cache_info") and getattr(v, "__module__", None) == name
+            for v in vars(mod).values())})))
 """
 
 CLI_GC_SCRIPT = """
@@ -111,3 +122,23 @@ def test_only_the_cli_freezes_the_start_up_heap():
     assert enabled
     # a library module must not change the collector of its importer
     assert _fresh_interpreter(LIBRARY_GC_SCRIPT) == 0
+
+
+def _cold_modules():
+    """``COLD_MODULES`` of ``perfbench/run.py``, read from its source."""
+    run_py = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    for node in ast.parse(run_py.read_text()).body:
+        if isinstance(node, ast.Assign) \
+                and any(getattr(t, "id", None) == "COLD_MODULES"
+                        for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no COLD_MODULES")
+
+
+def test_every_cold_module_keeps_an_lru_cache():
+    # the benchmark refuses every repetition unless each of these modules
+    # shows at least one lru cache once ``whcalc.cli`` is imported, so
+    # deleting a module's last cache must fail here, not only there
+    cold = _cold_modules()
+    assert cold
+    assert cold <= set(_fresh_interpreter(CLI_CACHE_MODULES_SCRIPT))

@@ -665,6 +665,57 @@ def test_simplicial_identities():
         assert s.face(0) == x and s.face(1) == x
 
 
+def _sum_values(x, y, sign, target):
+    """The face values of x + sign * y, reduced face by face."""
+    return {f: target.reduce(tuple(a + sign * b for a, b in zip(v, y.values[f])))
+            for f, v in x.values.items()}
+
+
+def test_group_law_of_falg():
+    # the sum, difference and negative of simplices are simplices, with
+    # the face values reduced coordinatewise, and the group axioms hold
+    els = list(falg_group(Z4S, 1).elements())
+    assert len(els) == 16
+    members = {el.functor for el in els}
+    zero = FAlgElement.zero(Z4S, 1)
+    for x in els:
+        assert (-x).functor in members
+        assert x + (-x) == zero and x - x == zero
+        assert (-x).functor.values == _sum_values(zero.functor, x.functor,
+                                                  -1, Z4S)
+        for y in els:
+            total, diff = x + y, x - y
+            assert total.functor in members and diff.functor in members
+            assert total.functor.values == _sum_values(x.functor, y.functor,
+                                                       1, Z4S)
+            assert diff.functor.values == _sum_values(x.functor, y.functor,
+                                                      -1, Z4S)
+            assert total == y + x and diff + y == x
+
+
+def test_face_and_degeneracy_maps_are_homomorphisms():
+    els = list(falg_group(Z4S, 1).elements())
+    for x, y in product(els, repeat=2):
+        for i in range(2):
+            assert (x + y).face(i) == x.face(i) + y.face(i)
+            assert (x + y).degeneracy(i) == x.degeneracy(i) + y.degeneracy(i)
+
+
+def test_sum_of_raw_degeneracies_is_taken_on_every_key():
+    # table-backed functors add and subtract their stored tables too
+    # odd values, so that a - b and a + b differ mod 4 on some key
+    a = raw_degeneracy(iota_shriek({0b01: (1,), 0b10: (2,)}, 1, Z4S), 0)
+    b = raw_degeneracy(iota_shriek({0b01: (3,), 0b10: (1,)}, 1, Z4S), 1)
+    total, diff, neg = a + b, a - b, -a
+    for key in falg._contractible_keys(2):
+        va, vb = a.value_on(key), b.value_on(key)
+        assert total.value_on(key) == Z4S.reduce(tuple(
+            x + y for x, y in zip(va, vb)))
+        assert diff.value_on(key) == Z4S.reduce(tuple(
+            x - y for x, y in zip(va, vb)))
+        assert neg.value_on(key) == Z4S.reduce(tuple(-x for x in va))
+
+
 def test_degeneracy_top_face_value_is_zero():
     # the 0-th corrected degeneracy sends the 0-th boundary face of the
     # new top simplex to the old top simplex, whose value is pinned at 0
@@ -794,6 +845,13 @@ def test_falg_requires_finite_target():
         falg_group(free, 1)
     with pytest.raises(ValueError):
         moore_homotopy(free, 1)
+
+
+@pytest.mark.parametrize("build", [falg_group, normalized_group,
+                                   moore_complex, moore_homotopy])
+def test_negative_degrees_are_refused(build):
+    with pytest.raises(ValueError, match="nonnegative"):
+        build(Z4S, -1)
 
 
 def test_caps():

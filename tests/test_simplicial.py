@@ -74,6 +74,11 @@ def test_enumeration_counts():
     assert len(enumerate_contractible_subcomplexes(2)) == 10
     with pytest.raises(ValueError):
         enumerate_contractible_subcomplexes(4)
+    # a negative degree is refused, not answered with no subcomplexes
+    for enumerate_ in (enumerate_subcomplexes,
+                       enumerate_contractible_subcomplexes):
+        with pytest.raises(ValueError, match="nonnegative"):
+            enumerate_(-1)
 
 
 def test_enumeration_is_sorted_and_euler_one():
