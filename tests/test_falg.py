@@ -848,7 +848,8 @@ def test_falg_requires_finite_target():
 
 
 @pytest.mark.parametrize("build", [falg_group, normalized_group,
-                                   moore_complex, moore_homotopy])
+                                   moore_complex, moore_homotopy],
+                         ids=lambda build: build.__name__)
 def test_negative_degrees_are_refused(build):
     with pytest.raises(ValueError, match="nonnegative"):
         build(Z4S, -1)
