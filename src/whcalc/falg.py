@@ -185,7 +185,10 @@ class TorsionFunctor:
 
     ``table``-backed instances carry explicit values on every
     contractible subcomplex instead and may fail the square condition;
-    they model raw pullbacks along codegeneracies.
+    they model raw pullbacks along codegeneracies.  A table is keyed by
+    the sorted faces of each complex and must hold exactly the
+    contractible subcomplexes of the ambient simplex; any other key set
+    raises ValueError.
     """
 
     __slots__ = ("ambient", "target", "values", "table", "_memo")
@@ -215,6 +218,10 @@ class TorsionFunctor:
         self.values = values
         self.table = None
         if table is not None:
+            if set(table) != {tuple(sorted(k))
+                              for k in _contractible_keys(ambient)}:
+                raise ValueError("a table must hold exactly the "
+                                 "contractible subcomplexes")
             self.table = {k: target.reduce(v) for k, v in table.items()}
         self._memo = {}
 
@@ -412,30 +419,22 @@ def _square_form(square):
 def _square_basis(p):
     """The pushout-square condition at ambient p as a few integer forms.
 
-    Returns ``(order, first, basis)``.  ``order`` lists, as indices into
-    ``_contractible_keys(p)``, every subcomplex some square uses, in the
-    order a square-by-square scan of ``_squares(p)`` first needs it, and
-    ``first[k]`` is the index of the square that first needs
-    ``order[k]``.  ``basis`` is a Z-basis of the span of the square forms
-    (``_square_form``), from ``lattice._eliminate``, each form as
-    ``(key, coefficient)`` pairs: 50 forms for the 1180 squares at
-    ambient 3.  Every basis form is an integer combination of square forms
-    and every square form one of basis forms, so the values of a functor
-    satisfy every square exactly when every basis form of them lies in
-    the relation lattice.
+    Returns ``(used, basis)``.  ``used`` lists, as increasing indices
+    into ``_contractible_keys(p)``, every subcomplex some square of
+    ``_squares(p)`` uses.  ``basis`` is a Z-basis of the span of the
+    square forms (``_square_form``), from ``lattice._eliminate``, each
+    form as ``(key, coefficient)`` pairs: 50 forms for the 1180 squares
+    at ambient 3.  Every basis form is an integer combination of square
+    forms and every square form one of basis forms, so the values of a
+    functor satisfy every square exactly when every basis form of them
+    lies in the relation lattice.
     """
-    order, first, cols = [], [], []
-    seen = set()
-    for s, square in enumerate(_squares(p)):
-        for k in square:
-            if k not in seen:
-                seen.add(k)
-                order.append(k)
-                first.append(s)
-        cols.append(dict(_square_form(square)))
-    pivots, _kernel = lattice._eliminate(cols)
+    squares = _squares(p)
+    used = tuple(sorted({k for square in squares for k in square}))
+    pivots, _kernel = lattice._eliminate(
+        [dict(_square_form(square)) for square in squares])
     basis = tuple(tuple(sorted(col.items())) for _row, col in pivots)
-    return tuple(order), tuple(first), basis
+    return used, basis
 
 
 def raw_degeneracy(tf, i):
@@ -471,36 +470,24 @@ def check_square(tf):
     """Exhaustively verify the pushout-square condition (ambient <= 3).
 
     Per functor, every contractible subcomplex that some square uses is
-    evaluated by ``value_on`` once, in the order a square-by-square scan
-    first needs it, so table lookups, the contractibility check and the
-    two-order guard of ``_value`` all still run.  Then each form of the
-    per-ambient ``_square_basis`` (50 forms for the 1180 squares at
+    evaluated by ``value_on`` once, so table lookups, the contractibility
+    check and the two-order guard of ``_value`` all still run; a table
+    holds every such subcomplex, so no lookup misses.  Then each form of
+    the per-ambient ``_square_basis`` (50 forms for the 1180 squares at
     ambient 3) is tested for membership in the relation lattice, which
-    holds for all of them exactly when it holds for every square.  When
-    ``value_on`` raises, the squares a scan would have tested before
-    needing that subcomplex decide: False if one of them fails, else the
-    exception propagates, as from a scan that stops at the first failing
-    square.  The constraint rows of ``_membership_rows`` share none of
-    this.
+    holds for all of them exactly when it holds for every square.  The
+    constraint rows of ``_membership_rows`` share none of this.
     """
     p = tf.ambient
     keys = _contractible_keys(p)
-    order, first, basis = _square_basis(p)
+    used, basis = _square_basis(p)
     target = tf.target
     g = target.generator_count
     values = [None] * len(keys)
-
-    def holds(form):
-        return target.is_zero_element(_combine(form, values, g))
-
-    for k, s in zip(order, first):
-        try:
-            values[k] = tf.value_on(keys[k])
-        except Exception:
-            if not all(holds(_square_form(sq)) for sq in _squares(p)[:s]):
-                return False
-            raise
-    return all(holds(form) for form in basis)
+    for k in used:
+        values[k] = tf.value_on(keys[k])
+    return all(target.is_zero_element(_combine(form, values, g))
+               for form in basis)
 
 
 @lru_cache(maxsize=None)
@@ -861,35 +848,29 @@ def _membership_rows(target, ambient):
     return rows, len(faces)
 
 
-def _face_blocks(degree, i):
-    """The face map delta_i at simplex degree ``degree``, on face blocks.
+def _face_rows(target, degree, i):
+    """The face map delta_i at the given degree, as sparse rows.
 
-    One pair per proper face sigma one degree down, in order: the block
-    (index into ``_proper_faces(degree + 1)``) of the image of sigma under
-    the (i+1)-st coface, and the block of the (i+1)-st boundary face of
-    the top.  The block of delta_i(x) at sigma is their difference.
+    Row r of the block of a proper face sigma one degree down is
+    coordinate r of delta_i(x) at sigma: the block of the image of sigma
+    under the (i+1)-st coface minus the block of the (i+1)-st boundary
+    face of the top.  Setting every row to zero forces delta_i = 0.
     """
+    g = target.generator_count
     ambient = degree + 1
     index = {f: k for k, f in enumerate(_proper_faces(ambient))}
-    base = index[_top_mask(ambient) & ~(1 << (i + 1))]
-    return [(index[coface_face(sigma, i + 1)], base)
-            for sigma in _proper_faces(degree)]
+    base = index[_top_mask(ambient) & ~(1 << (i + 1))] * g
+    return [{index[coface_face(sigma, i + 1)] * g + r: 1, base + r: -1}
+            for sigma in _proper_faces(degree) for r in range(g)]
 
 
-def _face_rows(target, degree, i):
-    """Rows forcing delta_i = 0 at the given degree, as sparse dicts."""
-    g = target.generator_count
-    return [{k * g + r: 1, base * g + r: -1}
-            for k, base in _face_blocks(degree, i) for r in range(g)]
-
-
-def _apply_face(blocks, g, vec):
-    """Coordinates of delta_i(x) one degree down, from raw coordinates and
-    the ``_face_blocks`` of delta_i."""
-    out = []
-    for k, base in blocks:
-        out.extend(x - y for x, y in zip(vec[k * g:(k + 1) * g],
-                                         vec[base * g:(base + 1) * g]))
+def _apply_rows(rows, vec):
+    """The sparse ``rows`` times the sparse vector ``vec``, zero-free."""
+    out = {}
+    for i, row in enumerate(rows):
+        x = sum([c * vec.get(j, 0) for j, c in row.items()])
+        if x:
+            out[i] = x
     return out
 
 
@@ -985,13 +966,11 @@ def _solved_group(target, degree, basis, n_faces):
 
 
 def falg_group(target, p):
-    """Solve the membership constraints at simplex degree p (finite target)."""
+    """Solve the membership constraints at simplex degree p."""
     if p > 3:
         raise ValueError("constraint solving is capped at degree 3")
     if p < 0:
         raise ValueError("degree must be nonnegative")
-    if target.order() is None:
-        raise ValueError("the constraint solver requires a finite target")
     rows, n_faces = _membership_rows(target, p + 1)
     basis = _solution_basis(target, rows, target.generator_count * n_faces)
     return _solved_group(target, p, basis, n_faces)
@@ -1001,8 +980,6 @@ def normalized_group(target, degree):
     """The degree-n part of the normalized chain complex, as a group."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if target.order() is None:
-        raise ValueError("normalized enumeration requires a finite target")
     return _solved_group(target, degree, *_normalized_basis(target, degree))
 
 
@@ -1017,8 +994,6 @@ def moore_homotopy(target, n):
         raise ValueError("homotopy computation is capped at degree 3")
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if target.order() is None:
-        raise ValueError("the constraint path requires a finite target")
     g = target.generator_count
     ambient = n + 1
     faces = _proper_faces(ambient)
@@ -1033,9 +1008,9 @@ def moore_homotopy(target, n):
     cycles = _solution_basis(target, rows, n_unknowns)
 
     upstairs, _ = _normalized_basis(target, n + 1)
-    blocks = _face_blocks(n + 1, 0)
-    boundary_cols = [_apply_face(blocks, g, v) for v in upstairs]
-    den = boundary_cols + _block_lattice_cols(target, len(faces))
+    delta0 = _delta0_rows(target, n + 1)
+    den = [_apply_rows(delta0, v) for v in upstairs] \
+        + _block_lattice_cols(target, len(faces))
     return FgAbGroup.from_factors(lattice.quotient_factors(cycles, den))
 
 
@@ -1051,13 +1026,16 @@ class MooreComplex(Record):
         self.bases = bases
 
     def boundary_squares_to_zero(self):
-        g = self.target.generator_count
+        target = self.target
+        g = target.generator_count
         for m in range(self.max_degree - 1):
-            upper, lower = _face_blocks(m + 2, 0), _face_blocks(m + 1, 0)
+            upper = _delta0_rows(target, m + 2)
+            lower = _delta0_rows(target, m + 1)
             for vec in self.bases[m + 2]:
-                twice = _apply_face(lower, g, _apply_face(upper, g, vec))
-                for k in range(len(twice) // g if g else 0):
-                    if not self.target.is_zero_element(twice[k * g:(k + 1) * g]):
+                twice = _apply_rows(lower, _apply_rows(upper, vec))
+                for k in {i // g for i in twice}:
+                    block = [twice.get(k * g + r, 0) for r in range(g)]
+                    if not target.is_zero_element(block):
                         return False
         return True
 

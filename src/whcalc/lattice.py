@@ -5,7 +5,8 @@ of int rows (``from_columns`` and ``columns_of`` convert), and a
 generating set of a lattice -- relations, numerators, denominators,
 bases -- is a list of column vectors.  Rows and vectors handed to the
 eliminating functions (kernels, bases, quotients, ``Lattice``) may also
-be sparse ``{index: value}`` dicts, as ``falg`` builds them; results are dense.
+be sparse ``{index: value}`` dicts, as ``falg`` builds them.  Kernel bases
+come back as such dicts; every other result is dense.
 Kernels, lattice bases, quotient coordinates and the echelon bases of
 ``Lattice`` come from one sparse unimodular column elimination
 (``_eliminate``; Dumas, Saunders and Villard 2001, Kaczynski, Mischaikow
@@ -218,12 +219,14 @@ def kernel_with_denominator(c_rows, den_cols, n_unknowns):
     integer kernel.  The kernel of the augmented matrix [C | den]
     projects onto the first n coordinates as exactly this lattice, so
     only those coordinates of the transforms are tracked; eliminated once
-    more, they give the echelon basis.
+    more, they give the echelon basis.  Its columns are returned as they
+    come: zero-free ``{index: value}`` dicts, by increasing leading index,
+    each with a positive entry there.
     """
     cols = _sparse_columns(c_rows, n_unknowns) + [_sparse(d) for d in den_cols]
     _pivots, kernel = _eliminate(cols, keep=n_unknowns)
     pivots, _kernel = _eliminate(kernel)
-    return [_dense(col, n_unknowns) for _row, col in pivots]
+    return [col for _row, col in pivots]
 
 
 def _relations(num_basis, den_gens):

@@ -266,24 +266,26 @@ def test_check_square_matches_oracle_on_raw_degeneracies():
     assert verdicts == {True, False}
 
 
-def test_check_square_on_partial_tables_matches_first_failure_scan():
-    # a table missing one complex makes value_on raise partway through;
-    # check_square returns False exactly when a square the scan reaches
-    # first fails, and otherwise raises what value_on raised
+def test_tables_must_hold_exactly_the_contractible_subcomplexes():
+    # one contractible key missing, or one key that is not a contractible
+    # subcomplex of the ambient simplex, is refused at construction
     rng = random.Random(59)
-    seen = set()
-    for p in (2, 3):
-        squares = _oracles.pushout_squares(p)
-        for trial in range(8):
-            tf, table_tf = random_table_functor(rng, p, Z4S, trial % 2)
-            table = dict(table_tf.table)
-            del table[rng.choice(sorted(table))]
-            partial = TorsionFunctor(p, Z4S, tf.face_values_copy(), table)
-            got = outcome(check_square, partial)
-            assert got == outcome(_oracles.square_condition_holds, partial,
-                                  squares)
-            seen.add(got if isinstance(got, bool) else got[0])
-    assert seen == {False, NotContractibleError}
+    for p in (1, 2, 3):
+        tf, table_tf = random_table_functor(rng, p, Z4S, False)
+        fv = tf.face_values_copy()
+        for key in rng.sample(sorted(table_tf.table), 3):
+            partial = dict(table_tf.table)
+            del partial[key]
+            with pytest.raises(ValueError, match="contractible"):
+                TorsionFunctor(p, Z4S, fv, partial)
+        # the boundary sphere, and the top face without its closure
+        sphere = SubComplex.closure(p, [f for f in falg._proper_faces(p)
+                                        if face_dim(f) == p - 1])
+        for extra in (tuple(sorted(sphere.faces)), (falg._top_mask(p),)):
+            wider = dict(table_tf.table)
+            wider[extra] = (0,)
+            with pytest.raises(ValueError, match="contractible"):
+                TorsionFunctor(p, Z4S, fv, wider)
 
 
 def test_generalized_duality_matches_oracle_at_every_index_set():
@@ -409,16 +411,13 @@ def test_targets_with_one_involution_share_duality_forms():
 
 
 def test_square_basis_plan():
-    # first-need order covers every key a square uses; ranks per ambient
+    # the used keys are every key a square uses, once each, increasing;
+    # ranks per ambient
     ranks = {}
     for p in (0, 1, 2, 3):
-        order, first, basis = falg._square_basis(p)
+        used, basis = falg._square_basis(p)
         squares = falg._squares(p)
-        assert len(order) == len(set(order)) == len(first)
-        assert set(order) == {k for square in squares for k in square}
-        for k, s in zip(order, first):
-            assert k in squares[s]
-            assert all(k not in squares[t] for t in range(s))
+        assert list(used) == sorted({k for square in squares for k in square})
         ranks[p] = len(basis)
     assert ranks == {0: 0, 1: 0, 2: 3, 3: 50}
 
@@ -839,12 +838,32 @@ def test_central_comparison_nonscalar_involutions():
         assert psi_is_bijective(target, 1)
 
 
-def test_falg_requires_finite_target():
-    free = InvolutiveAbelianGroup.free(1, 1)
-    with pytest.raises(ValueError):
-        falg_group(free, 1)
-    with pytest.raises(ValueError):
-        moore_homotopy(free, 1)
+def free_targets():
+    """Free targets, and one with torsion, whose homotopy is checked on
+    both paths; the last ones model Wh(C_p), free of rank (p-3)/2, at
+    both parities of the dimension."""
+    swap = InvolutiveAbelianGroup(2, [[], []], [[0, 1], [1, 0]])
+    out = [InvolutiveAbelianGroup.free(rank, sign)
+           for rank in (1, 2) for sign in (1, -1)]
+    out += [InvolutiveAbelianGroup.from_factors([0, 2], -1), swap]
+    out += [InvolutiveAbelianGroup.free((p - 3) // 2, 1).parity_action(d)
+            for p in (5, 7, 11, 13, 17, 19, 23) for d in (10, 11)]
+    return out
+
+
+def test_free_targets_agree_on_both_paths():
+    for target in free_targets():
+        for n in range(4):
+            assert moore_homotopy(target, n) == homology_c2(target, n), \
+                (target.to_dict(), n)
+    # enumeration, and only enumeration, refuses an infinite group
+    z = InvolutiveAbelianGroup.free(1, 1)
+    with pytest.raises(ValueError, match="infinite"):
+        next(falg_group(z, 1).elements())
+    with pytest.raises(ValueError, match="infinite"):
+        psi_is_bijective(z, 1)
+    with pytest.raises(ValueError, match="infinite"):
+        next(z.elements())
 
 
 @pytest.mark.parametrize("build", [falg_group, normalized_group,

@@ -52,6 +52,10 @@ SWEEP_TARGETS = [f"{a}-{s}" for a in ("z2", "z3", "z4", "z2xz2")
 SWEEP_COMMANDS = [["falg", "pi", "--target", t, "--n", str(n)]
                   for t in SWEEP_TARGETS for n in range(4)]
 
+# The same check on the free targets Z with either action.
+FREE_COMMANDS = [["falg", "pi", "--target", t, "--n", str(n)]
+                 for t in ("z-trivial", "z-sign") for n in range(4)]
+
 
 def case_name(argv):
     """File-name stem of a command: its words joined, JSON and flags dropped."""
@@ -61,7 +65,8 @@ def case_name(argv):
 
 
 CASES = [argv + ["--json"] for argv in README_COMMANDS
-         + [c for c in SWEEP_COMMANDS if c not in README_COMMANDS]]
+         + [c for c in SWEEP_COMMANDS + FREE_COMMANDS
+            if c not in README_COMMANDS]]
 
 
 def run_cli(argv):

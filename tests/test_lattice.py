@@ -45,9 +45,21 @@ def smith_kernel(rows, n):
     return [[right[i][j] for i in range(n)] for j in range(len(diag), n)]
 
 
+def dense_echelon(columns, n):
+    """The sparse kernel columns as dense vectors, after checking their
+    form: zero-free dicts, leading indices increasing, leading entries
+    positive."""
+    for col in columns:
+        assert isinstance(col, dict) and all(col.values())
+        assert col[min(col)] > 0
+    leads = [min(col) for col in columns]
+    assert leads == sorted(set(leads))
+    return [[col.get(i, 0) for i in range(n)] for col in columns]
+
+
 def test_plain_kernel_rank_and_lattice():
     for _rng, c, m, n in random_systems(11, 40):
-        ker = lattice.kernel_with_denominator(c, [], n)
+        ker = dense_echelon(lattice.kernel_with_denominator(c, [], n), n)
         assert len(ker) == n - bareiss_rank(c)
         for v in ker:
             assert lattice.mat_vec(c, v) == [0] * m
@@ -63,7 +75,8 @@ def test_kernel_with_denominator():
     zeros = random.Random(17)  # apart from the systems' own stream
     for rng, c, m, n in random_systems(12, 40):
         den = lattice.columns_of(sparse_matrix(rng, m, rng.randint(1, 8)))
-        ker = lattice.kernel_with_denominator(c, den, n)
+        sparse = lattice.kernel_with_denominator(c, den, n)
+        ker = dense_echelon(sparse, n)
         den_lat = Lattice(den, m)
         for v in ker:
             assert den_lat.contains(lattice.mat_vec(c, v))
@@ -76,7 +89,8 @@ def test_kernel_with_denominator():
         c_dicts = [with_explicit_zeros(zeros, r) for r in c]
         den_dicts = [with_explicit_zeros(zeros, d) for d in den]
         before = repr((c_dicts, den_dicts))
-        assert lattice.kernel_with_denominator(c_dicts, den_dicts, n) == ker
+        assert lattice.kernel_with_denominator(c_dicts, den_dicts, n) \
+            == sparse
         assert repr((c_dicts, den_dicts)) == before
 
 

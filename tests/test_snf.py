@@ -87,10 +87,10 @@ def test_solver_and_kernel():
     x = lattice.solve(a, [6, 9])
     assert x is not None and lattice.mat_vec(a, x) == [6, 9]
     assert lattice.solve([[2]], [3]) is None
-    kernel = lattice.kernel_with_denominator(a, [], 3)
-    for k in kernel:
-        assert lattice.mat_vec(a, k) == [0, 0]
-    assert len(kernel) == 1
+    # one sparse column, zero-free with a positive leading entry
+    (k,) = lattice.kernel_with_denominator(a, [], 3)
+    assert all(k.values()) and k[min(k)] > 0
+    assert lattice.mat_vec(a, [k.get(i, 0) for i in range(3)]) == [0, 0]
 
 
 def test_lattice_reduction():
