@@ -122,9 +122,12 @@ class InvolutiveAbelianGroup(Frozen):
         g = generator_count
         rel = tuple(tuple(int(x) for x in row) for row in relations)
         inv = tuple(tuple(int(x) for x in row) for row in involution)
-        if len(rel) != g or len({len(row) for row in rel}) > 1 \
-                or len(inv) != g or any(len(row) != g for row in inv):
-            raise ValueError("relation/involution shapes must match generators")
+        if len(rel) != g or len({len(row) for row in rel}) > 1:
+            raise ValueError(
+                f"relations must be {g} rows of one length, one per "
+                f"generator: a free group takes [[]] * {g}")
+        if len(inv) != g or any(len(row) != g for row in inv):
+            raise ValueError(f"involution must be a {g} x {g} matrix")
         self._freeze(g, rel, inv)
         rel_cols = self.relation_columns()
         lat = lattice.Lattice(rel_cols, g)

@@ -894,18 +894,86 @@ def _block_lattice_cols(target, n_blocks):
             for k in range(n_blocks) for col in rel_cols]
 
 
+def _difference_pair(block, g):
+    """The face blocks (a, b) if row r of ``block`` is exactly
+    ``{a*g + r: 1, b*g + r: -1}`` for every r, else None."""
+    first = block[0]
+    if sorted(first.values()) != [-1, 1]:
+        return None
+    (a, x), (b, _y) = first.items()
+    if x == -1:
+        a, b = b, a
+    if a % g or b % g or any(block[r] != {a + r: 1, b + r: -1}
+                             for r in range(1, g)):
+        return None
+    return a // g, b // g
+
+
+def _merge_identified_blocks(rows, g, n_blocks):
+    """Presolve: merge the face blocks that a difference block identifies.
+
+    Returns ``(cls, reduced)``: the class of each face block, numbered by
+    first block, and the other row blocks rewritten onto one block per
+    class, as fresh dicts (``rows`` may be lru-cached), with the blocks
+    that vanish after the merge dropped.
+    """
+    parent = list(range(n_blocks))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    rest = []
+    for s in range(0, len(rows), g):
+        block = rows[s:s + g]
+        pair = _difference_pair(block, g)
+        if pair is None:
+            rest.append(block)
+        else:
+            a, b = sorted(map(find, pair))
+            parent[b] = a
+    number = {}
+    cls = [number.setdefault(find(a), len(number)) for a in range(n_blocks)]
+    reduced = []
+    for block in rest:
+        new = [{} for _ in block]
+        for out, row in zip(new, block):
+            for j, c in row.items():
+                k = cls[j // g] * g + j % g
+                out[k] = out.get(k, 0) + c
+        if any(any(row.values()) for row in new):
+            reduced += new
+    return cls, reduced
+
+
 def _solution_basis(target, rows, n_unknowns):
-    """Basis of {x : every g-block of C x lies in the relation lattice}."""
+    """Generators of {x : every g-block of C x lies in the relation
+    lattice L}, modulo the relation blocks L^n.
+
+    The row blocks that only say x_a - x_b in L are solved first
+    (``_merge_identified_blocks``), and the kernel of the rest is copied
+    from each class's block to all of its members.  That is exact modulo
+    L^n: each coefficient block of C is an integer combination of 1 and
+    the involution T, which preserves L, so C maps L^n into L^m.  Callers
+    add ``_block_lattice_cols`` to get the whole solution lattice.
+    """
     g = target.generator_count
     if n_unknowns == 0:
         return []
     if len(rows) % g:
         raise AssertionError("constraint rows are not block aligned")
-    den = _block_lattice_cols(target, len(rows) // g)
-    return lattice.kernel_with_denominator(rows, den, n_unknowns)
+    cls, reduced = _merge_identified_blocks(rows, g, n_unknowns // g)
+    den = _block_lattice_cols(target, len(reduced) // g)
+    kernel = lattice.kernel_with_denominator(reduced, den, (max(cls) + 1) * g)
+    coords = [(a * g + r, k * g + r) for a, k in enumerate(cls)
+              for r in range(g)]
+    return [{i: vec[j] for i, j in coords if j in vec} for vec in kernel]
 
 
 def _normalized_basis(target, degree):
+    """Generators of the normalized p-simplices modulo the relation
+    blocks (``_solution_basis``), and the number of face blocks."""
     ambient = degree + 1
     rows, n_faces = _membership_rows(target, ambient)
     rows = rows + _normalization_rows(target, degree)
@@ -957,10 +1025,12 @@ class FAlgGroup(Record):
 
 
 def _solved_group(target, degree, basis, n_faces):
-    """The group spanned by ``basis`` modulo the relation blocks."""
+    """The group spanned by ``basis`` and the relation blocks, modulo the
+    relation blocks."""
     g = target.generator_count
     den = _block_lattice_cols(target, n_faces)
-    factors, gens = lattice.quotient_with_generators(basis, den, g * n_faces)
+    factors, gens = lattice.quotient_with_generators(basis + den, den,
+                                                     g * n_faces)
     return FAlgGroup(target, degree, FgAbGroup.from_factors(factors), gens,
                      _proper_faces(degree + 1))
 
@@ -987,8 +1057,11 @@ def moore_homotopy(target, n):
     """Homotopy of the simplicial group: homology of the normalized
     complex at degree n, computed purely from the constraint lattices.
 
-    This path shares no code with ``homology_c2`` beyond the integer
-    kernel, which is the point: the two must agree.
+    The cycles and the normalized simplices one degree up are generators
+    modulo the relation blocks (``_solution_basis``), so the quotient
+    adds those blocks to the cycles and to the boundaries.  This path
+    shares no code with ``homology_c2`` beyond the integer kernel, which
+    is the point: the two must agree.
     """
     if n > 3:
         raise ValueError("homotopy computation is capped at degree 3")
@@ -1007,16 +1080,19 @@ def moore_homotopy(target, n):
         rows += _delta0_rows(target, n)
     cycles = _solution_basis(target, rows, n_unknowns)
 
+    # delta_0 maps the relation blocks upstairs into those of ``rel``, so
+    # only the generators of the upstairs basis need applying
     upstairs, _ = _normalized_basis(target, n + 1)
     delta0 = _delta0_rows(target, n + 1)
-    den = [_apply_rows(delta0, v) for v in upstairs] \
-        + _block_lattice_cols(target, len(faces))
-    return FgAbGroup.from_factors(lattice.quotient_factors(cycles, den))
+    rel = _block_lattice_cols(target, len(faces))
+    den = [_apply_rows(delta0, v) for v in upstairs] + rel
+    return FgAbGroup.from_factors(lattice.quotient_factors(cycles + rel, den))
 
 
 class MooreComplex(Record):
-    """Normalized chain complex data: per-degree lattice bases for the
-    normalized subgroups."""
+    """Normalized chain complex data: per degree, generators of the
+    normalized subgroup modulo the relation blocks (``_normalized_basis``),
+    which delta_0 maps into the relation blocks one degree down."""
 
     _fields = ("target", "max_degree", "bases")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -47,6 +48,20 @@ def test_involution_validation():
             1, [[]], [[2]])
     # sign involution is fine on Z/5 because -1 squares to 1
     InvolutiveAbelianGroup.cyclic(5, -1)
+
+
+def test_shape_errors_name_the_expected_shape():
+    # a free group takes one empty relation row per generator, and the
+    # message for the natural empty list says so
+    swap = [[0, 1], [1, 0]]
+    with pytest.raises(ValueError, match=re.escape("[[]] * 2")):
+        InvolutiveAbelianGroup(2, [], swap)
+    with pytest.raises(ValueError, match="relations must be 2 rows"):
+        InvolutiveAbelianGroup(2, [[2], []], swap)
+    with pytest.raises(ValueError, match="involution must be a 2 x 2"):
+        InvolutiveAbelianGroup(2, [[]] * 2, [[0, 1]])
+    assert InvolutiveAbelianGroup(2, [[]] * 2, swap) == \
+        InvolutiveAbelianGroup(2, [[], []], swap)
 
 
 def test_golden_values():

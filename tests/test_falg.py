@@ -7,8 +7,8 @@ from itertools import combinations, islice, product
 
 import pytest
 
-from whcalc import falg
-from whcalc.abelian import InvolutiveAbelianGroup, homology_c2
+from whcalc import falg, lattice
+from whcalc.abelian import FgAbGroup, InvolutiveAbelianGroup, homology_c2
 from whcalc.falg import (FAlgElement, InconsistentFunctorError,
                          NotContractibleError, TorsionFunctor,
                          all_dualities_hold, check_face_horn_duality,
@@ -744,6 +744,86 @@ def test_moore_homotopy_leaves_cached_rows_intact():
         moore_homotopy(target, n)
     assert [repr(falg._membership_rows(target, a))
             for a in range(1, 5)] == before
+
+
+def presolve_targets():
+    """The eight sweep targets, free targets under every action, and
+    mixed torsion with the sign action."""
+    factors = {"z2": [2], "z3": [3], "z4": [4], "z2xz2": [2, 2], "z": [0],
+               "z^2": [0, 0]}
+    out = {f"{name}-{action}": InvolutiveAbelianGroup.from_factors(f, s)
+           for name, f in factors.items()
+           for action, s in (("trivial", 1), ("sign", -1))}
+    out["z+z2-sign"] = InvolutiveAbelianGroup.from_factors([0, 2], -1)
+    out["z2+z4-sign"] = InvolutiveAbelianGroup.from_factors([2, 4], -1)
+    out["z^2-swap"] = InvolutiveAbelianGroup(2, [[]] * 2, [[0, 1], [1, 0]])
+    return out
+
+
+def unreduced_kernel(target, rows, n_unknowns):
+    """The solution lattice of a constraint system eliminated as it
+    stands, with one relation block per row block."""
+    den = falg._block_lattice_cols(target, len(rows) // target.generator_count)
+    return lattice.kernel_with_denominator(rows, den, n_unknowns)
+
+
+def same_span(a, b, dim):
+    """Mutual containment of the spans of two lists of sparse vectors."""
+    a, b = ([[v.get(i, 0) for i in range(dim)] for v in vs] for vs in (a, b))
+    in_a, in_b = lattice.Lattice(a, dim), lattice.Lattice(b, dim)
+    return all(map(in_b.contains, a)) and all(map(in_a.contains, b))
+
+
+@pytest.mark.parametrize("name", sorted(presolve_targets()))
+def test_presolve_matches_the_unreduced_systems(name):
+    # the merged systems plus the relation blocks solve to the same
+    # lattices as the full systems, and moore_homotopy computed from the
+    # full systems agrees with the presolved one
+    target = presolve_targets()[name]
+    g = target.generator_count
+    for ambient in range(1, 5):
+        rows, n_faces = falg._membership_rows(target, ambient)
+        rel = falg._block_lattice_cols(target, n_faces)
+        merged = falg._solution_basis(target, rows, g * n_faces)
+        assert same_span(merged + rel, unreduced_kernel(
+            target, rows, g * n_faces), g * n_faces), ("membership", ambient)
+    normalized = []
+    for degree in range(5):
+        rows, n_faces = falg._membership_rows(target, degree + 1)
+        rows = rows + falg._normalization_rows(target, degree)
+        rel = falg._block_lattice_cols(target, n_faces)
+        merged, _ = falg._normalized_basis(target, degree)
+        normalized.append(unreduced_kernel(target, rows, g * n_faces))
+        assert same_span(merged + rel, normalized[-1], g * n_faces), \
+            ("normalized", degree)
+    for n in range(4):
+        rows, n_faces = falg._membership_rows(target, n + 1)
+        rows = rows + falg._normalization_rows(target, n)
+        if n >= 1:
+            rows = rows + falg._delta0_rows(target, n)
+        cycles = unreduced_kernel(target, rows, g * n_faces)
+        delta0 = falg._delta0_rows(target, n + 1)
+        den = [falg._apply_rows(delta0, v) for v in normalized[n + 1]] \
+            + falg._block_lattice_cols(target, n_faces)
+        assert moore_homotopy(target, n) == FgAbGroup.from_factors(
+            lattice.quotient_factors(cycles, den)), n
+
+
+def test_presolve_collapses_the_face_blocks(monkeypatch):
+    # the degree-3 normalized system of Z/2+Z/2 has 30 face blocks of 2
+    # unknowns each; the identifications leave at most two blocks to
+    # eliminate
+    target = InvolutiveAbelianGroup.from_factors([2, 2], 1)
+    widths = []
+    kernel = lattice.kernel_with_denominator
+
+    def spy(rows, den_cols, n_unknowns):
+        widths.append(n_unknowns)
+        return kernel(rows, den_cols, n_unknowns)
+
+    monkeypatch.setattr(lattice, "kernel_with_denominator", spy)
+    falg._normalized_basis(target, 3)
+    assert widths and max(widths) <= 4, widths
 
 
 def test_moore_homotopy_against_enumeration_oracle():
