@@ -32,10 +32,10 @@ in the index set and its complement (``_union_coeffs``).
 Everything that depends on the functor stays per functor: its value on
 each subcomplex, through ``value_on`` with the two-attachment-order
 check, and one relation-lattice membership test per square-basis form
-or per duality.  The constraint rows of the homotopy path
-(``_membership_rows``) expand their own inclusion-exclusion and use
-none of these plans, so the element checks and the constraint systems
-still cross-check each other.
+or per duality.  The constraint equations of the homotopy path
+(``_membership_rows``, integer rows only after their presolve) expand
+their own inclusion-exclusion and use none of these plans, so the
+element checks and the constraint systems still cross-check each other.
 """
 
 from __future__ import annotations
@@ -476,7 +476,7 @@ def check_square(tf):
     the per-ambient ``_square_basis`` (50 forms for the 1180 squares at
     ambient 3) is tested for membership in the relation lattice, which
     holds for all of them exactly when it holds for every square.  The
-    constraint rows of ``_membership_rows`` share none of this.
+    constraint equations of ``_membership_rows`` share none of this.
     """
     p = tf.ambient
     keys = _contractible_keys(p)
@@ -786,37 +786,23 @@ class FAlgElement(Frozen):
 
 
 @lru_cache(maxsize=None)
-def _membership_rows(target, ambient):
-    """Integer constraint rows for membership at the given ambient level.
+def _membership_rows(ambient):
+    """The membership constraints at the given ambient level as face-block
+    equations, with the number of face blocks; every target shares them.
 
-    Unknowns: one coordinate block per proper face (dimension g each).
-    Each row is a ``{unknown: coefficient}`` dict (an entry may cancel to
-    zero), and each returned block of g rows must land in the relation
-    lattice.
+    An equation ``{k: (a, b)}`` says that the sum of (a + b T) x_k lies in
+    the relation lattice, x_k the block of the k-th proper face and T the
+    target's involution; ``_expand`` writes its g integer rows.
     """
-    g = target.generator_count
     faces = _proper_faces(ambient)
     index = {f: k for k, f in enumerate(faces)}
-    t_rows = target.involution
     top = _top_mask(ambient)
-    rows = []
+    eqs = []
 
-    def emit(ident_coeffs, act_coeffs):
-        for r in range(g):
-            row = {}
-            for f, c in ident_coeffs.items():
-                if f == top or c == 0:
-                    continue
-                k = index[f] * g + r
-                row[k] = row.get(k, 0) + c
-            for f, c in act_coeffs.items():
-                if f == top or c == 0:
-                    continue
-                base = index[f] * g
-                for j in range(g):
-                    if t_rows[r][j]:
-                        row[base + j] = row.get(base + j, 0) + c * t_rows[r][j]
-            rows.append(row)
+    def emit(ident, act):
+        eqs.append({index[f]: (ident.get(f, 0), act.get(f, 0))
+                    for f in sorted(ident.keys() | act.keys())
+                    if f != top and (ident.get(f) or act.get(f))})
 
     # vanishing on the 0-th face region
     region = top & ~1
@@ -845,23 +831,39 @@ def _membership_rows(target, ambient):
             act[sigma] = act.get(sigma, 0) + sgn
             emit(ident, act)
 
-    return rows, len(faces)
+    return tuple(eqs), len(faces)
 
 
-def _face_rows(target, degree, i):
-    """The face map delta_i at the given degree, as sparse rows.
+@lru_cache(maxsize=None)
+def _face_rows(degree, i):
+    """The face map delta_i at the given degree, as face-block equations.
 
-    Row r of the block of a proper face sigma one degree down is
-    coordinate r of delta_i(x) at sigma: the block of the image of sigma
-    under the (i+1)-st coface minus the block of the (i+1)-st boundary
-    face of the top.  Setting every row to zero forces delta_i = 0.
+    The equation of a proper face sigma one degree down is delta_i(x) at
+    sigma: the block of the image of sigma under the (i+1)-st coface minus
+    the block of the (i+1)-st boundary face of the top.  Setting every
+    one to zero forces delta_i = 0.
     """
-    g = target.generator_count
     ambient = degree + 1
     index = {f: k for k, f in enumerate(_proper_faces(ambient))}
-    base = index[_top_mask(ambient) & ~(1 << (i + 1))] * g
-    return [{index[coface_face(sigma, i + 1)] * g + r: 1, base + r: -1}
-            for sigma in _proper_faces(degree) for r in range(g)]
+    base = index[_top_mask(ambient) & ~(1 << (i + 1))]
+    return tuple({index[coface_face(sigma, i + 1)]: (1, 0), base: (-1, 0)}
+                 for sigma in _proper_faces(degree))
+
+
+def _expand(target, eqs):
+    """The zero-free integer rows of face-block equations: row r of an
+    equation is coordinate r of the sum of (a + b T) x_k."""
+    g = target.generator_count
+    rows = []
+    for eq in eqs:
+        for r, t_row in enumerate(target.involution):
+            row = {}
+            for k, (a, b) in eq.items():
+                for j, t in enumerate(t_row):
+                    if x := a * (j == r) + b * t:
+                        row[k * g + j] = x
+            rows.append(row)
+    return rows
 
 
 def _apply_rows(rows, vec):
@@ -874,15 +876,15 @@ def _apply_rows(rows, vec):
     return out
 
 
-def _normalization_rows(target, degree):
-    """Rows forcing delta_i = 0 for 1 <= i <= degree (on top of membership)."""
-    return [row for i in range(1, degree + 1)
-            for row in _face_rows(target, degree, i)]
+def _normalization_rows(degree):
+    """Equations forcing delta_i = 0 for 1 <= i <= degree."""
+    return tuple(eq for i in range(1, degree + 1)
+                 for eq in _face_rows(degree, i))
 
 
-def _delta0_rows(target, degree):
-    """Rows forcing delta_0 = 0 at the given degree."""
-    return _face_rows(target, degree, 0)
+def _delta0_rows(degree):
+    """Equations forcing delta_0 = 0 at the given degree."""
+    return _face_rows(degree, 0)
 
 
 def _block_lattice_cols(target, n_blocks):
@@ -894,28 +896,14 @@ def _block_lattice_cols(target, n_blocks):
             for k in range(n_blocks) for col in rel_cols]
 
 
-def _difference_pair(block, g):
-    """The face blocks (a, b) if row r of ``block`` is exactly
-    ``{a*g + r: 1, b*g + r: -1}`` for every r, else None."""
-    first = block[0]
-    if sorted(first.values()) != [-1, 1]:
-        return None
-    (a, x), (b, _y) = first.items()
-    if x == -1:
-        a, b = b, a
-    if a % g or b % g or any(block[r] != {a + r: 1, b + r: -1}
-                             for r in range(1, g)):
-        return None
-    return a // g, b // g
-
-
-def _merge_identified_blocks(rows, g, n_blocks):
-    """Presolve: merge the face blocks that a difference block identifies.
+def _merge_identified_blocks(eqs, n_blocks):
+    """Presolve: merge the face blocks that an equation
+    ``{a: (1, 0), b: (-1, 0)}`` identifies.
 
     Returns ``(cls, reduced)``: the class of each face block, numbered by
-    first block, and the other row blocks rewritten onto one block per
-    class, as fresh dicts (``rows`` may be lru-cached), with the blocks
-    that vanish after the merge dropped.
+    first block, and the other equations rewritten onto one block per
+    class as fresh dicts (``eqs`` may be lru-cached), with those that
+    vanish after the merge dropped.
     """
     parent = list(range(n_blocks))
 
@@ -925,47 +913,52 @@ def _merge_identified_blocks(rows, g, n_blocks):
         return a
 
     rest = []
-    for s in range(0, len(rows), g):
-        block = rows[s:s + g]
-        pair = _difference_pair(block, g)
-        if pair is None:
-            rest.append(block)
-        else:
-            a, b = sorted(map(find, pair))
+    for eq in eqs:
+        if len(eq) == 2 and sorted(eq.values()) == [(-1, 0), (1, 0)]:
+            a, b = sorted(map(find, eq))
             parent[b] = a
+        else:
+            rest.append(eq)
     number = {}
     cls = [number.setdefault(find(a), len(number)) for a in range(n_blocks)]
     reduced = []
-    for block in rest:
-        new = [{} for _ in block]
-        for out, row in zip(new, block):
-            for j, c in row.items():
-                k = cls[j // g] * g + j % g
-                out[k] = out.get(k, 0) + c
-        if any(any(row.values()) for row in new):
-            reduced += new
+    for eq in rest:
+        new = {}
+        for k, (a, b) in eq.items():
+            x, y = new.get(cls[k], (0, 0))
+            new[cls[k]] = (x + a, y + b)
+        new = {k: ab for k, ab in new.items() if ab != (0, 0)}
+        if new:
+            reduced.append(new)
     return cls, reduced
 
 
-def _solution_basis(target, rows, n_unknowns):
-    """Generators of {x : every g-block of C x lies in the relation
-    lattice L}, modulo the relation blocks L^n.
+def _solution_basis(target, eqs, n_blocks):
+    """Generators of {x : every equation of ``eqs`` holds}, modulo the
+    relation blocks L^n.
 
-    The row blocks that only say x_a - x_b in L are solved first
-    (``_merge_identified_blocks``), and the kernel of the rest is copied
-    from each class's block to all of its members.  That is exact modulo
-    L^n: each coefficient block of C is an integer combination of 1 and
-    the involution T, which preserves L, so C maps L^n into L^m.  Callers
-    add ``_block_lattice_cols`` to get the whole solution lattice.
+    When T = s I every coefficient (a, b) is first folded to (a + s b, 0),
+    so an equation whose terms cancel on a face drops that face.  The
+    equations that then only say x_a - x_b in L are solved first
+    (``_merge_identified_blocks``), the rest are expanded to integer rows
+    (``_expand``), and the kernel of those is copied from each class's
+    block to all of its members.  That is exact modulo L^n: each
+    coefficient a + b T preserves L, so the equations map L^n into L^m.
+    Callers add ``_block_lattice_cols`` to get the whole solution lattice.
     """
     g = target.generator_count
-    if n_unknowns == 0:
+    if g == 0 or n_blocks == 0:
         return []
-    if len(rows) % g:
-        raise AssertionError("constraint rows are not block aligned")
-    cls, reduced = _merge_identified_blocks(rows, g, n_unknowns // g)
-    den = _block_lattice_cols(target, len(reduced) // g)
-    kernel = lattice.kernel_with_denominator(reduced, den, (max(cls) + 1) * g)
+    t = target.involution
+    s = t[0][0]
+    if all(x == s * (i == j) for i, row in enumerate(t)
+           for j, x in enumerate(row)):
+        eqs = [{k: (a + s * b, 0) for k, (a, b) in eq.items() if a + s * b}
+               for eq in eqs]
+    cls, reduced = _merge_identified_blocks(eqs, n_blocks)
+    den = _block_lattice_cols(target, len(reduced))
+    kernel = lattice.kernel_with_denominator(
+        _expand(target, reduced), den, (max(cls) + 1) * g)
     coords = [(a * g + r, k * g + r) for a, k in enumerate(cls)
               for r in range(g)]
     return [{i: vec[j] for i, j in coords if j in vec} for vec in kernel]
@@ -974,11 +967,9 @@ def _solution_basis(target, rows, n_unknowns):
 def _normalized_basis(target, degree):
     """Generators of the normalized p-simplices modulo the relation
     blocks (``_solution_basis``), and the number of face blocks."""
-    ambient = degree + 1
-    rows, n_faces = _membership_rows(target, ambient)
-    rows = rows + _normalization_rows(target, degree)
-    g = target.generator_count
-    return _solution_basis(target, rows, g * n_faces), n_faces
+    eqs, n_faces = _membership_rows(degree + 1)
+    eqs += _normalization_rows(degree)
+    return _solution_basis(target, eqs, n_faces), n_faces
 
 
 def _vector_to_values(vec, g, faces):
@@ -1041,9 +1032,9 @@ def falg_group(target, p):
         raise ValueError("constraint solving is capped at degree 3")
     if p < 0:
         raise ValueError("degree must be nonnegative")
-    rows, n_faces = _membership_rows(target, p + 1)
-    basis = _solution_basis(target, rows, target.generator_count * n_faces)
-    return _solved_group(target, p, basis, n_faces)
+    eqs, n_faces = _membership_rows(p + 1)
+    return _solved_group(target, p, _solution_basis(target, eqs, n_faces),
+                         n_faces)
 
 
 def normalized_group(target, degree):
@@ -1067,24 +1058,20 @@ def moore_homotopy(target, n):
         raise ValueError("homotopy computation is capped at degree 3")
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    g = target.generator_count
-    ambient = n + 1
-    faces = _proper_faces(ambient)
-    n_unknowns = g * len(faces)
-    if g == 0:
+    if target.generator_count == 0:
         return FgAbGroup.trivial()
 
-    rows, _ = _membership_rows(target, ambient)
-    rows = rows + _normalization_rows(target, n)
+    eqs, n_faces = _membership_rows(n + 1)
+    eqs += _normalization_rows(n)
     if n >= 1:
-        rows += _delta0_rows(target, n)
-    cycles = _solution_basis(target, rows, n_unknowns)
+        eqs += _delta0_rows(n)
+    cycles = _solution_basis(target, eqs, n_faces)
 
     # delta_0 maps the relation blocks upstairs into those of ``rel``, so
     # only the generators of the upstairs basis need applying
     upstairs, _ = _normalized_basis(target, n + 1)
-    delta0 = _delta0_rows(target, n + 1)
-    rel = _block_lattice_cols(target, len(faces))
+    delta0 = _expand(target, _delta0_rows(n + 1))
+    rel = _block_lattice_cols(target, n_faces)
     den = [_apply_rows(delta0, v) for v in upstairs] + rel
     return FgAbGroup.from_factors(lattice.quotient_factors(cycles + rel, den))
 
@@ -1105,8 +1092,8 @@ class MooreComplex(Record):
         target = self.target
         g = target.generator_count
         for m in range(self.max_degree - 1):
-            upper = _delta0_rows(target, m + 2)
-            lower = _delta0_rows(target, m + 1)
+            upper = _expand(target, _delta0_rows(m + 2))
+            lower = _expand(target, _delta0_rows(m + 1))
             for vec in self.bases[m + 2]:
                 twice = _apply_rows(lower, _apply_rows(upper, vec))
                 for k in {i // g for i in twice}:

@@ -5,7 +5,8 @@ of int rows (``from_columns`` and ``columns_of`` convert), and a
 generating set of a lattice -- relations, numerators, denominators,
 bases -- is a list of column vectors.  Rows and vectors handed to the
 eliminating functions (kernels, bases, quotients, ``Lattice``) may also
-be sparse ``{index: value}`` dicts, as ``falg`` builds them.  Kernel bases
+be sparse ``{index: value}`` dicts, as ``falg`` expands its face-block
+equations after their presolve.  Kernel bases
 come back as such dicts; every other result is dense.
 Kernels, lattice bases, quotient coordinates and the echelon bases of
 ``Lattice`` come from one sparse unimodular column elimination

@@ -115,10 +115,10 @@ def test_criterion_05_cardinality_law():
     details = []
     for p in (0, 1, 2):
         ambient = p + 1
-        rows, n_faces = falg._membership_rows(z2, ambient)
+        eqs, n_faces = falg._membership_rows(ambient)
         # independent count: rank over F_2 of the constraint matrix
         bits = set()
-        for row in rows:
+        for row in falg._expand(z2, eqs):
             word = 0
             for j, c in row.items():
                 if c % 2:

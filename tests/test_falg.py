@@ -735,15 +735,24 @@ def test_moore_homotopy_examples():
         assert moore_homotopy(zero, n).is_trivial()
 
 
+def cached_equations():
+    return repr([falg._membership_rows(a) for a in range(1, 5)]
+                + [falg._face_rows(d, i) for d in range(4)
+                   for i in range(d + 1)])
+
+
 def test_moore_homotopy_leaves_cached_rows_intact():
-    # the elimination consumes its columns, so the lru-cached membership
-    # rows must reach it only as copies
-    target = InvolutiveAbelianGroup.from_factors([2, 2], -1)
-    before = [repr(falg._membership_rows(target, a)) for a in range(1, 5)]
-    for n in range(3):
-        moore_homotopy(target, n)
-    assert [repr(falg._membership_rows(target, a))
-            for a in range(1, 5)] == before
+    # every target shares one lru entry per set of equations, and the
+    # presolve and the elimination must reach them only through copies:
+    # run every solver on a scalar action and on a non-scalar one
+    before = cached_equations()
+    swap = InvolutiveAbelianGroup(2, [[]] * 2, [[0, 1], [1, 0]])
+    for target in (InvolutiveAbelianGroup.from_factors([2, 2], -1), swap):
+        for n in range(3):
+            falg_group(target, n)
+            normalized_group(target, n)
+            moore_homotopy(target, n)
+    assert cached_equations() == before
 
 
 def presolve_targets():
@@ -760,11 +769,12 @@ def presolve_targets():
     return out
 
 
-def unreduced_kernel(target, rows, n_unknowns):
-    """The solution lattice of a constraint system eliminated as it
-    stands, with one relation block per row block."""
-    den = falg._block_lattice_cols(target, len(rows) // target.generator_count)
-    return lattice.kernel_with_denominator(rows, den, n_unknowns)
+def unreduced_kernel(target, eqs, n_faces):
+    """The solution lattice of a set of equations expanded and eliminated
+    as it stands, with one relation block per equation."""
+    return lattice.kernel_with_denominator(
+        falg._expand(target, eqs), falg._block_lattice_cols(target, len(eqs)),
+        target.generator_count * n_faces)
 
 
 def same_span(a, b, dim):
@@ -782,38 +792,49 @@ def test_presolve_matches_the_unreduced_systems(name):
     target = presolve_targets()[name]
     g = target.generator_count
     for ambient in range(1, 5):
-        rows, n_faces = falg._membership_rows(target, ambient)
+        eqs, n_faces = falg._membership_rows(ambient)
         rel = falg._block_lattice_cols(target, n_faces)
-        merged = falg._solution_basis(target, rows, g * n_faces)
+        merged = falg._solution_basis(target, eqs, n_faces)
         assert same_span(merged + rel, unreduced_kernel(
-            target, rows, g * n_faces), g * n_faces), ("membership", ambient)
+            target, eqs, n_faces), g * n_faces), ("membership", ambient)
     normalized = []
     for degree in range(5):
-        rows, n_faces = falg._membership_rows(target, degree + 1)
-        rows = rows + falg._normalization_rows(target, degree)
+        eqs, n_faces = falg._membership_rows(degree + 1)
+        eqs = eqs + falg._normalization_rows(degree)
         rel = falg._block_lattice_cols(target, n_faces)
         merged, _ = falg._normalized_basis(target, degree)
-        normalized.append(unreduced_kernel(target, rows, g * n_faces))
+        normalized.append(unreduced_kernel(target, eqs, n_faces))
         assert same_span(merged + rel, normalized[-1], g * n_faces), \
             ("normalized", degree)
     for n in range(4):
-        rows, n_faces = falg._membership_rows(target, n + 1)
-        rows = rows + falg._normalization_rows(target, n)
+        eqs, n_faces = falg._membership_rows(n + 1)
+        eqs = eqs + falg._normalization_rows(n)
         if n >= 1:
-            rows = rows + falg._delta0_rows(target, n)
-        cycles = unreduced_kernel(target, rows, g * n_faces)
-        delta0 = falg._delta0_rows(target, n + 1)
+            eqs = eqs + falg._delta0_rows(n)
+        cycles = unreduced_kernel(target, eqs, n_faces)
+        delta0 = falg._expand(target, falg._delta0_rows(n + 1))
         den = [falg._apply_rows(delta0, v) for v in normalized[n + 1]] \
             + falg._block_lattice_cols(target, n_faces)
         assert moore_homotopy(target, n) == FgAbGroup.from_factors(
             lattice.quotient_factors(cycles, den)), n
 
 
-def test_presolve_collapses_the_face_blocks(monkeypatch):
+@pytest.mark.parametrize("factors, sign, solve, most", [
     # the degree-3 normalized system of Z/2+Z/2 has 30 face blocks of 2
-    # unknowns each; the identifications leave at most two blocks to
-    # eliminate
-    target = InvolutiveAbelianGroup.from_factors([2, 2], 1)
+    # unknowns each; the identifications leave at most two blocks
+    pytest.param([2, 2], 1, lambda t: falg._normalized_basis(t, 3), 4,
+                 id="z2xz2-trivial-normalized-3"),
+    # under the sign action a face-horn equation can cancel on its face
+    # sigma and identify two blocks, so the 4 classes of face blocks left
+    # at ambient 2 and the 16 left at ambient 4 must lose one each
+    pytest.param([2], -1, lambda t: falg_group(t, 1), 3,
+                 id="z2-sign-membership-2"),
+    pytest.param([2, 2], -1, lambda t: falg_group(t, 3), 30,
+                 id="z2xz2-sign-membership-4"),
+])
+def test_presolve_collapses_the_face_blocks(monkeypatch, factors, sign, solve,
+                                            most):
+    target = InvolutiveAbelianGroup.from_factors(factors, sign)
     widths = []
     kernel = lattice.kernel_with_denominator
 
@@ -822,8 +843,8 @@ def test_presolve_collapses_the_face_blocks(monkeypatch):
         return kernel(rows, den_cols, n_unknowns)
 
     monkeypatch.setattr(lattice, "kernel_with_denominator", spy)
-    falg._normalized_basis(target, 3)
-    assert widths and max(widths) <= 4, widths
+    solve(target)
+    assert widths and max(widths) <= most, widths
 
 
 def test_moore_homotopy_against_enumeration_oracle():

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from whcalc import falg
+from whcalc import abelian
 from whcalc.abelian import (DoubleSubgroup, FgAbGroup, InvolutiveAbelianGroup,
                             double_subgroup)
 from whcalc.falg import (FAlgElement, FAlgGroup, MooreComplex, falg_group,
@@ -161,9 +161,9 @@ def test_equal_targets_share_one_cache_entry():
     a = InvolutiveAbelianGroup.cyclic(5, -1)
     b = InvolutiveAbelianGroup(1, [[5]], [[-1]])
     assert a is not b and a == b and hash(a) == hash(b)
-    rows = falg._membership_rows(a, 2)
-    before = falg._membership_rows.cache_info()
-    assert falg._membership_rows(b, 2) is rows
-    after = falg._membership_rows.cache_info()
+    group = abelian._norm_subquotient(a, 1)
+    before = abelian._norm_subquotient.cache_info()
+    assert abelian._norm_subquotient(b, 1) is group
+    after = abelian._norm_subquotient.cache_info()
     assert after.hits == before.hits + 1
     assert after.currsize == before.currsize
