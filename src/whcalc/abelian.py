@@ -343,17 +343,7 @@ class DoubleSubgroup(Frozen):
         self._freeze(generators, subgroup, quotient)
 
 
-def _parity_sign(d_parity):
-    if d_parity in ("even", 0):
-        return 1
-    if d_parity in ("odd", 1):
-        return -1
-    if isinstance(d_parity, int):
-        return 1 if d_parity % 2 == 0 else -1
-    raise ValueError("parity must be 'even', 'odd' or an integer dimension")
-
-
-def double_subgroup(a, d_parity):
+def double_subgroup(a, d):
     """Subgroup {sigma + (-1)^d sigma*} of A, for the stored involution.
 
     Here the stored matrix is read as the raw algebraic involution and
@@ -361,7 +351,7 @@ def double_subgroup(a, d_parity):
     with ``homology_c2(.., 0)`` exactly when the stored action already
     matches the parity convention.
     """
-    sign = _parity_sign(d_parity)
+    sign = 1 if d % 2 == 0 else -1
     g = a.generator_count
     endo = _one_plus(a, sign)
     rel_cols = a.relation_columns()

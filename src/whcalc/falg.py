@@ -33,8 +33,9 @@ Everything that depends on the functor stays per functor: its value on
 each subcomplex, through ``value_on`` with the two-attachment-order
 check, and one relation-lattice membership test per square-basis form
 or per duality.  The constraint equations of the homotopy path
-(``_membership_rows``, integer rows only after their presolve) expand
-their own inclusion-exclusion and use none of these plans, so the
+(``_membership_rows``, integer rows only after their presolve) write
+each face-horn duality from its closed form, one signed term per face
+containing the horn's vertex, and use none of these plans, so the
 element checks and the constraint systems still cross-check each other.
 """
 
@@ -793,6 +794,12 @@ def _membership_rows(ambient):
     An equation ``{k: (a, b)}`` says that the sum of (a + b T) x_k lies in
     the relation lattice, x_k the block of the k-th proper face and T the
     target's involution; ``_expand`` writes its g integer rows.
+
+    Face-horn duality at a face sigma of dimension d >= 1 and index i is
+    x(d_i sigma) - x(sigma) + (-1)^d sum of (-1)^(d - dim tau) T x(tau)
+    over the faces tau of sigma that hold its i-th vertex, the top face
+    dropped: the inclusion-exclusion over the other boundary faces, as
+    each such tau is the intersection of exactly one set of them.
     """
     faces = _proper_faces(ambient)
     index = {f: k for k, f in enumerate(faces)}
@@ -817,19 +824,11 @@ def _membership_rows(ambient):
             continue
         sgn = _sign(d)
         for i in range(d + 1):
-            ident = {face_boundary(sigma, i): 1, sigma: -1}
-            act = {}
-            others = [face_boundary(sigma, j) for j in range(d + 1) if j != i]
-            for mask in range(1, 1 << len(others)):
-                inter = top
-                bits = 0
-                for b in range(len(others)):
-                    if mask >> b & 1:
-                        inter &= others[b]
-                        bits += 1
-                act[inter] = act.get(inter, 0) - sgn * _sign(bits + 1)
-            act[sigma] = act.get(sigma, 0) + sgn
-            emit(ident, act)
+            face = face_boundary(sigma, i)
+            vertex = sigma & ~face
+            emit({face: 1, sigma: -1},
+                 {tau: sgn * _sign(d - face_dim(tau))
+                  for tau in subfaces(sigma) if tau & vertex})
 
     return tuple(eqs), len(faces)
 

@@ -265,24 +265,13 @@ def wh_class_equal(x, y):
     return q.trivial_unit_form() is not None
 
 
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 class CyclotomicElement(Frozen):
     """Element of Q(zeta_p) in the basis 1, zeta, ..., zeta^{p-2}."""
 
     _fields = ("p", "coeffs")
 
     def __init__(self, p, coeffs):
-        if not _is_prime(p):
+        if not lattice._is_prime(p):
             raise ValueError("p must be prime")
         coeffs = tuple(Fraction(c) for c in coeffs)
         if len(coeffs) != p - 1:
@@ -361,7 +350,7 @@ def cyclotomic_project(x, p):
     """Image of x in Q(zeta_p) under t -> zeta_p (ring homomorphism)."""
     if x.order != p:
         raise ValueError(f"element lives in Z[C_{x.order}], expected order {p}")
-    if not _is_prime(p):
+    if not lattice._is_prime(p):
         raise ValueError("p must be prime")
     ext = [Fraction(c) for c in x.coeffs]
     return CyclotomicElement._fold(p, ext)

@@ -16,7 +16,7 @@ from importlib import resources
 from . import lattice
 from ._value import Frozen
 from .abelian import FgAbGroup
-from .groupring import _is_prime
+from .lattice import _is_prime
 
 __all__ = [
     "tor_pi_r",

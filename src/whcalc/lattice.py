@@ -6,8 +6,8 @@ generating set of a lattice -- relations, numerators, denominators,
 bases -- is a list of column vectors.  Rows and vectors handed to the
 eliminating functions (kernels, bases, quotients, ``Lattice``) may also
 be sparse ``{index: value}`` dicts, as ``falg`` expands its face-block
-equations after their presolve.  Kernel bases
-come back as such dicts; every other result is dense.
+equations after their presolve.  Kernel bases and the echelon columns
+of ``Lattice`` are such dicts; every other result is dense.
 Kernels, lattice bases, quotient coordinates and the echelon bases of
 ``Lattice`` come from one sparse unimodular column elimination
 (``_eliminate``; Dumas, Saunders and Villard 2001, Kaczynski, Mischaikow
@@ -21,6 +21,18 @@ from __future__ import annotations
 
 from . import _snf
 from ._snf.pure import identity
+
+
+def _is_prime(p):
+    """Trial division, here so that testing primality loads no group ring."""
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
 
 
 def mat_mul(a, b):
@@ -312,16 +324,15 @@ def span_elements(gens, orders, dim, reduce):
 class Lattice:
     """Sublattice of Z^dim spanned by ``gens``, with canonical coset reps.
 
-    The basis is the column echelon form from ``_eliminate``.  ``reduce``
+    The basis is the sparse column echelon form from ``_eliminate``, so
+    ``reduce`` subtracts only the nonzeros of each pivot column.  ``reduce``
     returns the unique representative whose entry at each pivot row lies
     in [0, pivot); pivot rows and positive pivot values are invariants of
     the lattice, so the representative does not depend on the generators.
     """
 
     def __init__(self, gens, dim):
-        self.dim = dim
-        pivots, _kernel = _eliminate([_sparse(g) for g in gens])
-        self.pivots = [(row, _dense(col, dim)) for row, col in pivots]
+        self.pivots, _kernel = _eliminate([_sparse(g) for g in gens])
 
     def reduce(self, v):
         """Canonical representative of ``v`` modulo the lattice."""
@@ -329,7 +340,8 @@ class Lattice:
         for row, col in self.pivots:
             q = v[row] // col[row]
             if q:
-                v = [x - q * y for x, y in zip(v, col)]
+                for i, x in col.items():
+                    v[i] -= q * x
         return tuple(v)
 
     def contains(self, v):
@@ -339,11 +351,13 @@ class Lattice:
         divide: the pivots of later rows are zero there, so that entry of
         ``reduce(v)`` is already final and nonzero.
         """
+        v = list(v)
         for row, col in self.pivots:
             x = v[row]
             if x:
                 if x % col[row]:
                     return False
                 q = x // col[row]
-                v = [a - q * b for a, b in zip(v, col)]
+                for i, y in col.items():
+                    v[i] -= q * y
         return not any(v)

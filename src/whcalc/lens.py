@@ -22,7 +22,8 @@ from ._value import Frozen
 from .abelian import (FgAbGroup, InvolutiveAbelianGroup, double_subgroup,
                       homology_c2)
 from .groupring import (CyclotomicElement, GroupRingElement, WhiteheadClass,
-                        wh_class_equal, _is_prime)
+                        wh_class_equal)
+from .lattice import _is_prime
 from .report import ASSUMED, DERIVED, FAILED, VERIFIED, ReportDocument
 from .torsion import inertial_twist_torsion
 

@@ -122,10 +122,10 @@ def inertial_twist(w, i):
     return compose(mid, w)
 
 
-def inertial_twist_torsion(u, i, h_twist=1):
+def inertial_twist_torsion(u, i):
     """Closed multiplicative form of the inertial torsion for odd dimension:
-    the h-pushforward of twist_i(u) * u^{-1}."""
-    return u.twist(i).times(u.inverse_class()).twist(h_twist)
+    twist_i(u) * u^{-1}."""
+    return u.twist(i).times(u.inverse_class())
 
 
 class UnitClassValues:

@@ -411,3 +411,46 @@ def duality_holds(tf, sigma, index_set):
     return tf.target.is_zero_element(tuple(
         x - y - sgn * z for x, y, z in zip(lhs, base, acted)))
 
+
+def face_horn_terms(sigma, i):
+    """Face-horn duality of face ``sigma`` at horn index i, as ``(ident,
+    act)`` face-coefficient dicts of x(d_i sigma) - x(sigma) + T(act),
+    by inclusion-exclusion over every nonempty set of the other boundary
+    faces, one term per set, zeros dropped."""
+    bounds = boundary_faces(sigma)
+    d = len(bounds) - 1
+    sgn = 1 if d % 2 == 0 else -1
+    others = bounds[:i] + bounds[i + 1:]
+    act = {sigma: sgn}
+    for r in range(1, len(others) + 1):
+        for subset in combinations(others, r):
+            inter = sigma
+            for f in subset:
+                inter &= f
+            act[inter] = act.get(inter, 0) + sgn * (-1) ** r
+    return {bounds[i]: 1, sigma: -1}, {f: c for f, c in act.items() if c}
+
+
+def membership_equations(ambient):
+    """The membership constraints at an ambient level as face-block
+    equations ``{k: (a, b)}`` over the proper faces ordered by dimension,
+    then mask: vanishing on the 0-th face region, then the face-horn
+    duality of every face of dimension >= 1 (``face_horn_terms``) in the
+    same order, each horn index in turn; the top face is dropped."""
+    top = (1 << (ambient + 1)) - 1
+    faces = sorted(range(1, top + 1), key=lambda f: (face_dim(f), f))
+    index = {f: k for k, f in enumerate(faces[:-1])}
+
+    def equation(ident, act):
+        return {index[f]: (ident.get(f, 0), act.get(f, 0))
+                for f in sorted(ident.keys() | act.keys()) if f != top}
+
+    region = top & ~1
+    eqs = [equation({sigma: 1, region: -1}, {})
+           for sigma in sorted(index, reverse=True)
+           if sigma != region and sigma & region == sigma]
+    for sigma in faces:
+        if face_dim(sigma) >= 1:
+            eqs.extend(equation(*face_horn_terms(sigma, i))
+                       for i in range(face_dim(sigma) + 1))
+    return eqs, len(index)

@@ -141,14 +141,14 @@ def test_tate_matches_homology_positively_and_periodicity():
 
 def test_double_subgroup():
     zt = InvolutiveAbelianGroup.free(1, 1)
-    assert double_subgroup(zt, "odd").subgroup.is_trivial()
-    even = double_subgroup(zt, "even")
+    assert double_subgroup(zt, 1).subgroup.is_trivial()
+    even = double_subgroup(zt, 0)
     assert str(even.subgroup) == "Z" and str(even.quotient) == "Z/2"
     z6 = InvolutiveAbelianGroup.cyclic(6, 1)
     assert str(double_subgroup(z6, 0).subgroup) == "Z/3"
     zero = InvolutiveAbelianGroup.zero()
-    assert double_subgroup(zero, "odd").subgroup.is_trivial()
-    # integer dimension works as parity input
+    assert double_subgroup(zero, 1).subgroup.is_trivial()
+    # only the parity of the dimension matters
     assert double_subgroup(zt, 11).subgroup.is_trivial()
 
 

@@ -68,6 +68,14 @@ import whcalc.cli
 print(json.dumps([gc.get_freeze_count(), gc.isenabled()]))
 """
 
+COMMAND_IMPORTS_SCRIPT = """
+import contextlib, io, json, sys
+import whcalc.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = whcalc.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
 LIBRARY_GC_SCRIPT = """
 import gc, importlib, json, pkgutil
 import whcalc
@@ -78,12 +86,12 @@ print(json.dumps(gc.get_freeze_count()))
 """
 
 
-def _fresh_interpreter(script):
+def _fresh_interpreter(script, *args):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                         check=True, capture_output=True, text=True).stdout
     return json.loads(out)
 
 
@@ -111,6 +119,18 @@ def test_cli_import_set():
     # whcalc module, eager or loaded per subcommand, may bring it back
     assert "dataclasses" not in loaded
     assert "dataclasses" not in _fresh_interpreter(ALL_MODULES_SCRIPT)
+
+
+def test_kapp_commands_skip_the_group_ring():
+    # ``ktheory`` needs only the primality test, which lives in
+    # ``lattice``: loading ``groupring`` would bring ``fractions`` and
+    # ``decimal`` along, most of what a ``kapp`` command spent on imports
+    for argv in (["kapp", "tor", "--p", "7", "--i", "2"],
+                 ["kapp", "k3", "--p", "7"]):
+        code, loaded = _fresh_interpreter(COMMAND_IMPORTS_SCRIPT, *argv)
+        assert code == 0
+        assert "whcalc.ktheory" in loaded
+        assert not {"whcalc.groupring", "fractions"} & set(loaded), argv
 
 
 def test_only_the_cli_freezes_the_start_up_heap():

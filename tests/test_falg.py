@@ -735,6 +735,14 @@ def test_moore_homotopy_examples():
         assert moore_homotopy(zero, n).is_trivial()
 
 
+@pytest.mark.parametrize("ambient", range(1, 7))
+def test_membership_rows_match_inclusion_exclusion(ambient):
+    # the closed-form face-horn coefficients against the subset loop,
+    # beyond the ambient 4 that the degree cap lets the solvers reach
+    eqs, n_faces = falg._membership_rows(ambient)
+    assert (list(eqs), n_faces) == _oracles.membership_equations(ambient)
+
+
 def cached_equations():
     return repr([falg._membership_rows(a) for a in range(1, 5)]
                 + [falg._face_rows(d, i) for d in range(4)

@@ -6,18 +6,28 @@
 cannot reach the other, so a call trace of both over the benchmark's
 sweep targets lists the whcalc functions each runs, and every function
 both run must be on ``SHARED``.
+
+The element checks of ``falg`` (``check_square`` and the dualities) and
+its constraint equations (``_membership_rows`` under ``falg_group``)
+cross-check each other the same way, so they too may share only what
+``ELEMENT_SHARED`` lists.
 """
 
 from __future__ import annotations
 
+import random
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import whcalc
 from whcalc.abelian import InvolutiveAbelianGroup, homology_c2
-from whcalc.falg import moore_homotopy
+from whcalc.falg import (TorsionFunctor, _proper_faces, _top_mask,
+                         all_dualities_hold, check_square, falg_group,
+                         generalized_duality_holds, iota_shriek,
+                         moore_homotopy)
 
 PACKAGE = Path(whcalc.__file__).resolve().parent
 
@@ -41,6 +51,28 @@ SHARED = {
 }
 
 
+# The element checks and the constraint equations both enumerate the
+# faces of the ambient simplex and sign terms by parity; they share
+# nothing that turns faces into coefficients.
+ELEMENT_SHARED = {
+    # the integer kernel: the square basis and the solution lattices
+    ("lattice.py", None),
+    ("_snf/pure.py", None),
+    # the value base classes only store and compare fields
+    ("_value.py", None),
+    # face bitmasks: vertices, dimension, boundary faces and subfaces
+    ("simplicial.py", "vertices_of"),
+    ("simplicial.py", "face_dim"),
+    ("simplicial.py", "face_boundary"),
+    ("simplicial.py", "subfaces"),
+    # the faces of the ambient simplex, its top face and (-1)^k
+    ("falg.py", "_all_faces"),
+    ("falg.py", "_proper_faces"),
+    ("falg.py", "_top_mask"),
+    ("falg.py", "_sign"),
+}
+
+
 def clear_caches():
     """Empty every whcalc lru cache, so a traced call runs in full."""
     for name, module in list(sys.modules.items()):
@@ -50,9 +82,9 @@ def clear_caches():
                     obj.cache_clear()
 
 
-def traced(path):
-    """The (file, qualified name) of every whcalc function ``path`` runs
-    on the sweep targets at n = 0..3, from cold caches."""
+def traced(run):
+    """The (file, qualified name) of every whcalc function ``run()`` runs,
+    from cold caches."""
     codes = set()
 
     def on_call(frame, event, arg):
@@ -62,9 +94,7 @@ def traced(path):
     previous = sys.gettrace()
     sys.settrace(on_call)
     try:
-        for target in SWEEP_TARGETS:
-            for n in range(4):
-                path(target, n)
+        run()
     finally:
         sys.settrace(previous)
     out = set()
@@ -75,20 +105,69 @@ def traced(path):
     return out
 
 
-def allowed(file, qualname):
-    return any(file == f and (name is None or qualname == name
-                              or qualname.startswith(name + ".<locals>."))
-               for f, name in SHARED)
+def sweep(path):
+    """Run ``path`` on the sweep targets at n = 0..3."""
+    def run():
+        for target in SWEEP_TARGETS:
+            for n in range(4):
+                path(target, n)
+    return run
+
+
+def element_checks():
+    """``check_square``, ``all_dualities_hold`` and every generalized
+    duality of the top face, on the zero functor and a random one at
+    ambient 1..3 over the sweep targets."""
+    rng = random.Random(7)
+    for target in SWEEP_TARGETS:
+        g = target.generator_count
+        for p in range(1, 4):
+            values = {f: tuple(rng.randrange(4) for _ in range(g))
+                      for f in _proper_faces(p)}
+            for tf in (TorsionFunctor.zero(p, target),
+                       iota_shriek(values, p, target)):
+                check_square(tf)
+                all_dualities_hold(tf)
+                for r in range(1, p + 1):
+                    for index_set in combinations(range(p + 1), r):
+                        generalized_duality_holds(tf, _top_mask(p), index_set)
+
+
+def constraint_groups():
+    """``falg_group`` at p = 0..2, the ambients of ``element_checks``."""
+    for target in SWEEP_TARGETS:
+        for p in range(3):
+            falg_group(target, p)
+
+
+def not_allowed(shared, allow):
+    return sorted(c for c in shared if not any(
+        c[0] == f and (name is None or c[1] == name
+                       or c[1].startswith(name + ".<locals>."))
+        for f, name in allow))
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11),
                     reason="qualified code names need Python 3.11")
 def test_homotopy_and_homology_share_only_the_allowed_functions():
-    constraint = traced(moore_homotopy)
-    homology = traced(homology_c2)
+    constraint = traced(sweep(moore_homotopy))
+    homology = traced(sweep(homology_c2))
     assert ("falg.py", "moore_homotopy") in constraint
     assert ("abelian.py", "homology_c2") in homology
     shared = constraint & homology
     assert ("lattice.py", "_eliminate") in shared
-    assert not [c for c in shared if not allowed(*c)], sorted(
-        c for c in shared if not allowed(*c))
+    assert not not_allowed(shared, SHARED), not_allowed(shared, SHARED)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="qualified code names need Python 3.11")
+def test_element_checks_and_constraint_rows_share_only_face_helpers():
+    elements = traced(element_checks)
+    constraint = traced(constraint_groups)
+    assert {("falg.py", "check_square"), ("falg.py", "_duality_form"),
+            ("falg.py", "_union_coeffs")} <= elements
+    assert ("falg.py", "_membership_rows") in constraint
+    shared = elements & constraint
+    assert ("lattice.py", "_eliminate") in shared
+    assert not not_allowed(shared, ELEMENT_SHARED), \
+        not_allowed(shared, ELEMENT_SHARED)

@@ -150,7 +150,7 @@ def test_inertial_twist_matches_closed_form():
             continue
         i = rng.choice([1, 2, 3, 4, 5, 6])
         via_chain = inertial_twist(w, i)
-        closed = inertial_twist_torsion(w.torsion, i, w.twist)
+        closed = inertial_twist_torsion(w.torsion, i).twist(w.twist)
         assert wh_class_equal(via_chain.torsion, closed)
 
 

@@ -41,7 +41,7 @@ FROZEN = [
     (InvolutiveAbelianGroup,
      lambda: InvolutiveAbelianGroup.from_factors([2, 4], -1),
      ("generator_count", "relations", "involution")),
-    (DoubleSubgroup, lambda: double_subgroup(_z2(), "even"),
+    (DoubleSubgroup, lambda: double_subgroup(_z2(), 0),
      ("generators", "subgroup", "quotient")),
     (FAlgElement, lambda: FAlgElement.zero(_z2(), 1), ("functor",)),
     (SubComplex, lambda: full_simplex(2), ("p", "faces")),
