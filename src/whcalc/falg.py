@@ -25,23 +25,33 @@ face-attachment steps of each complex (``_attachment_plan``), the
 (face, omitted index) pairs of its face-horn dualities
 (``_face_horns``) and, per involution T, face and index set, one
 linear form per output coordinate of a generalized duality
-(``_duality_form``), shared by every target with the same action.  The
-duality holds when L(v) - sgn T(R(v)) lies in the relation lattice,
-where L and R collapse the inclusion-exclusion over the boundary faces
-in the index set and its complement (``_union_coeffs``).
-Everything that depends on the functor stays per functor: its value on
-each subcomplex, through ``value_on`` with the two-attachment-order
-check, and one relation-lattice membership test per square-basis form
-or per duality.  The constraint equations of the homotopy path
-(``_membership_rows``, integer rows only after their presolve) write
-each face-horn duality from its closed form, one signed term per face
-containing the horn's vertex, and use none of these plans, so the
-element checks and the constraint systems still cross-check each other.
+(``_duality_form``).  The duality holds when L(v) - sgn T(R(v)) lies in
+the relation lattice, where L and R collapse the inclusion-exclusion
+over the boundary faces in the index set and its complement
+(``_union_coeffs``).  These are compiled once per ambient and number of
+coordinates g against the flat face-value vector of a functor
+(``TorsionFunctor.flat``, face mask times g plus coordinate): each form
+becomes index and coefficient tuples (``_compile_row``), shared by every
+target with the same action, the forms of all face-horn dualities are
+stacked (``_horn_rows``), and the attachment plans become one program
+per set of complexes in evaluation order (``_attachment_program``, and
+``_square_program`` with the square-basis forms over its values).
+Everything that depends on the functor stays per functor and runs on
+every functor: its flat vector, reduced in one blockwise call, every
+program with its two-attachment-order guard (``_evaluate``), and one
+blockwise relation-lattice membership test per duality, per set of
+stacked forms and per program's guard.  The constraint equations of the
+homotopy path (``_membership_rows``, integer rows only after their
+presolve) write each face-horn duality from its closed form, one signed
+term per face containing the horn's vertex, and use none of these
+plans, so the element checks and the constraint systems still
+cross-check each other.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter, mul
 
 from . import lattice
 from ._value import Frozen, Record
@@ -173,16 +183,110 @@ def _attachment_plan(faces):
     return None, tuple(admissible)
 
 
-def _combine(form, values, g):
-    """sum of coefficient * values[key] over the ``(key, coefficient)``
-    pairs of ``form``, unreduced."""
-    return [sum([c * values[key][r] for key, c in form]) for r in range(g)]
+@lru_cache(maxsize=None)
+def _attachment_program(ambient, complexes, g):
+    """The face-attachment steps that evaluate a functor at this ambient,
+    with g coordinates, on each complex of the tuple ``complexes``.
+
+    Returns ``(steps, starts)`` for ``_evaluate``, which extends a copy of
+    the flat face-value vector (``TorsionFunctor.flat``) by one slot of g
+    coordinates per complex of the dependency closure of
+    ``_attachment_plan`` with several maximal faces, in evaluation order;
+    a complex with one maximal face is that face's slot.  Per new
+    coordinate, ``steps`` holds the six indices ``(a, b, c, a2, b2, c2)``
+    of its two attachment orders, value(a) + value(b) - value(c) with b
+    the attached face, the second order repeating the first where only
+    one is admissible.  ``starts`` indexes the first coordinate of each
+    complex of ``complexes``.  Raises NotContractibleError for a complex
+    that no attachment order reaches.
+    """
+    top = _top_mask(ambient)
+    slots = {}
+    orders = []
+
+    def visit(faces):
+        slot = slots.get(faces)
+        if slot is None:
+            face, plan = _attachment_plan(faces)
+            if face is not None:
+                slot = face
+            elif not plan:
+                raise NotContractibleError(
+                    "no admissible face-attachment order for this complex")
+            else:
+                attach = [(visit(rest), sigma, visit(inter))
+                          for sigma, rest, inter in plan]
+                slot = top + 1 + len(orders)
+                orders.append(attach[0] + attach[-1])
+            slots[faces] = slot
+        return slot
+
+    starts = tuple(visit(faces) * g for faces in complexes)
+    steps = tuple(tuple(slot * g + r for slot in order)
+                  for order in orders for r in range(g))
+    return steps, starts
+
+
+def _evaluate(tf, steps):
+    """The flat face values of ``tf`` extended by the complexes of an
+    ``_attachment_program``, unreduced.
+
+    Every complex is evaluated along both of its attachment orders, and
+    InconsistentFunctorError is raised unless the two agree modulo the
+    relations on each of them: one stacked membership test.
+    """
+    vals = list(tf.flat)
+    diffs = []
+    for a, b, c, a2, b2, c2 in steps:
+        x = vals[a] + vals[b] - vals[c]
+        vals.append(x)
+        diffs.append(x - vals[a2] - vals[b2] + vals[c2])
+    if not tf.target.is_zero_element(diffs):
+        raise InconsistentFunctorError(
+            "attachment orders disagree: malformed functor data")
+    return vals
+
+
+def _compile_row(terms):
+    """A linear form over a flat vector, from its ``(index, coefficient)``
+    terms, as ``(getter, coefficients)``: its value on ``vec`` is
+    ``sum(map(mul, coefficients, getter(vec)))``.  A form of fewer than
+    two terms is padded with index 0 at coefficient 0, so that the
+    ``itemgetter`` always returns a tuple."""
+    terms = list(terms) + [(0, 0)] * (2 - len(terms))
+    index, coeffs = zip(*terms)
+    return itemgetter(*index), coeffs
+
+
+def _rows_vanish(target, rows, vec):
+    """Whether every compiled row of ``rows`` takes ``vec`` into the
+    relation lattice, as one membership test of the stacked values."""
+    return target.is_zero_element([sum(map(mul, coeffs, get(vec)))
+                                   for get, coeffs in rows])
+
+
+def _refuse_face_values(ambient, face_values, g):
+    """Raise the ValueError for the first proper face, in ``_all_faces``
+    order, whose value is missing or has a length other than g."""
+    top = _top_mask(ambient)
+    for face in _all_faces(ambient):
+        if face == top:
+            continue
+        if face not in face_values:
+            raise ValueError(f"missing value on face {face_str(face)}")
+        if len(face_values[face]) != g:
+            raise ValueError("face value has wrong coordinate length")
 
 
 class TorsionFunctor:
     """Functor on contractible subcomplexes of the ambient simplex,
     valued in an involutive abelian group, satisfying the pushout-square
     condition by construction when built from face values alone.
+
+    The face values are stored once, reduced, as the flat tuple ``flat``:
+    the g coordinates of the face with mask f sit at f*g .. f*g + g - 1,
+    with zeros for the empty mask 0 and the top face.  ``values`` derives
+    the ``{face: value}`` dict from it.
 
     ``table``-backed instances carry explicit values on every
     contractible subcomplex instead and may fail the square condition;
@@ -192,31 +296,28 @@ class TorsionFunctor:
     raises ValueError.
     """
 
-    __slots__ = ("ambient", "target", "values", "table", "_memo")
+    __slots__ = ("ambient", "target", "flat", "table")
 
     def __init__(self, ambient, target, face_values, table=None):
         self.ambient = ambient
         self.target = target
         g = target.generator_count
-        zero = (0,) * g
-        values = {}
-        for face in _all_faces(ambient):
-            if face == _top_mask(ambient):
-                continue
-            if face not in face_values:
-                raise ValueError(f"missing value on face {face_str(face)}")
-            vec = tuple(face_values[face])
-            if len(vec) != g:
-                raise ValueError("face value has wrong coordinate length")
-            values[face] = target.reduce(vec)
         top = _top_mask(ambient)
+        flat = [0] * g
+        # by mask, so that a missing face stops the loop before the
+        # vector grows past the faces found
+        for face in range(1, top):
+            vec = face_values.get(face)
+            if vec is None or len(vec) != g:
+                _refuse_face_values(ambient, face_values, g)
+            flat += vec
         if top in face_values:
             if len(face_values[top]) != g:
                 raise ValueError("face value has wrong coordinate length")
             if not target.is_zero_element(face_values[top]):
                 raise ValueError("the top face value must be zero")
-        values[top] = zero
-        self.values = values
+        flat += [0] * g
+        self.flat = target.reduce(flat)
         self.table = None
         if table is not None:
             if set(table) != {tuple(sorted(k))
@@ -224,7 +325,13 @@ class TorsionFunctor:
                 raise ValueError("a table must hold exactly the "
                                  "contractible subcomplexes")
             self.table = {k: target.reduce(v) for k, v in table.items()}
-        self._memo = {}
+
+    @property
+    def values(self):
+        """A fresh ``{face: value}`` dict of every face, the top included."""
+        g, flat = self.target.generator_count, self.flat
+        return {f: flat[f * g:f * g + g]
+                for f in range(1, _top_mask(self.ambient) + 1)}
 
     # -- group structure -------------------------------------------------
 
@@ -239,8 +346,9 @@ class TorsionFunctor:
                 or other.ambient != self.ambient \
                 or other.target != self.target:
             raise ValueError("functor mismatch")
-        vals = {f: tuple(op(x, y) for x, y in zip(self.values[f], other.values[f]))
-                for f in _proper_faces(self.ambient)}
+        vals, others = self.values, other.values
+        vals = {f: tuple(op(x, y) for x, y in zip(v, others[f]))
+                for f, v in vals.items()}
         table = None
         if self.table is not None and other.table is not None:
             table = {k: tuple(op(x, y) for x, y in zip(v, other.table[k]))
@@ -254,26 +362,24 @@ class TorsionFunctor:
         return self._binary(other, lambda x, y: x - y)
 
     def __neg__(self):
-        vals = {f: tuple(-x for x in v) for f, v in self.values.items()
-                if f != _top_mask(self.ambient)}
+        vals = {f: tuple(-x for x in v) for f, v in self.values.items()}
         table = None
         if self.table is not None:
             table = {k: tuple(-x for x in v) for k, v in self.table.items()}
         return TorsionFunctor(self.ambient, self.target, vals, table)
 
     def is_zero(self):
-        zero = (0,) * self.target.generator_count
-        return all(v == zero for v in self.values.values())
+        return not any(self.flat)
 
     def __eq__(self, other):
         return (isinstance(other, TorsionFunctor)
                 and self.ambient == other.ambient
                 and self.target == other.target
-                and self.values == other.values
+                and self.flat == other.flat
                 and self.table == other.table)
 
     def __hash__(self):
-        return hash((self.ambient, tuple(sorted(self.values.items()))))
+        return hash((self.ambient, self.flat))
 
     # -- evaluation --------------------------------------------------------
 
@@ -293,32 +399,10 @@ class TorsionFunctor:
         if not _collapses_to_point(faces):
             raise NotContractibleError(
                 "torsion functors are defined on contractible subcomplexes only")
-        return self._value(faces)
-
-    def _value(self, faces):
-        memo = self._memo
-        if faces in memo:
-            return memo[faces]
-        face, steps = _attachment_plan(faces)
-        if face is not None:
-            out = self.values[face]
-        elif not steps:
-            raise NotContractibleError(
-                "no admissible face-attachment order for this complex")
-        else:
-            out = self._attach(*steps[0])
-            if len(steps) > 1 and self._attach(*steps[1]) != out:
-                raise InconsistentFunctorError(
-                    "attachment orders disagree: malformed functor data")
-        memo[faces] = out
-        return out
-
-    def _attach(self, sigma, rest_closure, inter):
-        a = self._value(rest_closure)
-        b = self.values[sigma]
-        c = self._value(inter)
-        return self.target.reduce(
-            tuple(x + y - z for x, y, z in zip(a, b, c)))
+        g = self.target.generator_count
+        steps, (start,) = _attachment_program(self.ambient, (faces,), g)
+        vals = _evaluate(self, steps)
+        return self.target.reduce(vals[start:start + g])
 
     def pair_value(self, larger, smaller):
         """tau(L, K) = tau(top, K) - tau(top, L) for K inside L."""
@@ -334,9 +418,10 @@ class TorsionFunctor:
         makes the inclusion-exclusion expansion exact in one pass; its
         collapsed coefficients come from ``_union_coeffs``.
         """
-        return self.target.reduce(_combine(
-            _union_coeffs(self.ambient, set(face_list)), self.values,
-            self.target.generator_count))
+        coeffs = _union_coeffs(self.ambient, set(face_list))
+        g, flat = self.target.generator_count, self.flat
+        return self.target.reduce(
+            [sum([c * flat[f * g + r] for f, c in coeffs]) for r in range(g)])
 
     # -- cosimplicial structure maps ----------------------------------------
 
@@ -346,11 +431,11 @@ class TorsionFunctor:
         p = self.ambient
         if not 0 <= j <= p:
             raise IndexError("coface index out of range")
-        base = self.values[_top_mask(p) & ~(1 << j)]
+        values = self.values
+        base = values[_top_mask(p) & ~(1 << j)]
         vals = {}
         for sigma in _proper_faces(p - 1):
-            img = coface_face(sigma, j)
-            v = self.values[img]
+            v = values[coface_face(sigma, j)]
             vals[sigma] = tuple(x - y for x, y in zip(v, base))
         return TorsionFunctor(p - 1, self.target, vals)
 
@@ -360,13 +445,13 @@ class TorsionFunctor:
         p = self.ambient
         if not 0 <= j <= p:
             raise IndexError("codegeneracy index out of range")
-        vals = {}
-        for sigma in _proper_faces(p + 1):
-            vals[sigma] = self.values[codegeneracy_face(sigma, j)]
+        values = self.values
+        vals = {sigma: values[codegeneracy_face(sigma, j)]
+                for sigma in _proper_faces(p + 1)}
         return TorsionFunctor(p + 1, self.target, vals)
 
     def face_values_copy(self):
-        return dict(self.values)
+        return self.values
 
     def __repr__(self):
         parts = ", ".join(f"{face_str(f)}:{list(v)}"
@@ -467,31 +552,51 @@ def raw_degeneracy(tf, i):
     return TorsionFunctor(p, tf.target, face_values, table)
 
 
+@lru_cache(maxsize=None)
+def _square_program(p, g):
+    """``check_square`` at ambient p for g coordinates, compiled.
+
+    Returns ``(steps, starts, rows)``: the ``_attachment_program`` of the
+    subcomplexes that some square uses (``_square_basis``, in its order),
+    and the g rows of each ``_square_basis`` form over the values that
+    program leaves, compiled by ``_compile_row`` and stacked.
+    """
+    keys = _contractible_keys(p)
+    used, basis = _square_basis(p)
+    steps, starts = _attachment_program(p, tuple(keys[k] for k in used), g)
+    start = dict(zip(used, starts))
+    rows = tuple(_compile_row([(start[k] + r, c) for k, c in form])
+                 for form in basis for r in range(g))
+    return steps, starts, rows
+
+
 def check_square(tf):
     """Exhaustively verify the pushout-square condition (ambient <= 3).
 
-    Per functor, every contractible subcomplex that some square uses is
-    evaluated by ``value_on`` once, so table lookups, the contractibility
-    check and the two-order guard of ``_value`` all still run; a table
-    holds every such subcomplex, so no lookup misses.  Then each form of
-    the per-ambient ``_square_basis`` (50 forms for the 1180 squares at
-    ambient 3) is tested for membership in the relation lattice, which
-    holds for all of them exactly when it holds for every square.  The
-    constraint equations of ``_membership_rows`` share none of this.
+    Per functor, every contractible subcomplex that some square uses gets
+    its value once: from the table of a table-backed functor, or else by
+    running the per-ambient ``_square_program`` through ``_evaluate``,
+    whose two-order guard still runs on every complex.  Then the stacked
+    forms of the per-ambient ``_square_basis`` (50 forms for the 1180
+    squares at ambient 3) are tested for membership in the relation
+    lattice in one call, which holds for all of them exactly when it
+    holds for every square.  The constraint equations of
+    ``_membership_rows`` share none of this.
     """
     p = tf.ambient
-    keys = _contractible_keys(p)
-    used, basis = _square_basis(p)
-    target = tf.target
-    g = target.generator_count
-    values = [None] * len(keys)
-    for k in used:
-        values[k] = tf.value_on(keys[k])
-    return all(target.is_zero_element(_combine(form, values, g))
-               for form in basis)
+    g = tf.target.generator_count
+    steps, starts, rows = _square_program(p, g)
+    if tf.table is None:
+        vals = _evaluate(tf, steps)
+    else:
+        keys = _contractible_keys(p)
+        used, _basis = _square_basis(p)
+        vals = list(tf.flat) + [0] * len(steps)
+        for k, start in zip(used, starts):
+            vals[start:start + g] = tf.table[tuple(sorted(keys[k]))]
+    return _rows_vanish(tf.target, rows, vals)
 
 
-@lru_cache(maxsize=None)
 def _duality_form(involution, ambient, sigma, index_set):
     """The generalized duality of face ``sigma`` at ``index_set`` under
     the involution T, as one linear form.
@@ -509,7 +614,7 @@ def _duality_form(involution, ambient, sigma, index_set):
     sum of coefficient * v[face][j].  For even-dimensional sigma under the
     identity (odd under -1) the two ``(sigma, -1)`` terms cancel.  The
     form depends on the target only through ``involution``, so targets
-    with the same action share it.
+    with the same action share its compiled rows (``_compiled_duality``).
     """
     d = face_dim(sigma)
     idx = sorted(set(index_set))
@@ -535,18 +640,21 @@ def _duality_form(involution, ambient, sigma, index_set):
     return tuple(forms)
 
 
-def _duality_vanishes(tf, forms):
-    """One relation-lattice membership test of a ``_duality_form``."""
-    values = tf.values
-    return tf.target.is_zero_element(
-        [sum([c * values[f][j] for f, j, c in form]) for form in forms])
+@lru_cache(maxsize=None)
+def _compiled_duality(involution, ambient, sigma, index_set):
+    """The rows of ``_duality_form`` over the flat face-value vector,
+    compiled by ``_compile_row``: one per output coordinate."""
+    g = len(involution)
+    return tuple(_compile_row([(f * g + j, c) for f, j, c in form])
+                 for form in _duality_form(involution, ambient, sigma,
+                                           index_set))
 
 
 def _duality_ok(tf, sigma, i):
     """Face-horn duality of tau at ``sigma`` for the omitted index i: the
     generalized duality at the index set {i}."""
-    return _duality_vanishes(tf, _duality_form(
-        tf.target.involution, tf.ambient, sigma, (i,)))
+    return _rows_vanish(tf.target, _compiled_duality(
+        tf.target.involution, tf.ambient, sigma, (i,)), tf.flat)
 
 
 def check_face_horn_duality(tf, sigma):
@@ -564,16 +672,26 @@ def _face_horns(ambient):
                  if face_dim(sigma) >= 1 for i in range(face_dim(sigma) + 1))
 
 
+@lru_cache(maxsize=None)
+def _horn_rows(involution, ambient):
+    """The ``_compiled_duality`` rows of every face-horn duality, in
+    ``_face_horns`` order, stacked: one block of g rows per horn."""
+    return tuple(row for sigma, i in _face_horns(ambient)
+                 for row in _compiled_duality(involution, ambient, sigma, (i,)))
+
+
 def all_dualities_hold(tf):
-    """Face-horn duality at every face, one ``_duality_ok`` per horn."""
-    return all(_duality_ok(tf, sigma, i) for sigma, i in _face_horns(tf.ambient))
+    """Face-horn duality at every face: every horn's rows (``_horn_rows``)
+    in one membership test."""
+    return _rows_vanish(tf.target, _horn_rows(tf.target.involution,
+                                              tf.ambient), tf.flat)
 
 
 def generalized_duality_holds(tf, sigma, index_set):
     """tau(sigma, boundary union over I) against the complementary union,
-    as one membership test of the folded ``_duality_form``."""
-    return _duality_vanishes(tf, _duality_form(
-        tf.target.involution, tf.ambient, sigma, tuple(index_set)))
+    as one membership test of the compiled ``_duality_form``."""
+    return _rows_vanish(tf.target, _compiled_duality(
+        tf.target.involution, tf.ambient, sigma, tuple(index_set)), tf.flat)
 
 
 def _pure_boundary(k_faces):
@@ -639,13 +757,10 @@ def duality_criterion(tf):
 
 
 def _z_condition_holds(tf):
-    p = tf.ambient
-    region = _top_mask(p) & ~1
-    base = tf.values[region]
-    for sigma in subfaces(region):
-        if tf.values[sigma] != base:
-            return False
-    return True
+    g, flat = tf.target.generator_count, tf.flat
+    region = _top_mask(tf.ambient) & ~1
+    base = flat[region * g:region * g + g]
+    return all(flat[f * g:f * g + g] == base for f in subfaces(region))
 
 
 class FAlgElement(Frozen):
@@ -721,7 +836,8 @@ class FAlgElement(Frozen):
 
     def psi_value(self):
         """Evaluation at the 0-th vertex (the chain isomorphism to A)."""
-        return self.functor.values[1]
+        g = self.target.generator_count
+        return self.functor.flat[g:2 * g]
 
     def to_dict(self, target_name=None):
         """The form ``parse_dict`` reads; refused above degree 8, whose
@@ -996,16 +1112,9 @@ class FAlgGroup(Record):
     def element_vectors(self):
         """All solution vectors, canonically reduced per face block."""
         g = self.target.generator_count
-
-        def reduce_vec(vec):
-            out = []
-            for k in range(len(self.faces)):
-                out.extend(self.target.reduce(vec[k * g:(k + 1) * g]))
-            return tuple(out)
-
         return lattice.span_elements(
             self.generator_vectors, self.isomorphism_type.invariant_factors,
-            len(self.faces) * g, reduce_vec)
+            len(self.faces) * g, self.target.reduce)
 
     def elements(self):
         g = self.target.generator_count

@@ -8,6 +8,8 @@ eliminating functions (kernels, bases, quotients, ``Lattice``) may also
 be sparse ``{index: value}`` dicts, as ``falg`` expands its face-block
 equations after their presolve.  Kernel bases and the echelon columns
 of ``Lattice`` are such dicts; every other result is dense.
+``Lattice.reduce`` and ``Lattice.contains`` take k vectors of Z^dim at
+once, stacked into one vector of k * dim coordinates.
 Kernels, lattice bases, quotient coordinates and the echelon bases of
 ``Lattice`` come from one sparse unimodular column elimination
 (``_eliminate``; Dumas, Saunders and Villard 2001, Kaczynski, Mischaikow
@@ -18,6 +20,8 @@ square systems of ``solve``.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from . import _snf
 from ._snf.pure import identity
@@ -38,14 +42,12 @@ def _is_prime(p):
 def mat_mul(a, b):
     if not a:
         return []
-    n = len(b)
-    cols = len(b[0]) if n else 0
-    bt = list(zip(*b)) if n else []
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    bt = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def from_columns(cols, dim):
@@ -324,40 +326,67 @@ def span_elements(gens, orders, dim, reduce):
 class Lattice:
     """Sublattice of Z^dim spanned by ``gens``, with canonical coset reps.
 
-    The basis is the sparse column echelon form from ``_eliminate``, so
-    ``reduce`` subtracts only the nonzeros of each pivot column.  ``reduce``
-    returns the unique representative whose entry at each pivot row lies
-    in [0, pivot); pivot rows and positive pivot values are invariants of
-    the lattice, so the representative does not depend on the generators.
+    The basis is the sparse column echelon form from ``_eliminate``.
+    ``reduce`` returns the unique representative whose entry at each
+    pivot row lies in [0, pivot); pivot rows and positive pivot values
+    are invariants of the lattice, so the representative does not depend
+    on the generators.  ``reduce`` and ``contains`` take a vector of
+    k * dim coordinates, k blocks of ``dim`` (k = 1 is a single vector),
+    and treat each block as its own vector of Z^dim: one call reduces or
+    tests every block, pivot by pivot over all blocks.  Each pivot
+    subtracts only the other nonzeros of its column, and a pivot column
+    with no other nonzero reduces by one modulo.
     """
 
     def __init__(self, gens, dim):
+        self.dim = dim
         self.pivots, _kernel = _eliminate([_sparse(g) for g in gens])
+        # (row, pivot, the column's other entries as (offset from row,
+        # value)), an empty tuple for a single-entry column
+        self._steps = tuple(
+            (row, col[row], tuple((i - row, x) for i, x in col.items()
+                                  if i != row))
+            for row, col in self.pivots)
 
     def reduce(self, v):
-        """Canonical representative of ``v`` modulo the lattice."""
+        """Canonical representative of every block of ``v`` modulo the
+        lattice, as one tuple."""
         v = list(v)
-        for row, col in self.pivots:
-            q = v[row] // col[row]
-            if q:
-                for i, x in col.items():
-                    v[i] -= q * x
+        n, dim = len(v), self.dim
+        if n % dim if dim else n:
+            raise ValueError(f"{n} coordinates are not blocks of {dim}")
+        for row, d, rest in self._steps:
+            if not rest:
+                v[row::dim] = [x % d for x in v[row::dim]]
+                continue
+            for i in range(row, n, dim):
+                q = v[i] // d
+                if q:
+                    v[i] -= q * d
+                    for j, x in rest:
+                        v[i + j] -= q * x
         return tuple(v)
 
     def contains(self, v):
-        """Whether ``v`` lies in the lattice: ``reduce(v)`` is zero.
+        """Whether every block of ``v`` lies in the lattice: ``reduce(v)``
+        is zero.
 
-        Stops at the first pivot row whose entry the pivot does not
-        divide: the pivots of later rows are zero there, so that entry of
+        Stops at the first pivot entry that its pivot does not divide:
+        the pivots of later rows are zero there, so that entry of
         ``reduce(v)`` is already final and nonzero.
         """
         v = list(v)
-        for row, col in self.pivots:
-            x = v[row]
-            if x:
-                if x % col[row]:
-                    return False
-                q = x // col[row]
-                for i, y in col.items():
-                    v[i] -= q * y
+        n, dim = len(v), self.dim
+        if n % dim if dim else n:
+            raise ValueError(f"{n} coordinates are not blocks of {dim}")
+        for row, d, rest in self._steps:
+            for i in range(row, n, dim):
+                x = v[i]
+                if x:
+                    if x % d:
+                        return False
+                    v[i] = 0
+                    q = x // d
+                    for j, y in rest:
+                        v[i + j] -= q * y
         return not any(v)

@@ -4,7 +4,10 @@ Everything here is deliberately implemented by a different route than
 the package: fraction-free (Bareiss) elimination instead of integer SNF,
 brute-force element enumeration instead of lattice subquotients,
 Sylvester resultants instead of conjugate products, and plain pair and
-subset loops instead of the per-ambient plans of ``whcalc.falg``.
+subset loops instead of the per-ambient plans of ``whcalc.falg``.  The
+one exception is ``attached_value``, which walks the attachment plans
+of ``falg`` recursively, as ``TorsionFunctor`` did before it compiled
+them into programs.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from itertools import combinations
 from math import gcd
 
 from whcalc.abelian import FgAbGroup
+from whcalc.falg import (InconsistentFunctorError, NotContractibleError,
+                         _attachment_plan)
 from whcalc.simplicial import (enumerate_contractible_subcomplexes, face_dim,
                                vertices_of)
 
@@ -375,6 +380,42 @@ def union_of_faces_value(tf, faces):
                 return None
             acc = [a + sign * v for a, v in zip(acc, tf.values[inter])]
     return tf.target.reduce(tuple(acc))
+
+
+def attached_value(tf, faces, memo=None):
+    """The value of ``tf`` on a contractible complex by recursive face
+    attachment, each step reduced and memoized per complex.
+
+    The evaluator ``TorsionFunctor`` had before its attachment programs:
+    it walks ``falg._attachment_plan`` itself, attaches the face values by
+    dict, and compares the reduced values of both attachment orders
+    (InconsistentFunctorError when they differ, NotContractibleError when
+    no order is admissible).
+    """
+    memo = {} if memo is None else memo
+    faces = frozenset(faces)
+    if faces in memo:
+        return memo[faces]
+    values = tf.values
+    face, steps = _attachment_plan(faces)
+    if face is not None:
+        out = values[face]
+    elif not steps:
+        raise NotContractibleError(
+            "no admissible face-attachment order for this complex")
+    else:
+        def attach(sigma, rest_closure, inter):
+            a = attached_value(tf, rest_closure, memo)
+            c = attached_value(tf, inter, memo)
+            return tf.target.reduce(
+                tuple(x + y - z for x, y, z in zip(a, values[sigma], c)))
+
+        out = attach(*steps[0])
+        if len(steps) > 1 and attach(*steps[1]) != out:
+            raise InconsistentFunctorError(
+                "attachment orders disagree: malformed functor data")
+    memo[faces] = out
+    return out
 
 
 def boundary_faces(sigma):

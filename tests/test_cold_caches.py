@@ -99,8 +99,9 @@ def test_caches_are_cold_after_import():
     sizes = _fresh_interpreter(SCRIPT)
     # the scan sees the caches it is meant to guard
     assert {"whcalc.falg._square_basis", "whcalc.falg._attachment_plan",
-            "whcalc.falg._duality_form", "whcalc.falg._face_horns",
-            "whcalc.falg._contractible_keys",
+            "whcalc.falg._attachment_program", "whcalc.falg._square_program",
+            "whcalc.falg._compiled_duality", "whcalc.falg._horn_rows",
+            "whcalc.falg._face_horns", "whcalc.falg._contractible_keys",
             "whcalc.simplicial._collapses_to_point",
             "whcalc.lens.reidemeister_torsion"} <= set(sizes)
     assert {name: n for name, n in sizes.items() if n} == {}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, islice, product
+from operator import mul
 
 import pytest
 
@@ -18,7 +19,7 @@ from whcalc.falg import (FAlgElement, InconsistentFunctorError,
                          normalized_group, psi, psi_is_bijective, psi_section,
                          raw_degeneracy)
 from whcalc.simplicial import (SubComplex, boundary_face, face_dim, horn,
-                               single_face)
+                               is_contractible, single_face)
 
 import _oracles
 
@@ -122,15 +123,90 @@ def test_attachment_order_independence_is_checked():
         tf.value_on(k)  # would raise InconsistentFunctorError on failure
 
 
-def test_attachment_order_disagreement_fires():
-    # white box: corrupt one memoized intermediate value so the two
-    # attachment orders of the horn disagree, and check the guard trips
-    tf = functor_from({0b011: (1,), 0b101: (2,), 0b001: (3,)}, 2, Z4)
-    edge = frozenset({0b001, 0b100, 0b101})  # closure of the face 02
-    assert tf.value_on(edge) == (2,)
-    tf._memo[edge] = (0,)  # malformed state
+def _corruptible_step(tf, complexes):
+    """A step of the attachment program of ``complexes`` whose complex
+    has a nonzero intersection term and is read by a later step along
+    one of its attachment orders only: ``(steps, starts, t)``."""
+    g = tf.target.generator_count
+    steps, starts = falg._attachment_program(tf.ambient, complexes, g)
+    vals = falg._evaluate(tf, steps)
+    first = len(tf.flat)
+    for t, (_a, _b, c, *_rest) in enumerate(steps):
+        slot = first + t
+        if tf.target.is_zero_element((vals[c],)):
+            continue
+        if any((slot in s[:3]) != (slot in s[3:]) for s in steps[t + 1:]):
+            return steps, starts, t
+    return None
+
+
+def test_attachment_order_disagreement_fires(monkeypatch):
+    # white box: one complex of an attachment program gets a wrong value,
+    # the same along both of its own attachment orders (its intersection
+    # term dropped), so only a later complex that reads it along one
+    # order can notice; the guard must trip there
+    rng = random.Random(19)
+    fv = {f: (rng.randrange(4),) for f in falg._proper_faces(3)}
+    tf = iota_shriek(fv, 3, Z4)
+    for key in falg._contractible_keys(3):
+        found = _corruptible_step(tf, (key,))
+        if found:
+            break
+    assert found
+    steps, starts, t = found
+    a, b, _c, *_rest = steps[t]
+    corrupt = steps[:t] + ((a, b, 0, a, b, 0),) + steps[t + 1:]
+    assert tf.value_on(key) == _oracles.attached_value(tf, key)
+    monkeypatch.setattr(falg, "_attachment_program",
+                        lambda *args: (corrupt, starts))
     with pytest.raises(InconsistentFunctorError):
-        tf.value_on(horn(2, 0))
+        tf.value_on(key)
+
+
+PROGRAM_TARGETS = [
+    Z4S,
+    InvolutiveAbelianGroup.from_factors([2, 2], -1),
+    InvolutiveAbelianGroup(2, [[2, 0], [0, 2]], [[0, 1], [1, 0]]),
+    InvolutiveAbelianGroup.free(1),
+]
+
+
+def random_contractible(rng, p, count):
+    """``count`` distinct contractible complexes of the p-simplex, each
+    the closure of a few random faces."""
+    faces = list(falg._all_faces(p))
+    out = set()
+    while len(out) < count:
+        k = falg._closure(rng.sample(faces, rng.randint(1, 4)))
+        if is_contractible(SubComplex(p, k)):
+            out.add(k)
+    return sorted(out, key=sorted)
+
+
+@pytest.mark.parametrize("target", PROGRAM_TARGETS)
+def test_attachment_programs_match_the_recursive_evaluator(target):
+    # value_on runs one program per complex and check_square one per
+    # ambient; both against the recursion they replaced, at ambient 1..4
+    rng = random.Random(71)
+    g = target.generator_count
+    for p in (1, 2, 3, 4):
+        keys = falg._contractible_keys(p) if p < 4 \
+            else random_contractible(rng, p, 40)
+        for _ in range(3):
+            fv = {f: tuple(rng.randrange(-5, 6) for _ in range(g))
+                  for f in falg._proper_faces(p)}
+            tf = iota_shriek(fv, p, target)
+            memo = {}
+            for key in keys:
+                assert tf.value_on(key) == \
+                    _oracles.attached_value(tf, key, memo), (p, sorted(key))
+            if p < 4:
+                steps, starts, _rows = falg._square_program(p, g)
+                vals = falg._evaluate(tf, steps)
+                used, _basis = falg._square_basis(p)
+                for k, start in zip(used, starts):
+                    assert target.reduce(vals[start:start + g]) == \
+                        _oracles.attached_value(tf, keys[k], memo)
 
 
 # -- square condition -------------------------------------------------------
@@ -381,33 +457,101 @@ def test_duality_forms_match_plain_arithmetic():
 
 
 def test_all_dualities_hold_checks_each_horn_once(monkeypatch):
-    # one _duality_ok per (face of dimension >= 1, omitted index), so a
-    # trace counts every face-horn check exactly once
-    calls = []
-    original = falg._duality_ok
+    # one block of g stacked rows per (face of dimension >= 1, omitted
+    # index), each horn's own compiled rows, in one membership test
+    tests = []
+    original = InvolutiveAbelianGroup.is_zero_element
 
-    def counted(tf, sigma, i):
-        calls.append((sigma, i))
-        return original(tf, sigma, i)
+    def counted(self, vec):
+        tests.append(len(vec))
+        return original(self, vec)
 
-    monkeypatch.setattr(falg, "_duality_ok", counted)
-    for n in (0, 1, 2, 3):
-        el = psi_section(Z4S, n, (1,))
-        calls.clear()
-        assert all_dualities_hold(el.functor)
-        faces = [s for s in falg._all_faces(n + 1) if face_dim(s) >= 1]
-        assert len(calls) == sum(face_dim(s) + 1 for s in faces)
-        assert sorted(calls) == sorted((s, i) for s in faces
-                                       for i in range(face_dim(s) + 1))
+    monkeypatch.setattr(InvolutiveAbelianGroup, "is_zero_element", counted)
+    z2z2 = InvolutiveAbelianGroup.from_factors([2, 2], -1)
+    for target in (Z4S, z2z2):
+        g = target.generator_count
+        for n in (0, 1, 2, 3):
+            el = psi_section(target, n, (1,) * g)
+            tests.clear()
+            assert all_dualities_hold(el.functor)
+            faces = [s for s in falg._all_faces(n + 1) if face_dim(s) >= 1]
+            horns = [(s, i) for s in faces for i in range(face_dim(s) + 1)]
+            assert sorted(falg._face_horns(n + 1)) == sorted(horns)
+            assert tests == [len(horns) * g]
+            rows = falg._horn_rows(target.involution, n + 1)
+            assert rows == tuple(
+                row for s, i in falg._face_horns(n + 1)
+                for row in falg._compiled_duality(target.involution, n + 1,
+                                                  s, (i,)))
 
 
 def test_targets_with_one_involution_share_duality_forms():
-    # the forms depend on the target only through its involution
-    falg._duality_form.cache_clear()
+    # the compiled forms depend on the target only through its involution
+    falg._compiled_duality.cache_clear()
+    falg._horn_rows.cache_clear()
     for target in (Z2, Z4, Z6):
         assert all_dualities_hold(TorsionFunctor.zero(3, target))
-    assert falg._duality_form.cache_info().currsize == len(
+    assert falg._compiled_duality.cache_info().currsize == len(
         falg._face_horns(3))
+    assert falg._horn_rows.cache_info().currsize == 1
+
+
+def plain_duality(tf, sigma, index_set):
+    """The unreduced output of ``_duality_form`` on ``tf``'s face values,
+    triple by triple."""
+    values = tf.values
+    return [sum(c * values[f][j] for f, j, c in form)
+            for form in falg._duality_form(tf.target.involution, tf.ambient,
+                                           sigma, index_set)]
+
+
+def compiled_duality(tf, sigma, index_set):
+    return [sum(map(mul, coeffs, get(tf.flat)))
+            for get, coeffs in falg._compiled_duality(
+                tf.target.involution, tf.ambient, sigma, index_set)]
+
+
+def test_compiled_and_stacked_forms_match_plain_forms():
+    # exact integer outputs, before any membership test, on members of
+    # F^alg, the same with one face value perturbed, and random values
+    rng = random.Random(73)
+    swap_sq = InvolutiveAbelianGroup(2, [[3, 0], [0, 3]], [[0, 1], [1, 0]])
+    z2z2 = InvolutiveAbelianGroup.from_factors([2, 2], -1)
+    verdicts = set()
+    for target in (Z4S, z2z2, swap_sq):
+        g = target.generator_count
+        for p in (1, 2, 3):
+            faces = falg._proper_faces(p)
+            for el in islice(falg_group(target, p - 1).elements(), 3):
+                fv = el.functor.face_values_copy()
+                face = rng.choice(faces)
+                fv[face] = tuple(x + 1 for x in fv[face])
+                rand = {f: tuple(rng.randrange(-6, 6) for _ in range(g))
+                        for f in faces}
+                for tf in (el.functor, iota_shriek(fv, p, target),
+                           iota_shriek(rand, p, target)):
+                    stacked = []
+                    for sigma, i in falg._face_horns(p):
+                        plain = plain_duality(tf, sigma, (i,))
+                        assert compiled_duality(tf, sigma, (i,)) == plain
+                        stacked += plain
+                    rows = falg._horn_rows(target.involution, p)
+                    assert [sum(map(mul, c, get(tf.flat)))
+                            for get, c in rows] == stacked
+                    held = target.is_zero_element(stacked)
+                    assert all_dualities_hold(tf) is held
+                    verdicts.add(held)
+                    for sigma in falg._all_faces(p):
+                        d = face_dim(sigma)
+                        for r in range(1, d + 1):
+                            for idx in combinations(range(d + 1), r):
+                                plain = plain_duality(tf, sigma, idx)
+                                assert compiled_duality(tf, sigma, idx) \
+                                    == plain
+                                assert generalized_duality_holds(
+                                    tf, sigma, idx) is \
+                                    target.is_zero_element(plain)
+    assert verdicts == {True, False}
 
 
 def test_square_basis_plan():
@@ -422,23 +566,67 @@ def test_square_basis_plan():
     assert ranks == {0: 0, 1: 0, 2: 3, 3: 50}
 
 
-class CountingFunctor(TorsionFunctor):
-    __slots__ = ("calls",)
+def _closure_order(p, complexes):
+    """The complexes with several maximal faces that attaching
+    ``complexes`` needs, each once, in first-finished order, from the
+    attachment plans alone."""
+    out = []
 
-    def value_on(self, complex_or_faces):
-        self.calls.append(frozenset(complex_or_faces))
-        return super().value_on(complex_or_faces)
+    def visit(faces):
+        face, plan = falg._attachment_plan(faces)
+        if face is not None or faces in out:
+            return
+        for _sigma, rest, inter in plan:
+            visit(rest)
+            visit(inter)
+        out.append(faces)
+
+    for faces in complexes:
+        visit(faces)
+    return out
 
 
-def test_check_square_evaluates_each_key_once():
+def test_check_square_evaluates_each_key_once(monkeypatch):
+    # one program run per check, which evaluates every complex that the
+    # used keys need exactly once, and gives every used key its own slot
+    runs = []
+    original = falg._evaluate
+
+    def counted(tf, steps):
+        runs.append(steps)
+        return original(tf, steps)
+
+    monkeypatch.setattr(falg, "_evaluate", counted)
     rng = random.Random(43)
+    z2z2 = InvolutiveAbelianGroup.from_factors([2, 2], -1)
+    for target in (Z4S, z2z2):
+        g = target.generator_count
+        for p in (1, 2, 3):
+            fv = {f: tuple(rng.randrange(4) for _ in range(g))
+                  for f in falg._proper_faces(p)}
+            runs.clear()
+            assert check_square(iota_shriek(fv, p, target))
+            steps, starts, _rows = falg._square_program(p, g)
+            assert runs == [steps]
+            keys = falg._contractible_keys(p)
+            used, _basis = falg._square_basis(p)
+            assert len(set(starts)) == len(used)
+            assert len(steps) == g * len(_closure_order(
+                p, [keys[k] for k in used]))
+
+
+def test_zero_group_has_empty_blocks():
+    # g = 0: the relation lattice has dim 0, so every flat vector, stacked
+    # duality and square form is empty and the block loops never step
+    zero = InvolutiveAbelianGroup.zero()
+    assert zero.relation_lattice().dim == 0
     for p in (1, 2, 3):
-        fv = {f: (rng.randrange(4),) for f in falg._proper_faces(p)}
-        tf = CountingFunctor(p, Z4S, fv)
-        tf.calls = []
+        tf = TorsionFunctor.zero(p, zero)
+        assert tf.flat == () and tf.is_zero()
+        assert all_dualities_hold(tf)
         assert check_square(tf)
-        assert sorted(tf.calls, key=sorted) == \
-            sorted(falg._contractible_keys(p), key=sorted)
+        assert all(tf.value_on(k) == () for k in falg._contractible_keys(p))
+    assert FAlgElement.zero(zero, 2).psi_value() == ()
 
 
 def test_union_of_faces_value_matches_inclusion_exclusion():

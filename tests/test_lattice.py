@@ -185,6 +185,29 @@ def test_lattice_reduce_depends_only_on_the_lattice():
             assert all(0 <= rep[r] < col[r] for r, col in la.pivots)
 
 
+def test_reduce_and_contains_act_blockwise():
+    # a vector of k * dim coordinates is k vectors of Z^dim: one call
+    # gives what k calls give, for single-entry pivots (one modulo) and
+    # for columns with several entries alike
+    rng = random.Random(23)
+    for gens, dim in (([[6, 0], [0, 4]], 2), ([[2, 3, 1], [0, 5, 2]], 3),
+                      ([[1, 2], [2, 2]], 2), ([[3]], 1), ([], 2)):
+        lat = Lattice(gens, dim)
+        for k in (1, 2, 5):
+            v = [rng.randint(-30, 30) for _ in range(k * dim)]
+            blocks = [v[i:i + dim] for i in range(0, len(v), dim)]
+            assert lat.reduce(v) == sum(map(lat.reduce, blocks), ())
+            assert lat.contains(v) is all(map(lat.contains, blocks))
+            assert lat.contains([x - y for x, y in zip(v, lat.reduce(v))])
+        if dim > 1:
+            with pytest.raises(ValueError, match="blocks"):
+                lat.reduce([0] * (dim + 1))
+    empty = Lattice([], 0)
+    assert empty.reduce(()) == () and empty.contains([])
+    with pytest.raises(ValueError, match="blocks"):
+        empty.contains([0])
+
+
 def test_relation_lattice_built_once_per_group():
     group = InvolutiveAbelianGroup.from_factors([2, 4], sign=-1)
     assert group.relation_lattice() is group.relation_lattice()
