@@ -1,12 +1,16 @@
 """Torsion functors on contractible subcomplexes and the derived
 simplicial abelian group.
 
-A torsion functor is stored by its values on faces only; values on
-arbitrary contractible subcomplexes are recovered on demand through the
-inclusion-exclusion extension, attaching one face at a time.  The
-extension is evaluated along two independent attachment orders and the
-results compared, so a disagreement surfaces as an error instead of a
-silent wrong answer.
+A torsion functor is stored by its values on faces only, in one layout:
+the reduced flat vector ``TorsionFunctor.flat``, face mask times g plus
+coordinate.  A ``{face: value}`` dict is read only by ``iota_shriek``
+and written only by ``TorsionFunctor.values``; the group law and the
+structure maps gather over the flat vector, and ``_solved_group`` moves
+the solutions of the constraint systems into it once.  Values on other
+contractible subcomplexes are recovered on demand by inclusion-exclusion,
+attaching one face at a time along two independent attachment orders
+whose results are compared, so a disagreement surfaces as an error
+instead of a silent wrong answer.
 
 The simplicial group built here has p-simplices the functors at ambient
 dimension p+1 that vanish on the 0-th face region and satisfy face-horn
@@ -29,9 +33,8 @@ linear form per output coordinate of a generalized duality
 the relation lattice, where L and R collapse the inclusion-exclusion
 over the boundary faces in the index set and its complement
 (``_union_coeffs``).  These are compiled once per ambient and number of
-coordinates g against the flat face-value vector of a functor
-(``TorsionFunctor.flat``, face mask times g plus coordinate): each form
-becomes index and coefficient tuples (``_compile_row``), shared by every
+coordinates g against the flat vector of a functor: each form becomes
+index and coefficient tuples (``_compile_row``), shared by every
 target with the same action, the forms of all face-horn dualities are
 stacked (``_horn_rows``), and the attachment plans become one program
 per set of complexes in evaluation order (``_attachment_program``, and
@@ -51,7 +54,7 @@ cross-check each other.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul, neg, sub
 
 from . import lattice
 from ._value import Frozen, Record
@@ -265,31 +268,20 @@ def _rows_vanish(target, rows, vec):
                                    for get, coeffs in rows])
 
 
-def _refuse_face_values(ambient, face_values, g):
-    """Raise the ValueError for the first proper face, in ``_all_faces``
-    order, whose value is missing or has a length other than g."""
-    top = _top_mask(ambient)
-    for face in _all_faces(ambient):
-        if face == top:
-            continue
-        if face not in face_values:
-            raise ValueError(f"missing value on face {face_str(face)}")
-        if len(face_values[face]) != g:
-            raise ValueError("face value has wrong coordinate length")
-
-
 class TorsionFunctor:
     """Functor on contractible subcomplexes of the ambient simplex,
     valued in an involutive abelian group, satisfying the pushout-square
     condition by construction when built from face values alone.
 
-    The face values are stored once, reduced, as the flat tuple ``flat``:
+    The face values live in one layout, the reduced flat tuple ``flat``:
     the g coordinates of the face with mask f sit at f*g .. f*g + g - 1,
-    with zeros for the empty mask 0 and the top face.  ``values`` derives
-    the ``{face: value}`` dict from it.
+    with zeros for the empty mask 0 and the top face.  The constructor
+    takes that vector, reduces it, and refuses a wrong length or a
+    nonzero empty or top block.  A ``{face: value}`` dict is read only by
+    ``iota_shriek`` and written only by ``values``.
 
     ``table``-backed instances carry explicit values on every
-    contractible subcomplex instead and may fail the square condition;
+    contractible subcomplex as well and may fail the square condition;
     they model raw pullbacks along codegeneracies.  A table is keyed by
     the sorted faces of each complex and must hold exactly the
     contractible subcomplexes of the ambient simplex; any other key set
@@ -298,26 +290,18 @@ class TorsionFunctor:
 
     __slots__ = ("ambient", "target", "flat", "table")
 
-    def __init__(self, ambient, target, face_values, table=None):
+    def __init__(self, ambient, target, flat, table=None):
         self.ambient = ambient
         self.target = target
         g = target.generator_count
         top = _top_mask(ambient)
-        flat = [0] * g
-        # by mask, so that a missing face stops the loop before the
-        # vector grows past the faces found
-        for face in range(1, top):
-            vec = face_values.get(face)
-            if vec is None or len(vec) != g:
-                _refuse_face_values(ambient, face_values, g)
-            flat += vec
-        if top in face_values:
-            if len(face_values[top]) != g:
-                raise ValueError("face value has wrong coordinate length")
-            if not target.is_zero_element(face_values[top]):
-                raise ValueError("the top face value must be zero")
-        flat += [0] * g
-        self.flat = target.reduce(flat)
+        if len(flat) != (top + 1) * g:
+            raise ValueError("flat vector has the wrong length")
+        self.flat = flat = target.reduce(flat)
+        if any(flat[top * g:]):
+            raise ValueError("the top face value must be zero")
+        if any(flat[:g]):
+            raise ValueError("the empty face carries no value")
         self.table = None
         if table is not None:
             if set(table) != {tuple(sorted(k))
@@ -337,36 +321,41 @@ class TorsionFunctor:
 
     @classmethod
     def zero(cls, ambient, target):
-        z = (0,) * target.generator_count
         return cls(ambient, target,
-                   {f: z for f in _proper_faces(ambient)})
+                   (0,) * ((_top_mask(ambient) + 1) * target.generator_count))
 
     def _binary(self, other, op):
+        """``op`` on the face values, and on the tables when either side
+        has one: a face-only side is tabulated first."""
         if not isinstance(other, TorsionFunctor) \
                 or other.ambient != self.ambient \
                 or other.target != self.target:
             raise ValueError("functor mismatch")
-        vals, others = self.values, other.values
-        vals = {f: tuple(op(x, y) for x, y in zip(v, others[f]))
-                for f, v in vals.items()}
         table = None
-        if self.table is not None and other.table is not None:
-            table = {k: tuple(op(x, y) for x, y in zip(v, other.table[k]))
-                     for k, v in self.table.items()}
-        return TorsionFunctor(self.ambient, self.target, vals, table)
+        if self.table is not None or other.table is not None:
+            mine, others = self._tabulate(), other._tabulate()
+            table = {k: tuple(map(op, v, others[k])) for k, v in mine.items()}
+        return TorsionFunctor(self.ambient, self.target,
+                              tuple(map(op, self.flat, other.flat)), table)
+
+    def _tabulate(self):
+        if self.table is not None:
+            return self.table
+        return {tuple(sorted(k)): self.value_on(k)
+                for k in _contractible_keys(self.ambient)}
 
     def __add__(self, other):
-        return self._binary(other, lambda x, y: x + y)
+        return self._binary(other, add)
 
     def __sub__(self, other):
-        return self._binary(other, lambda x, y: x - y)
+        return self._binary(other, sub)
 
     def __neg__(self):
-        vals = {f: tuple(-x for x in v) for f, v in self.values.items()}
         table = None
         if self.table is not None:
-            table = {k: tuple(-x for x in v) for k, v in self.table.items()}
-        return TorsionFunctor(self.ambient, self.target, vals, table)
+            table = {k: tuple(map(neg, v)) for k, v in self.table.items()}
+        return TorsionFunctor(self.ambient, self.target,
+                              tuple(map(neg, self.flat)), table)
 
     def is_zero(self):
         return not any(self.flat)
@@ -425,19 +414,26 @@ class TorsionFunctor:
 
     # -- cosimplicial structure maps ----------------------------------------
 
+    def _pullback(self, ambient, face_map, base=0):
+        """The functor at ``ambient`` whose face sigma takes the value of
+        this one at ``face_map(sigma)`` minus its value at face ``base``:
+        one gather over the face masks, the empty mask left zero."""
+        g, flat = self.target.generator_count, self.flat
+        shift = flat[base * g:base * g + g]
+        out = [0] * g
+        for sigma in range(1, _top_mask(ambient) + 1):
+            f = face_map(sigma) * g
+            out += map(sub, flat[f:f + g], shift)
+        return TorsionFunctor(ambient, self.target, out)
+
     def coface_restrict(self, j):
         """Restriction along the coface embedding the (ambient-1)-simplex
-        as the j-th boundary face."""
+        as the j-th boundary face: each face's value less that face's."""
         p = self.ambient
-        if not 0 <= j <= p:
+        if p == 0 or not 0 <= j <= p:
             raise IndexError("coface index out of range")
-        values = self.values
-        base = values[_top_mask(p) & ~(1 << j)]
-        vals = {}
-        for sigma in _proper_faces(p - 1):
-            v = values[coface_face(sigma, j)]
-            vals[sigma] = tuple(x - y for x, y in zip(v, base))
-        return TorsionFunctor(p - 1, self.target, vals)
+        return self._pullback(p - 1, lambda sigma: coface_face(sigma, j),
+                              _top_mask(p) & ~(1 << j))
 
     def codegeneracy(self, j):
         """Corrected degeneracy: pull back face values along the
@@ -445,13 +441,8 @@ class TorsionFunctor:
         p = self.ambient
         if not 0 <= j <= p:
             raise IndexError("codegeneracy index out of range")
-        values = self.values
-        vals = {sigma: values[codegeneracy_face(sigma, j)]
-                for sigma in _proper_faces(p + 1)}
-        return TorsionFunctor(p + 1, self.target, vals)
-
-    def face_values_copy(self):
-        return self.values
+        return self._pullback(p + 1,
+                              lambda sigma: codegeneracy_face(sigma, j))
 
     def __repr__(self):
         parts = ", ".join(f"{face_str(f)}:{list(v)}"
@@ -460,12 +451,24 @@ class TorsionFunctor:
 
 
 def iota_shriek(face_values, p, target):
-    """Extend face values to the full functor (values by face only).
-
-    The extension to any contractible subcomplex happens lazily in
-    ``value_on``; attachment-order independence is asserted there.
+    """The functor at ambient p with the ``{face: value}`` dict given, its
+    one reader: the first face, in ``_all_faces`` order, whose value is
+    missing (the top's may be) or not of g coordinates raises ValueError.
     """
-    return TorsionFunctor(p, target, face_values)
+    g = target.generator_count
+    top = _top_mask(p)
+    for face in _all_faces(p):
+        vec = face_values.get(face)
+        if vec is None:
+            if face != top:
+                raise ValueError(f"missing value on face {face_str(face)}")
+        elif len(vec) != g:
+            raise ValueError("face value has wrong coordinate length")
+    zero = (0,) * g
+    flat = [0] * g
+    for face in range(1, top + 1):
+        flat += face_values.get(face, zero)
+    return TorsionFunctor(p, target, flat)
 
 
 @lru_cache(maxsize=None)
@@ -540,16 +543,17 @@ def raw_degeneracy(tf, i):
         raise ValueError("raw degeneracies exist only onto ambient <= 2")
     if not 0 <= i <= tf.ambient:
         raise IndexError("codegeneracy index out of range")
+    g = tf.target.generator_count
     table = {}
-    face_values = {}
+    flat = [0] * ((_top_mask(p) + 1) * g)
     for faces in _contractible_keys(p):
         img = frozenset(codegeneracy_face(f, i) for f in faces)
         val = tf.value_on(img)
         table[tuple(sorted(faces))] = val
         maximal = maximal_faces(faces)
         if len(maximal) == 1 and len(faces) == len(set(subfaces(maximal[0]))):
-            face_values[maximal[0]] = val
-    return TorsionFunctor(p, tf.target, face_values, table)
+            flat[maximal[0] * g:maximal[0] * g + g] = val
+    return TorsionFunctor(p, tf.target, flat, table)
 
 
 @lru_cache(maxsize=None)
@@ -1087,51 +1091,46 @@ def _normalized_basis(target, degree):
     return _solution_basis(target, eqs, n_faces), n_faces
 
 
-def _vector_to_values(vec, g, faces):
-    return {f: tuple(vec[k * g:(k + 1) * g]) for k, f in enumerate(faces)}
-
-
 class FAlgGroup(Record):
-    """The group of p-simplices, solved from the linear constraint system."""
+    """The group of p-simplices, solved from the linear constraint system,
+    its generators in the flat layout of ``TorsionFunctor``."""
 
-    _fields = ("target", "degree", "isomorphism_type", "generator_vectors",
-               "faces")
+    _fields = ("target", "degree", "isomorphism_type", "generator_vectors")
 
-    def __init__(self, target, degree, isomorphism_type, generator_vectors,
-                 faces):
+    def __init__(self, target, degree, isomorphism_type, generator_vectors):
         self.target = target
         self.degree = degree
         self.isomorphism_type = isomorphism_type
         self.generator_vectors = generator_vectors
-        self.faces = faces
 
     @property
     def order(self):
         return self.isomorphism_type.order()
 
-    def element_vectors(self):
-        """All solution vectors, canonically reduced per face block."""
-        g = self.target.generator_count
-        return lattice.span_elements(
-            self.generator_vectors, self.isomorphism_type.invariant_factors,
-            len(self.faces) * g, self.target.reduce)
-
     def elements(self):
-        g = self.target.generator_count
-        for vec in self.element_vectors():
-            yield FAlgElement.from_face_values(
-                self.target, self.degree, _vector_to_values(vec, g, self.faces))
+        """Every element once, from the reduced span of the generators."""
+        ambient = self.degree + 1
+        dim = (_top_mask(ambient) + 1) * self.target.generator_count
+        for flat in lattice.span_elements(
+                self.generator_vectors, self.isomorphism_type.invariant_factors,
+                dim, self.target.reduce):
+            yield FAlgElement(TorsionFunctor(ambient, self.target, flat))
 
 
 def _solved_group(target, degree, basis, n_faces):
     """The group spanned by ``basis`` and the relation blocks, modulo the
-    relation blocks."""
+    relation blocks, its generators moved once from ``_proper_faces``
+    block order into the flat layout of ``TorsionFunctor``."""
     g = target.generator_count
     den = _block_lattice_cols(target, n_faces)
     factors, gens = lattice.quotient_with_generators(basis + den, den,
                                                      g * n_faces)
-    return FAlgGroup(target, degree, FgAbGroup.from_factors(factors), gens,
-                     _proper_faces(degree + 1))
+    faces = _proper_faces(degree + 1)
+    by_mask = [k * g + r for k in sorted(range(n_faces), key=faces.__getitem__)
+               for r in range(g)]
+    pad = [0] * g
+    return FAlgGroup(target, degree, FgAbGroup.from_factors(factors),
+                     [pad + [gen[i] for i in by_mask] + pad for gen in gens])
 
 
 def falg_group(target, p):

@@ -7,7 +7,9 @@ Sylvester resultants instead of conjugate products, and plain pair and
 subset loops instead of the per-ambient plans of ``whcalc.falg``.  The
 one exception is ``attached_value``, which walks the attachment plans
 of ``falg`` recursively, as ``TorsionFunctor`` did before it compiled
-them into programs.
+them into programs.  The structure maps and the group law of torsion
+functors work face by face on ``{face: value}`` dicts, as
+``TorsionFunctor`` did before it gathered its flat vector.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from math import gcd
 
 from whcalc.abelian import FgAbGroup
 from whcalc.falg import (InconsistentFunctorError, NotContractibleError,
-                         _attachment_plan)
-from whcalc.simplicial import (enumerate_contractible_subcomplexes, face_dim,
+                         TorsionFunctor, _attachment_plan, iota_shriek)
+from whcalc.simplicial import (codegeneracy_face, coface_face,
+                               enumerate_contractible_subcomplexes, face_dim,
                                vertices_of)
 
 
@@ -495,3 +498,68 @@ def membership_equations(ambient):
             eqs.extend(equation(*face_horn_terms(sigma, i))
                        for i in range(face_dim(sigma) + 1))
     return eqs, len(index)
+
+
+# -- torsion-functor structure maps on face-value dicts ----------------------
+
+
+def _functor(p, target, values, table=None):
+    """The functor with face values ``values`` and ``table``, its flat
+    vector read from the dict by ``iota_shriek``."""
+    tf = iota_shriek(values, p, target)
+    return tf if table is None else TorsionFunctor(p, target, tf.flat, table)
+
+
+def _table(tf):
+    """The table of ``tf``, or its value on every contractible subcomplex
+    by ``attached_value``."""
+    if tf.table is not None:
+        return tf.table
+    memo = {}
+    return {tuple(sorted(k.faces)): attached_value(tf, k.faces, memo)
+            for k in enumerate_contractible_subcomplexes(tf.ambient)}
+
+
+def combine(a, b, op):
+    """``op(a, b)`` face by face, and on every contractible subcomplex
+    when either side is table-backed."""
+    others = b.values
+    values = {f: tuple(op(x, y) for x, y in zip(v, others[f]))
+              for f, v in a.values.items()}
+    table = None
+    if a.table is not None or b.table is not None:
+        mine, others = _table(a), _table(b)
+        table = {k: tuple(op(x, y) for x, y in zip(v, others[k]))
+                 for k, v in mine.items()}
+    return _functor(a.ambient, a.target, values, table)
+
+
+def negate(tf):
+    """``-tf`` face by face, and on its table if it has one."""
+    values = {f: tuple(-x for x in v) for f, v in tf.values.items()}
+    table = None
+    if tf.table is not None:
+        table = {k: tuple(-x for x in v) for k, v in tf.table.items()}
+    return _functor(tf.ambient, tf.target, values, table)
+
+
+def coface_restrict(tf, j):
+    """The restriction of ``tf`` to its j-th boundary face: the value of
+    each face's image under the coface, less that boundary face's."""
+    p = tf.ambient
+    values = tf.values
+    base = values[((1 << (p + 1)) - 1) & ~(1 << j)]
+    return _functor(p - 1, tf.target, {
+        sigma: tuple(x - y for x, y in zip(values[coface_face(sigma, j)],
+                                           base))
+        for sigma in range(1, (1 << p) - 1)})
+
+
+def codegeneracy(tf, j):
+    """The corrected degeneracy of ``tf``: each face takes the value of
+    its image under the codegeneracy collapsing j, j+1 -> j."""
+    p = tf.ambient
+    values = tf.values
+    return _functor(p + 1, tf.target, {
+        sigma: values[codegeneracy_face(sigma, j)]
+        for sigma in range(1, (1 << (p + 2)) - 1)})

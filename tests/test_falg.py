@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, islice, product
-from operator import mul
+from operator import add, mul, sub
 
 import pytest
 
@@ -27,6 +27,7 @@ Z2 = InvolutiveAbelianGroup.cyclic(2, 1)
 Z4 = InvolutiveAbelianGroup.cyclic(4, 1)
 Z4S = InvolutiveAbelianGroup.cyclic(4, -1)
 Z6 = InvolutiveAbelianGroup.cyclic(6, 1)
+SWAP22 = InvolutiveAbelianGroup(2, [[2, 0], [0, 2]], [[0, 1], [1, 0]])
 
 
 def functor_from(values, p, target):
@@ -97,7 +98,7 @@ def test_face_value_round_trip():
     for _ in range(10):
         fv = {f: (rng.randrange(4),) for f in falg._proper_faces(2)}
         tf = iota_shriek(fv, 2, Z4)
-        again = iota_shriek(tf.face_values_copy(), 2, Z4)
+        again = iota_shriek(tf.values, 2, Z4)
         for k in falg._contractible_keys(2):
             assert tf.value_on(k) == again.value_on(k)
 
@@ -110,7 +111,7 @@ def test_inconsistent_table_detected():
              for k in falg._contractible_keys(2)}
     horn_key = tuple(sorted(horn(2, 0).faces))
     table[horn_key] = (1,)
-    broken = TorsionFunctor(2, Z4, fv, table)
+    broken = TorsionFunctor(2, Z4, tf.flat, table)
     assert not check_square(broken)
 
 
@@ -261,7 +262,7 @@ def random_table_functor(rng, p, target, corrupt):
     if corrupt:
         key = rng.choice(sorted(table))
         table[key] = tuple(x + 1 for x in table[key])
-    return tf, TorsionFunctor(p, target, fv, table)
+    return tf, TorsionFunctor(p, target, tf.flat, table)
 
 
 def test_check_square_matches_oracle():
@@ -284,7 +285,7 @@ def test_check_square_matches_oracle():
     fv = {f: (0,) for f in falg._proper_faces(2)}
     table = {tuple(sorted(k)): (0,) for k in falg._contractible_keys(2)}
     table[tuple(sorted(horn(2, 0).faces))] = (1,)
-    broken = TorsionFunctor(2, Z4, fv, table)
+    broken = TorsionFunctor(2, Z4, iota_shriek(fv, 2, Z4).flat, table)
     assert check_square(broken) is _oracles.square_condition_holds(broken) \
         is False
     assert verdicts == {True, False}
@@ -348,12 +349,11 @@ def test_tables_must_hold_exactly_the_contractible_subcomplexes():
     rng = random.Random(59)
     for p in (1, 2, 3):
         tf, table_tf = random_table_functor(rng, p, Z4S, False)
-        fv = tf.face_values_copy()
         for key in rng.sample(sorted(table_tf.table), 3):
             partial = dict(table_tf.table)
             del partial[key]
             with pytest.raises(ValueError, match="contractible"):
-                TorsionFunctor(p, Z4S, fv, partial)
+                TorsionFunctor(p, Z4S, tf.flat, partial)
         # the boundary sphere, and the top face without its closure
         sphere = SubComplex.closure(p, [f for f in falg._proper_faces(p)
                                         if face_dim(f) == p - 1])
@@ -361,7 +361,7 @@ def test_tables_must_hold_exactly_the_contractible_subcomplexes():
             wider = dict(table_tf.table)
             wider[extra] = (0,)
             with pytest.raises(ValueError, match="contractible"):
-                TorsionFunctor(p, Z4S, fv, wider)
+                TorsionFunctor(p, Z4S, tf.flat, wider)
 
 
 def test_generalized_duality_matches_oracle_at_every_index_set():
@@ -378,7 +378,7 @@ def test_generalized_duality_matches_oracle_at_every_index_set():
             faces = falg._proper_faces(p)
             els = list(islice(falg_group(target, p - 1).elements(), 3))
             for el in els:
-                fv = el.functor.face_values_copy()
+                fv = el.functor.values
                 face = rng.choice(faces)
                 fv[face] = tuple(x + 1 for x in fv[face])
                 rand = {f: tuple(rng.randrange(6) for _ in range(g))
@@ -523,7 +523,7 @@ def test_compiled_and_stacked_forms_match_plain_forms():
         for p in (1, 2, 3):
             faces = falg._proper_faces(p)
             for el in islice(falg_group(target, p - 1).elements(), 3):
-                fv = el.functor.face_values_copy()
+                fv = el.functor.values
                 face = rng.choice(faces)
                 fv[face] = tuple(x + 1 for x in fv[face])
                 rand = {f: tuple(rng.randrange(-6, 6) for _ in range(g))
@@ -694,8 +694,8 @@ def test_face_value_isomorphism_both_directions():
     tf = iota_shriek(fv, 2, Z4)
     table = {tuple(sorted(k)): tf.value_on(k)
              for k in falg._contractible_keys(2)}
-    tabulated = TorsionFunctor(2, Z4, fv, table)
-    re_extended = iota_shriek(tabulated.face_values_copy(), 2, Z4)
+    tabulated = TorsionFunctor(2, Z4, tf.flat, table)
+    re_extended = iota_shriek(tabulated.values, 2, Z4)
     for k in falg._contractible_keys(2):
         assert re_extended.value_on(k) == tabulated.value_on(k)
 
@@ -765,7 +765,7 @@ def test_duality_criterion_zero_functor():
 
 def test_duality_criterion_hypothesis_failure_raises():
     tf = cycle_functor(Z4S, 1, (1,))
-    fv = tf.face_values_copy()
+    fv = tf.values
     fv[0b001] = (3,)
     bad = iota_shriek(fv, 2, Z4S)
     if not all(check_face_horn_duality(bad, s)
@@ -901,6 +901,69 @@ def test_sum_of_raw_degeneracies_is_taken_on_every_key():
         assert diff.value_on(key) == Z4S.reduce(tuple(
             x - y for x, y in zip(va, vb)))
         assert neg.value_on(key) == Z4S.reduce(tuple(-x for x in va))
+
+
+def test_sums_keep_the_table_of_a_table_backed_side():
+    # a face-only functor is tabulated before it meets a table, so adding
+    # zero leaves a raw degeneracy and its failing square condition as is
+    a = raw_degeneracy(iota_shriek({0b01: (1,), 0b10: (2,)}, 1, Z4S), 0)
+    zero = TorsionFunctor.zero(2, Z4S)
+    assert check_square(a) is False
+    for same in (a + zero, zero + a, a - zero):
+        assert same == a and check_square(same) is False
+    assert zero - a == -a
+
+
+def random_functor(rng, p, target):
+    return iota_shriek({f: tuple(rng.randrange(-5, 6) for _ in range(
+        target.generator_count)) for f in falg._proper_faces(p)}, p, target)
+
+
+def test_structure_maps_match_the_dict_oracles():
+    # the gathers over the flat vector against face-by-face dict maps, on
+    # random functors and on table-backed ones, alone and mixed
+    rng = random.Random(67)
+    for target in (Z4S, SWAP22):
+        for p in range(4):
+            for _ in range(3):
+                a, b = random_functor(rng, p, target), \
+                    random_functor(rng, p, target)
+                pairs = [(a, b)]
+                if p:
+                    _a, tab = random_table_functor(rng, p, target, True)
+                    _b, tab2 = random_table_functor(rng, p, target, True)
+                    pairs += [(tab, tab2), (tab, b), (a, tab2)]
+                for x, y in pairs:
+                    assert x + y == _oracles.combine(x, y, add)
+                    assert x - y == _oracles.combine(x, y, sub)
+                    assert -x == _oracles.negate(x)
+                for j in range(p + 1):
+                    assert a.codegeneracy(j) == _oracles.codegeneracy(a, j)
+                    if p:
+                        assert a.coface_restrict(j) == \
+                            _oracles.coface_restrict(a, j)
+
+
+def test_coface_restrict_refuses_ambient_zero():
+    for target in (Z4S, SWAP22):
+        with pytest.raises(IndexError, match="coface index"):
+            TorsionFunctor.zero(0, target).coface_restrict(0)
+
+
+def test_constructor_checks_the_flat_vector():
+    # one block per mask from the empty face to the top, both left zero
+    flat = [0] * 16
+    TorsionFunctor(3, Z4S, flat)
+    for i, match in ((15, "top face"), (0, "empty face")):
+        bad = list(flat)
+        bad[i] = 1
+        with pytest.raises(ValueError, match=match):
+            TorsionFunctor(3, Z4S, bad)
+    bad = list(flat)
+    bad[15] = 4
+    assert TorsionFunctor(3, Z4S, bad) == TorsionFunctor.zero(3, Z4S)
+    with pytest.raises(ValueError, match="length"):
+        TorsionFunctor(3, Z4S, flat[1:])
 
 
 def test_degeneracy_top_face_value_is_zero():
@@ -1193,7 +1256,7 @@ def test_element_serialization_caps_the_degree_at_eight():
         unchecked_element(TorsionFunctor.zero(10, Z2)).to_dict()
     target = InvolutiveAbelianGroup.from_factors([7, 0])
     fv = {f: (f, -f) for f in falg._proper_faces(9)}
-    el = unchecked_element(TorsionFunctor(9, target, fv))
+    el = unchecked_element(iota_shriek(fv, 9, target))
     assert FAlgElement.parse_dict(el.to_dict()) == (
         target, 8, {f: target.reduce(v) for f, v in fv.items()})
 
