@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from . import _snf, lattice
+from . import lattice
 from ._value import Frozen
 
 __all__ = [
@@ -208,16 +208,12 @@ class InvolutiveAbelianGroup(Frozen):
         return self.isomorphism_type().order()
 
     def elements(self):
-        """All elements as canonical coordinate tuples (finite groups only)."""
+        """All elements, each once, as canonical coordinate tuples (finite
+        groups only): the reduced span of the quotient's generators."""
         g = self.generator_count
-        if g == 0:
-            yield ()
-            return
-        diag, left, _right = _snf.smith(self.relations, True)
-        full = list(diag) + [0] * (g - len(diag))
-        left_inv = lattice.unimodular_inverse(left)
-        yield from lattice.span_elements(lattice.columns_of(left_inv), full, g,
-                                         self.relation_lattice().reduce)
+        factors, gens = lattice.quotient_with_generators(
+            lattice.identity(g), self.relation_columns(), g)
+        return map(self.reduce, lattice.span_elements(gens, factors, g))
 
     # -- serialization ------------------------------------------------
 

@@ -409,7 +409,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    args.max_p = getattr(args, "max_p", None)
     try:
         doc = args.handler(args)
     except UsageError as exc:

@@ -1108,12 +1108,13 @@ class FAlgGroup(Record):
         return self.isomorphism_type.order()
 
     def elements(self):
-        """Every element once, from the reduced span of the generators."""
+        """Every element once, from the span of the generators, which the
+        ``TorsionFunctor`` constructor reduces."""
         ambient = self.degree + 1
         dim = (_top_mask(ambient) + 1) * self.target.generator_count
         for flat in lattice.span_elements(
                 self.generator_vectors, self.isomorphism_type.invariant_factors,
-                dim, self.target.reduce):
+                dim):
             yield FAlgElement(TorsionFunctor(ambient, self.target, flat))
 
 

@@ -5,7 +5,7 @@ ints (coefficient k belongs to t^k), so nothing ever overflows.  On top
 of the ring arithmetic this module provides the coefficient-reversal
 involution, Galois twists t -> t^i, exact unit inversion through the
 circulant linear system, unit classes modulo the trivial units +-t^k,
-and the projection to the cyclotomic field Q(zeta_p).
+and the projection to the cyclotomic integers Z[zeta_p].
 
 Unit classes model the rank-1 part of K_1: two units represent the same
 class iff they differ by a trivial unit.  Treating single units as
@@ -16,7 +16,6 @@ for the primes used here; that is a standing assumption of this library
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from . import lattice
@@ -266,26 +265,34 @@ def wh_class_equal(x, y):
 
 
 class CyclotomicElement(Frozen):
-    """Element of Q(zeta_p) in the basis 1, zeta, ..., zeta^{p-2}."""
+    """Element of Z[zeta_p] in the basis 1, zeta, ..., zeta^{p-2}.
+
+    Every element the library builds is an integer combination of powers
+    of zeta, so the coefficients are ints and a non-integral one raises
+    ValueError.
+    """
 
     _fields = ("p", "coeffs")
 
     def __init__(self, p, coeffs):
         if not lattice._is_prime(p):
             raise ValueError("p must be prime")
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(coeffs)
+        ints = tuple(map(int, coeffs))
+        if ints != coeffs:
+            raise ValueError("cyclotomic coefficients must be integers")
         if len(coeffs) != p - 1:
             raise ValueError("coefficient vector must have length p-1")
-        self._freeze(p, coeffs)
+        self._freeze(p, ints)
 
     @classmethod
     def one(cls, p):
-        return cls(p, (Fraction(1),) + (Fraction(0),) * (p - 2))
+        return cls(p, (1,) + (0,) * (p - 2))
 
     @classmethod
     def zeta(cls, p, power=1):
-        ext = [Fraction(0)] * p
-        ext[power % p] = Fraction(1)
+        ext = [0] * p
+        ext[power % p] = 1
         return cls._fold(p, ext)
 
     @classmethod
@@ -314,7 +321,7 @@ class CyclotomicElement(Frozen):
     def __mul__(self, other):
         self._check(other)
         p = self.p
-        ext = [Fraction(0)] * p
+        ext = [0] * p
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -330,27 +337,26 @@ class CyclotomicElement(Frozen):
         p = self.p
         if i % p == 0:
             raise ValueError("the automorphism index must be prime to p")
-        ext = [Fraction(0)] * p
+        ext = [0] * p
         for k, a in enumerate(self.coeffs):
             ext[(k * i) % p] += a
         return CyclotomicElement._fold(p, ext)
 
     def norm(self):
-        """Field norm down to Q: the product of all Galois conjugates."""
+        """Field norm down to Z: the product of all Galois conjugates."""
         p = self.p
         prod = CyclotomicElement.one(p)
         for i in range(1, p):
             prod = prod * self.galois(i)
         if any(prod.coeffs[1:]):
-            raise ArithmeticError("norm did not land in Q")
+            raise ArithmeticError("norm did not land in Z")
         return prod.coeffs[0]
 
 
 def cyclotomic_project(x, p):
-    """Image of x in Q(zeta_p) under t -> zeta_p (ring homomorphism)."""
+    """Image of x in Z[zeta_p] under t -> zeta_p (ring homomorphism)."""
     if x.order != p:
         raise ValueError(f"element lives in Z[C_{x.order}], expected order {p}")
     if not lattice._is_prime(p):
         raise ValueError("p must be prime")
-    ext = [Fraction(c) for c in x.coeffs]
-    return CyclotomicElement._fold(p, ext)
+    return CyclotomicElement._fold(p, list(x.coeffs))

@@ -16,7 +16,10 @@ Kernels, lattice bases, quotient coordinates and the echelon bases of
 and Mrozek 2004, ch. 3) applied to the constraint systems directly.
 Dense Smith normal form from ``_snf`` only sees the small relation
 matrices of quotients, whose invariant factors are canonical, and the
-square systems of ``solve``.
+square systems of ``solve``; no other module calls it.  Its transforms
+give ``quotient_with_generators`` independent generators, one per
+invariant factor, from which ``span_elements`` lists each element of a
+finite quotient once.
 """
 
 from __future__ import annotations
@@ -201,14 +204,6 @@ def solve(rows, b):
     return Solver(rows).solve(b)
 
 
-def unimodular_inverse(u):
-    """Exact inverse of a unimodular integer matrix."""
-    diag, left, right = _snf.smith(u, True)
-    if len(diag) != len(u) or any(d != 1 for d in diag):
-        raise ValueError("matrix is not unimodular")
-    return mat_mul(right, left)
-
-
 def lattice_basis(gens, dim):
     """Independent vectors spanning the same lattice as ``gens`` in Z^dim:
     the column echelon basis of sparse elimination."""
@@ -273,49 +268,42 @@ def quotient_with_generators(num_basis, den_gens, dim):
 
     Returns ``(factors, gens)`` where generator i has order factors[i]
     (0 meaning infinite) in the quotient, expressed in ambient Z^dim.
-    Trivial (order-1) cyclic summands are dropped.
+    Trivial (order-1) cyclic summands are dropped.  The quotient is the
+    direct sum of the generators' cyclic subgroups.
     """
     pivots, rel = _relations(num_basis, den_gens)
     k = len(pivots)
-    if not k:
-        return [], []
     rel = lattice_basis(rel, k)
-    if not rel:
-        rel_mat_diag, left = [], identity(k)
-    else:
-        rel_mat_diag, left, _right = _snf.smith(from_columns(rel, k), True)
-    left_inv = unimodular_inverse(left)
+    diag, left_inv = [], identity(k)
+    if rel:
+        diag, left, _right = _snf.smith(from_columns(rel, k), True)
+        # left is unimodular: its own Smith form is the identity
+        _ones, inv_left, inv_right = _snf.smith(left, True)
+        left_inv = mat_mul(inv_right, inv_left)
     b_mat = from_columns([_dense(col, dim) for _row, col in pivots], dim)
-    full = rel_mat_diag + [0] * (k - len(rel_mat_diag))
     factors, gens = [], []
-    for j, d in enumerate(full):
-        if d == 1:
-            continue
-        coord = [left_inv[i][j] for i in range(k)]
-        vec = mat_vec(b_mat, coord)
-        factors.append(d)
-        gens.append(vec)
+    for j, d in enumerate(diag + [0] * (k - len(diag))):
+        if d != 1:
+            factors.append(d)
+            gens.append(mat_vec(b_mat, [row[j] for row in left_inv]))
     return factors, gens
 
 
-def span_elements(gens, orders, dim, reduce):
-    """``reduce(sum c_i * gens[i])`` for every 0 <= c_i < orders[i], the
-    first coefficient varying slowest, each distinct value once.
+def span_elements(gens, orders, dim):
+    """``sum c_i * gens[i]`` for every 0 <= c_i < orders[i], the first
+    coefficient varying slowest, as unreduced tuples of Z^dim.
 
-    The elements of a finite group with generators of the given orders,
-    as canonical representatives in Z^dim.  A zero order means an
-    infinite generator and raises ValueError.
+    For the generators of ``quotient_with_generators`` and their orders
+    these are the elements of the finite quotient, each exactly once;
+    callers reduce them to canonical representatives.  A zero order
+    means an infinite generator and raises ValueError.
     """
     if any(f == 0 for f in orders):
         raise ValueError("cannot enumerate an infinite group")
-    seen = set()
 
     def rec(i, acc):
         if i == len(orders):
-            red = reduce(acc)
-            if red not in seen:
-                seen.add(red)
-                yield red
+            yield tuple(acc)
             return
         for c in range(orders[i]):
             yield from rec(i + 1, [a + c * b for a, b in zip(acc, gens[i])])

@@ -94,7 +94,7 @@ class RTorsion(Frozen):
 
 @lru_cache(maxsize=None)
 def reidemeister_torsion(lens):
-    """Product of (zeta^w - 1) over the weights, exactly in Q(zeta_p).
+    """Product of (zeta^w - 1) over the weights, exactly in Z[zeta_p].
 
     Cached per lens space: ``is_simple_auto`` compares against it once
     for every realizable degree, and a report asks for every degree

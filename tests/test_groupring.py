@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -163,6 +164,16 @@ def test_cyclotomic_projection():
     z = cyclotomic_project(U7, 7)
     assert [int(c) for c in z.coeffs] == [2, 2, 0, -1, -1, -1]
     assert z.norm() in (1, -1)
+
+
+def test_cyclotomic_coefficients_are_integers():
+    z = cyclotomic_project(U7, 7) * CyclotomicElement.zeta(7, 3)
+    assert all(type(c) is int for c in z.coeffs)
+    assert type(z.norm()) is int
+    assert CyclotomicElement(5, (2.0, Fraction(3), 0, -1)).coeffs == (2, 3, 0, -1)
+    for bad in (Fraction(1, 2), 0.5):
+        with pytest.raises(ValueError, match="integers"):
+            CyclotomicElement(5, (1, bad, 0, 0))
 
 
 def test_cyclotomic_norm_against_resultant():

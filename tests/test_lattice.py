@@ -3,6 +3,7 @@ checked against dense Smith normal form on seeded random sparse systems."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import random
@@ -19,6 +20,7 @@ from whcalc.lattice import Lattice
 from _oracles import bareiss_rank
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "whcalc"
 
 
 def sparse_matrix(rng, m, n):
@@ -213,3 +215,37 @@ def test_relation_lattice_built_once_per_group():
     assert group.relation_lattice() is group.relation_lattice()
     assert group.reduce((3, 5)) == (1, 1)
     assert group.is_zero_element((2, -4))
+
+
+def snf_uses(source):
+    """Line numbers of the imports of ``_snf`` and the calls of a
+    ``smith`` in Python source."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names]
+            names += [getattr(node, "module", None) or ""]
+            if any("_snf" in name.split(".") for name in names):
+                out.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) == "smith":
+                out.append(node.lineno)
+    return out
+
+
+def test_only_lattice_reaches_smith_normal_form():
+    # every Smith form, with transforms or without, is taken in lattice
+    assert snf_uses("from . import _snf\n_snf.smith(a, True)") == [1, 2]
+    assert snf_uses("from ._snf.pure import smith\nsmith(a)") == [1, 2]
+    assert snf_uses("import whcalc._snf") == [1]
+    found = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(PACKAGE)
+        if rel.parts[0] == "_snf" or rel.name == "lattice.py":
+            continue
+        lines = snf_uses(path.read_text(encoding="utf-8"))
+        if lines:
+            found[str(rel)] = lines
+    assert not found, found
+    assert snf_uses((PACKAGE / "lattice.py").read_text(encoding="utf-8"))
