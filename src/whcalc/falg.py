@@ -5,8 +5,10 @@ A torsion functor is stored by its values on faces only, in one layout:
 the reduced flat vector ``TorsionFunctor.flat``, face mask times g plus
 coordinate.  A ``{face: value}`` dict is read only by ``iota_shriek``
 and written only by ``TorsionFunctor.values``; the group law and the
-structure maps gather over the flat vector, and ``_solved_group`` moves
-the solutions of the constraint systems into it once.  Values on other
+structure maps gather over the flat vector.  Faces have one order, their
+mask (``_all_faces``): the constraint systems give proper face f the
+block f - 1, so their solutions are flat vectors once ``_solved_group``
+pads on the empty and the top block.  Values on other
 contractible subcomplexes are recovered on demand by inclusion-exclusion,
 attaching one face at a time along two independent attachment orders
 whose results are compared, so a disagreement surfaces as an error
@@ -101,25 +103,17 @@ def _top_mask(p):
 
 
 def _all_faces(p):
-    """The faces of the p-simplex by dimension, then mask, lazily.
-
-    Masks with k vertices come in increasing order by Gosper's
-    next-combination step, so a caller that stops early never pays for
-    all 2^(p+1) - 1 faces.
-    """
-    top = _top_mask(p)
-    for k in range(1, p + 2):
-        f = (1 << k) - 1
-        while f <= top:
-            yield f
-            low = f & -f
-            high = f + low
-            f = (((high ^ f) >> 2) // low) | high
+    """The faces of the p-simplex in mask order, the one face order of
+    this module: every proper subface of a face comes before it.  A
+    ``range``, so a caller that stops early never pays for all
+    2^(p+1) - 1 faces."""
+    return range(1, _top_mask(p) + 1)
 
 
 def _proper_faces(p):
-    top = _top_mask(p)
-    return [f for f in _all_faces(p) if f != top]
+    """The faces of the p-simplex but the top, in mask order: proper face
+    f is block f - 1 of the constraint systems."""
+    return range(1, _top_mask(p))
 
 
 def _closure(faces):
@@ -452,22 +446,22 @@ class TorsionFunctor:
 
 def iota_shriek(face_values, p, target):
     """The functor at ambient p with the ``{face: value}`` dict given, its
-    one reader: the first face, in ``_all_faces`` order, whose value is
-    missing (the top's may be) or not of g coordinates raises ValueError.
+    one reader.  The faces are checked as they are laid out, in mask
+    order: the least face whose value is missing (the top's may be) or
+    not of g coordinates raises ValueError.
     """
     g = target.generator_count
     top = _top_mask(p)
+    flat = [0] * g
     for face in _all_faces(p):
         vec = face_values.get(face)
         if vec is None:
             if face != top:
                 raise ValueError(f"missing value on face {face_str(face)}")
+            vec = (0,) * g
         elif len(vec) != g:
             raise ValueError("face value has wrong coordinate length")
-    zero = (0,) * g
-    flat = [0] * g
-    for face in range(1, top + 1):
-        flat += face_values.get(face, zero)
+        flat += vec
     return TorsionFunctor(p, target, flat)
 
 
@@ -912,8 +906,10 @@ def _membership_rows(ambient):
     equations, with the number of face blocks; every target shares them.
 
     An equation ``{k: (a, b)}`` says that the sum of (a + b T) x_k lies in
-    the relation lattice, x_k the block of the k-th proper face and T the
-    target's involution; ``_expand`` writes its g integer rows.
+    the relation lattice, x_k the block of the proper face with mask
+    k + 1 and T the target's involution; ``_expand`` writes its g integer
+    rows.  So block k is block k + 1 of the flat layout of
+    ``TorsionFunctor``, which drops only the empty and the top block.
 
     Face-horn duality at a face sigma of dimension d >= 1 and index i is
     x(d_i sigma) - x(sigma) + (-1)^d sum of (-1)^(d - dim tau) T x(tau)
@@ -921,13 +917,11 @@ def _membership_rows(ambient):
     dropped: the inclusion-exclusion over the other boundary faces, as
     each such tau is the intersection of exactly one set of them.
     """
-    faces = _proper_faces(ambient)
-    index = {f: k for k, f in enumerate(faces)}
     top = _top_mask(ambient)
     eqs = []
 
     def emit(ident, act):
-        eqs.append({index[f]: (ident.get(f, 0), act.get(f, 0))
+        eqs.append({f - 1: (ident.get(f, 0), act.get(f, 0))
                     for f in sorted(ident.keys() | act.keys())
                     if f != top and (ident.get(f) or act.get(f))})
 
@@ -950,7 +944,7 @@ def _membership_rows(ambient):
                  {tau: sgn * _sign(d - face_dim(tau))
                   for tau in subfaces(sigma) if tau & vertex})
 
-    return tuple(eqs), len(faces)
+    return tuple(eqs), top - 1
 
 
 @lru_cache(maxsize=None)
@@ -962,10 +956,8 @@ def _face_rows(degree, i):
     the block of the (i+1)-st boundary face of the top.  Setting every
     one to zero forces delta_i = 0.
     """
-    ambient = degree + 1
-    index = {f: k for k, f in enumerate(_proper_faces(ambient))}
-    base = index[_top_mask(ambient) & ~(1 << (i + 1))]
-    return tuple({index[coface_face(sigma, i + 1)]: (1, 0), base: (-1, 0)}
+    base = (_top_mask(degree + 1) & ~(1 << (i + 1))) - 1
+    return tuple({coface_face(sigma, i + 1) - 1: (1, 0), base: (-1, 0)}
                  for sigma in _proper_faces(degree))
 
 
@@ -1028,7 +1020,7 @@ def _merge_identified_blocks(eqs, n_blocks):
 
     def find(a):
         while parent[a] != a:
-            a = parent[a]
+            parent[a] = a = parent[parent[a]]
         return a
 
     rest = []
@@ -1120,18 +1112,16 @@ class FAlgGroup(Record):
 
 def _solved_group(target, degree, basis, n_faces):
     """The group spanned by ``basis`` and the relation blocks, modulo the
-    relation blocks, its generators moved once from ``_proper_faces``
-    block order into the flat layout of ``TorsionFunctor``."""
+    relation blocks.  The blocks of the proper faces are already in mask
+    order, so each generator is the flat vector of ``TorsionFunctor``
+    once the empty and the top block are padded on."""
     g = target.generator_count
     den = _block_lattice_cols(target, n_faces)
     factors, gens = lattice.quotient_with_generators(basis + den, den,
                                                      g * n_faces)
-    faces = _proper_faces(degree + 1)
-    by_mask = [k * g + r for k in sorted(range(n_faces), key=faces.__getitem__)
-               for r in range(g)]
     pad = [0] * g
     return FAlgGroup(target, degree, FgAbGroup.from_factors(factors),
-                     [pad + [gen[i] for i in by_mask] + pad for gen in gens])
+                     [pad + gen + pad for gen in gens])
 
 
 def falg_group(target, p):
@@ -1166,9 +1156,6 @@ def moore_homotopy(target, n):
         raise ValueError("homotopy computation is capped at degree 3")
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if target.generator_count == 0:
-        return FgAbGroup.trivial()
-
     eqs, n_faces = _membership_rows(n + 1)
     eqs += _normalization_rows(n)
     if n >= 1:
@@ -1249,11 +1236,8 @@ def psi_is_bijective(target, n):
     """Degreewise bijectivity of psi onto the target, by enumeration."""
     group = normalized_group(target, n)
     images = set()
-    count = 0
     for el in group.elements():
         if not el.is_normalized():
             return False
-        images.add(target.reduce(el.psi_value()))
-        count += 1
-    target_elems = set(target.elements())
-    return count == len(target_elems) and images == target_elems
+        images.add(el.psi_value())
+    return len(images) == group.order == target.order()

@@ -275,8 +275,8 @@ def enumerate_subcomplexes(p):
         raise ValueError("exhaustive enumeration is capped at p = 4")
     if p < 0:
         raise ValueError("subcomplex degree must be nonnegative")
-    top = (1 << (p + 1)) - 1
-    all_faces = sorted(range(1, top + 1), key=lambda f: (face_dim(f), f))
+    # in mask order every proper subface is decided before its face
+    all_faces = range(1, 1 << (p + 1))
     out = []
 
     def rec(idx, chosen):

@@ -477,27 +477,25 @@ def face_horn_terms(sigma, i):
 
 def membership_equations(ambient):
     """The membership constraints at an ambient level as face-block
-    equations ``{k: (a, b)}`` over the proper faces ordered by dimension,
-    then mask: vanishing on the 0-th face region, then the face-horn
-    duality of every face of dimension >= 1 (``face_horn_terms``) in the
-    same order, each horn index in turn; the top face is dropped."""
+    equations ``{k: (a, b)}``, block k the proper face with mask k + 1:
+    vanishing on the 0-th face region, then the face-horn duality of
+    every face of dimension >= 1 (``face_horn_terms``) in mask order,
+    each horn index in turn; the top face is dropped."""
     top = (1 << (ambient + 1)) - 1
-    faces = sorted(range(1, top + 1), key=lambda f: (face_dim(f), f))
-    index = {f: k for k, f in enumerate(faces[:-1])}
 
     def equation(ident, act):
-        return {index[f]: (ident.get(f, 0), act.get(f, 0))
+        return {f - 1: (ident.get(f, 0), act.get(f, 0))
                 for f in sorted(ident.keys() | act.keys()) if f != top}
 
     region = top & ~1
     eqs = [equation({sigma: 1, region: -1}, {})
-           for sigma in sorted(index, reverse=True)
+           for sigma in range(top - 1, 0, -1)
            if sigma != region and sigma & region == sigma]
-    for sigma in faces:
+    for sigma in range(1, top + 1):
         if face_dim(sigma) >= 1:
             eqs.extend(equation(*face_horn_terms(sigma, i))
                        for i in range(face_dim(sigma) + 1))
-    return eqs, len(index)
+    return eqs, top - 1
 
 
 # -- torsion-functor structure maps on face-value dicts ----------------------
