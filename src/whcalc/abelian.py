@@ -113,7 +113,10 @@ class InvolutiveAbelianGroup(Frozen):
 
     The involution matrix is the complete action of the group generator
     (including any parity sign); it must square to the identity modulo
-    the relation lattice and preserve that lattice.
+    the relation lattice and preserve that lattice.  The group keeps that
+    lattice (``relation_lattice``) and its ``lattice.smith_basis``
+    (``smith_basis``), both taken once when it is built; neither is an
+    lru cache, so building a group fills none.
     """
 
     _fields = ("generator_count", "relations", "involution")
@@ -129,6 +132,10 @@ class InvolutiveAbelianGroup(Frozen):
         if len(inv) != g or any(len(row) != g for row in inv):
             raise ValueError(f"involution must be a {g} x {g} matrix")
         self._freeze(g, rel, inv)
+        # the element checks look their compiled rows up by group on every
+        # call, and hashing the nested field tuple each time took a quarter
+        # of a generalized duality
+        object.__setattr__(self, "_hash", hash(self._key))
         rel_cols = self.relation_columns()
         lat = lattice.Lattice(rel_cols, g)
         object.__setattr__(self, "_lattice", lat)
@@ -140,6 +147,11 @@ class InvolutiveAbelianGroup(Frozen):
         for col in rel_cols:
             if not lat.contains(lattice.mat_vec(inv, col)):
                 raise ValueError("involution does not preserve the relations")
+        object.__setattr__(self, "smith_basis",
+                           lattice.smith_basis(rel_cols, g))
+
+    def __hash__(self):
+        return self._hash
 
     # -- constructors -------------------------------------------------
 

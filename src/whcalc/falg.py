@@ -31,21 +31,27 @@ face-attachment steps of each complex (``_attachment_plan``), the
 (face, omitted index) pairs of its face-horn dualities
 (``_face_horns``) and, per involution T, face and index set, one
 linear form per output coordinate of a generalized duality
-(``_duality_form``).  The duality holds when L(v) - sgn T(R(v)) lies in
-the relation lattice, where L and R collapse the inclusion-exclusion
-over the boundary faces in the index set and its complement
-(``_union_coeffs``).  These are compiled once per ambient and number of
-coordinates g against the flat vector of a functor: each form becomes
-index and coefficient tuples (``_compile_row``), shared by every
-target with the same action, the forms of all face-horn dualities are
-stacked (``_horn_rows``), and the attachment plans become one program
-per set of complexes in evaluation order (``_attachment_program``, and
-``_square_program`` with the square-basis forms over its values).
-Everything that depends on the functor stays per functor and runs on
-every functor: its flat vector, reduced in one blockwise call, every
-program with its two-attachment-order guard (``_evaluate``), and one
-blockwise relation-lattice membership test per duality, per set of
-stacked forms and per program's guard.  The constraint equations of the
+(``_duality_form``, shared by every target with the same action).  The
+duality holds when L(v) - sgn T(R(v)) lies in the relation lattice,
+where L and R collapse the inclusion-exclusion over the boundary faces
+in the index set and its complement (``_union_coeffs``).  The
+attachment plans become one program per set of complexes in evaluation
+order (``_attachment_program``, per ambient and number of coordinates
+g).  Every membership condition is then compiled once per target
+against the flat vector of a functor (``_compile_checks``): with the
+target's ``smith_basis``, a block of g forms lies in the relation
+lattice exactly when each row of the left transform times the block
+takes a multiple of its modulus, so each check becomes a few rows
+``(getter, coefficients, modulus)``, rows of modulus 1 dropped and the
+rows of each modulus cut to a Z-basis of their span.  So are compiled
+one generalized duality (``_compiled_duality``), every face-horn
+duality at once (``_horn_rows``) and the square-basis forms over the
+values of the square program (``_square_program``).  Everything that
+depends on the functor stays per functor and runs on every functor:
+its flat vector, reduced in one blockwise call, every program with its
+two-attachment-order guard (``_evaluate``, one blockwise relation-lattice
+membership test), and the compiled rows of each check, evaluated one at
+a time until one fails (``_rows_vanish``).  The constraint equations of the
 homotopy path (``_membership_rows``, integer rows only after their
 presolve) write each face-horn duality from its closed form, one signed
 term per face containing the horn's vertex, and use none of these
@@ -255,11 +261,63 @@ def _compile_row(terms):
     return itemgetter(*index), coeffs
 
 
-def _rows_vanish(target, rows, vec):
-    """Whether every compiled row of ``rows`` takes ``vec`` into the
-    relation lattice, as one membership test of the stacked values."""
-    return target.is_zero_element([sum(map(mul, coeffs, get(vec)))
-                                   for get, coeffs in rows])
+def _mod_terms(form, m):
+    """The nonzero terms of ``{index: coefficient}`` modulo m > 0, or all
+    of them when m is 0."""
+    if m:
+        form = {i: c % m for i, c in form.items()}
+    return {i: c for i, c in form.items() if c}
+
+
+def _compile_checks(target, blocks):
+    """Blocks of g linear forms over a flat vector, each block to be
+    tested for membership in the relation lattice, compiled into rows
+    ``(getter, coefficients, modulus)`` for ``_rows_vanish``.
+
+    Each form is a sequence of ``(index, coefficient)`` terms.  With
+    ``(moduli, left)`` the target's ``smith_basis``, a block F lies in
+    the lattice exactly when row i of left * F takes a multiple of
+    ``moduli[i]``, and 0 where that modulus is 0.  Rows of modulus 1
+    always hold and are dropped, and a row of modulus m > 0 matters only
+    modulo m.  The rows of one modulus are then replaced by a Z-basis of
+    their span from ``lattice._eliminate``: each basis row is an integer
+    combination of them and each of them one of basis rows, so all vanish
+    modulo m exactly when the basis rows do (at ambient 3, the 28
+    face-horn rows of Z/6 under the identity, 120 terms, become 7 rows
+    with 30).  The rows are compiled by ``_compile_row``, by increasing
+    modulus.
+    """
+    moduli, left = target.smith_basis
+    by_modulus = {}
+    for block in blocks:
+        for m, u_row in zip(moduli, left):
+            if m == 1:
+                continue
+            form = {}
+            for u, terms in zip(u_row, block):
+                if u:
+                    for i, c in terms:
+                        form[i] = form.get(i, 0) + u * c
+            by_modulus.setdefault(m, []).append(_mod_terms(form, m))
+    rows = []
+    for m, forms in sorted(by_modulus.items()):
+        pivots, _kernel = lattice._eliminate(forms)
+        for _row, col in pivots:
+            terms = _mod_terms(col, m)
+            if terms:
+                rows.append(_compile_row(sorted(terms.items())) + (m,))
+    return tuple(rows)
+
+
+def _rows_vanish(rows, vec):
+    """Whether every row ``(getter, coefficients, modulus)`` of ``rows``
+    takes ``vec`` to a multiple of its modulus (to 0 for modulus 0), row
+    by row, stopping at the first that does not."""
+    for get, coeffs, m in rows:
+        x = sum(map(mul, coeffs, get(vec)))
+        if x % m if m else x:
+            return False
+    return True
 
 
 class TorsionFunctor:
@@ -551,20 +609,22 @@ def raw_degeneracy(tf, i):
 
 
 @lru_cache(maxsize=None)
-def _square_program(p, g):
-    """``check_square`` at ambient p for g coordinates, compiled.
+def _square_program(target, p):
+    """``check_square`` at ambient p for ``target``, compiled.
 
     Returns ``(steps, starts, rows)``: the ``_attachment_program`` of the
     subcomplexes that some square uses (``_square_basis``, in its order),
-    and the g rows of each ``_square_basis`` form over the values that
-    program leaves, compiled by ``_compile_row`` and stacked.
+    and the rows that ``_compile_checks`` makes of the g forms of each
+    ``_square_basis`` form over the values that program leaves.
     """
+    g = target.generator_count
     keys = _contractible_keys(p)
     used, basis = _square_basis(p)
     steps, starts = _attachment_program(p, tuple(keys[k] for k in used), g)
     start = dict(zip(used, starts))
-    rows = tuple(_compile_row([(start[k] + r, c) for k, c in form])
-                 for form in basis for r in range(g))
+    rows = _compile_checks(target, [
+        [[(start[k] + r, c) for k, c in form] for r in range(g)]
+        for form in basis])
     return steps, starts, rows
 
 
@@ -577,13 +637,13 @@ def check_square(tf):
     whose two-order guard still runs on every complex.  Then the stacked
     forms of the per-ambient ``_square_basis`` (50 forms for the 1180
     squares at ambient 3) are tested for membership in the relation
-    lattice in one call, which holds for all of them exactly when it
-    holds for every square.  The constraint equations of
-    ``_membership_rows`` share none of this.
+    lattice through their per-target rows (``_compile_checks``), which
+    all vanish exactly when every square holds.  The constraint
+    equations of ``_membership_rows`` share none of this.
     """
     p = tf.ambient
     g = tf.target.generator_count
-    steps, starts, rows = _square_program(p, g)
+    steps, starts, rows = _square_program(tf.target, p)
     if tf.table is None:
         vals = _evaluate(tf, steps)
     else:
@@ -592,9 +652,10 @@ def check_square(tf):
         vals = list(tf.flat) + [0] * len(steps)
         for k, start in zip(used, starts):
             vals[start:start + g] = tf.table[tuple(sorted(keys[k]))]
-    return _rows_vanish(tf.target, rows, vals)
+    return _rows_vanish(rows, vals)
 
 
+@lru_cache(maxsize=None)
 def _duality_form(involution, ambient, sigma, index_set):
     """The generalized duality of face ``sigma`` at ``index_set`` under
     the involution T, as one linear form.
@@ -611,8 +672,10 @@ def _duality_form(involution, ambient, sigma, index_set):
     ``(face, j, coefficient)`` triples, zeros dropped: coordinate r is the
     sum of coefficient * v[face][j].  For even-dimensional sigma under the
     identity (odd under -1) the two ``(sigma, -1)`` terms cancel.  The
-    form depends on the target only through ``involution``, so targets
-    with the same action share its compiled rows (``_compiled_duality``).
+    form depends on the target only through ``involution``, so it is
+    cached per involution and shared by every target with that action;
+    each target compiles it against its own relations
+    (``_compiled_duality``).
     """
     d = face_dim(sigma)
     idx = sorted(set(index_set))
@@ -638,21 +701,28 @@ def _duality_form(involution, ambient, sigma, index_set):
     return tuple(forms)
 
 
+def _flat_block(target, ambient, sigma, index_set):
+    """The forms of ``_duality_form`` over the flat face-value vector, as
+    ``(index, coefficient)`` terms: one block of g forms."""
+    g = target.generator_count
+    return [[(f * g + j, c) for f, j, c in form]
+            for form in _duality_form(target.involution, ambient, sigma,
+                                      index_set)]
+
+
 @lru_cache(maxsize=None)
-def _compiled_duality(involution, ambient, sigma, index_set):
-    """The rows of ``_duality_form`` over the flat face-value vector,
-    compiled by ``_compile_row``: one per output coordinate."""
-    g = len(involution)
-    return tuple(_compile_row([(f * g + j, c) for f, j, c in form])
-                 for form in _duality_form(involution, ambient, sigma,
-                                           index_set))
+def _compiled_duality(target, ambient, sigma, index_set):
+    """The generalized duality of ``sigma`` at ``index_set`` for
+    ``target``, as the rows of ``_compile_checks``."""
+    return _compile_checks(target, [_flat_block(target, ambient, sigma,
+                                                index_set)])
 
 
 def _duality_ok(tf, sigma, i):
     """Face-horn duality of tau at ``sigma`` for the omitted index i: the
     generalized duality at the index set {i}."""
-    return _rows_vanish(tf.target, _compiled_duality(
-        tf.target.involution, tf.ambient, sigma, (i,)), tf.flat)
+    return _rows_vanish(_compiled_duality(tf.target, tf.ambient, sigma, (i,)),
+                        tf.flat)
 
 
 def check_face_horn_duality(tf, sigma):
@@ -671,25 +741,24 @@ def _face_horns(ambient):
 
 
 @lru_cache(maxsize=None)
-def _horn_rows(involution, ambient):
-    """The ``_compiled_duality`` rows of every face-horn duality, in
-    ``_face_horns`` order, stacked: one block of g rows per horn."""
-    return tuple(row for sigma, i in _face_horns(ambient)
-                 for row in _compiled_duality(involution, ambient, sigma, (i,)))
+def _horn_rows(target, ambient):
+    """Every face-horn duality for ``target``, one block of g forms per
+    horn of ``_face_horns``, compiled together by ``_compile_checks``."""
+    return _compile_checks(target, [_flat_block(target, ambient, sigma, (i,))
+                                    for sigma, i in _face_horns(ambient)])
 
 
 def all_dualities_hold(tf):
-    """Face-horn duality at every face: every horn's rows (``_horn_rows``)
-    in one membership test."""
-    return _rows_vanish(tf.target, _horn_rows(tf.target.involution,
-                                              tf.ambient), tf.flat)
+    """Face-horn duality at every face: the rows of every horn at once
+    (``_horn_rows``)."""
+    return _rows_vanish(_horn_rows(tf.target, tf.ambient), tf.flat)
 
 
 def generalized_duality_holds(tf, sigma, index_set):
-    """tau(sigma, boundary union over I) against the complementary union,
-    as one membership test of the compiled ``_duality_form``."""
-    return _rows_vanish(tf.target, _compiled_duality(
-        tf.target.involution, tf.ambient, sigma, tuple(index_set)), tf.flat)
+    """tau(sigma, boundary union over I) against the complementary union:
+    the rows that ``_compile_checks`` makes of ``_duality_form``."""
+    return _rows_vanish(_compiled_duality(tf.target, tf.ambient, sigma,
+                                          tuple(index_set)), tf.flat)
 
 
 def _pure_boundary(k_faces):

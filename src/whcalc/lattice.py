@@ -14,12 +14,14 @@ Kernels, lattice bases, quotient coordinates and the echelon bases of
 ``Lattice`` come from one sparse unimodular column elimination
 (``_eliminate``; Dumas, Saunders and Villard 2001, Kaczynski, Mischaikow
 and Mrozek 2004, ch. 3) applied to the constraint systems directly.
-Dense Smith normal form from ``_snf`` only sees the small relation
-matrices of quotients, whose invariant factors are canonical, and the
-square systems of ``solve``; no other module calls it.  Its transforms
-give ``quotient_with_generators`` independent generators, one per
-invariant factor, from which ``span_elements`` lists each element of a
-finite quotient once.
+Dense Smith normal form from ``_snf`` only sees small matrices: the
+relation matrices of quotients, whose invariant factors are canonical,
+the relation matrix of a group in ``smith_basis``, and the square
+systems of ``solve``; no other module calls it.  Its transforms give
+``quotient_with_generators`` independent generators, one per invariant
+factor, from which ``span_elements`` lists each element of a finite
+quotient once, and give ``smith_basis`` the left transform that turns
+membership in a lattice into one congruence per coordinate.
 """
 
 from __future__ import annotations
@@ -219,6 +221,20 @@ def cokernel_factors(gens, dim):
     a = from_columns(cols, dim)
     diag, _, _ = _snf.smith(a, False)
     return [d for d in diag if d != 1] + [0] * (dim - len(diag))
+
+
+def smith_basis(gens, dim):
+    """A diagonal form of the lattice spanned by ``gens`` in Z^dim.
+
+    Returns ``(moduli, left)``: ``left`` is the unimodular left transform
+    of the Smith form of the relation matrix, as tuples of rows, and
+    ``moduli`` has one entry per coordinate of ``left`` times a vector.
+    Since ``left`` maps the lattice onto the sum of the ``moduli[i] * Z``,
+    w lies in it exactly when every ``(left w)_i`` is a multiple of
+    ``moduli[i]``; a modulus of 0 means that coordinate must be 0.
+    """
+    diag, left, _right = _snf.smith(from_columns(gens, dim), True)
+    return tuple(diag) + (0,) * (dim - len(diag)), tuple(map(tuple, left))
 
 
 def kernel_with_denominator(c_rows, den_cols, n_unknowns):

@@ -202,7 +202,7 @@ def test_attachment_programs_match_the_recursive_evaluator(target):
                 assert tf.value_on(key) == \
                     _oracles.attached_value(tf, key, memo), (p, sorted(key))
             if p < 4:
-                steps, starts, _rows = falg._square_program(p, g)
+                steps, starts, _rows = falg._square_program(target, p)
                 vals = falg._evaluate(tf, steps)
                 used, _basis = falg._square_basis(p)
                 for k, start in zip(used, starts):
@@ -456,44 +456,119 @@ def test_duality_forms_match_plain_arithmetic():
                         assert got == want, (target, p, sigma, idx)
 
 
+def row_conditions(rows, n):
+    """Compiled rows ``(getter, coefficients, modulus)`` over a flat
+    vector of n coordinates, as ``{modulus: dense coefficient vectors}``;
+    the getter, applied to ``range(n)``, names the indices it reads."""
+    out = {}
+    for get, coeffs, m in rows:
+        vec = [0] * n
+        for i, c in zip(get(range(n)), coeffs):
+            vec[i] += c
+        out.setdefault(m, []).append(vec)
+    return out
+
+
+def block_conditions(target, blocks):
+    """Blocks of g dense forms, each block to lie in the relation
+    lattice, as ``{modulus: forms}``: row i of left * block must take a
+    multiple of moduli[i], for ``(moduli, left)`` the target's Smith
+    basis."""
+    moduli, left = target.smith_basis
+    out = {}
+    for block in blocks:
+        for m, u in zip(moduli, left):
+            out.setdefault(m, []).append(
+                [sum(map(mul, u, col)) for col in zip(*block)])
+    return out
+
+
+def assert_same_conditions(got, want, n):
+    """Two ``{modulus: forms}`` impose the same conditions on Z^n: per
+    modulus m the forms span the same lattice together with m Z^n, and
+    no compiled row has modulus 1."""
+    assert 1 not in got
+    for m in set(got) | set(want):
+        extra = [[m * (i == j) for j in range(n)] for i in range(n)] if m \
+            else []
+        a, b = got.get(m, []) + extra, want.get(m, []) + extra
+        la, lb = lattice.Lattice(a, n), lattice.Lattice(b, n)
+        assert all(lb.contains(v) for v in a), m
+        assert all(la.contains(v) for v in b), m
+
+
+def plain_block(target, ambient, sigma, index_set):
+    """The forms of ``_duality_form`` as g dense vectors over the flat
+    face-value layout, written here from its triples."""
+    g = target.generator_count
+    n = (falg._top_mask(ambient) + 1) * g
+    out = []
+    for form in falg._duality_form(target.involution, ambient, sigma,
+                                   index_set):
+        vec = [0] * n
+        for f, j, c in form:
+            vec[f * g + j] += c
+        out.append(vec)
+    return out
+
+
 def test_all_dualities_hold_checks_each_horn_once(monkeypatch):
-    # one block of g stacked rows per (face of dimension >= 1, omitted
-    # index), each horn's own compiled rows, in one membership test
-    tests = []
-    original = InvolutiveAbelianGroup.is_zero_element
+    # one pass over one set of compiled rows and no membership test; the
+    # rows impose exactly the conditions of every horn's own compiled
+    # rows, one horn per (face of dimension >= 1, omitted index)
+    runs, tests = [], []
+    rows_vanish = falg._rows_vanish
+    is_zero = InvolutiveAbelianGroup.is_zero_element
 
-    def counted(self, vec):
+    def counted_rows(rows, vec):
+        runs.append(rows)
+        return rows_vanish(rows, vec)
+
+    def counted_tests(self, vec):
         tests.append(len(vec))
-        return original(self, vec)
+        return is_zero(self, vec)
 
-    monkeypatch.setattr(InvolutiveAbelianGroup, "is_zero_element", counted)
+    monkeypatch.setattr(falg, "_rows_vanish", counted_rows)
+    monkeypatch.setattr(InvolutiveAbelianGroup, "is_zero_element",
+                        counted_tests)
     z2z2 = InvolutiveAbelianGroup.from_factors([2, 2], -1)
     for target in (Z4S, z2z2):
         g = target.generator_count
         for n in (0, 1, 2, 3):
             el = psi_section(target, n, (1,) * g)
+            runs.clear()
             tests.clear()
             assert all_dualities_hold(el.functor)
             faces = [s for s in falg._all_faces(n + 1) if face_dim(s) >= 1]
             horns = [(s, i) for s in faces for i in range(face_dim(s) + 1)]
             assert sorted(falg._face_horns(n + 1)) == sorted(horns)
-            assert tests == [len(horns) * g]
-            rows = falg._horn_rows(target.involution, n + 1)
-            assert rows == tuple(
-                row for s, i in falg._face_horns(n + 1)
-                for row in falg._compiled_duality(target.involution, n + 1,
-                                                  s, (i,)))
+            rows = falg._horn_rows(target, n + 1)
+            assert runs == [rows]
+            assert tests == []
+            size = len(el.functor.flat)
+            assert_same_conditions(
+                row_conditions(rows, size),
+                row_conditions([row for s, i in falg._face_horns(n + 1)
+                                for row in falg._compiled_duality(
+                                    target, n + 1, s, (i,))], size),
+                size)
 
 
 def test_targets_with_one_involution_share_duality_forms():
-    # the compiled forms depend on the target only through its involution
-    falg._compiled_duality.cache_clear()
+    # the forms depend on the target only through its involution, so
+    # Z/2, Z/4 and Z/6 share one cached form per horn; each target
+    # compiles its own rows, modulo its own order
+    falg._duality_form.cache_clear()
     falg._horn_rows.cache_clear()
     for target in (Z2, Z4, Z6):
         assert all_dualities_hold(TorsionFunctor.zero(3, target))
-    assert falg._compiled_duality.cache_info().currsize == len(
-        falg._face_horns(3))
-    assert falg._horn_rows.cache_info().currsize == 1
+    horns = len(falg._face_horns(3))
+    info = falg._duality_form.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (horns, horns, 2 * horns)
+    assert falg._horn_rows.cache_info().currsize == 3
+    for target, m in ((Z2, 2), (Z4, 4), (Z6, 6)):
+        rows = falg._horn_rows(target, 3)
+        assert rows and {row[2] for row in rows} == {m}
 
 
 def plain_duality(tf, sigma, index_set):
@@ -505,15 +580,20 @@ def plain_duality(tf, sigma, index_set):
                                            sigma, index_set)]
 
 
-def compiled_duality(tf, sigma, index_set):
-    return [sum(map(mul, coeffs, get(tf.flat)))
-            for get, coeffs in falg._compiled_duality(
-                tf.target.involution, tf.ambient, sigma, index_set)]
+def flat_duality(tf, sigma, index_set):
+    """The unreduced output of the forms over the flat layout that
+    ``_compile_checks`` starts from."""
+    return [sum(c * tf.flat[i] for i, c in form)
+            for form in falg._flat_block(tf.target, tf.ambient, sigma,
+                                         index_set)]
 
 
 def test_compiled_and_stacked_forms_match_plain_forms():
-    # exact integer outputs, before any membership test, on members of
-    # F^alg, the same with one face value perturbed, and random values
+    # the forms over the flat layout give the exact integers of the plain
+    # forms, the compiled rows of one duality and of every horn at once
+    # impose exactly the conditions of the plain forms, and the verdicts
+    # equal membership of the plain outputs; on members of F^alg, the
+    # same with one face value perturbed, and random values
     rng = random.Random(73)
     swap_sq = InvolutiveAbelianGroup(2, [[3, 0], [0, 3]], [[0, 1], [1, 0]])
     z2z2 = InvolutiveAbelianGroup.from_factors([2, 2], -1)
@@ -521,6 +601,22 @@ def test_compiled_and_stacked_forms_match_plain_forms():
     for target in (Z4S, z2z2, swap_sq):
         g = target.generator_count
         for p in (1, 2, 3):
+            size = (falg._top_mask(p) + 1) * g
+            index_sets = [(sigma, idx) for sigma in falg._all_faces(p)
+                          for r in range(1, face_dim(sigma) + 1)
+                          for idx in combinations(range(face_dim(sigma) + 1),
+                                                  r)]
+            for sigma, idx in index_sets:
+                assert_same_conditions(
+                    row_conditions(falg._compiled_duality(target, p, sigma,
+                                                          idx), size),
+                    block_conditions(target, [plain_block(target, p, sigma,
+                                                          idx)]), size)
+            assert_same_conditions(
+                row_conditions(falg._horn_rows(target, p), size),
+                block_conditions(target, [plain_block(target, p, sigma, (i,))
+                                          for sigma, i in
+                                          falg._face_horns(p)]), size)
             faces = falg._proper_faces(p)
             for el in islice(falg_group(target, p - 1).elements(), 3):
                 fv = el.functor.values
@@ -533,25 +629,85 @@ def test_compiled_and_stacked_forms_match_plain_forms():
                     stacked = []
                     for sigma, i in falg._face_horns(p):
                         plain = plain_duality(tf, sigma, (i,))
-                        assert compiled_duality(tf, sigma, (i,)) == plain
+                        assert flat_duality(tf, sigma, (i,)) == plain
                         stacked += plain
-                    rows = falg._horn_rows(target.involution, p)
-                    assert [sum(map(mul, c, get(tf.flat)))
-                            for get, c in rows] == stacked
                     held = target.is_zero_element(stacked)
                     assert all_dualities_hold(tf) is held
                     verdicts.add(held)
-                    for sigma in falg._all_faces(p):
-                        d = face_dim(sigma)
-                        for r in range(1, d + 1):
-                            for idx in combinations(range(d + 1), r):
-                                plain = plain_duality(tf, sigma, idx)
-                                assert compiled_duality(tf, sigma, idx) \
-                                    == plain
-                                assert generalized_duality_holds(
-                                    tf, sigma, idx) is \
-                                    target.is_zero_element(plain)
+                    for sigma, idx in index_sets:
+                        plain = plain_duality(tf, sigma, idx)
+                        assert flat_duality(tf, sigma, idx) == plain
+                        assert generalized_duality_holds(tf, sigma, idx) is \
+                            target.is_zero_element(plain)
     assert verdicts == {True, False}
+
+
+ORACLE_TARGETS = [
+    InvolutiveAbelianGroup.from_factors([2, 3]),
+    InvolutiveAbelianGroup(2, [[3, 0], [0, 3]], [[0, 1], [1, 0]]),
+    InvolutiveAbelianGroup(2, [[], []], [[0, 1], [1, 0]]),
+    InvolutiveAbelianGroup.from_factors([0, 2], -1),
+    InvolutiveAbelianGroup.zero(),
+]
+
+
+def plain_square_holds(tf):
+    """Every ``_square_basis`` form of the values of ``tf`` on the used
+    subcomplexes, coordinate by coordinate, in the relation lattice."""
+    p, target = tf.ambient, tf.target
+    keys = falg._contractible_keys(p)
+    used, basis = falg._square_basis(p)
+    vals = {k: tf.value_on(keys[k]) for k in used}
+    return all(target.is_zero_element(
+        [sum(c * vals[k][r] for k, c in form)
+         for r in range(target.generator_count)]) for form in basis)
+
+
+def test_compiled_checks_match_plain_membership():
+    # every compiled check against ``is_zero_element`` of its plain forms,
+    # on targets whose Smith moduli are 1 and 6, 3 and 3, 0 and 0, 2 and
+    # 0, and none: members of F^alg, the same with one face value
+    # perturbed, random face values and (for the squares) table-backed
+    # functors with one entry corrupted, at ambient 1..3
+    rng = random.Random(89)
+    verdicts = {"duality": set(), "horns": set(), "square": set()}
+    for target in ORACLE_TARGETS:
+        g = target.generator_count
+        for p in (1, 2, 3):
+            faces = falg._proper_faces(p)
+            functors = []
+            for value in ((0,) * g, tuple(range(1, g + 1))):
+                member = psi_section(target, p - 1, value).functor
+                fv = member.values
+                if g:
+                    face = rng.choice(faces)
+                    fv[face] = tuple(x + 1 for x in fv[face])
+                rand = {f: tuple(rng.randrange(-6, 6) for _ in range(g))
+                        for f in faces}
+                functors += [member, iota_shriek(fv, p, target),
+                             iota_shriek(rand, p, target)]
+            for tf in functors:
+                horns = [plain_duality(tf, sigma, (i,))
+                         for sigma, i in falg._face_horns(p)]
+                held = all(map(target.is_zero_element, horns))
+                assert all_dualities_hold(tf) is held
+                verdicts["horns"].add(held)
+                for sigma in falg._all_faces(p):
+                    d = face_dim(sigma)
+                    for r in range(1, d + 1):
+                        for idx in combinations(range(d + 1), r):
+                            held = target.is_zero_element(
+                                plain_duality(tf, sigma, idx))
+                            assert generalized_duality_holds(
+                                tf, sigma, idx) is held
+                            verdicts["duality"].add(held)
+            for trial in range(4):
+                functors += random_table_functor(rng, p, target, trial > 0)
+            for tf in functors:
+                held = plain_square_holds(tf)
+                assert check_square(tf) is held
+                verdicts["square"].add(held)
+    assert verdicts == {kind: {True, False} for kind in verdicts}
 
 
 def test_square_basis_plan():
@@ -606,7 +762,7 @@ def test_check_square_evaluates_each_key_once(monkeypatch):
                   for f in falg._proper_faces(p)}
             runs.clear()
             assert check_square(iota_shriek(fv, p, target))
-            steps, starts, _rows = falg._square_program(p, g)
+            steps, starts, _rows = falg._square_program(target, p)
             assert runs == [steps]
             keys = falg._contractible_keys(p)
             used, _basis = falg._square_basis(p)

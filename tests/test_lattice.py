@@ -17,7 +17,7 @@ from whcalc import _snf, lattice
 from whcalc.abelian import InvolutiveAbelianGroup
 from whcalc.lattice import Lattice
 
-from _oracles import bareiss_rank
+from _oracles import bareiss_determinant, bareiss_rank
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "whcalc"
@@ -208,6 +208,54 @@ def test_reduce_and_contains_act_blockwise():
     assert empty.reduce(()) == () and empty.contains([])
     with pytest.raises(ValueError, match="blocks"):
         empty.contains([0])
+
+
+def smith_member(basis, v):
+    """Membership read off ``smith_basis``: every coordinate of left * v
+    a multiple of its modulus, 0 where the modulus is 0."""
+    moduli, left = basis
+    return all(x % m == 0 if m else x == 0
+               for m, x in zip(moduli, lattice.mat_vec(left, v)))
+
+
+def test_smith_basis_membership_matches_lattice_contains():
+    # random relation matrices, some with zero columns and some of lower
+    # rank than their dimension (dependent or too few columns); members
+    # are random combinations of the columns, other vectors are random
+    rng = random.Random(83)
+    verdicts = set()
+    shapes = set()
+    for _ in range(300):
+        dim = rng.randint(0, 5)
+        gens = [[rng.randint(-4, 4) if rng.random() < 0.6 else 0
+                 for _ in range(dim)] for _ in range(rng.randint(0, 5))]
+        if rng.random() < 0.3:
+            gens.insert(rng.randint(0, len(gens)), [0] * dim)
+        if len(gens) > 1 and rng.random() < 0.4:
+            a, b = rng.sample(gens, 2)
+            gens.append([2 * x - y for x, y in zip(a, b)])
+        moduli, left = basis = lattice.smith_basis(gens, dim)
+        assert len(moduli) == len(left) == dim
+        assert all(len(row) == dim for row in left)
+        assert abs(bareiss_determinant(left)) == 1
+        assert all(m >= 0 for m in moduli)
+        rank = bareiss_rank(gens)
+        assert sum(1 for m in moduli if m) == rank
+        shapes.add((rank < dim, [0] * dim in gens))
+        lat = Lattice(gens, dim)
+        for _ in range(20):
+            if gens and rng.random() < 0.5:
+                v = [0] * dim
+                for g in gens:
+                    c = rng.randint(-3, 3)
+                    v = [x + c * y for x, y in zip(v, g)]
+            else:
+                v = [rng.randint(-6, 6) for _ in range(dim)]
+            verdict = smith_member(basis, v)
+            assert verdict is lat.contains(v), (gens, v)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+    assert shapes == {(r, z) for r in (True, False) for z in (True, False)}
 
 
 def test_relation_lattice_built_once_per_group():
