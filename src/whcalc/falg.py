@@ -8,11 +8,11 @@ and written only by ``TorsionFunctor.values``; the group law and the
 structure maps gather over the flat vector.  Faces have one order, their
 mask (``_all_faces``): the constraint systems give proper face f the
 block f - 1, so their solutions are flat vectors once ``_solved_group``
-pads on the empty and the top block.  Values on other
-contractible subcomplexes are recovered on demand by inclusion-exclusion,
-attaching one face at a time along two independent attachment orders
-whose results are compared, so a disagreement surfaces as an error
-instead of a silent wrong answer.
+pads on the empty and the top block.  The value on any other
+contractible subcomplex is linear in the face values, one integer form
+per complex (``_complex_form``), built by attaching one face at a time
+along two attachment orders whose forms are compared, so a faulty
+attachment plan surfaces as an error instead of a silent wrong answer.
 
 The simplicial group built here has p-simplices the functors at ambient
 dimension p+1 that vanish on the 0-th face region and satisfy face-horn
@@ -23,40 +23,34 @@ package verifies against the independent C2-homology computation.
 
 The element-level checks split their work by what it depends on.  The
 combinatorics of an ambient simplex are computed once and cached
-(``lru_cache``, filled on first use, never at import): a Z-basis of the
-integer forms of the pushout squares among its contractible
-subcomplexes (``_square_basis``: the 1180 squares of the 3-simplex span
-a lattice of rank 50 over its 65 contractible subcomplexes), the
-face-attachment steps of each complex (``_attachment_plan``), the
-(face, omitted index) pairs of its face-horn dualities
-(``_face_horns``) and, per involution T, face and index set, one
-linear form per output coordinate of a generalized duality
-(``_duality_form``, shared by every target with the same action).  The
-duality holds when L(v) - sgn T(R(v)) lies in the relation lattice,
-where L and R collapse the inclusion-exclusion over the boundary faces
-in the index set and its complement (``_union_coeffs``).  The
-attachment plans become one program per set of complexes in evaluation
-order (``_attachment_program``, per ambient and number of coordinates
-g).  Every membership condition is then compiled once per target
-against the flat vector of a functor (``_compile_checks``): with the
-target's ``smith_basis``, a block of g forms lies in the relation
-lattice exactly when each row of the left transform times the block
-takes a multiple of its modulus, so each check becomes a few rows
-``(getter, coefficients, modulus)``, rows of modulus 1 dropped and the
-rows of each modulus cut to a Z-basis of their span.  So are compiled
-one generalized duality (``_compiled_duality``), every face-horn
-duality at once (``_horn_rows``) and the square-basis forms over the
-values of the square program (``_square_program``).  Everything that
-depends on the functor stays per functor and runs on every functor:
-its flat vector, reduced in one blockwise call, every program with its
-two-attachment-order guard (``_evaluate``, one blockwise relation-lattice
-membership test), and the compiled rows of each check, evaluated one at
-a time until one fails (``_rows_vanish``).  The constraint equations of the
-homotopy path (``_membership_rows``, integer rows only after their
-presolve) write each face-horn duality from its closed form, one signed
-term per face containing the horn's vertex, and use none of these
-plans, so the element checks and the constraint systems still
-cross-check each other.
+(``lru_cache``, filled on first use, never at import): the
+face-attachment steps of each complex (``_attachment_plan``) and its
+integer form (``_complex_form``), the (face, omitted index) pairs of its
+face-horn dualities (``_face_horns``) and, per involution T, face and
+index set, one linear form per output coordinate of a generalized
+duality (``_duality_form``, shared by every target with the same
+action).  The duality holds when L(v) - sgn T(R(v)) lies in the relation
+lattice, where L and R collapse the inclusion-exclusion over the
+boundary faces in the index set and its complement (``_union_coeffs``).
+Every membership condition is then compiled once per target against the
+flat vector of a functor (``_compile_checks``): with the target's
+``smith_basis``, a block of g forms lies in the relation lattice exactly
+when each row of the left transform times the block takes a multiple of
+its modulus, so each check becomes a few rows ``(getter, coefficients,
+modulus)``, rows of modulus 1 dropped and the rows of each modulus cut
+to a Z-basis of their span.  So are compiled one generalized duality
+(``_compiled_duality``) and every face-horn duality at once
+(``_horn_rows``).  Per functor run its flat vector, reduced in one
+blockwise call, a complex form evaluated on it and reduced once
+(``value_on``), and the compiled rows of each check, one at a time until
+one fails (``_rows_vanish``).  The pushout squares need nothing per
+functor built from face values, since the forms make them hold by
+construction; only a table-backed functor has its squares checked
+(``check_square``).  The constraint equations of the homotopy path
+(``_membership_rows``, integer rows only after their presolve) write
+each face-horn duality from its closed form, one signed term per face
+containing the horn's vertex, and use none of these plans, so the
+element checks and the constraint systems still cross-check each other.
 """
 
 from __future__ import annotations
@@ -101,7 +95,7 @@ class NotContractibleError(ValueError):
 
 
 class InconsistentFunctorError(ValueError):
-    """Two attachment orders disagreed: the input data was malformed."""
+    """Two attachment orders of a complex gave different forms."""
 
 
 def _top_mask(p):
@@ -162,7 +156,7 @@ def _union_coeffs(ambient, faces):
 
 @lru_cache(maxsize=None)
 def _attachment_plan(faces):
-    """The face-attachment steps of ``TorsionFunctor._value`` on ``faces``.
+    """The face-attachment steps of ``_complex_form`` on ``faces``.
 
     ``(face, ())`` when ``faces`` has the single maximal face ``face``;
     otherwise ``(None, steps)`` with ``steps`` the first and the last
@@ -187,67 +181,36 @@ def _attachment_plan(faces):
 
 
 @lru_cache(maxsize=None)
-def _attachment_program(ambient, complexes, g):
-    """The face-attachment steps that evaluate a functor at this ambient,
-    with g coordinates, on each complex of the tuple ``complexes``.
+def _complex_form(faces):
+    """The value of a functor on the complex ``faces`` as one integer form
+    in its face values: the nonzero ``(face, coefficient)`` pairs, sorted
+    by face, whose sum of coefficient * value(face) is the value before
+    reduction, at every ambient that holds the faces.
 
-    Returns ``(steps, starts)`` for ``_evaluate``, which extends a copy of
-    the flat face-value vector (``TorsionFunctor.flat``) by one slot of g
-    coordinates per complex of the dependency closure of
-    ``_attachment_plan`` with several maximal faces, in evaluation order;
-    a complex with one maximal face is that face's slot.  Per new
-    coordinate, ``steps`` holds the six indices ``(a, b, c, a2, b2, c2)``
-    of its two attachment orders, value(a) + value(b) - value(c) with b
-    the attached face, the second order repeating the first where only
-    one is admissible.  ``starts`` indexes the first coordinate of each
-    complex of ``complexes``.  Raises NotContractibleError for a complex
-    that no attachment order reaches.
+    Built recursively from ``_attachment_plan``: a complex with one
+    maximal face is that face, and attaching sigma to the rest adds the
+    forms of the rest and of sigma and subtracts that of their
+    intersection.  The forms of both attachment orders are compared, and
+    InconsistentFunctorError is raised if they differ;
+    NotContractibleError if no attachment order is admissible.
     """
-    top = _top_mask(ambient)
-    slots = {}
-    orders = []
-
-    def visit(faces):
-        slot = slots.get(faces)
-        if slot is None:
-            face, plan = _attachment_plan(faces)
-            if face is not None:
-                slot = face
-            elif not plan:
-                raise NotContractibleError(
-                    "no admissible face-attachment order for this complex")
-            else:
-                attach = [(visit(rest), sigma, visit(inter))
-                          for sigma, rest, inter in plan]
-                slot = top + 1 + len(orders)
-                orders.append(attach[0] + attach[-1])
-            slots[faces] = slot
-        return slot
-
-    starts = tuple(visit(faces) * g for faces in complexes)
-    steps = tuple(tuple(slot * g + r for slot in order)
-                  for order in orders for r in range(g))
-    return steps, starts
-
-
-def _evaluate(tf, steps):
-    """The flat face values of ``tf`` extended by the complexes of an
-    ``_attachment_program``, unreduced.
-
-    Every complex is evaluated along both of its attachment orders, and
-    InconsistentFunctorError is raised unless the two agree modulo the
-    relations on each of them: one stacked membership test.
-    """
-    vals = list(tf.flat)
-    diffs = []
-    for a, b, c, a2, b2, c2 in steps:
-        x = vals[a] + vals[b] - vals[c]
-        vals.append(x)
-        diffs.append(x - vals[a2] - vals[b2] + vals[c2])
-    if not tf.target.is_zero_element(diffs):
+    face, plan = _attachment_plan(faces)
+    if face is not None:
+        return ((face, 1),)
+    if not plan:
+        raise NotContractibleError(
+            "no admissible face-attachment order for this complex")
+    forms = []
+    for sigma, rest, inter in plan:
+        coeffs = dict(_complex_form(rest))
+        coeffs[sigma] = coeffs.get(sigma, 0) + 1
+        for f, c in _complex_form(inter):
+            coeffs[f] = coeffs.get(f, 0) - c
+        forms.append(tuple((f, c) for f, c in sorted(coeffs.items()) if c))
+    if forms[0] != forms[-1]:
         raise InconsistentFunctorError(
-            "attachment orders disagree: malformed functor data")
-    return vals
+            "the attachment orders of a complex give different forms")
+    return forms[0]
 
 
 def _compile_row(terms):
@@ -323,7 +286,10 @@ def _rows_vanish(rows, vec):
 class TorsionFunctor:
     """Functor on contractible subcomplexes of the ambient simplex,
     valued in an involutive abelian group, satisfying the pushout-square
-    condition by construction when built from face values alone.
+    condition by construction when built from face values alone: its
+    value on a complex is the complex's integer form in the face values
+    (``_complex_form``), reduced once, and these forms are additive on
+    every pushout square.
 
     The face values live in one layout, the reduced flat tuple ``flat``:
     the g coordinates of the face with mask f sit at f*g .. f*g + g - 1,
@@ -425,13 +391,18 @@ class TorsionFunctor:
     # -- evaluation --------------------------------------------------------
 
     def value_on(self, complex_or_faces):
-        """tau(ambient simplex, K) for a contractible subcomplex K."""
+        """tau(ambient simplex, K) for a contractible subcomplex K: the
+        table entry of a table-backed functor, else the form of K on the
+        face values.  A mask that is no face of the ambient simplex
+        raises ValueError."""
         if isinstance(complex_or_faces, SubComplex):
             faces = frozenset(complex_or_faces.faces)
         else:
             faces = frozenset(complex_or_faces)
         if not faces:
             raise NotContractibleError("empty complex")
+        if min(faces) < 1 or max(faces) > _top_mask(self.ambient):
+            raise ValueError("face outside the ambient simplex")
         if self.table is not None:
             key = tuple(sorted(faces))
             if key in self.table:
@@ -440,10 +411,7 @@ class TorsionFunctor:
         if not _collapses_to_point(faces):
             raise NotContractibleError(
                 "torsion functors are defined on contractible subcomplexes only")
-        g = self.target.generator_count
-        steps, (start,) = _attachment_program(self.ambient, (faces,), g)
-        vals = _evaluate(self, steps)
-        return self.target.reduce(vals[start:start + g])
+        return self._combine(_complex_form(faces))
 
     def pair_value(self, larger, smaller):
         """tau(L, K) = tau(top, K) - tau(top, L) for K inside L."""
@@ -459,10 +427,14 @@ class TorsionFunctor:
         makes the inclusion-exclusion expansion exact in one pass; its
         collapsed coefficients come from ``_union_coeffs``.
         """
-        coeffs = _union_coeffs(self.ambient, set(face_list))
+        return self._combine(_union_coeffs(self.ambient, set(face_list)))
+
+    def _combine(self, form):
+        """The ``(face, coefficient)`` form on the face values: one
+        unreduced integer sum per coordinate, reduced once."""
         g, flat = self.target.generator_count, self.flat
         return self.target.reduce(
-            [sum([c * flat[f * g + r] for f, c in coeffs]) for r in range(g)])
+            [sum([c * flat[f * g + r] for f, c in form]) for r in range(g)])
 
     # -- cosimplicial structure maps ----------------------------------------
 
@@ -529,55 +501,6 @@ def _contractible_keys(p):
     return [frozenset(k.faces) for k in enumerate_contractible_subcomplexes(p)]
 
 
-def _squares(p):
-    """The pushout squares among the contractible subcomplexes of the
-    p-simplex: index quadruples ``(K0 & K1, K0 | K1, K0, K1)`` into
-    ``_contractible_keys(p)``, one per pair K0 before K1 whose
-    intersection is nonempty and whose intersection and union are
-    contractible, in pair order."""
-    keys = _contractible_keys(p)
-    index = {k: i for i, k in enumerate(keys)}
-    out = []
-    for a in range(len(keys)):
-        for b in range(a + 1, len(keys)):
-            inter = keys[a] & keys[b]
-            union = keys[a] | keys[b]
-            if inter and inter in index and union in index:
-                out.append((index[inter], index[union], a, b))
-    return tuple(out)
-
-
-def _square_form(square):
-    """v[K0 & K1] + v[K0 | K1] - v[K0] - v[K1] of one ``_squares`` entry,
-    as ``(key, coefficient)`` pairs with zero coefficients dropped."""
-    coeffs = {}
-    for k, c in zip(square, (1, 1, -1, -1)):
-        coeffs[k] = coeffs.get(k, 0) + c
-    return tuple((k, c) for k, c in sorted(coeffs.items()) if c)
-
-
-@lru_cache(maxsize=None)
-def _square_basis(p):
-    """The pushout-square condition at ambient p as a few integer forms.
-
-    Returns ``(used, basis)``.  ``used`` lists, as increasing indices
-    into ``_contractible_keys(p)``, every subcomplex some square of
-    ``_squares(p)`` uses.  ``basis`` is a Z-basis of the span of the
-    square forms (``_square_form``), from ``lattice._eliminate``, each
-    form as ``(key, coefficient)`` pairs: 50 forms for the 1180 squares
-    at ambient 3.  Every basis form is an integer combination of square
-    forms and every square form one of basis forms, so the values of a
-    functor satisfy every square exactly when every basis form of them
-    lies in the relation lattice.
-    """
-    squares = _squares(p)
-    used = tuple(sorted({k for square in squares for k in square}))
-    pivots, _kernel = lattice._eliminate(
-        [dict(_square_form(square)) for square in squares])
-    basis = tuple(tuple(sorted(col.items())) for _row, col in pivots)
-    return used, basis
-
-
 def raw_degeneracy(tf, i):
     """The uncorrected degeneracy: plain pullback of all values along the
     codegeneracy.  Generally leaves the square-condition subgroup; kept
@@ -608,51 +531,37 @@ def raw_degeneracy(tf, i):
     return TorsionFunctor(p, tf.target, flat, table)
 
 
-@lru_cache(maxsize=None)
-def _square_program(target, p):
-    """``check_square`` at ambient p for ``target``, compiled.
-
-    Returns ``(steps, starts, rows)``: the ``_attachment_program`` of the
-    subcomplexes that some square uses (``_square_basis``, in its order),
-    and the rows that ``_compile_checks`` makes of the g forms of each
-    ``_square_basis`` form over the values that program leaves.
-    """
-    g = target.generator_count
-    keys = _contractible_keys(p)
-    used, basis = _square_basis(p)
-    steps, starts = _attachment_program(p, tuple(keys[k] for k in used), g)
-    start = dict(zip(used, starts))
-    rows = _compile_checks(target, [
-        [[(start[k] + r, c) for k, c in form] for r in range(g)]
-        for form in basis])
-    return steps, starts, rows
-
-
 def check_square(tf):
     """Exhaustively verify the pushout-square condition (ambient <= 3).
 
-    Per functor, every contractible subcomplex that some square uses gets
-    its value once: from the table of a table-backed functor, or else by
-    running the per-ambient ``_square_program`` through ``_evaluate``,
-    whose two-order guard still runs on every complex.  Then the stacked
-    forms of the per-ambient ``_square_basis`` (50 forms for the 1180
-    squares at ambient 3) are tested for membership in the relation
-    lattice through their per-target rows (``_compile_checks``), which
-    all vanish exactly when every square holds.  The constraint
-    equations of ``_membership_rows`` share none of this.
+    A functor built from face values satisfies every square by
+    construction: its value on a complex is the form ``_complex_form``,
+    and inclusion-exclusion over faces is additive on unions.  So the
+    check builds the form of every contractible subcomplex, which raises
+    if two attachment orders disagree, and returns True.  A table-backed
+    functor is checked on one square per complex K with several maximal
+    faces, its first attachment of sigma to the rest:
+    t[K] - t[rest] - t[closure of sigma] + t[rest & sigma] must lie in the
+    relation lattice, all of them in one membership test.  These squares
+    span the same integer forms as all the pushout squares (1180 of them
+    at ambient 3, rank 50), so they hold exactly when every square does.
+    The constraint equations of ``_membership_rows`` share none of this.
     """
-    p = tf.ambient
-    g = tf.target.generator_count
-    steps, starts, rows = _square_program(tf.target, p)
+    keys = _contractible_keys(tf.ambient)
     if tf.table is None:
-        vals = _evaluate(tf, steps)
-    else:
-        keys = _contractible_keys(p)
-        used, _basis = _square_basis(p)
-        vals = list(tf.flat) + [0] * len(steps)
-        for k, start in zip(used, starts):
-            vals[start:start + g] = tf.table[tuple(sorted(keys[k]))]
-    return _rows_vanish(rows, vals)
+        for faces in keys:
+            _complex_form(faces)
+        return True
+    table = tf.table
+    diffs = []
+    for faces in keys:
+        face, plan = _attachment_plan(faces)
+        if face is None:
+            sigma, rest, inter = plan[0]
+            corners = [table[tuple(sorted(c))]
+                       for c in (faces, rest, subfaces(sigma), inter)]
+            diffs += [w - x - y + z for w, x, y, z in zip(*corners)]
+    return tf.target.is_zero_element(diffs)
 
 
 @lru_cache(maxsize=None)

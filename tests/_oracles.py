@@ -6,8 +6,8 @@ brute-force element enumeration instead of lattice subquotients,
 Sylvester resultants instead of conjugate products, and plain pair and
 subset loops instead of the per-ambient plans of ``whcalc.falg``.  The
 one exception is ``attached_value``, which walks the attachment plans
-of ``falg`` recursively, as ``TorsionFunctor`` did before it compiled
-them into programs.  The structure maps and the group law of torsion
+of ``falg`` recursively on reduced values, as ``TorsionFunctor`` did
+before it built one integer form per complex.  The structure maps and the group law of torsion
 functors work face by face on ``{face: value}`` dicts, as
 ``TorsionFunctor`` did before it gathered its flat vector.
 """
@@ -389,7 +389,7 @@ def attached_value(tf, faces, memo=None):
     """The value of ``tf`` on a contractible complex by recursive face
     attachment, each step reduced and memoized per complex.
 
-    The evaluator ``TorsionFunctor`` had before its attachment programs:
+    The evaluator ``TorsionFunctor`` had before its complex forms:
     it walks ``falg._attachment_plan`` itself, attaches the face values by
     dict, and compares the reduced values of both attachment orders
     (InconsistentFunctorError when they differ, NotContractibleError when

@@ -18,8 +18,9 @@ from whcalc.falg import (FAlgElement, InconsistentFunctorError,
                          mixed_duality_holds, moore_complex, moore_homotopy,
                          normalized_group, psi, psi_is_bijective, psi_section,
                          raw_degeneracy)
-from whcalc.simplicial import (SubComplex, boundary_face, face_dim, horn,
-                               is_contractible, single_face)
+from whcalc.simplicial import (SubComplex, boundary_face,
+                               enumerate_subcomplexes, face_dim, horn,
+                               is_contractible, subfaces)
 
 import _oracles
 
@@ -28,6 +29,13 @@ Z4 = InvolutiveAbelianGroup.cyclic(4, 1)
 Z4S = InvolutiveAbelianGroup.cyclic(4, -1)
 Z6 = InvolutiveAbelianGroup.cyclic(6, 1)
 SWAP22 = InvolutiveAbelianGroup(2, [[2, 0], [0, 2]], [[0, 1], [1, 0]])
+# Z/8 acted on by 3 plus Z/2, and Z/15 acted on by 4 plus Z/3 with -1,
+# after the change of generators P = [[1, 1], [0, 1]] (relations P R,
+# action P T P^-1), so that their Smith left transform is not the identity
+TWISTED_TARGETS = [
+    InvolutiveAbelianGroup(2, [[8, 2], [0, 2]], [[3, -2], [0, 1]]),
+    InvolutiveAbelianGroup(2, [[15, 3], [0, 3]], [[4, -5], [0, -1]]),
+]
 
 
 def functor_from(values, p, target):
@@ -71,6 +79,25 @@ def test_non_contractible_evaluation_raises():
     both_vertices = SubComplex(1, frozenset({0b01, 0b10}))
     with pytest.raises(NotContractibleError):
         tf.value_on(both_vertices)
+
+
+def test_faces_outside_the_ambient_simplex_are_refused():
+    # at ambient 1 the vertex 2 (mask 0b100) and the edge 12 are not faces,
+    # nor is any mask below 1
+    tf = functor_from({0b01: (1,), 0b10: (2,)}, 1, Z4)
+    outside = "face outside the ambient simplex"
+    for mask in (0, -1, -2):
+        with pytest.raises(ValueError, match=outside):
+            tf.value_on([mask])
+    with pytest.raises(ValueError, match=outside):
+        tf.value_on([0b100])
+    with pytest.raises(ValueError, match=outside):
+        tf.pair_value([0b001, 0b010, 0b011], [0b100])
+    with pytest.raises(ValueError, match=outside):
+        mixed_duality_holds(tf, [0b110], [0b100])
+    with pytest.raises(ValueError, match=outside):
+        raw_degeneracy(tf, 0).value_on([0b1000])
+    assert tf.value_on([0b001, 0b010, 0b011]) == (0,)
 
 
 def test_functoriality_chain():
@@ -124,44 +151,33 @@ def test_attachment_order_independence_is_checked():
         tf.value_on(k)  # would raise InconsistentFunctorError on failure
 
 
-def _corruptible_step(tf, complexes):
-    """A step of the attachment program of ``complexes`` whose complex
-    has a nonzero intersection term and is read by a later step along
-    one of its attachment orders only: ``(steps, starts, t)``."""
-    g = tf.target.generator_count
-    steps, starts = falg._attachment_program(tf.ambient, complexes, g)
-    vals = falg._evaluate(tf, steps)
-    first = len(tf.flat)
-    for t, (_a, _b, c, *_rest) in enumerate(steps):
-        slot = first + t
-        if tf.target.is_zero_element((vals[c],)):
-            continue
-        if any((slot in s[:3]) != (slot in s[3:]) for s in steps[t + 1:]):
-            return steps, starts, t
-    return None
-
-
 def test_attachment_order_disagreement_fires(monkeypatch):
-    # white box: one complex of an attachment program gets a wrong value,
-    # the same along both of its own attachment orders (its intersection
-    # term dropped), so only a later complex that reads it along one
-    # order can notice; the guard must trip there
+    # white box: the second attachment order of one complex drops its
+    # intersection (the empty mask 0, whose value is always 0, stands in
+    # for it), so the two orders give different forms and value_on must
+    # raise; the form cache is cleared on both sides of the corruption
     rng = random.Random(19)
     fv = {f: (rng.randrange(4),) for f in falg._proper_faces(3)}
     tf = iota_shriek(fv, 3, Z4)
-    for key in falg._contractible_keys(3):
-        found = _corruptible_step(tf, (key,))
-        if found:
-            break
-    assert found
-    steps, starts, t = found
-    a, b, _c, *_rest = steps[t]
-    corrupt = steps[:t] + ((a, b, 0, a, b, 0),) + steps[t + 1:]
+    key = next(k for k in falg._contractible_keys(3)
+               if len(falg._attachment_plan(k)[1]) == 2)
     assert tf.value_on(key) == _oracles.attached_value(tf, key)
-    monkeypatch.setattr(falg, "_attachment_program",
-                        lambda *args: (corrupt, starts))
-    with pytest.raises(InconsistentFunctorError):
-        tf.value_on(key)
+    original = falg._attachment_plan
+
+    def corrupted(faces):
+        face, plan = original(faces)
+        if faces == key:
+            sigma, rest, _inter = plan[1]
+            plan = (plan[0], (sigma, rest, frozenset({0})))
+        return face, plan
+
+    falg._complex_form.cache_clear()
+    monkeypatch.setattr(falg, "_attachment_plan", corrupted)
+    try:
+        with pytest.raises(InconsistentFunctorError):
+            tf.value_on(key)
+    finally:
+        falg._complex_form.cache_clear()
 
 
 PROGRAM_TARGETS = [
@@ -186,8 +202,8 @@ def random_contractible(rng, p, count):
 
 @pytest.mark.parametrize("target", PROGRAM_TARGETS)
 def test_attachment_programs_match_the_recursive_evaluator(target):
-    # value_on runs one program per complex and check_square one per
-    # ambient; both against the recursion they replaced, at ambient 1..4
+    # value_on evaluates one form per complex: against the recursion it
+    # replaced, at ambient 1..4
     rng = random.Random(71)
     g = target.generator_count
     for p in (1, 2, 3, 4):
@@ -201,13 +217,6 @@ def test_attachment_programs_match_the_recursive_evaluator(target):
             for key in keys:
                 assert tf.value_on(key) == \
                     _oracles.attached_value(tf, key, memo), (p, sorted(key))
-            if p < 4:
-                steps, starts, _rows = falg._square_program(target, p)
-                vals = falg._evaluate(tf, steps)
-                used, _basis = falg._square_basis(p)
-                for k, start in zip(used, starts):
-                    assert target.reduce(vals[start:start + g]) == \
-                        _oracles.attached_value(tf, keys[k], memo)
 
 
 # -- square condition -------------------------------------------------------
@@ -243,14 +252,65 @@ def test_zero_functor_square():
 # -- per-ambient plans against brute force ---------------------------------
 
 
-def test_squares_plan_matches_pair_scan():
+def square_form(corners, signs, index):
+    """The integer form sum of sign * v[corner] over the complexes of
+    ``index``, as a dense vector."""
+    vec = [0] * len(index)
+    for corner, sign in zip(corners, signs):
+        vec[index[corner]] += sign
+    return vec
+
+
+def test_pushout_squares_vanish_on_complex_forms():
+    # v[K0 & K1] + v[K0 | K1] - v[K0] - v[K1] is 0 as an integer form in
+    # the face values, so every square holds on every functor built from
+    # face values, whatever its target
     counts = {}
     for p in (0, 1, 2, 3):
-        keys = falg._contractible_keys(p)
-        plan = [tuple(keys[k] for k in square) for square in falg._squares(p)]
-        assert plan == _oracles.pushout_squares(p)
-        counts[p] = len(plan)
+        squares = _oracles.pushout_squares(p)
+        for square in squares:
+            total = {}
+            for corner, sign in zip(square, (1, 1, -1, -1)):
+                for f, c in falg._complex_form(corner):
+                    total[f] = total.get(f, 0) + sign * c
+            assert not any(total.values()), [sorted(k) for k in square]
+        counts[p] = len(squares)
     assert counts == {0: 0, 1: 2, 2: 33, 3: 1180}
+
+
+def test_first_attachment_squares_span_the_square_lattice():
+    # the squares check_square tests on a table, one first attachment per
+    # complex with several maximal faces, and all the pushout squares
+    # span one lattice of integer forms over the contractible subcomplexes
+    ranks = {}
+    for p in (0, 1, 2, 3):
+        keys = falg._contractible_keys(p)
+        index = {k: i for i, k in enumerate(keys)}
+        squares = [square_form(square, (1, 1, -1, -1), index)
+                   for square in _oracles.pushout_squares(p)]
+        firsts = []
+        for k in keys:
+            face, plan = falg._attachment_plan(k)
+            if face is None:
+                sigma, rest, inter = plan[0]
+                corners = (k, rest, frozenset(subfaces(sigma)), inter)
+                firsts.append(square_form(corners, (1, -1, -1, 1), index))
+        every, first = (lattice.Lattice(forms, len(keys))
+                        for forms in (squares, firsts))
+        assert all(map(first.contains, squares))
+        assert all(map(every.contains, firsts))
+        assert len(every.pivots) == len(first.pivots)
+        ranks[p] = len(first.pivots)
+    assert ranks == {0: 0, 1: 0, 2: 3, 3: 50}
+
+
+def test_every_contractible_complex_at_ambient_4_has_a_form():
+    # above the enumeration cap of check_square: both attachment orders
+    # of each of the 1466 contractible subcomplexes of the 4-simplex give
+    # one form (0.65 s on 2 vCPUs)
+    keys = [k.faces for k in enumerate_subcomplexes(4) if is_contractible(k)]
+    assert len(keys) == 1466
+    assert all(falg._complex_form(k) for k in keys)
 
 
 def random_table_functor(rng, p, target, corrupt):
@@ -274,14 +334,18 @@ def test_check_square_matches_oracle():
             el.functor) is True
     rng = random.Random(41)
     verdicts = set()
-    for target in (Z4S, InvolutiveAbelianGroup.from_factors([2, 2], -1)):
+    for target in (Z4S, InvolutiveAbelianGroup.from_factors([2, 2], -1),
+                   *TWISTED_TARGETS):
+        seen = set()
         for p in (1, 2, 3):
             for trial in range(4):
                 tf, table_tf = random_table_functor(rng, p, target, trial > 0)
                 for f in (tf, table_tf):
                     verdict = check_square(f)
                     assert verdict == _oracles.square_condition_holds(f)
-                    verdicts.add(verdict)
+                    seen.add(verdict)
+        assert seen == {True, False}, target
+        verdicts |= seen
     fv = {f: (0,) for f in falg._proper_faces(2)}
     table = {tuple(sorted(k)): (0,) for k in falg._contractible_keys(2)}
     table[tuple(sorted(horn(2, 0).faces))] = (1,)
@@ -648,25 +712,21 @@ ORACLE_TARGETS = [
     InvolutiveAbelianGroup(2, [[], []], [[0, 1], [1, 0]]),
     InvolutiveAbelianGroup.from_factors([0, 2], -1),
     InvolutiveAbelianGroup.zero(),
+    *TWISTED_TARGETS,
 ]
 
 
-def plain_square_holds(tf):
-    """Every ``_square_basis`` form of the values of ``tf`` on the used
-    subcomplexes, coordinate by coordinate, in the relation lattice."""
-    p, target = tf.ambient, tf.target
-    keys = falg._contractible_keys(p)
-    used, basis = falg._square_basis(p)
-    vals = {k: tf.value_on(keys[k]) for k in used}
-    return all(target.is_zero_element(
-        [sum(c * vals[k][r] for k, c in form)
-         for r in range(target.generator_count)]) for form in basis)
+def test_twisted_targets_have_a_nonidentity_smith_transform():
+    assert [t.smith_basis for t in TWISTED_TARGETS] == [
+        ((2, 8), ((1, 0), (1, -1))), ((3, 15), ((1, 0), (1, -1)))]
+    assert [t.order() for t in TWISTED_TARGETS] == [16, 45]
 
 
 def test_compiled_checks_match_plain_membership():
     # every compiled check against ``is_zero_element`` of its plain forms,
     # on targets whose Smith moduli are 1 and 6, 3 and 3, 0 and 0, 2 and
-    # 0, and none: members of F^alg, the same with one face value
+    # 0, none, and 2 and 8 or 3 and 15 under a left transform other than
+    # the identity: members of F^alg, the same with one face value
     # perturbed, random face values and (for the squares) table-backed
     # functors with one entry corrupted, at ambient 1..3
     rng = random.Random(89)
@@ -703,72 +763,12 @@ def test_compiled_checks_match_plain_membership():
                             verdicts["duality"].add(held)
             for trial in range(4):
                 functors += random_table_functor(rng, p, target, trial > 0)
+            squares = _oracles.pushout_squares(p)
             for tf in functors:
-                held = plain_square_holds(tf)
+                held = _oracles.square_condition_holds(tf, squares)
                 assert check_square(tf) is held
                 verdicts["square"].add(held)
     assert verdicts == {kind: {True, False} for kind in verdicts}
-
-
-def test_square_basis_plan():
-    # the used keys are every key a square uses, once each, increasing;
-    # ranks per ambient
-    ranks = {}
-    for p in (0, 1, 2, 3):
-        used, basis = falg._square_basis(p)
-        squares = falg._squares(p)
-        assert list(used) == sorted({k for square in squares for k in square})
-        ranks[p] = len(basis)
-    assert ranks == {0: 0, 1: 0, 2: 3, 3: 50}
-
-
-def _closure_order(p, complexes):
-    """The complexes with several maximal faces that attaching
-    ``complexes`` needs, each once, in first-finished order, from the
-    attachment plans alone."""
-    out = []
-
-    def visit(faces):
-        face, plan = falg._attachment_plan(faces)
-        if face is not None or faces in out:
-            return
-        for _sigma, rest, inter in plan:
-            visit(rest)
-            visit(inter)
-        out.append(faces)
-
-    for faces in complexes:
-        visit(faces)
-    return out
-
-
-def test_check_square_evaluates_each_key_once(monkeypatch):
-    # one program run per check, which evaluates every complex that the
-    # used keys need exactly once, and gives every used key its own slot
-    runs = []
-    original = falg._evaluate
-
-    def counted(tf, steps):
-        runs.append(steps)
-        return original(tf, steps)
-
-    monkeypatch.setattr(falg, "_evaluate", counted)
-    rng = random.Random(43)
-    z2z2 = InvolutiveAbelianGroup.from_factors([2, 2], -1)
-    for target in (Z4S, z2z2):
-        g = target.generator_count
-        for p in (1, 2, 3):
-            fv = {f: tuple(rng.randrange(4) for _ in range(g))
-                  for f in falg._proper_faces(p)}
-            runs.clear()
-            assert check_square(iota_shriek(fv, p, target))
-            steps, starts, _rows = falg._square_program(target, p)
-            assert runs == [steps]
-            keys = falg._contractible_keys(p)
-            used, _basis = falg._square_basis(p)
-            assert len(set(starts)) == len(used)
-            assert len(steps) == g * len(_closure_order(
-                p, [keys[k] for k in used]))
 
 
 def test_zero_group_has_empty_blocks():

@@ -55,7 +55,7 @@ SHARED = {
 # faces of the ambient simplex and sign terms by parity; they share
 # nothing that turns faces into coefficients.
 ELEMENT_SHARED = {
-    # the integer kernel: the square basis and the solution lattices
+    # the integer kernel: the compiled check rows and the solution lattices
     ("lattice.py", None),
     ("_snf/pure.py", None),
     # the value base classes only store and compare fields
