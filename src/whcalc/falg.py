@@ -9,10 +9,12 @@ structure maps gather over the flat vector.  Faces have one order, their
 mask (``_all_faces``): the constraint systems give proper face f the
 block f - 1, so their solutions are flat vectors once ``_solved_group``
 pads on the empty and the top block.  The value on any other
-contractible subcomplex is linear in the face values, one integer form
-per complex (``_complex_form``), built by attaching one face at a time
-along two attachment orders whose forms are compared, so a faulty
-attachment plan surfaces as an error instead of a silent wrong answer.
+contractible subcomplex K is linear in the face values, one integer form
+per complex (``_complex_form``) in closed form: face g of K has the
+coefficient sum of (-1)^(dim f - dim g) over the faces f of K that
+contain g.  This is Mobius inversion on the face lattice, a valuation
+that takes each face value on that face's closure, so it is the value
+every attachment order and every inclusion-exclusion would give.
 
 The simplicial group built here has p-simplices the functors at ambient
 dimension p+1 that vanish on the 0-th face region and satisfy face-horn
@@ -23,15 +25,14 @@ package verifies against the independent C2-homology computation.
 
 The element-level checks split their work by what it depends on.  The
 combinatorics of an ambient simplex are computed once and cached
-(``lru_cache``, filled on first use, never at import): the
-face-attachment steps of each complex (``_attachment_plan``) and its
-integer form (``_complex_form``), the (face, omitted index) pairs of its
-face-horn dualities (``_face_horns``) and, per involution T, face and
-index set, one linear form per output coordinate of a generalized
-duality (``_duality_form``, shared by every target with the same
-action).  The duality holds when L(v) - sgn T(R(v)) lies in the relation
-lattice, where L and R collapse the inclusion-exclusion over the
-boundary faces in the index set and its complement (``_union_coeffs``).
+(``lru_cache``, filled on first use, never at import): the integer
+form of each complex (``_complex_form``), the (face, omitted index)
+pairs of its face-horn dualities (``_face_horns``) and, per involution
+T, face and index set, one linear form per output coordinate of a
+generalized duality (``_duality_form``, shared by every target with the
+same action).  The duality holds when L(v) - sgn T(R(v)) lies in the
+relation lattice, where L and R are the forms of the closures of the
+boundary faces in the index set and in its complement.
 Every membership condition is then compiled once per target against the
 flat vector of a functor (``_compile_checks``): with the target's
 ``smith_basis``, a block of g forms lies in the relation lattice exactly
@@ -48,8 +49,8 @@ functor built from face values, since the forms make them hold by
 construction; only a table-backed functor has its squares checked
 (``check_square``).  The constraint equations of the homotopy path
 (``_membership_rows``, integer rows only after their presolve) write
-each face-horn duality from its closed form, one signed term per face
-containing the horn's vertex, and use none of these plans, so the
+each face-horn duality from its own closed form, one signed term per
+face containing the horn's vertex, and use none of these forms, so the
 element checks and the constraint systems still cross-check each other.
 """
 
@@ -71,7 +72,6 @@ __all__ = [
     "FAlgGroup",
     "MooreComplex",
     "NotContractibleError",
-    "InconsistentFunctorError",
     "iota_shriek",
     "raw_degeneracy",
     "check_square",
@@ -92,10 +92,6 @@ __all__ = [
 
 class NotContractibleError(ValueError):
     """A torsion functor was evaluated outside its domain."""
-
-
-class InconsistentFunctorError(ValueError):
-    """Two attachment orders of a complex gave different forms."""
 
 
 def _top_mask(p):
@@ -127,90 +123,38 @@ def _sign(k):
     return 1 if k % 2 == 0 else -1
 
 
+def _check_faces(ambient, faces):
+    """Refuse a nonempty collection of masks unless each is a face of the
+    ambient simplex, a mask in 1..top."""
+    if min(faces) < 1 or max(faces) > _top_mask(ambient):
+        raise ValueError("face outside the ambient simplex")
+
+
 # -- per-ambient plans: combinatorics shared by every functor -------------
-
-
-def _union_coeffs(ambient, faces):
-    """Inclusion-exclusion over the closures of ``faces``, collapsed.
-
-    The nonzero ``(face, coefficient)`` pairs, sorted by face, with
-    value(union) = sum of coefficient * value(face) for every functor at
-    this ambient.  Raises ValueError when an iterated intersection is
-    empty.
-    """
-    faces = sorted(faces)
-    n = len(faces)
-    coeffs = {}
-    for mask in range(1, 1 << n):
-        inter = _top_mask(ambient)
-        bits = 0
-        for i in range(n):
-            if mask >> i & 1:
-                inter &= faces[i]
-                bits += 1
-        if inter == 0:
-            raise ValueError("intersection pattern leaves the face poset")
-        coeffs[inter] = coeffs.get(inter, 0) + _sign(bits + 1)
-    return tuple((f, c) for f, c in sorted(coeffs.items()) if c)
-
-
-@lru_cache(maxsize=None)
-def _attachment_plan(faces):
-    """The face-attachment steps of ``_complex_form`` on ``faces``.
-
-    ``(face, ())`` when ``faces`` has the single maximal face ``face``;
-    otherwise ``(None, steps)`` with ``steps`` the first and the last
-    admissible triple (sigma, closure of the other maximal faces, their
-    intersection) in maximal-face order: both when there are several,
-    one when there is one, none when no attachment order is admissible.
-    """
-    maximal = maximal_faces(faces)
-    if len(maximal) == 1:
-        return maximal[0], ()
-    admissible = []
-    for sigma in maximal:
-        rest = [m for m in maximal if m != sigma]
-        rest_closure = _closure(rest)
-        inter = rest_closure & frozenset(subfaces(sigma))
-        if inter and _collapses_to_point(rest_closure) \
-                and _collapses_to_point(inter):
-            admissible.append((sigma, rest_closure, inter))
-    if len(admissible) > 1:
-        return None, (admissible[0], admissible[-1])
-    return None, tuple(admissible)
 
 
 @lru_cache(maxsize=None)
 def _complex_form(faces):
-    """The value of a functor on the complex ``faces`` as one integer form
-    in its face values: the nonzero ``(face, coefficient)`` pairs, sorted
-    by face, whose sum of coefficient * value(face) is the value before
-    reduction, at every ambient that holds the faces.
+    """The value of a functor on the closure K of ``faces`` as one integer
+    form in its face values: the nonzero ``(face, coefficient)`` pairs,
+    sorted by face, whose sum of coefficient * value(face) is the value
+    before reduction, at every ambient that holds the faces.
 
-    Built recursively from ``_attachment_plan``: a complex with one
-    maximal face is that face, and attaching sigma to the rest adds the
-    forms of the rest and of sigma and subtracts that of their
-    intersection.  The forms of both attachment orders are compared, and
-    InconsistentFunctorError is raised if they differ;
-    NotContractibleError if no attachment order is admissible.
+    Face g of K has the coefficient c_g(K) = sum of (-1)^(dim f - dim g)
+    over the faces f of K that contain g, that is 1 - chi(link of g in
+    K): Mobius inversion on the Boolean face lattice (Rota, On the
+    foundations of combinatorial theory I, 1964).  With the empty
+    complex taking 0, K -> sum of c_g(K) * v_g is a valuation on all
+    subcomplexes, F(K | L) + F(K & L) = F(K) + F(L), and it takes v_f on
+    the closure of each face f.  Every face-attachment step, and every
+    inclusion-exclusion over face closures, uses only these two facts,
+    so each of them computes this same form: no attachment order needs
+    choosing, and no two orders can disagree.
     """
-    face, plan = _attachment_plan(faces)
-    if face is not None:
-        return ((face, 1),)
-    if not plan:
-        raise NotContractibleError(
-            "no admissible face-attachment order for this complex")
-    forms = []
-    for sigma, rest, inter in plan:
-        coeffs = dict(_complex_form(rest))
-        coeffs[sigma] = coeffs.get(sigma, 0) + 1
-        for f, c in _complex_form(inter):
-            coeffs[f] = coeffs.get(f, 0) - c
-        forms.append(tuple((f, c) for f, c in sorted(coeffs.items()) if c))
-    if forms[0] != forms[-1]:
-        raise InconsistentFunctorError(
-            "the attachment orders of a complex give different forms")
-    return forms[0]
+    closure = _closure(faces)
+    coeffs = ((g, sum(_sign(face_dim(f) - face_dim(g))
+                      for f in closure if f & g == g)) for g in closure)
+    return tuple((g, c) for g, c in sorted(coeffs) if c)
 
 
 def _compile_row(terms):
@@ -288,8 +232,8 @@ class TorsionFunctor:
     valued in an involutive abelian group, satisfying the pushout-square
     condition by construction when built from face values alone: its
     value on a complex is the complex's integer form in the face values
-    (``_complex_form``), reduced once, and these forms are additive on
-    every pushout square.
+    (``_complex_form``), reduced once, and that form is a valuation, so
+    it is additive on every pushout square.
 
     The face values live in one layout, the reduced flat tuple ``flat``:
     the g coordinates of the face with mask f sit at f*g .. f*g + g - 1,
@@ -401,8 +345,7 @@ class TorsionFunctor:
             faces = frozenset(complex_or_faces)
         if not faces:
             raise NotContractibleError("empty complex")
-        if min(faces) < 1 or max(faces) > _top_mask(self.ambient):
-            raise ValueError("face outside the ambient simplex")
+        _check_faces(self.ambient, faces)
         if self.table is not None:
             key = tuple(sorted(faces))
             if key in self.table:
@@ -418,16 +361,6 @@ class TorsionFunctor:
         vl = self.value_on(larger)
         vk = self.value_on(smaller)
         return self.target.reduce(tuple(x - y for x, y in zip(vk, vl)))
-
-    def union_of_faces_value(self, face_list):
-        """Closed-form value on a union of face closures.
-
-        Requires every iterated intersection to be a nonempty face (true
-        for horns and unions of boundary faces of a common face), which
-        makes the inclusion-exclusion expansion exact in one pass; its
-        collapsed coefficients come from ``_union_coeffs``.
-        """
-        return self._combine(_union_coeffs(self.ambient, set(face_list)))
 
     def _combine(self, form):
         """The ``(face, coefficient)`` form on the face values: one
@@ -532,35 +465,30 @@ def raw_degeneracy(tf, i):
 
 
 def check_square(tf):
-    """Exhaustively verify the pushout-square condition (ambient <= 3).
+    """The pushout-square condition.
 
-    A functor built from face values satisfies every square by
-    construction: its value on a complex is the form ``_complex_form``,
-    and inclusion-exclusion over faces is additive on unions.  So the
-    check builds the form of every contractible subcomplex, which raises
-    if two attachment orders disagree, and returns True.  A table-backed
-    functor is checked on one square per complex K with several maximal
-    faces, its first attachment of sigma to the rest:
-    t[K] - t[rest] - t[closure of sigma] + t[rest & sigma] must lie in the
-    relation lattice, all of them in one membership test.  These squares
-    span the same integer forms as all the pushout squares (1180 of them
+    A functor built from face values satisfies it at every ambient, so
+    the check returns True without enumerating: its value on a complex K
+    is the form F(K) of ``_complex_form``, a valuation, so on a pushout
+    square F(K0 & K1) + F(K0 | K1) - F(K0) - F(K1) is the zero form.  A
+    table t is tested on one form per contractible subcomplex K: t[K]
+    minus the sum of c_g(K) * t[closure of g] over the terms of F(K)
+    must lie in the relation lattice, all of them in one membership
+    test.  These forms span the same lattice of integer forms over the
+    contractible subcomplexes as all the pushout squares (1180 of them
     at ambient 3, rank 50), so they hold exactly when every square does.
     The constraint equations of ``_membership_rows`` share none of this.
     """
-    keys = _contractible_keys(tf.ambient)
-    if tf.table is None:
-        for faces in keys:
-            _complex_form(faces)
-        return True
     table = tf.table
+    if table is None:
+        return True
     diffs = []
-    for faces in keys:
-        face, plan = _attachment_plan(faces)
-        if face is None:
-            sigma, rest, inter = plan[0]
-            corners = [table[tuple(sorted(c))]
-                       for c in (faces, rest, subfaces(sigma), inter)]
-            diffs += [w - x - y + z for w, x, y, z in zip(*corners)]
+    for faces in _contractible_keys(tf.ambient):
+        diff = table[tuple(sorted(faces))]
+        for g, c in _complex_form(faces):
+            diff = [x - c * y for x, y in
+                    zip(diff, table[tuple(sorted(subfaces(g)))])]
+        diffs += diff
     return tf.target.is_zero_element(diffs)
 
 
@@ -569,12 +497,13 @@ def _duality_form(involution, ambient, sigma, index_set):
     """The generalized duality of face ``sigma`` at ``index_set`` under
     the involution T, as one linear form.
 
-    Raises ValueError unless the index set is a proper nonempty subset of
-    the boundary indices, IndexError for an index out of range.  Let L =
-    sum of c_f * v_f - v_sigma over the collapsed inclusion-exclusion
-    (``_union_coeffs``) of the boundary faces in the index set, R the
-    same over the complementary boundary faces, and sgn = (-1)^dim(sigma).
-    The duality holds exactly when L(v) - sgn * T(R(v)) lies in the
+    Raises ValueError unless sigma is a face of the ambient simplex and
+    the index set a proper nonempty subset of its boundary indices,
+    IndexError for an index out of range.  Let L = sum of c_f * v_f -
+    v_sigma over the form (``_complex_form``) of the closure of the
+    boundary faces in the index set, R the same over the complementary
+    boundary faces, and sgn = (-1)^dim(sigma).  The duality holds
+    exactly when L(v) - sgn * T(R(v)) lies in the
     relation lattice: reducing either side first only subtracts lattice
     vectors, and T preserves the lattice.  That map is linear in the face
     values, so it is stored as one tuple per output coordinate r of
@@ -586,6 +515,7 @@ def _duality_form(involution, ambient, sigma, index_set):
     each target compiles it against its own relations
     (``_compiled_duality``).
     """
+    _check_faces(ambient, (sigma,))
     d = face_dim(sigma)
     idx = sorted(set(index_set))
     if not idx or len(idx) > d:
@@ -593,9 +523,9 @@ def _duality_form(involution, ambient, sigma, index_set):
     if idx[0] < 0 or idx[-1] > d:
         raise IndexError("boundary index out of range")
     bounds = [face_boundary(sigma, j) for j in range(d + 1)]
-    lhs = _union_coeffs(ambient, [bounds[j] for j in idx]) + ((sigma, -1),)
-    rhs = _union_coeffs(ambient, [b for j, b in enumerate(bounds)
-                                  if j not in idx]) + ((sigma, -1),)
+    lhs = _complex_form(frozenset(bounds[j] for j in idx)) + ((sigma, -1),)
+    rhs = _complex_form(frozenset(b for j, b in enumerate(bounds)
+                                  if j not in idx)) + ((sigma, -1),)
     sgn = _sign(d)
     forms = []
     for r, t_row in enumerate(involution):
@@ -636,6 +566,7 @@ def _duality_ok(tf, sigma, i):
 
 def check_face_horn_duality(tf, sigma):
     """Face-horn duality of tau at one face, for every omitted index."""
+    _check_faces(tf.ambient, (sigma,))
     if face_dim(sigma) < 1:
         return True
     return all(_duality_ok(tf, sigma, i) for i in range(face_dim(sigma) + 1))

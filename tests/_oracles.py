@@ -4,10 +4,11 @@ Everything here is deliberately implemented by a different route than
 the package: fraction-free (Bareiss) elimination instead of integer SNF,
 brute-force element enumeration instead of lattice subquotients,
 Sylvester resultants instead of conjugate products, and plain pair and
-subset loops instead of the per-ambient plans of ``whcalc.falg``.  The
-one exception is ``attached_value``, which walks the attachment plans
-of ``falg`` recursively on reduced values, as ``TorsionFunctor`` did
-before it built one integer form per complex.  The structure maps and the group law of torsion
+subset loops instead of the per-ambient plans of ``whcalc.falg``.
+``attached_value`` evaluates a functor on a complex by attaching one
+maximal face at a time, along every admissible attachment, on reduced
+values, where ``TorsionFunctor`` evaluates one closed-form integer form
+per complex.  The structure maps and the group law of torsion
 functors work face by face on ``{face: value}`` dicts, as
 ``TorsionFunctor`` did before it gathered its flat vector.
 """
@@ -19,11 +20,10 @@ from itertools import combinations
 from math import gcd
 
 from whcalc.abelian import FgAbGroup
-from whcalc.falg import (InconsistentFunctorError, NotContractibleError,
-                         TorsionFunctor, _attachment_plan, iota_shriek)
-from whcalc.simplicial import (codegeneracy_face, coface_face,
+from whcalc.falg import NotContractibleError, TorsionFunctor, iota_shriek
+from whcalc.simplicial import (SubComplex, codegeneracy_face, coface_face,
                                enumerate_contractible_subcomplexes, face_dim,
-                               vertices_of)
+                               is_contractible, vertices_of)
 
 
 def bareiss_determinant(rows):
@@ -368,7 +368,7 @@ def square_condition_holds(tf, squares=None):
     return True
 
 
-def union_of_faces_value(tf, faces):
+def inclusion_exclusion_value(tf, faces):
     """Inclusion-exclusion over every nonempty subset of ``faces``, one
     term per subset; None when some intersection is empty."""
     faces = sorted(set(faces))
@@ -385,38 +385,51 @@ def union_of_faces_value(tf, faces):
     return tf.target.reduce(tuple(acc))
 
 
-def attached_value(tf, faces, memo=None):
-    """The value of ``tf`` on a contractible complex by recursive face
-    attachment, each step reduced and memoized per complex.
+class AttachmentOrderError(ValueError):
+    """Two attachments of one complex gave different values."""
 
-    The evaluator ``TorsionFunctor`` had before its complex forms:
-    it walks ``falg._attachment_plan`` itself, attaches the face values by
-    dict, and compares the reduced values of both attachment orders
-    (InconsistentFunctorError when they differ, NotContractibleError when
-    no order is admissible).
+
+def attached_value(tf, faces, memo=None):
+    """The value of ``tf`` on the contractible complex ``faces`` by
+    recursive face attachment, each step reduced and memoized per complex.
+
+    A complex with one maximal face takes that face's value.  Otherwise
+    every maximal face sigma whose attachment is admissible (the closure
+    of the other maximal faces and its intersection with sigma are both
+    contractible and nonempty) gives the value of the rest plus that of
+    sigma less that of the intersection, and all of them must agree:
+    AttachmentOrderError when two differ, NotContractibleError when no
+    attachment is admissible.
     """
     memo = {} if memo is None else memo
     faces = frozenset(faces)
     if faces in memo:
         return memo[faces]
     values = tf.values
-    face, steps = _attachment_plan(faces)
-    if face is not None:
-        out = values[face]
-    elif not steps:
-        raise NotContractibleError(
-            "no admissible face-attachment order for this complex")
+    maximal = sorted(f for f in faces
+                     if not any(g != f and g & f == f for g in faces))
+    if len(maximal) == 1:
+        out = values[maximal[0]]
     else:
-        def attach(sigma, rest_closure, inter):
-            a = attached_value(tf, rest_closure, memo)
+        outs = set()
+        for sigma in maximal:
+            rest = SubComplex.closure(tf.ambient,
+                                      [m for m in maximal if m != sigma])
+            inter = rest.faces & SubComplex.closure(tf.ambient, [sigma]).faces
+            if not inter or not is_contractible(rest) \
+                    or not is_contractible(SubComplex(tf.ambient, inter)):
+                continue
+            a = attached_value(tf, rest.faces, memo)
             c = attached_value(tf, inter, memo)
-            return tf.target.reduce(
-                tuple(x + y - z for x, y, z in zip(a, values[sigma], c)))
-
-        out = attach(*steps[0])
-        if len(steps) > 1 and attach(*steps[1]) != out:
-            raise InconsistentFunctorError(
-                "attachment orders disagree: malformed functor data")
+            outs.add(tf.target.reduce(
+                tuple(x + y - z for x, y, z in zip(a, values[sigma], c))))
+        if not outs:
+            raise NotContractibleError(
+                "no admissible face attachment for this complex")
+        if len(outs) > 1:
+            raise AttachmentOrderError(
+                "attachments disagree: malformed functor data")
+        out = outs.pop()
     memo[faces] = out
     return out
 
@@ -433,7 +446,7 @@ def duality_holds(tf, sigma, index_set):
     The value on the union of the boundary faces in I, minus the value on
     sigma, against the same for the complementary boundary faces acted on
     by the involution (a plain product with its rows) and signed by
-    (-1)^dim(sigma); each union by ``union_of_faces_value``, one term per
+    (-1)^dim(sigma); each union by ``inclusion_exclusion_value``, one term per
     subset.  I must be a proper nonempty subset of the boundary indices:
     ValueError otherwise, IndexError for an index out of range.
     """
@@ -445,8 +458,8 @@ def duality_holds(tf, sigma, index_set):
     if idx[0] < 0 or idx[-1] > d:
         raise IndexError("boundary index out of range")
     base = tf.values[sigma]
-    lhs = union_of_faces_value(tf, [bounds[j] for j in idx])
-    rhs = union_of_faces_value(
+    lhs = inclusion_exclusion_value(tf, [bounds[j] for j in idx])
+    rhs = inclusion_exclusion_value(
         tf, [b for j, b in enumerate(bounds) if j not in idx])
     inner = [x - y for x, y in zip(rhs, base)]
     acted = [sum(t * x for t, x in zip(row, inner))

@@ -119,7 +119,7 @@ def _fresh_interpreter(script, *args):
 def test_caches_are_cold_after_import():
     sizes = _fresh_interpreter(SCRIPT)
     # the scan sees the caches it is meant to guard
-    assert {"whcalc.falg._complex_form", "whcalc.falg._attachment_plan",
+    assert {"whcalc.falg._complex_form",
             "whcalc.falg._compiled_duality", "whcalc.falg._horn_rows",
             "whcalc.falg._duality_form",
             "whcalc.falg._face_horns", "whcalc.falg._contractible_keys",

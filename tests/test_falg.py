@@ -10,8 +10,7 @@ import pytest
 
 from whcalc import falg, lattice
 from whcalc.abelian import FgAbGroup, InvolutiveAbelianGroup, homology_c2
-from whcalc.falg import (FAlgElement, InconsistentFunctorError,
-                         NotContractibleError, TorsionFunctor,
+from whcalc.falg import (FAlgElement, NotContractibleError, TorsionFunctor,
                          all_dualities_hold, check_face_horn_duality,
                          check_square, duality_criterion, falg_group,
                          generalized_duality_holds, iota_shriek,
@@ -58,7 +57,8 @@ def test_horn_value_inclusion_exclusion():
     tf = functor_from({0b011: (1,), 0b101: (2,), 0b001: (3,)}, 2, Z4)
     assert tf.value_on(horn(2, 0)) == Z4.reduce((1 + 2 - 3,))
     # the 0-th horn of the top face: the union of the faces 02 and 01
-    assert tf.union_of_faces_value([0b101, 0b011]) == Z4.reduce((0,))
+    assert tf.value_on(SubComplex.closure(2, [0b101, 0b011])) == \
+        Z4.reduce((0,))
 
 
 def test_union_formula_matches_general_evaluator():
@@ -71,7 +71,8 @@ def test_union_formula_matches_general_evaluator():
             for idx in combinations(range(4), r):
                 faces = [boundary_face(3, i).maximal_faces()[0] for i in idx]
                 union = SubComplex.closure(3, faces)
-                assert tf.union_of_faces_value(faces) == tf.value_on(union)
+                assert _oracles.inclusion_exclusion_value(tf, faces) == \
+                    tf.value_on(union)
 
 
 def test_non_contractible_evaluation_raises():
@@ -98,6 +99,20 @@ def test_faces_outside_the_ambient_simplex_are_refused():
     with pytest.raises(ValueError, match=outside):
         raw_degeneracy(tf, 0).value_on([0b1000])
     assert tf.value_on([0b001, 0b010, 0b011]) == (0,)
+
+
+def test_dualities_refuse_faces_outside_the_ambient_simplex():
+    # at ambient 1 the faces are the masks 1..3: 0 and -3 are no face of
+    # any simplex, and 0b110, 0b111 and 0b10000 hold a vertex above 1
+    tf = functor_from({0b01: (1,), 0b10: (2,)}, 1, Z4)
+    outside = "face outside the ambient simplex"
+    for mask in (0, -3, 0b110, 0b111, 0b10000):
+        with pytest.raises(ValueError, match=outside):
+            check_face_horn_duality(tf, mask)
+        with pytest.raises(ValueError, match=outside):
+            generalized_duality_holds(tf, mask, (0,))
+    assert check_face_horn_duality(tf, 0b01) is True
+    assert generalized_duality_holds(tf, 0b11, (0,)) in (True, False)
 
 
 def test_functoriality_chain():
@@ -131,7 +146,7 @@ def test_face_value_round_trip():
 
 
 def test_inconsistent_table_detected():
-    # a corrupted full table disagrees between attachment orders
+    # a corrupted full table breaks the square condition
     fv = {f: (0,) for f in falg._proper_faces(2)}
     tf = iota_shriek(fv, 2, Z4)
     table = {tuple(sorted(k)): tf.value_on(k)
@@ -143,41 +158,14 @@ def test_inconsistent_table_detected():
 
 
 def test_attachment_order_independence_is_checked():
-    # good data passes through both orders silently
+    # every admissible attachment of every complex agrees on good data:
+    # the oracle raises when two of them differ
     rng = random.Random(19)
     fv = {f: (rng.randrange(4),) for f in falg._proper_faces(3)}
     tf = iota_shriek(fv, 3, Z4)
+    memo = {}
     for k in falg._contractible_keys(3):
-        tf.value_on(k)  # would raise InconsistentFunctorError on failure
-
-
-def test_attachment_order_disagreement_fires(monkeypatch):
-    # white box: the second attachment order of one complex drops its
-    # intersection (the empty mask 0, whose value is always 0, stands in
-    # for it), so the two orders give different forms and value_on must
-    # raise; the form cache is cleared on both sides of the corruption
-    rng = random.Random(19)
-    fv = {f: (rng.randrange(4),) for f in falg._proper_faces(3)}
-    tf = iota_shriek(fv, 3, Z4)
-    key = next(k for k in falg._contractible_keys(3)
-               if len(falg._attachment_plan(k)[1]) == 2)
-    assert tf.value_on(key) == _oracles.attached_value(tf, key)
-    original = falg._attachment_plan
-
-    def corrupted(faces):
-        face, plan = original(faces)
-        if faces == key:
-            sigma, rest, _inter = plan[1]
-            plan = (plan[0], (sigma, rest, frozenset({0})))
-        return face, plan
-
-    falg._complex_form.cache_clear()
-    monkeypatch.setattr(falg, "_attachment_plan", corrupted)
-    try:
-        with pytest.raises(InconsistentFunctorError):
-            tf.value_on(key)
-    finally:
-        falg._complex_form.cache_clear()
+        assert tf.value_on(k) == _oracles.attached_value(tf, k, memo)
 
 
 PROGRAM_TARGETS = [
@@ -278,39 +266,85 @@ def test_pushout_squares_vanish_on_complex_forms():
     assert counts == {0: 0, 1: 2, 2: 33, 3: 1180}
 
 
-def test_first_attachment_squares_span_the_square_lattice():
-    # the squares check_square tests on a table, one first attachment per
-    # complex with several maximal faces, and all the pushout squares
-    # span one lattice of integer forms over the contractible subcomplexes
+def test_table_forms_span_the_square_lattice():
+    # the forms check_square tests on a table, v[K] less the sum of
+    # c_g(K) * v[closure of g] over the form of each contractible K, and
+    # all the pushout squares span one lattice of integer forms over the
+    # contractible subcomplexes
     ranks = {}
     for p in (0, 1, 2, 3):
         keys = falg._contractible_keys(p)
         index = {k: i for i, k in enumerate(keys)}
         squares = [square_form(square, (1, 1, -1, -1), index)
                    for square in _oracles.pushout_squares(p)]
-        firsts = []
+        tables = []
         for k in keys:
-            face, plan = falg._attachment_plan(k)
-            if face is None:
-                sigma, rest, inter = plan[0]
-                corners = (k, rest, frozenset(subfaces(sigma)), inter)
-                firsts.append(square_form(corners, (1, -1, -1, 1), index))
-        every, first = (lattice.Lattice(forms, len(keys))
-                        for forms in (squares, firsts))
-        assert all(map(first.contains, squares))
-        assert all(map(every.contains, firsts))
-        assert len(every.pivots) == len(first.pivots)
-        ranks[p] = len(first.pivots)
+            form = falg._complex_form(k)
+            corners = [k] + [frozenset(subfaces(g)) for g, _c in form]
+            vec = square_form(corners, [1] + [-c for _g, c in form], index)
+            if any(vec):
+                tables.append(vec)
+        every, table = (lattice.Lattice(forms, len(keys))
+                        for forms in (squares, tables))
+        assert all(map(table.contains, squares))
+        assert all(map(every.contains, tables))
+        assert len(every.pivots) == len(table.pivots)
+        ranks[p] = len(table.pivots)
     assert ranks == {0: 0, 1: 0, 2: 3, 3: 50}
 
 
+def test_complex_form_is_a_valuation():
+    # F(K | L) + F(K & L) = F(K) + F(L) on seeded random pairs of the 7579
+    # subcomplexes of the 4-simplex, contractible or not, with the empty
+    # complex taking the zero form
+    keys = [k.faces for k in enumerate_subcomplexes(4)]
+    assert len(keys) == 7579
+    assert falg._complex_form(frozenset()) == ()
+    rng = random.Random(83)
+    pairs = [rng.sample(keys, 2) for _ in range(300)]
+    # pairs on disjoint vertex sets, which random pairs almost never are
+    vertices = {k: sum(f for f in k if face_dim(f) == 0) for k in keys}
+    for a in rng.sample(keys, 100):
+        apart = [k for k in keys if not vertices[k] & vertices[a]]
+        if apart:
+            pairs.append((a, rng.choice(apart)))
+    assert sum(not a & b for a, b in pairs) >= 10
+    for a, b in pairs:
+        total = {}
+        for k, sign in ((a | b, 1), (a & b, 1), (a, -1), (b, -1)):
+            for f, c in falg._complex_form(k):
+                total[f] = total.get(f, 0) + sign * c
+        assert not any(total.values()), (sorted(a), sorted(b))
+
+
+def test_complex_form_of_a_face_closure_is_that_face():
+    for p in range(6):
+        for f in falg._all_faces(p):
+            assert falg._complex_form(frozenset(subfaces(f))) == ((f, 1),)
+    # the form of a set of faces is that of its closure
+    for k in enumerate_subcomplexes(3):
+        assert falg._complex_form(frozenset(k.maximal_faces())) == \
+            falg._complex_form(k.faces)
+
+
 def test_every_contractible_complex_at_ambient_4_has_a_form():
-    # above the enumeration cap of check_square: both attachment orders
-    # of each of the 1466 contractible subcomplexes of the 4-simplex give
-    # one form (0.65 s on 2 vCPUs)
+    # above the enumeration cap of check_square: the form of each of the
+    # 1466 contractible subcomplexes of the 4-simplex is the value that
+    # the attachment oracle gives, every admissible attachment agreeing,
+    # on the functor whose proper face f carries the generator e_f of a
+    # free target, so that a value lists the coefficients of the proper
+    # faces (the top face is the form of the full simplex alone)
     keys = [k.faces for k in enumerate_subcomplexes(4) if is_contractible(k)]
     assert len(keys) == 1466
-    assert all(falg._complex_form(k) for k in keys)
+    faces = falg._proper_faces(4)
+    free = InvolutiveAbelianGroup.free(len(faces))
+    tf = iota_shriek({f: tuple(int(f == h) for h in faces) for f in faces},
+                     4, free)
+    memo = {}
+    for k in keys:
+        coeffs = dict(falg._complex_form(k))
+        assert _oracles.attached_value(tf, k, memo) == \
+            tuple(coeffs.get(f, 0) for f in faces), sorted(k)
 
 
 def random_table_functor(rng, p, target, corrupt):
@@ -785,7 +819,9 @@ def test_zero_group_has_empty_blocks():
     assert FAlgElement.zero(zero, 2).psi_value() == ()
 
 
-def test_union_of_faces_value_matches_inclusion_exclusion():
+def test_value_on_face_unions_matches_inclusion_exclusion():
+    # where an intersection of the faces is empty the union may still be
+    # contractible, and then the attachment oracle gives its value
     rng = random.Random(47)
     z2z2 = InvolutiveAbelianGroup.from_factors([2, 2], -1)
     raised = 0
@@ -797,18 +833,22 @@ def test_union_of_faces_value_matches_inclusion_exclusion():
                                range(target.generator_count)) for f in faces}
                 tf = iota_shriek(fv, p, target)
                 face_list = rng.sample(faces, rng.randint(1, min(5, len(faces))))
-                want = _oracles.union_of_faces_value(tf, face_list)
-                if want is None:
-                    raised += 1
-                    with pytest.raises(ValueError, match="face poset"):
-                        tf.union_of_faces_value(face_list)
+                union = SubComplex.closure(p, face_list)
+                want = _oracles.inclusion_exclusion_value(tf, face_list)
+                if want is not None:
+                    assert tf.value_on(union) == want
+                elif is_contractible(union):
+                    assert tf.value_on(union) == \
+                        _oracles.attached_value(tf, union.faces)
                 else:
-                    assert tf.union_of_faces_value(face_list) == want
+                    raised += 1
+                    with pytest.raises(NotContractibleError):
+                        tf.value_on(union)
     assert raised
     tf = TorsionFunctor.zero(2, Z4)
     for disjoint in ([0b001, 0b010], [0b011, 0b100], [0b011, 0b101, 0b110]):
-        with pytest.raises(ValueError, match="face poset"):
-            tf.union_of_faces_value(disjoint)
+        with pytest.raises(NotContractibleError):
+            tf.value_on(SubComplex.closure(2, disjoint))
 
 
 # -- dualities ---------------------------------------------------------------

@@ -165,7 +165,7 @@ def test_element_checks_and_constraint_rows_share_only_face_helpers():
     elements = traced(element_checks)
     constraint = traced(constraint_groups)
     assert {("falg.py", "check_square"), ("falg.py", "_duality_form"),
-            ("falg.py", "_union_coeffs")} <= elements
+            ("falg.py", "_complex_form")} <= elements
     assert ("falg.py", "_membership_rows") in constraint
     shared = elements & constraint
     assert ("lattice.py", "_eliminate") in shared
