@@ -181,11 +181,6 @@ def _cmd_falg_check(args):
     except ValueError as exc:
         doc.add("membership", FAILED, {"reason": str(exc)})
         return doc
-    if el.functor.ambient > 3:
-        doc.add("membership", VERIFIED,
-                {"p": el.degree, "square_condition": None,
-                 "note": "the exhaustive square check is capped at ambient 3"})
-        return doc
     ok = falg.check_square(el.functor)
     doc.add("membership", VERIFIED if ok else FAILED,
             {"p": el.degree, "square_condition": ok})

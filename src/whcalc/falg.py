@@ -32,26 +32,28 @@ T, face and index set, one linear form per output coordinate of a
 generalized duality (``_duality_form``, shared by every target with the
 same action).  The duality holds when L(v) - sgn T(R(v)) lies in the
 relation lattice, where L and R are the forms of the closures of the
-boundary faces in the index set and in its complement.
+boundary faces in the index set and in its complement.  The blocks of
+all face-horn dualities are cut to a Z-basis once per T and ambient
+(``_horn_basis``), the one elimination of the element checks.
 Every membership condition is then compiled once per target against the
 flat vector of a functor (``_compile_checks``): with the target's
 ``smith_basis``, a block of g forms lies in the relation lattice exactly
 when each row of the left transform times the block takes a multiple of
 its modulus, so each check becomes a few rows ``(getter, coefficients,
-modulus)``, rows of modulus 1 dropped and the rows of each modulus cut
-to a Z-basis of their span.  So are compiled one generalized duality
-(``_compiled_duality``) and every face-horn duality at once
-(``_horn_rows``).  Per functor run its flat vector, reduced in one
-blockwise call, a complex form evaluated on it and reduced once
-(``value_on``), and the compiled rows of each check, one at a time until
-one fails (``_rows_vanish``).  The pushout squares need nothing per
-functor built from face values, since the forms make them hold by
-construction; only a table-backed functor has its squares checked
-(``check_square``).  The constraint equations of the homotopy path
-(``_membership_rows``, integer rows only after their presolve) write
-each face-horn duality from its own closed form, one signed term per
-face containing the horn's vertex, and use none of these forms, so the
-element checks and the constraint systems still cross-check each other.
+modulus)``, rows of modulus 1 dropped.  So are compiled one generalized
+duality (``_compiled_duality``) and every face-horn duality at once,
+from the basis of the target's action (``_horn_rows``).  Per functor
+run its flat vector, reduced in one blockwise call, a complex form
+evaluated on it and reduced once (``value_on``), and the compiled rows
+of each check, one at a time until one fails (``_rows_vanish``).  The
+pushout squares need nothing per functor built from face values, since
+the forms make them hold by construction; only a table-backed functor
+has its squares checked (``check_square``).  The constraint equations
+of the homotopy path (``_membership_rows``, integer rows only after
+their presolve) write each face-horn duality from its own closed form,
+one signed term per face containing the horn's vertex, and use none of
+these forms, so the element checks and the constraint systems still
+cross-check each other.
 """
 
 from __future__ import annotations
@@ -168,51 +170,37 @@ def _compile_row(terms):
     return itemgetter(*index), coeffs
 
 
-def _mod_terms(form, m):
-    """The nonzero terms of ``{index: coefficient}`` modulo m > 0, or all
-    of them when m is 0."""
-    if m:
-        form = {i: c % m for i, c in form.items()}
-    return {i: c for i, c in form.items() if c}
-
-
 def _compile_checks(target, blocks):
     """Blocks of g linear forms over a flat vector, each block to be
     tested for membership in the relation lattice, compiled into rows
     ``(getter, coefficients, modulus)`` for ``_rows_vanish``.
 
-    Each form is a sequence of ``(index, coefficient)`` terms.  With
-    ``(moduli, left)`` the target's ``smith_basis``, a block F lies in
-    the lattice exactly when row i of left * F takes a multiple of
-    ``moduli[i]``, and 0 where that modulus is 0.  Rows of modulus 1
-    always hold and are dropped, and a row of modulus m > 0 matters only
-    modulo m.  The rows of one modulus are then replaced by a Z-basis of
-    their span from ``lattice._eliminate``: each basis row is an integer
-    combination of them and each of them one of basis rows, so all vanish
-    modulo m exactly when the basis rows do (at ambient 3, the 28
-    face-horn rows of Z/6 under the identity, 120 terms, become 7 rows
-    with 30).  The rows are compiled by ``_compile_row``, by increasing
-    modulus.
+    A block is a sequence of ``(key, coefficient)`` terms as
+    ``_duality_form`` writes them, key i*g + r for the coefficient of
+    form r on index i.  With ``(moduli, left)`` the target's
+    ``smith_basis``, a block F lies in the lattice exactly when row i of
+    left * F takes a multiple of ``moduli[i]``, and 0 where that modulus
+    is 0.  Rows of modulus 1 always hold and are dropped; every other row
+    is reduced modulo its modulus (a row of modulus m > 0 matters only
+    modulo m) and compiled by ``_compile_row``, in the order of the
+    moduli.  Nothing is eliminated here: a caller with many blocks passes
+    a Z-basis of them (``_horn_basis``).
     """
     moduli, left = target.smith_basis
-    by_modulus = {}
-    for block in blocks:
-        for m, u_row in zip(moduli, left):
-            if m == 1:
-                continue
-            form = {}
-            for u, terms in zip(u_row, block):
-                if u:
-                    for i, c in terms:
-                        form[i] = form.get(i, 0) + u * c
-            by_modulus.setdefault(m, []).append(_mod_terms(form, m))
+    g = target.generator_count
     rows = []
-    for m, forms in sorted(by_modulus.items()):
-        pivots, _kernel = lattice._eliminate(forms)
-        for _row, col in pivots:
-            terms = _mod_terms(col, m)
+    for m, u_row in zip(moduli, left):
+        if m == 1:
+            continue
+        for block in blocks:
+            form = {}
+            for k, c in block:
+                i, r = divmod(k, g)
+                form[i] = form.get(i, 0) + u_row[r] * c
+            terms = [(i, x) for i, c in sorted(form.items())
+                     if (x := c % m if m else c)]
             if terms:
-                rows.append(_compile_row(sorted(terms.items())) + (m,))
+                rows.append(_compile_row(terms) + (m,))
     return tuple(rows)
 
 
@@ -335,10 +323,10 @@ class TorsionFunctor:
     # -- evaluation --------------------------------------------------------
 
     def value_on(self, complex_or_faces):
-        """tau(ambient simplex, K) for a contractible subcomplex K: the
-        table entry of a table-backed functor, else the form of K on the
-        face values.  A mask that is no face of the ambient simplex
-        raises ValueError."""
+        """tau(ambient simplex, K) for K the closure of the faces given,
+        which must be contractible: the table entry of a table-backed
+        functor, else the form of K on the face values.  A mask that is
+        no face of the ambient simplex raises ValueError."""
         if isinstance(complex_or_faces, SubComplex):
             faces = frozenset(complex_or_faces.faces)
         else:
@@ -346,6 +334,7 @@ class TorsionFunctor:
         if not faces:
             raise NotContractibleError("empty complex")
         _check_faces(self.ambient, faces)
+        faces = _closure(faces)
         if self.table is not None:
             key = tuple(sorted(faces))
             if key in self.table:
@@ -506,14 +495,15 @@ def _duality_form(involution, ambient, sigma, index_set):
     exactly when L(v) - sgn * T(R(v)) lies in the
     relation lattice: reducing either side first only subtracts lattice
     vectors, and T preserves the lattice.  That map is linear in the face
-    values, so it is stored as one tuple per output coordinate r of
-    ``(face, j, coefficient)`` triples, zeros dropped: coordinate r is the
-    sum of coefficient * v[face][j].  For even-dimensional sigma under the
-    identity (odd under -1) the two ``(sigma, -1)`` terms cancel.  The
-    form depends on the target only through ``involution``, so it is
-    cached per involution and shared by every target with that action;
-    each target compiles it against its own relations
-    (``_compiled_duality``).
+    values, so it is stored as one block: a sorted tuple of ``(key,
+    coefficient)`` terms, zeros dropped, whose key i*g + r says that
+    output coordinate r takes coefficient * flat[i], for flat index
+    i = f*g + j, coordinate j of face f, in the layout of
+    ``TorsionFunctor``.  For even-dimensional sigma under the identity
+    (odd under -1) the two ``(sigma, -1)`` terms cancel.  The form
+    depends on the target only through ``involution``, so it is cached
+    per involution and shared by every target with that action; each
+    target compiles it against its own relations (``_compiled_duality``).
     """
     _check_faces(ambient, (sigma,))
     d = face_dim(sigma)
@@ -527,34 +517,24 @@ def _duality_form(involution, ambient, sigma, index_set):
     rhs = _complex_form(frozenset(b for j, b in enumerate(bounds)
                                   if j not in idx)) + ((sigma, -1),)
     sgn = _sign(d)
-    forms = []
+    g = len(involution)
+    coeffs = {}
     for r, t_row in enumerate(involution):
-        coeffs = {}
         for f, c in lhs:
-            coeffs[f, r] = coeffs.get((f, r), 0) + c
+            coeffs[f, r, r] = coeffs.get((f, r, r), 0) + c
         for f, c in rhs:
             for j, t in enumerate(t_row):
-                coeffs[f, j] = coeffs.get((f, j), 0) - sgn * c * t
-        forms.append(tuple((f, j, c) for (f, j), c in sorted(coeffs.items())
-                           if c))
-    return tuple(forms)
-
-
-def _flat_block(target, ambient, sigma, index_set):
-    """The forms of ``_duality_form`` over the flat face-value vector, as
-    ``(index, coefficient)`` terms: one block of g forms."""
-    g = target.generator_count
-    return [[(f * g + j, c) for f, j, c in form]
-            for form in _duality_form(target.involution, ambient, sigma,
-                                      index_set)]
+                coeffs[f, j, r] = coeffs.get((f, j, r), 0) - sgn * c * t
+    return tuple(((f * g + j) * g + r, c)
+                 for (f, j, r), c in sorted(coeffs.items()) if c)
 
 
 @lru_cache(maxsize=None)
 def _compiled_duality(target, ambient, sigma, index_set):
     """The generalized duality of ``sigma`` at ``index_set`` for
     ``target``, as the rows of ``_compile_checks``."""
-    return _compile_checks(target, [_flat_block(target, ambient, sigma,
-                                                index_set)])
+    return _compile_checks(target, [_duality_form(target.involution, ambient,
+                                                  sigma, index_set)])
 
 
 def _duality_ok(tf, sigma, i):
@@ -581,11 +561,27 @@ def _face_horns(ambient):
 
 
 @lru_cache(maxsize=None)
+def _horn_basis(involution, ambient):
+    """A Z-basis of the blocks of every face-horn duality under the
+    involution T, in the layout of ``_duality_form``: the pivot columns
+    of one ``lattice._eliminate`` over the horns' blocks, each block one
+    vector.  For a fixed target, a block B passes the membership test of
+    ``_compile_checks`` exactly when left * B is 0 modulo the Smith
+    moduli, a Z-linear condition on B: so every horn block passes exactly
+    when every basis block does.  This depends on the target only through
+    T, so targets with one action share one elimination.
+    """
+    pivots, _kernel = lattice._eliminate(
+        [dict(_duality_form(involution, ambient, sigma, (i,)))
+         for sigma, i in _face_horns(ambient)])
+    return tuple(tuple(sorted(col.items())) for _row, col in pivots)
+
+
+@lru_cache(maxsize=None)
 def _horn_rows(target, ambient):
-    """Every face-horn duality for ``target``, one block of g forms per
-    horn of ``_face_horns``, compiled together by ``_compile_checks``."""
-    return _compile_checks(target, [_flat_block(target, ambient, sigma, (i,))
-                                    for sigma, i in _face_horns(ambient)])
+    """Every face-horn duality for ``target``: the blocks of
+    ``_horn_basis`` for its involution, compiled by ``_compile_checks``."""
+    return _compile_checks(target, _horn_basis(target.involution, ambient))
 
 
 def all_dualities_hold(tf):

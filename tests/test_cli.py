@@ -109,9 +109,9 @@ def test_falg_check(capsys):
         assert code == 1 and "[failed] membership" in out
 
 
-def test_falg_check_above_the_square_cap_reports_no_square_verdict(capsys):
-    # at degree 3 the functor has ambient 4, past the exhaustive square
-    # check: the condition is reported as not checked, never as true
+def test_falg_check_at_degree_3_reports_the_square_condition(capsys):
+    # at degree 3 the functor has ambient 4; built from face values it
+    # meets the square condition at every ambient, so the verdict is true
     target = InvolutiveAbelianGroup.cyclic(2, 1)
     element = FAlgElement.zero(target, 3).to_dict("z2-trivial")
     code, out, _ = run(["falg", "check", "--element", json.dumps(element),
@@ -119,9 +119,7 @@ def test_falg_check_above_the_square_cap_reports_no_square_verdict(capsys):
     assert code == 0
     (stage,) = json.loads(out)["stages"]
     assert stage["status"] == "verified"
-    assert stage["witness"]["p"] == 3
-    assert stage["witness"]["square_condition"] is None
-    assert "capped at ambient 3" in stage["witness"]["note"]
+    assert stage["witness"] == {"p": 3, "square_condition": True}
 
 
 def test_huge_degree_with_missing_values_fails_fast(capsys):

@@ -121,7 +121,7 @@ def test_caches_are_cold_after_import():
     # the scan sees the caches it is meant to guard
     assert {"whcalc.falg._complex_form",
             "whcalc.falg._compiled_duality", "whcalc.falg._horn_rows",
-            "whcalc.falg._duality_form",
+            "whcalc.falg._horn_basis", "whcalc.falg._duality_form",
             "whcalc.falg._face_horns", "whcalc.falg._contractible_keys",
             "whcalc.simplicial._collapses_to_point",
             "whcalc.lens.reidemeister_torsion"} <= set(sizes)

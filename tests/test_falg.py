@@ -82,6 +82,21 @@ def test_non_contractible_evaluation_raises():
         tf.value_on(both_vertices)
 
 
+def test_value_on_takes_the_closure_of_the_faces_given():
+    # an unclosed set of faces is tested for contractibility and
+    # evaluated as its closure, on face values and on a table alike
+    tf = functor_from({0b001: (3,), 0b010: (1,), 0b011: (1,), 0b100: (2,),
+                       0b101: (2,)}, 2, Z4)
+    table = raw_degeneracy(functor_from({0b01: (1,), 0b10: (2,)}, 1, Z4), 0)
+    horn_faces = [0b101, 0b011]
+    for f in (tf, table):
+        assert f.value_on([0b011, 0b001]) == f.value_on([0b011])
+        assert f.value_on(horn_faces) == \
+            f.value_on(SubComplex.closure(2, horn_faces))
+        with pytest.raises(NotContractibleError):
+            f.value_on([0b011, 0b101, 0b110])
+
+
 def test_faces_outside_the_ambient_simplex_are_refused():
     # at ambient 1 the vertex 2 (mask 0b100) and the edge 12 are not faces,
     # nor is any mask below 1
@@ -534,14 +549,15 @@ def test_duality_forms_match_plain_arithmetic():
                     rhs = _union_minus_face(p, sigma, [
                         b for j, b in enumerate(bounds) if j not in idx])
                     sgn = 1 if d % 2 == 0 else -1
-                    forms = falg._duality_form(t, p, sigma, idx)
-                    assert len(forms) == g
-                    for form in forms:
-                        assert all(c for _f, _j, c in form)
-                        assert len({(f, j) for f, j, _c in form}) == len(form)
+                    block = falg._duality_form(t, p, sigma, idx)
+                    keys = [k for k, _c in block]
+                    assert all(c for _k, c in block)
+                    assert keys == sorted(set(keys))
                     for _ in range(4):
                         v = {f: [rng.randrange(-50, 50) for _ in range(g)]
                              for f in falg._all_faces(p)}
+                        flat = [0] * g + [x for f in falg._all_faces(p)
+                                          for x in v[f]]
                         left = [sum(c * v[f][r] for f, c in lhs.items())
                                 for r in range(g)]
                         right = [sum(c * v[f][r] for f, c in rhs.items())
@@ -549,8 +565,8 @@ def test_duality_forms_match_plain_arithmetic():
                         want = [left[r] - sgn * sum(t[r][j] * right[j]
                                                     for j in range(g))
                                 for r in range(g)]
-                        got = [sum(c * v[f][j] for f, j, c in form)
-                               for form in forms]
+                        got = [sum(c * flat[k // g] for k, c in block
+                                   if k % g == r) for r in range(g)]
                         assert got == want, (target, p, sigma, idx)
 
 
@@ -595,19 +611,22 @@ def assert_same_conditions(got, want, n):
         assert all(la.contains(v) for v in b), m
 
 
+def dense_block(block, g, n):
+    """A block of ``(key, coefficient)`` terms, key i*g + r for index i of
+    form r, as g dense vectors of n coordinates."""
+    out = [[0] * n for _ in range(g)]
+    for k, c in block:
+        out[k % g][k // g] += c
+    return out
+
+
 def plain_block(target, ambient, sigma, index_set):
     """The forms of ``_duality_form`` as g dense vectors over the flat
-    face-value layout, written here from its triples."""
+    face-value layout."""
     g = target.generator_count
-    n = (falg._top_mask(ambient) + 1) * g
-    out = []
-    for form in falg._duality_form(target.involution, ambient, sigma,
-                                   index_set):
-        vec = [0] * n
-        for f, j, c in form:
-            vec[f * g + j] += c
-        out.append(vec)
-    return out
+    return dense_block(falg._duality_form(target.involution, ambient, sigma,
+                                          index_set),
+                       g, (falg._top_mask(ambient) + 1) * g)
 
 
 def test_all_dualities_hold_checks_each_horn_once(monkeypatch):
@@ -652,46 +671,53 @@ def test_all_dualities_hold_checks_each_horn_once(monkeypatch):
                 size)
 
 
-def test_targets_with_one_involution_share_duality_forms():
-    # the forms depend on the target only through its involution, so
-    # Z/2, Z/4 and Z/6 share one cached form per horn; each target
-    # compiles its own rows, modulo its own order
+def test_targets_with_one_involution_share_duality_forms(monkeypatch):
+    # the forms and the horn basis depend on the target only through its
+    # involution, so Z/2, Z/3, Z/4 and Z/6 share one cached form per horn
+    # and one basis, one elimination, per ambient; each target compiles
+    # its own rows, modulo its own order
+    targets = {Z2: 2, InvolutiveAbelianGroup.cyclic(3, 1): 3, Z4: 4, Z6: 6}
+    zeros = [TorsionFunctor.zero(p, target)
+             for p in (1, 2, 3) for target in targets]
     falg._duality_form.cache_clear()
+    falg._horn_basis.cache_clear()
     falg._horn_rows.cache_clear()
-    for target in (Z2, Z4, Z6):
-        assert all_dualities_hold(TorsionFunctor.zero(3, target))
-    horns = len(falg._face_horns(3))
+    eliminations = []
+    eliminate = lattice._eliminate
+
+    def counted(*args, **kwargs):
+        eliminations.append(args)
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "_eliminate", counted)
+    assert all(map(all_dualities_hold, zeros))
+    assert len(eliminations) == 3
+    horns = sum(len(falg._face_horns(p)) for p in (1, 2, 3))
     info = falg._duality_form.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (horns, horns, 2 * horns)
-    assert falg._horn_rows.cache_info().currsize == 3
-    for target, m in ((Z2, 2), (Z4, 4), (Z6, 6)):
+    assert (info.currsize, info.misses, info.hits) == (horns, horns, 0)
+    info = falg._horn_basis.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (3, 3, 9)
+    assert falg._horn_rows.cache_info().currsize == 12
+    for target, m in targets.items():
         rows = falg._horn_rows(target, 3)
         assert rows and {row[2] for row in rows} == {m}
 
 
 def plain_duality(tf, sigma, index_set):
     """The unreduced output of ``_duality_form`` on ``tf``'s face values,
-    triple by triple."""
-    values = tf.values
-    return [sum(c * values[f][j] for f, j, c in form)
-            for form in falg._duality_form(tf.target.involution, tf.ambient,
-                                           sigma, index_set)]
-
-
-def flat_duality(tf, sigma, index_set):
-    """The unreduced output of the forms over the flat layout that
-    ``_compile_checks`` starts from."""
-    return [sum(c * tf.flat[i] for i, c in form)
-            for form in falg._flat_block(tf.target, tf.ambient, sigma,
-                                         index_set)]
+    read from the ``{face: value}`` dict, not the flat tuple."""
+    values, g = tf.values, tf.target.generator_count
+    block = falg._duality_form(tf.target.involution, tf.ambient, sigma,
+                               index_set)
+    return [sum(c * values[k // g // g][k // g % g] for k, c in block
+                if k % g == r) for r in range(g)]
 
 
 def test_compiled_and_stacked_forms_match_plain_forms():
-    # the forms over the flat layout give the exact integers of the plain
-    # forms, the compiled rows of one duality and of every horn at once
-    # impose exactly the conditions of the plain forms, and the verdicts
-    # equal membership of the plain outputs; on members of F^alg, the
-    # same with one face value perturbed, and random values
+    # the compiled rows of one duality and of every horn at once impose
+    # exactly the conditions of the plain forms, and the verdicts equal
+    # membership of the plain outputs; on members of F^alg, the same with
+    # one face value perturbed, and random values
     rng = random.Random(73)
     swap_sq = InvolutiveAbelianGroup(2, [[3, 0], [0, 3]], [[0, 1], [1, 0]])
     z2z2 = InvolutiveAbelianGroup.from_factors([2, 2], -1)
@@ -726,17 +752,14 @@ def test_compiled_and_stacked_forms_match_plain_forms():
                            iota_shriek(rand, p, target)):
                     stacked = []
                     for sigma, i in falg._face_horns(p):
-                        plain = plain_duality(tf, sigma, (i,))
-                        assert flat_duality(tf, sigma, (i,)) == plain
-                        stacked += plain
+                        stacked += plain_duality(tf, sigma, (i,))
                     held = target.is_zero_element(stacked)
                     assert all_dualities_hold(tf) is held
                     verdicts.add(held)
                     for sigma, idx in index_sets:
-                        plain = plain_duality(tf, sigma, idx)
-                        assert flat_duality(tf, sigma, idx) == plain
                         assert generalized_duality_holds(tf, sigma, idx) is \
-                            target.is_zero_element(plain)
+                            target.is_zero_element(
+                                plain_duality(tf, sigma, idx))
     assert verdicts == {True, False}
 
 
@@ -803,6 +826,54 @@ def test_compiled_checks_match_plain_membership():
                 assert check_square(tf) is held
                 verdicts["square"].add(held)
     assert verdicts == {kind: {True, False} for kind in verdicts}
+
+
+BENCHMARK_TARGETS = [InvolutiveAbelianGroup.from_factors(f, s)
+                     for f in ([2], [3], [4], [2, 2]) for s in (1, -1)] + [Z6]
+
+
+def test_horn_basis_checks_every_horn_of_its_action():
+    # the basis blocks of an action span its horn blocks over Z, and the
+    # horn rows compiled from them give each target the verdict of every
+    # horn's own rows and of membership of the plain forms: on members of
+    # F^alg, the same with one face value perturbed and random face
+    # values, at ambient 1..3, both verdicts occurring for every target
+    rng = random.Random(97)
+    targets = [*BENCHMARK_TARGETS, *TWISTED_TARGETS,
+               InvolutiveAbelianGroup(2, [[], []], [[0, 1], [1, 0]]),
+               InvolutiveAbelianGroup.from_factors([0, 2], -1)]
+    for target in targets:
+        g = target.generator_count
+        verdicts = set()
+        for p in (1, 2, 3):
+            n = (falg._top_mask(p) + 1) * g
+            horns = [[x for vec in plain_block(target, p, sigma, (i,))
+                      for x in vec] for sigma, i in falg._face_horns(p)]
+            basis = [[x for vec in dense_block(block, g, n) for x in vec]
+                     for block in falg._horn_basis(target.involution, p)]
+            horn_span = lattice.Lattice(horns, g * n)
+            basis_span = lattice.Lattice(basis, g * n)
+            assert all(basis_span.contains(v) for v in horns)
+            assert all(horn_span.contains(v) for v in basis)
+            faces = falg._proper_faces(p)
+            for value in ((0,) * g, tuple(range(1, g + 1))):
+                member = psi_section(target, p - 1, value).functor
+                fv = member.values
+                face = rng.choice(faces)
+                fv[face] = tuple(x + 1 for x in fv[face])
+                rand = {f: tuple(rng.randrange(-6, 6) for _ in range(g))
+                        for f in faces}
+                for tf in (member, iota_shriek(fv, p, target),
+                           iota_shriek(rand, p, target)):
+                    held = all_dualities_hold(tf)
+                    assert held is all(
+                        generalized_duality_holds(tf, sigma, (i,))
+                        for sigma, i in falg._face_horns(p))
+                    assert held is all(
+                        target.is_zero_element(plain_duality(tf, sigma, (i,)))
+                        for sigma, i in falg._face_horns(p))
+                    verdicts.add(held)
+        assert verdicts == {True, False}, target
 
 
 def test_zero_group_has_empty_blocks():
