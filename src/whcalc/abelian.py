@@ -91,9 +91,6 @@ class FgAbGroup(Frozen):
             n *= f
         return n
 
-    def exponent_divides(self, m):
-        return all(f and m % f == 0 for f in self.invariant_factors)
-
     def to_dict(self):
         return {"invariant_factors": list(self.invariant_factors)}
 
@@ -212,20 +209,20 @@ class InvolutiveAbelianGroup(Frozen):
         return self._lattice.contains(vec)
 
     def isomorphism_type(self):
-        return FgAbGroup.from_factors(
-            lattice.cokernel_factors(self.relation_columns(),
-                                     self.generator_count))
+        """The Smith moduli of ``smith_basis`` other than 1."""
+        return FgAbGroup(m for m in self.smith_basis[0] if m != 1)
 
     def order(self):
         return self.isomorphism_type().order()
 
     def elements(self):
         """All elements, each once, as canonical coordinate tuples (finite
-        groups only): the reduced span of the quotient's generators."""
+        groups only): the echelon digits of the relation lattice, which
+        are already reduced."""
         g = self.generator_count
-        factors, gens = lattice.quotient_with_generators(
+        _factors, gens, radices = lattice.quotient_with_generators(
             lattice.identity(g), self.relation_columns(), g)
-        return map(self.reduce, lattice.span_elements(gens, factors, g))
+        return lattice.span_elements(gens, radices, g)
 
     # -- serialization ------------------------------------------------
 

@@ -414,8 +414,12 @@ def main(argv=None):
         return USAGE_ERROR
     text = doc.to_json() if args.json else doc.to_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
     else:
         try:
             print(text, flush=True)

@@ -989,44 +989,45 @@ def _normalized_basis(target, degree):
 
 
 class FAlgGroup(Record):
-    """The group of p-simplices, solved from the linear constraint system,
-    its generators in the flat layout of ``TorsionFunctor``."""
+    """The group of p-simplices, solved from the linear constraint system.
 
-    _fields = ("target", "degree", "isomorphism_type", "generator_vectors")
+    ``mixed_radix`` is ``(vectors, radices)`` from
+    ``lattice.quotient_with_generators``, the vectors in the flat layout
+    of ``TorsionFunctor``."""
 
-    def __init__(self, target, degree, isomorphism_type, generator_vectors):
+    _fields = ("target", "degree", "isomorphism_type", "mixed_radix")
+
+    def __init__(self, target, degree, isomorphism_type, mixed_radix):
         self.target = target
         self.degree = degree
         self.isomorphism_type = isomorphism_type
-        self.generator_vectors = generator_vectors
+        self.mixed_radix = mixed_radix
 
     @property
     def order(self):
         return self.isomorphism_type.order()
 
     def elements(self):
-        """Every element once, from the span of the generators, which the
+        """Every element once, from the mixed-radix digits, which the
         ``TorsionFunctor`` constructor reduces."""
         ambient = self.degree + 1
         dim = (_top_mask(ambient) + 1) * self.target.generator_count
-        for flat in lattice.span_elements(
-                self.generator_vectors, self.isomorphism_type.invariant_factors,
-                dim):
+        for flat in lattice.span_elements(*self.mixed_radix, dim):
             yield FAlgElement(TorsionFunctor(ambient, self.target, flat))
 
 
 def _solved_group(target, degree, basis, n_faces):
     """The group spanned by ``basis`` and the relation blocks, modulo the
     relation blocks.  The blocks of the proper faces are already in mask
-    order, so each generator is the flat vector of ``TorsionFunctor``
+    order, so each basis vector is the flat vector of ``TorsionFunctor``
     once the empty and the top block are padded on."""
     g = target.generator_count
     den = _block_lattice_cols(target, n_faces)
-    factors, gens = lattice.quotient_with_generators(basis + den, den,
-                                                     g * n_faces)
+    factors, gens, radices = lattice.quotient_with_generators(
+        basis + den, den, g * n_faces)
     pad = [0] * g
     return FAlgGroup(target, degree, FgAbGroup.from_factors(factors),
-                     [pad + gen + pad for gen in gens])
+                     ([pad + gen + pad for gen in gens], radices))
 
 
 def falg_group(target, p):

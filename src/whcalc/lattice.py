@@ -17,11 +17,13 @@ and Mrozek 2004, ch. 3) applied to the constraint systems directly.
 Dense Smith normal form from ``_snf`` only sees small matrices: the
 relation matrices of quotients, whose invariant factors are canonical,
 the relation matrix of a group in ``smith_basis``, and the square
-systems of ``solve``; no other module calls it.  Its transforms give
-``quotient_with_generators`` independent generators, one per invariant
-factor, from which ``span_elements`` lists each element of a finite
-quotient once, and give ``smith_basis`` the left transform that turns
-membership in a lattice into one congruence per coordinate.
+systems of ``solve``; no other module calls it.  Only ``smith_basis``
+and ``Solver`` ask it for transforms: ``smith_basis`` keeps the left
+transform, which turns membership in a lattice into one congruence per
+coordinate.  A finite quotient is listed from echelon forms alone:
+``quotient_with_generators`` gives the numerator's echelon vectors, each
+with the pivot of the relations' echelon form as its radix, and
+``span_elements`` runs through their digits, each element once.
 """
 
 from __future__ import annotations
@@ -280,39 +282,42 @@ def quotient_factors(num_basis, den_gens):
 
 
 def quotient_with_generators(num_basis, den_gens, dim):
-    """Like ``quotient_factors`` but also returns aligned generator vectors.
+    """``quotient_factors`` and a mixed-radix basis of the quotient.
 
-    Returns ``(factors, gens)`` where generator i has order factors[i]
-    (0 meaning infinite) in the quotient, expressed in ambient Z^dim.
-    Trivial (order-1) cyclic summands are dropped.  The quotient is the
-    direct sum of the generators' cyclic subgroups.
+    Returns ``(factors, gens, radices)``.  ``gens`` are echelon basis
+    vectors b_r of the numerator in Z^dim, and radix d_r is the pivot of
+    the relations' column echelon form at coordinate r, 0 where that
+    coordinate has no pivot (the quotient is then infinite); radix-1
+    digits are dropped.  For a full-rank column echelon R in Z^k the
+    vectors c with 0 <= c_r < d_r are exactly the canonical
+    representatives of ``Lattice.reduce`` modulo R, and there are
+    prod d_r = |Z^k / R| of them, so the sums of the c_r b_r list each
+    element of a finite quotient once.
     """
     pivots, rel = _relations(num_basis, den_gens)
     k = len(pivots)
     rel = lattice_basis(rel, k)
-    diag, left_inv = [], identity(k)
-    if rel:
-        diag, left, _right = _snf.smith(from_columns(rel, k), True)
-        # left is unimodular: its own Smith form is the identity
-        _ones, inv_left, inv_right = _snf.smith(left, True)
-        left_inv = mat_mul(inv_right, inv_left)
-    b_mat = from_columns([_dense(col, dim) for _row, col in pivots], dim)
-    factors, gens = [], []
-    for j, d in enumerate(diag + [0] * (k - len(diag))):
+    radix = [0] * k
+    for col in rel:
+        r = next(i for i, x in enumerate(col) if x)
+        radix[r] = col[r]
+    gens, radices = [], []
+    for (_row, col), d in zip(pivots, radix):
         if d != 1:
-            factors.append(d)
-            gens.append(mat_vec(b_mat, [row[j] for row in left_inv]))
-    return factors, gens
+            gens.append(_dense(col, dim))
+            radices.append(d)
+    return cokernel_factors(rel, k), gens, radices
 
 
 def span_elements(gens, orders, dim):
     """``sum c_i * gens[i]`` for every 0 <= c_i < orders[i], the first
     coefficient varying slowest, as unreduced tuples of Z^dim.
 
-    For the generators of ``quotient_with_generators`` and their orders
-    these are the elements of the finite quotient, each exactly once;
-    callers reduce them to canonical representatives.  A zero order
-    means an infinite generator and raises ValueError.
+    For the vectors and radices of ``quotient_with_generators`` these
+    are the elements of the finite quotient, each exactly once.  Over
+    the identity numerator the sums are the digit vectors themselves,
+    already canonical representatives; other callers reduce them.  A
+    zero order means an infinite quotient and raises ValueError.
     """
     if any(f == 0 for f in orders):
         raise ValueError("cannot enumerate an infinite group")
@@ -373,24 +378,5 @@ class Lattice:
 
     def contains(self, v):
         """Whether every block of ``v`` lies in the lattice: ``reduce(v)``
-        is zero.
-
-        Stops at the first pivot entry that its pivot does not divide:
-        the pivots of later rows are zero there, so that entry of
-        ``reduce(v)`` is already final and nonzero.
-        """
-        v = list(v)
-        n, dim = len(v), self.dim
-        if n % dim if dim else n:
-            raise ValueError(f"{n} coordinates are not blocks of {dim}")
-        for row, d, rest in self._steps:
-            for i in range(row, n, dim):
-                x = v[i]
-                if x:
-                    if x % d:
-                        return False
-                    v[i] = 0
-                    q = x // d
-                    for j, y in rest:
-                        v[i + j] -= q * y
-        return not any(v)
+        is zero."""
+        return not any(self.reduce(v))

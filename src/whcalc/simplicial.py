@@ -122,36 +122,6 @@ class SubComplex(Frozen):
     def maximal_faces(self):
         return maximal_faces(self.faces)
 
-    def vertices(self):
-        mask = 0
-        for f in self.faces:
-            mask |= f
-        return vertices_of(mask)
-
-    def euler_characteristic(self):
-        chi = 0
-        for f in self.faces:
-            chi += -1 if face_dim(f) % 2 else 1
-        return chi
-
-    def is_connected(self):
-        verts = self.vertices()
-        if len(verts) <= 1:
-            return True
-        parent = {v: v for v in verts}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for f in self.faces:
-            vs = vertices_of(f)
-            for a, b in zip(vs, vs[1:]):
-                parent[find(a)] = find(b)
-        return len({find(v) for v in verts}) == 1
-
     def canonical_key(self):
         return tuple(sorted(self.faces))
 

@@ -5,6 +5,9 @@ the package: fraction-free (Bareiss) elimination instead of integer SNF,
 brute-force element enumeration instead of lattice subquotients,
 Sylvester resultants instead of conjugate products, and plain pair and
 subset loops instead of the per-ambient plans of ``whcalc.falg``.
+The contractibility oracle ``is_acyclic_and_connected`` reads its face
+bitmasks itself (vertices, connectivity by union-find, boundary
+matrices) and calls nothing of ``whcalc.simplicial``.
 ``attached_value`` evaluates a functor on a complex by attaching one
 maximal face at a time, along every admissible attachment, on reduced
 values, where ``TorsionFunctor`` evaluates one closed-form integer form
@@ -22,8 +25,8 @@ from math import gcd
 from whcalc.abelian import FgAbGroup
 from whcalc.falg import NotContractibleError, TorsionFunctor, iota_shriek
 from whcalc.simplicial import (SubComplex, codegeneracy_face, coface_face,
-                               enumerate_contractible_subcomplexes, face_dim,
-                               is_contractible, vertices_of)
+                               enumerate_contractible_subcomplexes,
+                               is_contractible)
 
 
 def bareiss_determinant(rows):
@@ -173,10 +176,48 @@ def _cyclic_c2_homology_free(sign, n):
 # -- reduced simplicial homology ----------------------------------------
 
 
+def _face_dim(face):
+    return bin(face).count("1") - 1
+
+
+def _vertices(face):
+    return [v for v in range(face.bit_length()) if face >> v & 1]
+
+
+def vertices(faces):
+    """The vertices of a set of face bitmasks, sorted."""
+    mask = 0
+    for f in faces:
+        mask |= f
+    return _vertices(mask)
+
+
+def euler_characteristic(faces):
+    return sum(-1 if _face_dim(f) % 2 else 1 for f in faces)
+
+
+def is_connected(faces):
+    """Whether the edges of ``faces`` join all its vertices (union-find)."""
+    verts = vertices(faces)
+    parent = {v: v for v in verts}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for f in faces:
+        vs = _vertices(f)
+        for a, b in zip(vs, vs[1:]):
+            parent[find(a)] = find(b)
+    return len({find(v) for v in verts}) <= 1
+
+
 def _ordered_faces(k):
     by_dim = {}
     for f in k.faces:
-        by_dim.setdefault(face_dim(f), []).append(f)
+        by_dim.setdefault(_face_dim(f), []).append(f)
     for d in by_dim:
         by_dim[d].sort()
     return by_dim
@@ -189,7 +230,7 @@ def _boundary_matrix(by_dim, d):
     idx = {f: i for i, f in enumerate(rows)}
     mat = [[0] * len(cols) for _ in rows]
     for j, f in enumerate(cols):
-        verts = vertices_of(f)
+        verts = _vertices(f)
         for i, v in enumerate(verts):
             sub = f & ~(1 << v)
             mat[idx[sub]][j] += 1 if i % 2 == 0 else -1
@@ -203,7 +244,7 @@ def is_acyclic_and_connected(k):
     torsion of the cokernel of the boundary entering degree d-1, detected
     by diagonalization over Z.
     """
-    if not k.is_connected():
+    if not is_connected(k.faces):
         return False
     by_dim = _ordered_faces(k)
     # each boundary matrix is built and ranked once: the one leaving
@@ -437,7 +478,7 @@ def attached_value(tf, faces, memo=None):
 def boundary_faces(sigma):
     """The codimension-one faces of ``sigma``, the i-th without its i-th
     smallest vertex."""
-    return [sigma & ~(1 << v) for v in vertices_of(sigma)]
+    return [sigma & ~(1 << v) for v in _vertices(sigma)]
 
 
 def duality_holds(tf, sigma, index_set):
@@ -505,9 +546,9 @@ def membership_equations(ambient):
            for sigma in range(top - 1, 0, -1)
            if sigma != region and sigma & region == sigma]
     for sigma in range(1, top + 1):
-        if face_dim(sigma) >= 1:
+        if _face_dim(sigma) >= 1:
             eqs.extend(equation(*face_horn_terms(sigma, i))
-                       for i in range(face_dim(sigma) + 1))
+                       for i in range(_face_dim(sigma) + 1))
     return eqs, top - 1
 
 

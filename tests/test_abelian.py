@@ -105,7 +105,7 @@ def test_exponent_two_for_free_modules():
         for sign in (1, -1):
             a = InvolutiveAbelianGroup.free(rank, sign)
             for n in range(1, 4):
-                assert homology_c2(a, n).exponent_divides(2)
+                assert set(homology_c2(a, n).invariant_factors) <= {2}
 
 
 def test_nontrivial_involution_matrix():

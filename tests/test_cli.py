@@ -406,6 +406,17 @@ def test_out_flag(tmp_path, capsys):
     assert data["stages"][0]["status"] == "verified"
 
 
+@pytest.mark.parametrize("where", ["missing-dir/report.json", "."])
+def test_unwritable_out_is_usage_error(where, tmp_path, capsys):
+    # a missing directory, or a directory given as the file
+    path = tmp_path / where
+    code, out, err = run(["homology", "--target", "z2-trivial", "--n", "1",
+                          "--out", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_global_flags_before_subcommand(capsys):
     code, out, _ = run(["--json", "unit", "verify", "--order", "7",
                         "--coeffs", "1,0,0,0,0,0,0"], capsys)

@@ -26,7 +26,7 @@ def test_generators_solve_the_equations_in_flat_block_order(name):
     for p in range(3):
         eqs, n_faces = falg._membership_rows(p + 1)
         rows = falg._expand(target, eqs)
-        for gen in falg_group(target, p).generator_vectors:
+        for gen in falg_group(target, p).mixed_radix[0]:
             blocks = gen[g:(n_faces + 1) * g]
             images = [sum(c * blocks[j] for j, c in row.items())
                       for row in rows]

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -125,9 +126,11 @@ def test_quotient_factors_match_smith():
         den = [lattice.mat_vec(lattice.from_columns(b, dim), col) for col in r]
         expect = lattice.cokernel_factors(r, k)
         assert lattice.quotient_factors(b, den) == expect
-        factors, gens = lattice.quotient_with_generators(b, den, dim)
+        factors, gens, radices = lattice.quotient_with_generators(b, den, dim)
         assert factors == [d for d in expect if d != 1]
         assert same_lattice(gens + den, b, dim)
+        assert prod(radices) == prod(factors)
+        assert radices.count(0) == factors.count(0)
         checked += 1
 
 
@@ -280,6 +283,25 @@ def snf_uses(source):
             if getattr(func, "id", getattr(func, "attr", None)) == "smith":
                 out.append(node.lineno)
     return out
+
+
+def test_enumeration_and_sizing_take_no_transforms(monkeypatch):
+    # a quotient's radices and factors cost one Smith form without
+    # transforms; a group's isomorphism type reads its stored Smith basis
+    calls = []
+    smith = _snf.smith
+
+    def counting(rows, want_transforms=True):
+        calls.append(want_transforms)
+        return smith(rows, want_transforms)
+
+    a = InvolutiveAbelianGroup(2, [[2, 1], [0, 3]], [[1, 0], [0, 1]])
+    monkeypatch.setattr(_snf, "smith", counting)
+    assert lattice.quotient_with_generators(
+        lattice.identity(2), a.relation_columns(), 2)[0] == [6]
+    assert calls == [False]
+    assert a.isomorphism_type().invariant_factors == (6,)
+    assert calls == [False]
 
 
 def test_only_lattice_reaches_smith_normal_form():

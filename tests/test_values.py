@@ -71,7 +71,7 @@ MUTABLE = [
                             [Stage("s", "derived")]),
      ("tool", "version", "command", "params", "stages")),
     (FAlgGroup, lambda: falg_group(_z2(), 1),
-     ("target", "degree", "isomorphism_type", "generator_vectors")),
+     ("target", "degree", "isomorphism_type", "mixed_radix")),
     (MooreComplex, lambda: moore_complex(_z2(), 1),
      ("target", "max_degree", "bases")),
 ]
