@@ -3,10 +3,10 @@
 Arbitrary-precision and deterministic: the pivot is always the smallest
 nonzero entry in absolute value of the remaining block, ties broken in
 row-major order.  Only ``lattice`` calls it, and only on small dense
-matrices: the relation matrices of quotients (without transforms), the
-relation matrix of a group in ``lattice.smith_basis`` and the square
-systems of ``lattice.Solver`` (both with transforms); the sparse
-constraint systems go through ``lattice._eliminate`` instead.
+matrices: the relation matrices of quotients (without transforms) and
+the relation matrix of a group in ``lattice.smith_basis`` (with
+transforms); the sparse constraint systems and the systems of
+``lattice.Solver`` go through ``lattice._eliminate`` instead.
 """
 
 from __future__ import annotations

@@ -697,15 +697,6 @@ class FAlgElement(Frozen):
     def zero(cls, target, p):
         return cls(TorsionFunctor.zero(p + 1, target))
 
-    @staticmethod
-    def is_valid_values(target, p, face_values):
-        """Cheap membership check on raw face values, without construction."""
-        try:
-            tf = iota_shriek(face_values, p + 1, target)
-        except ValueError:
-            return False
-        return _z_condition_holds(tf) and all_dualities_hold(tf)
-
     def __add__(self, other):
         return FAlgElement(self.functor + other.functor)
 
@@ -1088,20 +1079,6 @@ class MooreComplex(Record):
         self.target = target
         self.max_degree = max_degree
         self.bases = bases
-
-    def boundary_squares_to_zero(self):
-        target = self.target
-        g = target.generator_count
-        for m in range(self.max_degree - 1):
-            upper = _expand(target, _delta0_rows(m + 2))
-            lower = _expand(target, _delta0_rows(m + 1))
-            for vec in self.bases[m + 2]:
-                twice = _apply_rows(lower, _apply_rows(upper, vec))
-                for k in {i // g for i in twice}:
-                    block = [twice.get(k * g + r, 0) for r in range(g)]
-                    if not target.is_zero_element(block):
-                        return False
-        return True
 
 
 def moore_complex(target, max_degree):

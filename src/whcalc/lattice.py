@@ -14,16 +14,17 @@ Kernels, lattice bases, quotient coordinates and the echelon bases of
 ``Lattice`` come from one sparse unimodular column elimination
 (``_eliminate``; Dumas, Saunders and Villard 2001, Kaczynski, Mischaikow
 and Mrozek 2004, ch. 3) applied to the constraint systems directly.
-Dense Smith normal form from ``_snf`` only sees small matrices: the
-relation matrices of quotients, whose invariant factors are canonical,
-the relation matrix of a group in ``smith_basis``, and the square
-systems of ``solve``; no other module calls it.  Only ``smith_basis``
-and ``Solver`` ask it for transforms: ``smith_basis`` keeps the left
-transform, which turns membership in a lattice into one congruence per
-coordinate.  A finite quotient is listed from echelon forms alone:
-``quotient_with_generators`` gives the numerator's echelon vectors, each
-with the pivot of the relations' echelon form as its radix, and
-``span_elements`` runs through their digits, each element once.
+``Solver`` solves A x = b on the same elimination, as the kernel of
+[-b | A].  Dense Smith normal form from ``_snf`` only sees small
+matrices: the relation matrices of quotients, whose invariant factors
+are canonical, and the relation matrix of a group in ``smith_basis``;
+no other module calls it.  Only ``smith_basis`` asks it for transforms:
+it keeps the left transform, which turns membership in a lattice into
+one congruence per coordinate.  A finite quotient is listed from echelon
+forms alone: ``quotient_with_generators`` gives the numerator's echelon
+vectors, each with the pivot of the relations' echelon form as its
+radix, and ``span_elements`` runs through their digits, each element
+once.
 """
 
 from __future__ import annotations
@@ -181,27 +182,25 @@ def _coordinates(pivots, vec):
 
 
 class Solver:
-    """Reusable exact solver for A x = b (the SNF is computed once)."""
+    """Exact solver for A x = b on the sparse kernel: no Smith form."""
 
     def __init__(self, rows):
-        self.rows = [list(r) for r in rows]
-        self.m = len(rows)
+        self.rows = rows
         self.n = len(rows[0]) if rows else 0
-        self.diag, self.left, self.right = _snf.smith(self.rows, True)
-        self.rank = len(self.diag)
 
     def solve(self, b):
-        """One integer solution of A x = b, or None."""
-        c = mat_vec(self.left, b)
-        y = [0] * self.n
-        for i in range(self.rank):
-            if c[i] % self.diag[i]:
-                return None
-            y[i] = c[i] // self.diag[i]
-        for i in range(self.rank, self.m):
-            if c[i]:
-                return None
-        return mat_vec(self.right, y)
+        """One integer solution of A x = b, or None.
+
+        The kernel of [-b | A] meets coordinate 0 in d Z, d the entry
+        there of the first vector of its echelon basis (0 when that
+        vector leads later), so A x = b is solvable exactly when d = 1;
+        that vector's other coordinates are then x.
+        """
+        rows = [[-c, *r] for c, r in zip(b, self.rows)]
+        basis = kernel_with_denominator(rows, [], self.n + 1)
+        if not basis or basis[0].get(0) != 1:
+            return None
+        return _dense(basis[0], self.n + 1)[1:]
 
 
 def solve(rows, b):

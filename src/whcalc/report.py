@@ -93,10 +93,6 @@ class ReportDocument(Record):
         doc.stages = [Stage.from_dict(s) for s in data.get("stages", [])]
         return doc
 
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
-
     def to_text(self):
         lines = []
         for s in self.stages:

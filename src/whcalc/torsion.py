@@ -19,7 +19,7 @@ from math import gcd
 
 from ._value import Frozen
 from .abelian import InvolutiveAbelianGroup
-from .groupring import WhiteheadClass, wh_class_equal
+from .groupring import WhiteheadClass
 from .lattice import mat_vec
 
 __all__ = [
@@ -58,10 +58,6 @@ class HCobordismSymbol(Frozen):
     def to_dict(self):
         return {"d": self.dim, "torsion": self.torsion.to_dict(),
                 "twist": self.twist}
-
-    def class_equal(self, other):
-        return (self.dim - other.dim) % 2 == 0 and self.twist == other.twist \
-            and wh_class_equal(self.torsion, other.torsion)
 
 
 def trivial_cylinder(d, order):

@@ -14,6 +14,11 @@ values, where ``TorsionFunctor`` evaluates one closed-form integer form
 per complex.  The structure maps and the group law of torsion
 functors work face by face on ``{face: value}`` dicts, as
 ``TorsionFunctor`` did before it gathered its flat vector.
+``is_simplex_values`` and ``boundary_squares_to_zero`` test simplices
+and the normalized complex with those maps and ``duality_holds``, not
+with the compiled checks or the constraint rows of ``whcalc.falg``;
+``symbol_class_equal`` reads trivial units off the coefficients instead
+of calling ``wh_class_equal``.
 """
 
 from __future__ import annotations
@@ -615,3 +620,51 @@ def codegeneracy(tf, j):
     return _functor(p + 1, tf.target, {
         sigma: values[codegeneracy_face(sigma, j)]
         for sigma in range(1, (1 << (p + 2)) - 1)})
+
+
+# -- simplices, normalized chains and h-cobordism symbols --------------------
+
+
+def is_simplex_values(target, p, face_values):
+    """Whether ``face_values`` are a p-simplex of the simplicial group: a
+    functor at ambient p + 1 (``iota_shriek`` accepts the dict) whose
+    faces inside the 0-th face region all take the region's value, with
+    face-horn duality (``duality_holds`` at each single horn) at every
+    face of dimension >= 1."""
+    try:
+        tf = iota_shriek(face_values, p + 1, target)
+    except ValueError:
+        return False
+    values = tf.values
+    region = (1 << (p + 2)) - 2
+    if any(v != values[region] for f, v in values.items() if f & region == f):
+        return False
+    return all(duality_holds(tf, sigma, (i,)) for sigma in values
+               for i in range(_face_dim(sigma) + 1) if _face_dim(sigma) >= 1)
+
+
+def boundary_squares_to_zero(moore):
+    """Whether delta_0 delta_0 vanishes on the normalized bases of a
+    ``MooreComplex`` from degree 2 up: each basis vector, block k the
+    value on the face with mask k + 1, is read as a functor and taken
+    through ``coface_restrict`` at 1 twice, leaving only zero values."""
+    target = moore.target
+    g = target.generator_count
+    for m in range(2, moore.max_degree + 1):
+        for vec in moore.bases[m]:
+            tf = iota_shriek({
+                f: tuple(vec.get((f - 1) * g + r, 0) for r in range(g))
+                for f in range(1, (1 << (m + 2)) - 1)}, m + 1, target)
+            twice = coface_restrict(coface_restrict(tf, 1), 1)
+            if not all(map(target.is_zero_element, twice.values.values())):
+                return False
+    return True
+
+
+def symbol_class_equal(a, b):
+    """Whether two h-cobordism symbols name one class: dimensions of one
+    parity, one twist, and torsion units whose quotient is a trivial unit
+    +-t^k, a single nonzero coefficient +-1."""
+    q = a.torsion.representative * b.torsion.inverse
+    return (a.dim - b.dim) % 2 == 0 and a.twist == b.twist \
+        and sorted(map(abs, q.coeffs)) == [0] * (q.order - 1) + [1]

@@ -230,7 +230,7 @@ def test_lens_report_exit_and_stage(capsys):
     code, out, _ = run(["lens", "report-theorem-a", "--k", "1", "--json"],
                        capsys)
     assert code == 0
-    doc = ReportDocument.from_json(out)
+    doc = ReportDocument.from_dict(json.loads(out))
     by_name = {s.name: s for s in doc.stages}
     assert by_name["inertia-mod-doubles"].status == "verified"
     assert by_name["inertia-mod-doubles"].witness["cardinality"] == 3
@@ -391,7 +391,7 @@ def test_json_round_trip_and_determinism(capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
-    doc = ReportDocument.from_json(outs[0])
+    doc = ReportDocument.from_dict(json.loads(outs[0]))
     assert doc.to_json() + "\n" == outs[0] or doc.to_json() == outs[0].rstrip("\n")
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,27 @@ def test_invert_unit_iff_unimodular_circulant():
         if inv is not None:
             assert x * inv == GroupRingElement.one(n)
             assert x.augmentation() in (1, -1)
+
+
+def bass_unit(p):
+    """(1 + t)^m + ((1 - 2^m) / p) N in Z[C_p], m the order of 2 mod p and
+    N the norm element: augmentation 1, a unit since 1 + zeta is one."""
+    m = next(k for k in range(1, p) if pow(2, k, p) == 1)
+    u = GroupRingElement.one(p)
+    for _ in range(m):
+        u = u * (GroupRingElement.one(p) + gen(p))
+    return u + GroupRingElement(p, ((1 - 2 ** m) // p,) * p)
+
+
+def test_invert_bass_units_past_seven():
+    assert bass_unit(7) == gen(7) * U7
+    t0 = time.perf_counter()
+    for p in (11, 13, 17, 19, 23):
+        u = bass_unit(p)
+        assert u * invert_unit(u) == GroupRingElement.one(p)
+    # about 0.03 s in all on 2 vCPUs; by dense Smith form with transforms
+    # p = 19 alone took about 1 s and p = 23 over 100 s
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_wh_class_examples():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -230,7 +231,7 @@ def test_report_non_unit_fails_first_stage():
 
 def test_report_round_trip():
     doc = discrepancy_report(1)
-    again = ReportDocument.from_json(doc.to_json())
+    again = ReportDocument.from_dict(json.loads(doc.to_json()))
     assert again.to_json() == doc.to_json()
 
 

@@ -147,7 +147,7 @@ def test_random_presentation(target, rng):
     for vec in randoms:
         assert smith_membership(target, vec) == target.is_zero_element(vec)
 
-    for n in range(3):
+    for n in range(4):
         assert moore_homotopy(target, n) == homology_c2(target, n), n
 
     for p in range(2):

@@ -6,6 +6,7 @@ import random
 
 from whcalc import _snf, lattice
 from whcalc._snf import pure
+from whcalc.groupring import GroupRingElement, invert_unit
 
 from _oracles import bareiss_determinant, bareiss_rank
 
@@ -91,6 +92,71 @@ def test_solver_and_kernel():
     (k,) = lattice.kernel_with_denominator(a, [], 3)
     assert all(k.values()) and k[min(k)] > 0
     assert lattice.mat_vec(a, [k.get(i, 0) for i in range(3)]) == [0, 0]
+
+
+def smith_solve(rows, b):
+    """A x = b by dense Smith form: x = R (L b / d), or None."""
+    n = len(rows[0])
+    diag, left, right = _snf.smith(rows, True)
+    c = lattice.mat_vec(left, b)
+    if any(x % d for x, d in zip(c, diag)) or any(c[len(diag):]):
+        return None
+    y = [x // d for x, d in zip(c, diag)]
+    return lattice.mat_vec(right, y + [0] * (n - len(diag)))
+
+
+def random_system(rng, shape):
+    """A matrix of the named shape and a right-hand side: A x0 for a
+    random x0 half the time, else random (often unsolvable)."""
+    n = rng.randint(1, 6)
+    m = {"square": n, "singular": n + 1, "wide": rng.randint(1, n),
+         "tall": n + rng.randint(1, 3)}[shape]
+    rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+    if shape == "singular":
+        # a square system whose last column repeats a combination of the others
+        k = rng.randint(-2, 2)
+        rows = [r + [k * r[0] - r[-1]] for r in rows]
+    if rng.random() < 0.5:
+        x0 = [rng.randint(-4, 4) for _ in rows[0]]
+        return rows, lattice.mat_vec(rows, x0)
+    return rows, [rng.randint(-20, 20) for _ in rows]
+
+
+def test_solve_matches_the_smith_route():
+    rng = random.Random(30)
+    for shape in ("square", "wide", "tall", "singular"):
+        verdicts = set()
+        for _ in range(150):
+            rows, b = random_system(rng, shape)
+            x, ref = lattice.solve(rows, b), smith_solve(rows, b)
+            assert (x is None) == (ref is None), (rows, b)
+            if x is not None:
+                assert lattice.mat_vec(rows, x) == b
+                assert lattice.mat_vec(rows, ref) == b
+            verdicts.add(x is None)
+        assert verdicts == {True, False}, shape
+    # inconsistent over Q, and consistent over Q but not over Z
+    assert lattice.solve([[1, 2], [2, 4]], [1, 3]) is None
+    assert smith_solve([[1, 2], [2, 4]], [1, 3]) is None
+    assert lattice.solve([[2, 4], [6, 2]], [1, 1]) is None
+    assert smith_solve([[2, 4], [6, 2]], [1, 1]) is None
+    assert lattice.solve([[0, 0]], [0]) == [0, 0]
+
+
+def test_solve_and_invert_unit_take_no_smith_form(monkeypatch):
+    calls = []
+    smith = _snf.smith
+
+    def counting(rows, want_transforms=True):
+        calls.append(want_transforms)
+        return smith(rows, want_transforms)
+
+    monkeypatch.setattr(_snf, "smith", counting)
+    a = [[2, 0, 4], [0, 3, 6]]
+    assert lattice.mat_vec(a, lattice.solve(a, [6, 9])) == [6, 9]
+    u = GroupRingElement(7, (2, 2, 0, -1, -1, -1, 0))
+    assert u * invert_unit(u) == GroupRingElement.one(7)
+    assert calls == []
 
 
 def test_lattice_reduction():

@@ -15,6 +15,8 @@ from whcalc.torsion import (HCobordismSymbol, ModuleValues, UnitClassValues,
                             inertial_twist, inertial_twist_torsion,
                             mapping_cylinder, reverse, trivial_cylinder)
 
+from _oracles import symbol_class_equal
+
 U7 = GroupRingElement(7, (2, 2, 0, -1, -1, -1, 0))
 U5 = GroupRingElement(5, (1, -1, 0, 0, -1))
 
@@ -49,8 +51,13 @@ def random_symbols(order, count, seed):
 def test_compose_with_trivial_cylinder():
     w = HCobordismSymbol(11, WhiteheadClass(U7), 3)
     cyl = trivial_cylinder(11, 7)
-    assert compose(w, cyl).class_equal(w)
-    assert compose(cyl, w).class_equal(w)
+    assert symbol_class_equal(compose(w, cyl), w)
+    assert symbol_class_equal(compose(cyl, w), w)
+    # another twist, dimension parity or torsion class is another class
+    assert not symbol_class_equal(compose(w, mapping_cylinder(11, 7, 2)), w)
+    assert not symbol_class_equal(HCobordismSymbol(12, WhiteheadClass(U7), 3), w)
+    assert not symbol_class_equal(trivial_cylinder(11, 7), mapping_cylinder(11, 7, 3))
+    assert not symbol_class_equal(mapping_cylinder(11, 7, 3), w)
 
 
 def test_compose_numeric_example():
