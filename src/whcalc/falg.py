@@ -46,14 +46,13 @@ from the basis of the target's action (``_horn_rows``).  Per functor
 run its flat vector, reduced in one blockwise call, a complex form
 evaluated on it and reduced once (``value_on``), and the compiled rows
 of each check, one at a time until one fails (``_rows_vanish``).  The
-pushout squares need nothing per functor built from face values, since
-the forms make them hold by construction; only a table-backed functor
-has its squares checked (``check_square``).  The constraint equations
-of the homotopy path (``_membership_rows``, integer rows only after
-their presolve) write each face-horn duality from its own closed form,
-one signed term per face containing the horn's vertex, and use none of
-these forms, so the element checks and the constraint systems still
-cross-check each other.
+pushout squares need nothing per functor: every functor is built from
+face values, and the forms make its squares hold by the valuation law
+(``check_square``).  The constraint equations of the homotopy path
+(``_membership_rows``, integer rows only after their presolve) write
+each face-horn duality from its own closed form, one signed term per
+face containing the horn's vertex, and use none of these forms, so the
+element checks and the constraint systems still cross-check each other.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from ._value import Frozen, Record
 from .abelian import FgAbGroup, InvolutiveAbelianGroup, _is_int
 from .simplicial import (SubComplex, _collapses_to_point, codegeneracy_face,
                          coface_face, face_boundary, face_dim, face_str,
-                         face_from_str, maximal_faces, subfaces)
+                         face_from_str, subfaces)
 
 __all__ = [
     "TorsionFunctor",
@@ -75,7 +74,6 @@ __all__ = [
     "MooreComplex",
     "NotContractibleError",
     "iota_shriek",
-    "raw_degeneracy",
     "check_square",
     "check_face_horn_duality",
     "generalized_duality_holds",
@@ -217,11 +215,10 @@ def _rows_vanish(rows, vec):
 
 class TorsionFunctor:
     """Functor on contractible subcomplexes of the ambient simplex,
-    valued in an involutive abelian group, satisfying the pushout-square
-    condition by construction when built from face values alone: its
-    value on a complex is the complex's integer form in the face values
-    (``_complex_form``), reduced once, and that form is a valuation, so
-    it is additive on every pushout square.
+    valued in an involutive abelian group, given by its face values
+    alone: its value on a complex is the complex's integer form in the
+    face values (``_complex_form``), reduced once, and that form is a
+    valuation, so every functor satisfies the pushout-square condition.
 
     The face values live in one layout, the reduced flat tuple ``flat``:
     the g coordinates of the face with mask f sit at f*g .. f*g + g - 1,
@@ -229,18 +226,11 @@ class TorsionFunctor:
     takes that vector, reduces it, and refuses a wrong length or a
     nonzero empty or top block.  A ``{face: value}`` dict is read only by
     ``iota_shriek`` and written only by ``values``.
-
-    ``table``-backed instances carry explicit values on every
-    contractible subcomplex as well and may fail the square condition;
-    they model raw pullbacks along codegeneracies.  A table is keyed by
-    the sorted faces of each complex and must hold exactly the
-    contractible subcomplexes of the ambient simplex; any other key set
-    raises ValueError.
     """
 
-    __slots__ = ("ambient", "target", "flat", "table")
+    __slots__ = ("ambient", "target", "flat")
 
-    def __init__(self, ambient, target, flat, table=None):
+    def __init__(self, ambient, target, flat):
         self.ambient = ambient
         self.target = target
         g = target.generator_count
@@ -252,13 +242,6 @@ class TorsionFunctor:
             raise ValueError("the top face value must be zero")
         if any(flat[:g]):
             raise ValueError("the empty face carries no value")
-        self.table = None
-        if table is not None:
-            if set(table) != {tuple(sorted(k))
-                              for k in _contractible_keys(ambient)}:
-                raise ValueError("a table must hold exactly the "
-                                 "contractible subcomplexes")
-            self.table = {k: target.reduce(v) for k, v in table.items()}
 
     @property
     def values(self):
@@ -275,24 +258,13 @@ class TorsionFunctor:
                    (0,) * ((_top_mask(ambient) + 1) * target.generator_count))
 
     def _binary(self, other, op):
-        """``op`` on the face values, and on the tables when either side
-        has one: a face-only side is tabulated first."""
+        """``op`` on the face values."""
         if not isinstance(other, TorsionFunctor) \
                 or other.ambient != self.ambient \
                 or other.target != self.target:
             raise ValueError("functor mismatch")
-        table = None
-        if self.table is not None or other.table is not None:
-            mine, others = self._tabulate(), other._tabulate()
-            table = {k: tuple(map(op, v, others[k])) for k, v in mine.items()}
         return TorsionFunctor(self.ambient, self.target,
-                              tuple(map(op, self.flat, other.flat)), table)
-
-    def _tabulate(self):
-        if self.table is not None:
-            return self.table
-        return {tuple(sorted(k)): self.value_on(k)
-                for k in _contractible_keys(self.ambient)}
+                              tuple(map(op, self.flat, other.flat)))
 
     def __add__(self, other):
         return self._binary(other, add)
@@ -301,11 +273,8 @@ class TorsionFunctor:
         return self._binary(other, sub)
 
     def __neg__(self):
-        table = None
-        if self.table is not None:
-            table = {k: tuple(map(neg, v)) for k, v in self.table.items()}
         return TorsionFunctor(self.ambient, self.target,
-                              tuple(map(neg, self.flat)), table)
+                              tuple(map(neg, self.flat)))
 
     def is_zero(self):
         return not any(self.flat)
@@ -314,8 +283,7 @@ class TorsionFunctor:
         return (isinstance(other, TorsionFunctor)
                 and self.ambient == other.ambient
                 and self.target == other.target
-                and self.flat == other.flat
-                and self.table == other.table)
+                and self.flat == other.flat)
 
     def __hash__(self):
         return hash((self.ambient, self.flat))
@@ -324,9 +292,8 @@ class TorsionFunctor:
 
     def value_on(self, complex_or_faces):
         """tau(ambient simplex, K) for K the closure of the faces given,
-        which must be contractible: the table entry of a table-backed
-        functor, else the form of K on the face values.  A mask that is
-        no face of the ambient simplex raises ValueError."""
+        which must be contractible: the form of K on the face values.  A
+        mask that is no face of the ambient simplex raises ValueError."""
         if isinstance(complex_or_faces, SubComplex):
             faces = frozenset(complex_or_faces.faces)
         else:
@@ -335,11 +302,6 @@ class TorsionFunctor:
             raise NotContractibleError("empty complex")
         _check_faces(self.ambient, faces)
         faces = _closure(faces)
-        if self.table is not None:
-            key = tuple(sorted(faces))
-            if key in self.table:
-                return self.table[key]
-            raise NotContractibleError("complex outside the stored table")
         if not _collapses_to_point(faces):
             raise NotContractibleError(
                 "torsion functors are defined on contractible subcomplexes only")
@@ -417,68 +379,17 @@ def iota_shriek(face_values, p, target):
     return TorsionFunctor(p, target, flat)
 
 
-@lru_cache(maxsize=None)
-def _contractible_keys(p):
-    from .simplicial import enumerate_contractible_subcomplexes
-    return [frozenset(k.faces) for k in enumerate_contractible_subcomplexes(p)]
-
-
-def raw_degeneracy(tf, i):
-    """The uncorrected degeneracy: plain pullback of all values along the
-    codegeneracy.  Generally leaves the square-condition subgroup; kept
-    as the counterexample showing why the corrected degeneracy re-extends
-    from face values.
-
-    Only available onto ambient dimension <= 2: from ambient 3 onward a
-    collapse map can take a contractible subcomplex onto a circle (e.g.
-    the edge path 02,23,13 onto the full boundary of the triangle), so
-    the raw pullback is not even everywhere defined there.  Face values
-    never see this, which is the point of the corrected degeneracy.
-    """
-    p = tf.ambient + 1
-    if p > 2:
-        raise ValueError("raw degeneracies exist only onto ambient <= 2")
-    if not 0 <= i <= tf.ambient:
-        raise IndexError("codegeneracy index out of range")
-    g = tf.target.generator_count
-    table = {}
-    flat = [0] * ((_top_mask(p) + 1) * g)
-    for faces in _contractible_keys(p):
-        img = frozenset(codegeneracy_face(f, i) for f in faces)
-        val = tf.value_on(img)
-        table[tuple(sorted(faces))] = val
-        maximal = maximal_faces(faces)
-        if len(maximal) == 1 and len(faces) == len(set(subfaces(maximal[0]))):
-            flat[maximal[0] * g:maximal[0] * g + g] = val
-    return TorsionFunctor(p, tf.target, flat, table)
-
-
 def check_square(tf):
-    """The pushout-square condition.
-
-    A functor built from face values satisfies it at every ambient, so
-    the check returns True without enumerating: its value on a complex K
-    is the form F(K) of ``_complex_form``, a valuation, so on a pushout
-    square F(K0 & K1) + F(K0 | K1) - F(K0) - F(K1) is the zero form.  A
-    table t is tested on one form per contractible subcomplex K: t[K]
-    minus the sum of c_g(K) * t[closure of g] over the terms of F(K)
-    must lie in the relation lattice, all of them in one membership
-    test.  These forms span the same lattice of integer forms over the
-    contractible subcomplexes as all the pushout squares (1180 of them
-    at ambient 3, rank 50), so they hold exactly when every square does.
-    The constraint equations of ``_membership_rows`` share none of this.
+    """The pushout-square condition, which every functor satisfies: its
+    value on a complex K is the form F(K) of ``_complex_form``, and F is
+    a valuation (Rota, On the foundations of combinatorial theory I,
+    1964), so on a pushout square F(K0 & K1) + F(K0 | K1) - F(K0) - F(K1)
+    is the zero form.  A raw pullback along a codegeneracy, which is no
+    functor built from face values, can break it; the tests keep that
+    counterexample, as its values on every contractible subcomplex, and
+    check it square by square.
     """
-    table = tf.table
-    if table is None:
-        return True
-    diffs = []
-    for faces in _contractible_keys(tf.ambient):
-        diff = table[tuple(sorted(faces))]
-        for g, c in _complex_form(faces):
-            diff = [x - c * y for x, y in
-                    zip(diff, table[tuple(sorted(subfaces(g)))])]
-        diffs += diff
-    return tf.target.is_zero_element(diffs)
+    return True
 
 
 @lru_cache(maxsize=None)

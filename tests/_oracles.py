@@ -13,7 +13,10 @@ maximal face at a time, along every admissible attachment, on reduced
 values, where ``TorsionFunctor`` evaluates one closed-form integer form
 per complex.  The structure maps and the group law of torsion
 functors work face by face on ``{face: value}`` dicts, as
-``TorsionFunctor`` did before it gathered its flat vector.
+``TorsionFunctor`` did before it gathered its flat vector.  A
+``Table``, such as the ``raw_degeneracy`` that breaks the pushout-square
+condition, stores a value for every contractible subcomplex, the one
+kind of functor ``whcalc.falg`` does not represent.
 ``is_simplex_values`` and ``boundary_squares_to_zero`` test simplices
 and the normalized complex with those maps and ``duality_holds``, not
 with the compiled checks or the constraint rows of ``whcalc.falg``;
@@ -28,7 +31,7 @@ from itertools import combinations
 from math import gcd
 
 from whcalc.abelian import FgAbGroup
-from whcalc.falg import NotContractibleError, TorsionFunctor, iota_shriek
+from whcalc.falg import NotContractibleError, iota_shriek
 from whcalc.simplicial import (SubComplex, codegeneracy_face, coface_face,
                                enumerate_contractible_subcomplexes,
                                is_contractible)
@@ -377,11 +380,56 @@ def unit_order_pow(i, n):
 # -- torsion-functor checks by brute force -----------------------------------
 
 
+def contractible_keys(p):
+    """The face sets of the contractible subcomplexes of the p-simplex,
+    in the order of ``enumerate_contractible_subcomplexes``."""
+    return [frozenset(k.faces) for k in enumerate_contractible_subcomplexes(p)]
+
+
+class Table:
+    """A functor given by its value on every contractible subcomplex of
+    the ambient simplex, as ``table``: a dict keyed by the sorted faces
+    of each complex.  ``value_on`` looks up the closure of the faces it
+    is given, so anything that only evaluates functors, such as
+    ``square_condition_holds``, reads a table as it reads a
+    ``TorsionFunctor``; unlike one, a table may break pushout squares."""
+
+    def __init__(self, ambient, target, table):
+        self.ambient = ambient
+        self.target = target
+        self.table = table
+
+    def value_on(self, faces):
+        """The entry of the closure of ``faces`` (a ``SubComplex`` or
+        masks): ValueError for a mask outside the ambient simplex,
+        NotContractibleError for a complex without an entry."""
+        faces = getattr(faces, "faces", faces)
+        key = tuple(sorted(SubComplex.closure(self.ambient, faces).faces))
+        if key not in self.table:
+            raise NotContractibleError("complex outside the table")
+        return self.table[key]
+
+
+def raw_degeneracy(tf, i):
+    """The uncorrected degeneracy of ``tf`` at i, as a ``Table`` one
+    ambient up: each contractible complex takes the value of its image
+    under the codegeneracy collapsing i, i+1 -> i.  It generally breaks
+    the pushout-square condition, which is why the corrected degeneracy
+    re-extends from face values.  From ambient 3 onward a contractible
+    complex can collapse onto a circle (the edge path 02, 23, 13 onto
+    the boundary of the triangle), whose value raises
+    NotContractibleError: there the raw pullback is not even defined."""
+    p = tf.ambient + 1
+    return Table(p, tf.target, {
+        tuple(sorted(k)): tf.value_on([codegeneracy_face(f, i) for f in k])
+        for k in contractible_keys(p)})
+
+
 def pushout_squares(p):
     """Every pair K0 before K1 of contractible subcomplexes of the
     p-simplex with nonempty intersection and contractible intersection
     and union, as ``(K0 & K1, K0 | K1, K0, K1)`` face sets, in pair order."""
-    keys = [frozenset(k.faces) for k in enumerate_contractible_subcomplexes(p)]
+    keys = contractible_keys(p)
     keyset = set(keys)
     out = []
     for a, b in combinations(range(len(keys)), 2):
@@ -560,44 +608,17 @@ def membership_equations(ambient):
 # -- torsion-functor structure maps on face-value dicts ----------------------
 
 
-def _functor(p, target, values, table=None):
-    """The functor with face values ``values`` and ``table``, its flat
-    vector read from the dict by ``iota_shriek``."""
-    tf = iota_shriek(values, p, target)
-    return tf if table is None else TorsionFunctor(p, target, tf.flat, table)
-
-
-def _table(tf):
-    """The table of ``tf``, or its value on every contractible subcomplex
-    by ``attached_value``."""
-    if tf.table is not None:
-        return tf.table
-    memo = {}
-    return {tuple(sorted(k.faces)): attached_value(tf, k.faces, memo)
-            for k in enumerate_contractible_subcomplexes(tf.ambient)}
-
-
 def combine(a, b, op):
-    """``op(a, b)`` face by face, and on every contractible subcomplex
-    when either side is table-backed."""
+    """``op(a, b)`` face by face."""
     others = b.values
-    values = {f: tuple(op(x, y) for x, y in zip(v, others[f]))
-              for f, v in a.values.items()}
-    table = None
-    if a.table is not None or b.table is not None:
-        mine, others = _table(a), _table(b)
-        table = {k: tuple(op(x, y) for x, y in zip(v, others[k]))
-                 for k, v in mine.items()}
-    return _functor(a.ambient, a.target, values, table)
+    return iota_shriek({f: tuple(op(x, y) for x, y in zip(v, others[f]))
+                        for f, v in a.values.items()}, a.ambient, a.target)
 
 
 def negate(tf):
-    """``-tf`` face by face, and on its table if it has one."""
-    values = {f: tuple(-x for x in v) for f, v in tf.values.items()}
-    table = None
-    if tf.table is not None:
-        table = {k: tuple(-x for x in v) for k, v in tf.table.items()}
-    return _functor(tf.ambient, tf.target, values, table)
+    """``-tf`` face by face."""
+    return iota_shriek({f: tuple(-x for x in v) for f, v in tf.values.items()},
+                       tf.ambient, tf.target)
 
 
 def coface_restrict(tf, j):
@@ -606,10 +627,10 @@ def coface_restrict(tf, j):
     p = tf.ambient
     values = tf.values
     base = values[((1 << (p + 1)) - 1) & ~(1 << j)]
-    return _functor(p - 1, tf.target, {
+    return iota_shriek({
         sigma: tuple(x - y for x, y in zip(values[coface_face(sigma, j)],
                                            base))
-        for sigma in range(1, (1 << p) - 1)})
+        for sigma in range(1, (1 << p) - 1)}, p - 1, tf.target)
 
 
 def codegeneracy(tf, j):
@@ -617,9 +638,9 @@ def codegeneracy(tf, j):
     its image under the codegeneracy collapsing j, j+1 -> j."""
     p = tf.ambient
     values = tf.values
-    return _functor(p + 1, tf.target, {
+    return iota_shriek({
         sigma: values[codegeneracy_face(sigma, j)]
-        for sigma in range(1, (1 << (p + 2)) - 1)})
+        for sigma in range(1, (1 << (p + 2)) - 1)}, p + 1, tf.target)
 
 
 # -- simplices, normalized chains and h-cobordism symbols --------------------

@@ -56,6 +56,11 @@ SWEEP_COMMANDS = [["falg", "pi", "--target", t, "--n", str(n)]
 FREE_COMMANDS = [["falg", "pi", "--target", t, "--n", str(n)]
                  for t in ("z-trivial", "z-sign") for n in range(4)]
 
+# And on Z/8 acted on by 3, an action that is neither +1 nor -1.
+TWISTED_TARGET = '{"generators":1,"relations":[[8]],"involution":[[3]]}'
+TWISTED_COMMANDS = [["falg", "pi", "--target", TWISTED_TARGET, "--n", str(n)]
+                    for n in range(4)]
+
 
 def case_name(argv):
     """File-name stem of a command: its words joined, JSON and flags dropped."""
@@ -65,7 +70,7 @@ def case_name(argv):
 
 
 CASES = [argv + ["--json"] for argv in README_COMMANDS
-         + [c for c in SWEEP_COMMANDS + FREE_COMMANDS
+         + [c for c in SWEEP_COMMANDS + FREE_COMMANDS + TWISTED_COMMANDS
             if c not in README_COMMANDS]]
 
 

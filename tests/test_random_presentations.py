@@ -6,15 +6,18 @@ u != +-1 (mod m) -- conjugated by a random unimodular change of
 generators U: relations U R and involution U T U^-1.  Such targets have
 Smith left transforms other than the identity and echelon bases whose
 radices differ from their invariant factors, which the hand-written
-targets of the other tests seldom reach.  ``hypothesis`` drives the
-generator derandomized, so a failure shrinks to a small presentation
-and every run sees the same examples; the whole test stays within a
-few seconds.
+targets of the other tests seldom reach.  On each target the compiled
+duality checks of ``whcalc.falg``, which read the Smith left transform,
+are compared with the brute-force duality oracle.  ``hypothesis``
+drives the generator derandomized, so a failure shrinks to a small
+presentation and every run sees the same examples; the whole test
+stays within a few seconds.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +25,10 @@ from hypothesis import strategies as st
 
 import _oracles
 from whcalc.abelian import FgAbGroup, InvolutiveAbelianGroup, homology_c2
-from whcalc.falg import falg_group, moore_homotopy
+from whcalc.falg import (all_dualities_hold, falg_group,
+                         generalized_duality_holds, iota_shriek,
+                         moore_homotopy, psi_section)
+from whcalc.simplicial import face_dim
 
 # (m, u) with u^2 = 1 and u != +-1 modulo m
 TWISTS = [(8, 3), (8, 5), (12, 5), (12, 7), (15, 4), (15, 11)]
@@ -110,6 +116,43 @@ def smith_membership(target, vec):
     return all(c % m == 0 if m else c == 0 for c, m in zip(coords, moduli))
 
 
+def element_checks_match(target, rng):
+    """The compiled duality checks of ``whcalc.falg`` against
+    ``_oracles.duality_holds`` at ambient 1..3, on a member of the
+    simplicial group, the same with one face value moved and random face
+    values: ``all_dualities_hold`` against every single horn, and
+    ``generalized_duality_holds`` at every face and proper index set.
+    Returns the verdicts of each kind."""
+    g = target.generator_count
+    verdicts = {"horns": set(), "duality": set()}
+    for p in (1, 2, 3):
+        faces = range(1, (1 << (p + 1)) - 1)
+        member = psi_section(target, p - 1,
+                             [rng.randint(-9, 9) for _ in range(g)]).functor
+        moved = member.values
+        face, r = rng.choice(faces), rng.randrange(g)
+        moved[face] = tuple(x + (i == r) for i, x in enumerate(moved[face]))
+        rand = {f: tuple(rng.randint(-30, 30) for _ in range(g))
+                for f in faces}
+        for values in (member.values, moved, rand):
+            tf = iota_shriek(values, p, target)
+            held = all(_oracles.duality_holds(tf, sigma, (i,))
+                       for sigma in range(1, 1 << (p + 1))
+                       if face_dim(sigma) >= 1
+                       for i in range(face_dim(sigma) + 1))
+            assert all_dualities_hold(tf) is held, (p, values)
+            verdicts["horns"].add(held)
+            for sigma in range(1, 1 << (p + 1)):
+                d = face_dim(sigma)
+                for k in range(1, d + 1):
+                    for idx in combinations(range(d + 1), k):
+                        held = _oracles.duality_holds(tf, sigma, idx)
+                        assert generalized_duality_holds(tf, sigma, idx) \
+                            is held, (p, values, sigma, idx)
+                        verdicts["duality"].add(held)
+    return verdicts
+
+
 def assert_lists_once(elements, order, reduce):
     seen = set()
     for v in elements:
@@ -149,6 +192,10 @@ def test_random_presentation(target, rng):
 
     for n in range(4):
         assert moore_homotopy(target, n) == homology_c2(target, n), n
+
+    # a generator of its own, so that these draws do not feed the search
+    checks = element_checks_match(target, random.Random(rng.getrandbits(32)))
+    assert checks == {"horns": {True, False}, "duality": {True, False}}
 
     for p in range(2):
         group = falg_group(target, p)
