@@ -1,4 +1,5 @@
-"""Integer Smith normal form: the arbitrary-precision kernel in ``pure``.
+"""Integer Smith normal form with its left transform, for
+``lattice.smith_basis`` alone: the arbitrary-precision kernel in ``pure``.
 
 ``BACKEND`` names the kernel in benchmark stamps; there is only one.
 """

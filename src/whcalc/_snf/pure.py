@@ -1,12 +1,11 @@
-"""Smith normal form over Z.
+"""Smith normal form over Z, with its left transform.
 
 Arbitrary-precision and deterministic: the pivot is always the smallest
 nonzero entry in absolute value of the remaining block, ties broken in
-row-major order.  Only ``lattice`` calls it, and only on small dense
-matrices: the relation matrices of quotients (without transforms) and
-the relation matrix of a group in ``lattice.smith_basis`` (with
-transforms); the sparse constraint systems and the systems of
-``lattice.Solver`` go through ``lattice._eliminate`` instead.
+row-major order.  Its one caller is ``lattice.smith_basis``, on the small
+dense relation matrix of a group, and it reads only the diagonal and the
+left transform; kernels, solutions, cokernels and quotients go through
+``lattice._eliminate`` instead.
 """
 
 from __future__ import annotations
@@ -16,13 +15,14 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def smith(rows, want_transforms=True):
+def smith(rows):
     """Diagonalise an integer matrix by unimodular row/column operations.
 
-    Returns ``(diag, left, right)`` where ``left @ rows @ right`` is
-    diagonal, ``diag`` lists the nonzero diagonal entries (positive, each
-    dividing the next) and ``left``/``right`` are unimodular.  When
-    ``want_transforms`` is false the transforms are ``None``.
+    Returns ``(diag, left)``: ``diag`` lists the nonzero invariant
+    factors of ``rows`` (positive, each dividing the next) and ``left`` is
+    the unimodular product of the row operations, so that column
+    operations alone take ``left @ rows`` to the diagonal form.  The
+    column operations are not recorded.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -30,8 +30,7 @@ def smith(rows, want_transforms=True):
     for r in a:
         if len(r) != n:
             raise ValueError("ragged matrix")
-    left = identity(m) if want_transforms else None
-    right = identity(n) if want_transforms else None
+    left = identity(m)
 
     k = 0
     size = min(m, n)
@@ -39,11 +38,11 @@ def smith(rows, want_transforms=True):
         pivot = _find_pivot(a, k, m, n)
         if pivot is None:
             break
-        _move_pivot(a, left, right, k, pivot)
+        _move_pivot(a, left, k, pivot)
         while True:
             if _clear_column(a, left, k, m):
                 continue
-            if _clear_row(a, right, k, n):
+            if _clear_row(a, k, n):
                 continue
             if _lift_nondivisible(a, left, k, m, n):
                 continue
@@ -51,7 +50,7 @@ def smith(rows, want_transforms=True):
         k += 1
 
     diag = [a[i][i] for i in range(k)]
-    return diag, left, right
+    return diag, left
 
 
 def _find_pivot(a, k, m, n):
@@ -73,22 +72,17 @@ def _find_pivot(a, k, m, n):
     return best_i, best_j
 
 
-def _move_pivot(a, left, right, k, pivot):
+def _move_pivot(a, left, k, pivot):
     i, j = pivot
     if i != k:
         a[k], a[i] = a[i], a[k]
-        if left is not None:
-            left[k], left[i] = left[i], left[k]
+        left[k], left[i] = left[i], left[k]
     if j != k:
         for row in a:
             row[k], row[j] = row[j], row[k]
-        if right is not None:
-            for row in right:
-                row[k], row[j] = row[j], row[k]
     if a[k][k] < 0:
         a[k] = [-x for x in a[k]]
-        if left is not None:
-            left[k] = [-x for x in left[k]]
+        left[k] = [-x for x in left[k]]
 
 
 def _nearest_quotient(v, p):
@@ -110,21 +104,18 @@ def _clear_column(a, left, k, m):
             q = _nearest_quotient(v, pk)
             if q:
                 a[i] = [x - q * y for x, y in zip(a[i], rk)]
-                if left is not None:
-                    left[i] = [x - q * y for x, y in zip(left[i], left[k])]
+                left[i] = [x - q * y for x, y in zip(left[i], left[k])]
             if a[i][k]:
                 a[k], a[i] = a[i], a[k]
-                if left is not None:
-                    left[k], left[i] = left[i], left[k]
+                left[k], left[i] = left[i], left[k]
                 if a[k][k] < 0:
                     a[k] = [-x for x in a[k]]
-                    if left is not None:
-                        left[k] = [-x for x in left[k]]
+                    left[k] = [-x for x in left[k]]
                 return True
     return False
 
 
-def _clear_row(a, right, k, n):
+def _clear_row(a, k, n):
     """Zero out row k right of the pivot; True means the pivot moved."""
     pk = a[k][k]
     for j in range(k + 1, n):
@@ -134,21 +125,12 @@ def _clear_row(a, right, k, n):
             if q:
                 for row in a:
                     row[j] -= q * row[k]
-                if right is not None:
-                    for row in right:
-                        row[j] -= q * row[k]
             if a[k][j]:
                 for row in a:
                     row[k], row[j] = row[j], row[k]
-                if right is not None:
-                    for row in right:
-                        row[k], row[j] = row[j], row[k]
                 if a[k][k] < 0:
                     for row in a:
                         row[k] = -row[k]
-                    if right is not None:
-                        for row in right:
-                            row[k] = -row[k]
                 return True
     return False
 
@@ -163,7 +145,6 @@ def _lift_nondivisible(a, left, k, m, n):
         for j in range(k + 1, n):
             if row[j] % pk:
                 a[k] = [x + y for x, y in zip(a[k], row)]
-                if left is not None:
-                    left[k] = [x + y for x, y in zip(left[k], left[i])]
+                left[k] = [x + y for x, y in zip(left[k], left[i])]
                 return True
     return False

@@ -7,9 +7,9 @@ into that matrix by the caller; see ``InvolutiveAbelianGroup.parity_action``).
 As in ``lattice``, a matrix is a sequence of int rows and a generating
 set is a list of column vectors; a group stores its two matrices as
 tuples of row tuples, so groups are hashable and equal by value.
-Homology and Tate homology are computed by Smith normal form on stacked
-relation/action matrices; the textbook closed forms only appear in tests,
-as oracles.
+Homology and Tate homology are cokernels and quotients of the stacked
+relation/action matrices on the sparse elimination of ``lattice``; the
+textbook closed forms only appear in tests, as oracles.
 """
 
 from __future__ import annotations
@@ -279,7 +279,7 @@ def _one_plus(a, s):
 
 @lru_cache(maxsize=None)
 def _norm_subquotient(a, eps):
-    """ker(1 - eps*T) / im(1 + eps*T) inside A, via SNF lattices."""
+    """ker(1 - eps*T) / im(1 + eps*T) inside A, as a lattice quotient."""
     g = a.generator_count
     if g == 0:
         return FgAbGroup.trivial()
@@ -303,8 +303,8 @@ def homology_c2(a, n):
     """H_n of the order-two group with coefficients in A (full action).
 
     Degree 0 is the coinvariants A/{b - b*}; for n >= 1 the group is the
-    subquotient {a = (-1)^(n+1) a*} / {b + (-1)^(n+1) b*}, computed by
-    Smith normal form on the stacked matrices (the closed forms serve as
+    subquotient {a = (-1)^(n+1) a*} / {b + (-1)^(n+1) b*}, computed as a
+    lattice quotient of the stacked matrices (the closed forms serve as
     independent oracles in the test suite).
     """
     if n < 0:

@@ -152,9 +152,16 @@ def _complex_form(faces):
     choosing, and no two orders can disagree.
     """
     closure = _closure(faces)
-    coeffs = ((g, sum(_sign(face_dim(f) - face_dim(g))
-                      for f in closure if f & g == g)) for g in closure)
-    return tuple((g, c) for g, c in sorted(coeffs) if c)
+    # sum of (-1)^dim f over the faces f of K containing g, one vertex at
+    # a time: a face outside K has no superset in K, so K is the domain
+    total = {f: _sign(face_dim(f)) for f in closure}
+    for i in range(max(closure, default=0).bit_length()):
+        bit = 1 << i
+        for g in closure:
+            if not g & bit and g | bit in total:
+                total[g] += total[g | bit]
+    return tuple((g, c) for g in sorted(closure)
+                 if (c := _sign(face_dim(g)) * total[g]))
 
 
 def _compile_row(terms):
@@ -855,9 +862,7 @@ def _solution_basis(target, eqs, n_blocks):
     """Generators of {x : every equation of ``eqs`` holds}, modulo the
     relation blocks L^n.
 
-    When T = s I every coefficient (a, b) is first folded to (a + s b, 0),
-    so an equation whose terms cancel on a face drops that face.  The
-    equations that then only say x_a - x_b in L are solved first
+    The equations that only say x_a - x_b in L are solved first
     (``_merge_identified_blocks``), the rest are expanded to integer rows
     (``_expand``), and the kernel of those is copied from each class's
     block to all of its members.  That is exact modulo L^n: each
@@ -867,12 +872,6 @@ def _solution_basis(target, eqs, n_blocks):
     g = target.generator_count
     if g == 0 or n_blocks == 0:
         return []
-    t = target.involution
-    s = t[0][0]
-    if all(x == s * (i == j) for i, row in enumerate(t)
-           for j, x in enumerate(row)):
-        eqs = [{k: (a + s * b, 0) for k, (a, b) in eq.items() if a + s * b}
-               for eq in eqs]
     cls, reduced = _merge_identified_blocks(eqs, n_blocks)
     den = _block_lattice_cols(target, len(reduced))
     kernel = lattice.kernel_with_denominator(

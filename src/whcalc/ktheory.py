@@ -29,9 +29,9 @@ __all__ = [
 
 
 # Largest p ``tor_pi_r`` and ``k3_divisibility`` accept: the boundaries of
-# ``tor_pi_r`` are dense (p-1) x (p-1) matrices, so cost grows as p^2
-# (p = 997: 0.4 s and 41 MiB peak), and both test primality by trial
-# division, which takes seconds from about 16 digits on.
+# ``tor_pi_r`` are written as dense (p-1) x (p-1) matrices, so cost grows
+# as p^2 (p = 997: 0.2-0.6 s and 39 MiB peak on 2 vCPUs), and both test
+# primality by trial division, which takes seconds from about 16 digits on.
 TOR_MAX_P = 1000
 
 
@@ -83,8 +83,8 @@ def tor_pi_r(p, i):
 
     Alternating multiplication by (t - 1) and the norm element, tensored
     over Z[C_p] into the cyclotomic integers viewed as Z^(p-1); homology
-    via Smith normal form.  Two-periodic: Z/p in even degrees, else 0.
-    Capped at ``TOR_MAX_P``.
+    as a lattice cokernel or quotient.  Two-periodic: Z/p in even
+    degrees, else 0.  Capped at ``TOR_MAX_P``.
     """
     if p > TOR_MAX_P:
         raise ValueError(f"p is capped at {TOR_MAX_P}")

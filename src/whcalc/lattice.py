@@ -6,8 +6,10 @@ generating set of a lattice -- relations, numerators, denominators,
 bases -- is a list of column vectors.  Rows and vectors handed to the
 eliminating functions (kernels, bases, quotients, ``Lattice``) may also
 be sparse ``{index: value}`` dicts, as ``falg`` expands its face-block
-equations after their presolve.  Kernel bases and the echelon columns
-of ``Lattice`` are such dicts; every other result is dense.
+equations after their presolve.  Kernel bases, lattice bases, quotient
+coordinates and the echelon columns of ``Lattice`` are such dicts; only
+``Solver``'s solution, the mixed-radix vectors of
+``quotient_with_generators`` and ``smith_basis`` are dense.
 ``Lattice.reduce`` and ``Lattice.contains`` take k vectors of Z^dim at
 once, stacked into one vector of k * dim coordinates.
 Kernels, lattice bases, quotient coordinates and the echelon bases of
@@ -15,16 +17,16 @@ Kernels, lattice bases, quotient coordinates and the echelon bases of
 (``_eliminate``; Dumas, Saunders and Villard 2001, Kaczynski, Mischaikow
 and Mrozek 2004, ch. 3) applied to the constraint systems directly.
 ``Solver`` solves A x = b on the same elimination, as the kernel of
-[-b | A].  Dense Smith normal form from ``_snf`` only sees small
-matrices: the relation matrices of quotients, whose invariant factors
-are canonical, and the relation matrix of a group in ``smith_basis``;
-no other module calls it.  Only ``smith_basis`` asks it for transforms:
-it keeps the left transform, which turns membership in a lattice into
-one congruence per coordinate.  A finite quotient is listed from echelon
-forms alone: ``quotient_with_generators`` gives the numerator's echelon
-vectors, each with the pivot of the relations' echelon form as its
-radix, and ``span_elements`` runs through their digits, each element
-once.
+[-b | A], and cokernels and quotients alternate it on a matrix and on
+the transpose of its echelon basis until that is diagonal
+(``cokernel_factors``).  Dense Smith normal form from ``_snf`` serves
+only ``smith_basis``, on the relation matrix of a group; no other module
+calls it.  ``smith_basis`` keeps its left transform, which turns
+membership in a lattice into one congruence per coordinate.  A finite
+quotient is listed from echelon forms alone: ``quotient_with_generators``
+gives the numerator's echelon vectors, each with the pivot of the
+relations' echelon form as its radix, and ``span_elements`` runs
+through their digits, each element once.
 """
 
 from __future__ import annotations
@@ -161,14 +163,15 @@ def _eliminate(cols, keep=0):
 
 
 def _coordinates(pivots, vec):
-    """Coefficients of ``vec`` in an echelon basis, or None if outside its span.
+    """Coefficients of ``vec`` in an echelon basis as a zero-free
+    ``{position: coefficient}`` dict, or None if outside its span.
 
     Back-substitution by increasing pivot row: a remainder left at a pivot
     row, like any entry off the pivot rows, is never cleared again.
     """
     v = _sparse(vec)
-    coords = []
-    for r, col in pivots:
+    coords = {}
+    for k, (r, col) in enumerate(pivots):
         q = v.get(r, 0) // col[r]
         if q:
             for i, x in col.items():
@@ -177,7 +180,7 @@ def _coordinates(pivots, vec):
                     v[i] = y
                 else:
                     del v[i]
-        coords.append(q)
+            coords[k] = q
     return None if v else coords
 
 
@@ -209,19 +212,30 @@ def solve(rows, b):
 
 def lattice_basis(gens, dim):
     """Independent vectors spanning the same lattice as ``gens`` in Z^dim:
-    the column echelon basis of sparse elimination."""
+    the column echelon basis of sparse elimination, as zero-free
+    ``{index: value}`` dicts by increasing leading index."""
     pivots, _kernel = _eliminate([_sparse(g) for g in gens])
-    return [_dense(col, dim) for _row, col in pivots]
+    return [col for _row, col in pivots]
 
 
 def cokernel_factors(gens, dim):
-    """Invariant factors of Z^dim / span(gens): torsion >1 first, then 0s."""
-    cols = [g for g in gens if any(g)]
-    if not cols:
-        return [0] * dim
-    a = from_columns(cols, dim)
-    diag, _, _ = _snf.smith(a, False)
-    return [d for d in diag if d != 1] + [0] * (dim - len(diag))
+    """Moduli of the cyclic summands of Z^dim / span(gens): those above 1,
+    then one 0 per free summand, not necessarily a divisibility chain
+    (callers pass them through ``FgAbGroup.from_factors``).
+
+    Column elimination alternates with the elimination of the transpose
+    of its echelon basis, that is with row operations, until each pivot
+    is alone in its row and column (Kannan and Bachem, SIAM J. Comput. 8,
+    1979).
+    """
+    pivots, _kernel = _eliminate([_sparse(g) for g in gens])
+    rows = dim
+    while any(len(col) > 1 for _row, col in pivots):
+        cols = _sparse_columns([col for _row, col in pivots], rows)
+        rows = len(pivots)
+        pivots, _kernel = _eliminate(cols)
+    return [col[r] for r, col in pivots if col[r] != 1] + \
+        [0] * (dim - len(pivots))
 
 
 def smith_basis(gens, dim):
@@ -234,7 +248,7 @@ def smith_basis(gens, dim):
     w lies in it exactly when every ``(left w)_i`` is a multiple of
     ``moduli[i]``; a modulus of 0 means that coordinate must be 0.
     """
-    diag, left, _right = _snf.smith(from_columns(gens, dim), True)
+    diag, left = _snf.smith(from_columns(gens, dim))
     return tuple(diag) + (0,) * (dim - len(diag)), tuple(map(tuple, left))
 
 
@@ -270,14 +284,11 @@ def _relations(num_basis, den_gens):
 
 
 def quotient_factors(num_basis, den_gens):
-    """Invariant factors of span(num_basis)/span(den_gens), den inside num.
-
-    Only the relation matrix, reduced to an independent basis, reaches
-    dense SNF: its size is the rank of the numerator.
-    """
+    """``cokernel_factors`` of span(num_basis)/span(den_gens), den inside
+    num: of the denominator's coordinates in the numerator's echelon
+    basis, whose size is the rank of the numerator."""
     pivots, rel = _relations(num_basis, den_gens)
-    k = len(pivots)
-    return cokernel_factors(lattice_basis(rel, k), k)
+    return cokernel_factors(rel, len(pivots))
 
 
 def quotient_with_generators(num_basis, den_gens, dim):
@@ -295,11 +306,9 @@ def quotient_with_generators(num_basis, den_gens, dim):
     """
     pivots, rel = _relations(num_basis, den_gens)
     k = len(pivots)
-    rel = lattice_basis(rel, k)
     radix = [0] * k
-    for col in rel:
-        r = next(i for i, x in enumerate(col) if x)
-        radix[r] = col[r]
+    for col in lattice_basis(rel, k):
+        radix[min(col)] = col[min(col)]
     gens, radices = [], []
     for (_row, col), d in zip(pivots, radix):
         if d != 1:

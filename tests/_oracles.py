@@ -21,7 +21,12 @@ kind of functor ``whcalc.falg`` does not represent.
 and the normalized complex with those maps and ``duality_holds``, not
 with the compiled checks or the constraint rows of ``whcalc.falg``;
 ``symbol_class_equal`` reads trivial units off the coefficients instead
-of calling ``wh_class_equal``.
+of calling ``wh_class_equal``.  ``smith_form`` is a dense Smith form
+that keeps both transforms, for the kernel and solve oracles, where the
+package takes cokernels on its sparse elimination and keeps only the
+left transform of ``smith_basis``; ``mobius_form`` sums the coefficients
+of a complex's form over every pair of faces, where
+``falg._complex_form`` takes a superset sum.
 """
 
 from __future__ import annotations
@@ -321,6 +326,97 @@ def diagonal_divisors(mat):
         divisors.append(a[0][0])
         a = [row[1:] for row in a[1:]]
     return divisors
+
+
+def mat_vec(a, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def smith_form(rows):
+    """The full Smith normal form: ``(diag, left, right)`` with
+    ``left @ rows @ right`` diagonal, ``diag`` its nonzero entries
+    (positive, each dividing the next), ``left`` and ``right`` unimodular.
+
+    Dense row and column operations with both transforms recorded, the
+    pivot the least nonzero entry of the remaining block; the package's
+    ``smith`` records only the left one.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [list(r) for r in rows]
+    left = [[int(i == j) for j in range(m)] for i in range(m)]
+    right = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        for mat in (a, left):
+            mat[i], mat[j] = mat[j], mat[i]
+
+    def swap_cols(i, j):
+        for mat in (a, right):
+            for row in mat:
+                row[i], row[j] = row[j], row[i]
+
+    def shrink(k):
+        """One step at pivot k: reduce its column, else its row, else fold
+        in a row the pivot does not divide; False once none applies."""
+        p = a[k][k]
+        for i in range(k + 1, m):
+            if a[i][k]:
+                q = a[i][k] // p
+                for mat in (a, left):
+                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[k])]
+                if a[i][k]:
+                    swap_rows(k, i)
+                return True
+        for j in range(k + 1, n):
+            if a[k][j]:
+                q = a[k][j] // p
+                for mat in (a, right):
+                    for row in mat:
+                        row[j] -= q * row[k]
+                if a[k][j]:
+                    swap_cols(k, j)
+                return True
+        for i in range(k + 1, m):
+            if any(x % p for x in a[i][k + 1:]):
+                for mat in (a, left):
+                    mat[k] = [x + y for x, y in zip(mat[k], mat[i])]
+                return True
+        return False
+
+    k = 0
+    while k < min(m, n):
+        block = [(abs(a[i][j]), i, j) for i in range(k, m)
+                 for j in range(k, n) if a[i][j]]
+        if not block:
+            break
+        _, i, j = min(block)
+        swap_rows(k, i)
+        swap_cols(k, j)
+        while shrink(k):
+            pass
+        if a[k][k] < 0:
+            a[k] = [-x for x in a[k]]
+            left[k] = [-x for x in left[k]]
+        k += 1
+    return [a[i][i] for i in range(k)], left, right
+
+
+def mobius_form(faces):
+    """The closed form of ``falg._complex_form`` summed face by face:
+    face g of the closure K of ``faces`` has the coefficient sum of
+    (-1)^(dim f - dim g) over every f in K that contains g."""
+    closure = set()
+    for f in faces:
+        closure.update(s for s in range(1, f + 1) if s & f == s)
+    coeffs = {g: sum((-1) ** (_face_dim(f) - _face_dim(g))
+                     for f in closure if f & g == g) for g in closure}
+    return tuple((g, c) for g, c in sorted(coeffs.items()) if c)
 
 
 def sylvester_resultant(f, g):

@@ -16,7 +16,7 @@ from math import prod
 import pytest
 
 from whcalc import lattice
-from whcalc.abelian import InvolutiveAbelianGroup
+from whcalc.abelian import FgAbGroup, InvolutiveAbelianGroup
 from whcalc.falg import falg_group, normalized_group
 
 FA = InvolutiveAbelianGroup.from_factors
@@ -65,7 +65,7 @@ def test_abelian_generators_have_their_exact_orders(name):
         lattice.identity(g), rel, g)
     assert len(gens) == len(radices)
     assert factors == lattice.quotient_factors(lattice.identity(g), rel)
-    assert tuple(factors) == a.isomorphism_type().invariant_factors
+    assert FgAbGroup.from_factors(factors) == a.isomorphism_type()
     assert prod(radices) == a.order()
     assert radices.count(0) == a.isomorphism_type().free_rank
 

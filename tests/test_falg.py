@@ -350,6 +350,17 @@ def test_complex_form_of_a_face_closure_is_that_face():
             falg._complex_form(k.faces)
 
 
+def test_complex_form_matches_the_face_by_face_sum():
+    # the superset sum against the closed form summed over every pair of
+    # faces, on seeded random face sets at ambient 0..7, closed or not
+    rng = random.Random(275)
+    for p in range(8):
+        faces = list(falg._all_faces(p))
+        for _ in range(40):
+            k = frozenset(rng.sample(faces, rng.randint(1, min(6, len(faces)))))
+            assert falg._complex_form(k) == _oracles.mobius_form(k), sorted(k)
+
+
 def test_every_contractible_complex_at_ambient_4_has_a_form():
     # above the cap of the contractible enumeration: the form of each of the
     # 1466 contractible subcomplexes of the 4-simplex is the value that
@@ -1297,13 +1308,6 @@ def test_presolve_matches_the_unreduced_systems(name):
     # unknowns each; the identifications leave at most two blocks
     pytest.param([2, 2], 1, lambda t: falg._normalized_basis(t, 3), 4,
                  id="z2xz2-trivial-normalized-3"),
-    # under the sign action a face-horn equation can cancel on its face
-    # sigma and identify two blocks, so the 4 classes of face blocks left
-    # at ambient 2 and the 16 left at ambient 4 must lose one each
-    pytest.param([2], -1, lambda t: falg_group(t, 1), 3,
-                 id="z2-sign-membership-2"),
-    pytest.param([2, 2], -1, lambda t: falg_group(t, 3), 30,
-                 id="z2xz2-sign-membership-4"),
 ])
 def test_presolve_collapses_the_face_blocks(monkeypatch, factors, sign, solve,
                                             most):

@@ -1,9 +1,11 @@
-"""Sparse unimodular elimination: kernels, lattice bases and quotients
-checked against dense Smith normal form on seeded random sparse systems."""
+"""Sparse unimodular elimination: kernels, lattice bases, cokernels and
+quotients checked against the oracles' full Smith form and diagonal
+divisors on seeded random sparse systems."""
 
 from __future__ import annotations
 
 import ast
+import inspect
 import json
 import os
 import random
@@ -18,7 +20,8 @@ from whcalc import _snf, lattice
 from whcalc.abelian import InvolutiveAbelianGroup
 from whcalc.lattice import Lattice
 
-from _oracles import bareiss_determinant, bareiss_rank
+from _oracles import (bareiss_determinant, bareiss_rank, diagonal_divisors,
+                      factored_chain, mat_mul, smith_form)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "whcalc"
@@ -43,8 +46,8 @@ def same_lattice(a, b, dim):
 
 
 def smith_kernel(rows, n):
-    """Integer kernel from the right transform of dense SNF."""
-    diag, _left, right = _snf.smith(rows, True)
+    """Integer kernel from the right transform of the oracle's Smith form."""
+    diag, _left, right = smith_form(rows)
     return [[right[i][j] for i in range(n)] for j in range(len(diag), n)]
 
 
@@ -102,32 +105,117 @@ def test_lattice_basis_independent_and_same_span():
     for _ in range(40):
         dim, k = rng.randint(1, 30), rng.randint(0, 40)
         gens = lattice.columns_of(sparse_matrix(rng, dim, k))
-        basis = lattice.lattice_basis(gens, dim)
+        # column echelon form: zero-free dicts, strictly increasing
+        # leading rows, positive there
+        basis = dense_echelon(lattice.lattice_basis(gens, dim), dim)
         if basis:
             assert bareiss_rank(basis) == len(basis)
-        # column echelon form: strictly increasing leading rows, positive
-        leads = [next(i for i, x in enumerate(v) if x) for v in basis]
-        assert leads == sorted(set(leads))
-        assert all(v[i] > 0 for v, i in zip(basis, leads))
         assert len(basis) == (bareiss_rank(gens) if gens else 0)
         assert same_lattice(basis, gens, dim)
 
 
+def oracle_cokernel(cols, dim):
+    """Invariant factors of Z^dim / span(cols), by ``diagonal_divisors``."""
+    divisors = diagonal_divisors([list(r) for r in zip(*cols)])
+    return factored_chain(divisors + [0] * (dim - len(divisors)))
+
+
+def check_factors(factors, dim, rank):
+    """The raw form of ``cokernel_factors``: moduli above 1, then one 0
+    per free summand."""
+    torsion = [f for f in factors if f]
+    assert factors == torsion + [0] * (dim - rank)
+    assert all(f > 1 for f in torsion)
+
+
+def unimodular(rng, k):
+    """A random k x k unimodular matrix: a product of elementary ones."""
+    u = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(3 * k):
+        i, j = rng.randrange(k), rng.randrange(k)
+        if i == j:
+            u[i] = [-x for x in u[i]]
+        else:
+            c = rng.choice((-2, -1, 1, 2))
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    return u
+
+
+def mixed_diagonal(rng, diag):
+    """U D V for the diagonal matrix D of ``diag`` and random unimodular
+    U and V: the cokernel of D, reached only through several passes."""
+    k = len(diag)
+    d = [[x if i == j else 0 for j in range(k)] for i, x in enumerate(diag)]
+    return mat_mul(mat_mul(unimodular(rng, k), d), unimodular(rng, k))
+
+
+def cokernel_cases(seed, count):
+    """Relation columns in Z^dim: sparse random matrices, and diagonal
+    matrices with moduli that form no divisibility chain, hidden by
+    unimodular changes of basis on both sides."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.random() < 0.5:
+            dim, k = rng.randint(1, 20), rng.randint(0, 20)
+            yield lattice.columns_of(sparse_matrix(rng, dim, k)), dim
+        else:
+            diag = [rng.choice((0, 1, 2, 3, 4, 5, 6, 9, 10))
+                    for _ in range(rng.randint(1, 6))]
+            yield lattice.columns_of(mixed_diagonal(rng, diag)), len(diag)
+
+
+def test_cokernel_factors_match_diagonal_divisors(monkeypatch):
+    # every input a fresh process could meet: sparse, dense after a change
+    # of basis, and with moduli like (2, 3) that no chain orders; count
+    # the eliminations, so that some inputs need several passes
+    passes = []
+    eliminate = lattice._eliminate
+
+    def counting(cols, keep=0):
+        passes[-1] += 1
+        return eliminate(cols, keep)
+
+    monkeypatch.setattr(lattice, "_eliminate", counting)
+    for cols, dim in cokernel_cases(84, 200):
+        passes.append(0)
+        factors = lattice.cokernel_factors(cols, dim)
+        check_factors(factors, dim, bareiss_rank(cols) if cols else 0)
+        assert factored_chain(factors) == oracle_cokernel(cols, dim), \
+            (cols, dim)
+    assert max(passes) >= 3 and 1 in passes
+    # moduli are returned as the elimination leaves them, not as a chain
+    assert lattice.cokernel_factors([[2, 0], [0, 3]], 2) == [2, 3]
+    assert lattice.cokernel_factors([[0, 0]], 2) == [0, 0]
+
+
 def test_quotient_factors_match_smith():
-    # span(B) / span(B R) is Z^k / span(R) when B has independent columns
+    # span(B) / span(B R) is Z^k / span(R) when B has independent columns,
+    # also when the numerator lists dependent combinations of B besides
     rng = random.Random(14)
     checked = 0
-    while checked < 30:
+    while checked < 60:
         dim, k = rng.randint(1, 30), rng.randint(1, 12)
         b = lattice.columns_of(sparse_matrix(rng, dim, k))
         if bareiss_rank(b) != k:
             continue
         r = lattice.columns_of(sparse_matrix(rng, k, rng.randint(0, 10)))
-        den = [lattice.mat_vec(lattice.from_columns(b, dim), col) for col in r]
-        expect = lattice.cokernel_factors(r, k)
-        assert lattice.quotient_factors(b, den) == expect
-        factors, gens, radices = lattice.quotient_with_generators(b, den, dim)
-        assert factors == [d for d in expect if d != 1]
+        if checked % 2:
+            # a non-chain diagonal relation matrix, mixed by a unimodular
+            diag = [rng.choice((1, 2, 3, 4, 6, 9)) for _ in range(k)]
+            r = lattice.columns_of(mixed_diagonal(rng, diag))
+        b_mat = lattice.from_columns(b, dim)
+        den = [lattice.mat_vec(b_mat, col) for col in r]
+        num = b + [lattice.mat_vec(b_mat, [rng.randint(-2, 2)
+                                           for _ in range(k)])
+                   for _ in range(rng.randint(0, 3))]
+        rng.shuffle(num)
+        expect = oracle_cokernel(r, k)
+        raw = lattice.quotient_factors(num, den)
+        check_factors(raw, k, bareiss_rank(r) if r else 0)
+        assert factored_chain(raw) == expect
+        factors, gens, radices = lattice.quotient_with_generators(
+            num, den, dim)
+        assert factored_chain(factors) == expect
         assert same_lattice(gens + den, b, dim)
         assert prod(radices) == prod(factors)
         assert radices.count(0) == factors.count(0)
@@ -285,30 +373,58 @@ def snf_uses(source):
     return out
 
 
+def smith_callers(source):
+    """Qualified names of the functions whose bodies call a ``smith``."""
+    out = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, prefix + child.name + ".")
+            else:
+                if isinstance(child, ast.Call) and getattr(
+                        child.func, "id", getattr(child.func, "attr", None)) \
+                        == "smith":
+                    out.add(prefix.rstrip(".") or "<module>")
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return out
+
+
 def test_enumeration_and_sizing_take_no_transforms(monkeypatch):
-    # a quotient's radices and factors cost one Smith form without
-    # transforms; a group's isomorphism type reads its stored Smith basis
+    # cokernels, quotients, their radices and enumeration take no Smith
+    # form at all; a group's isomorphism type reads the Smith basis that
+    # was stored when the group was built
     calls = []
     smith = _snf.smith
 
-    def counting(rows, want_transforms=True):
-        calls.append(want_transforms)
-        return smith(rows, want_transforms)
+    def counting(rows):
+        calls.append(rows)
+        return smith(rows)
 
     a = InvolutiveAbelianGroup(2, [[2, 1], [0, 3]], [[1, 0], [0, 1]])
     monkeypatch.setattr(_snf, "smith", counting)
+    rel = a.relation_columns()
     assert lattice.quotient_with_generators(
-        lattice.identity(2), a.relation_columns(), 2)[0] == [6]
-    assert calls == [False]
+        lattice.identity(2), rel, 2)[0] == [6]
+    assert lattice.quotient_factors(lattice.identity(2), rel) == [6]
+    assert lattice.cokernel_factors(rel, 2) == [6]
+    assert len(set(a.elements())) == 6
     assert a.isomorphism_type().invariant_factors == (6,)
-    assert calls == [False]
+    assert calls == []
+    InvolutiveAbelianGroup(2, [[2, 1], [0, 3]], [[1, 0], [0, 1]])
+    assert len(calls) == 1
 
 
 def test_only_lattice_reaches_smith_normal_form():
-    # every Smith form, with transforms or without, is taken in lattice
-    assert snf_uses("from . import _snf\n_snf.smith(a, True)") == [1, 2]
+    # every Smith form is taken in lattice.smith_basis
+    assert snf_uses("from . import _snf\n_snf.smith(a)") == [1, 2]
     assert snf_uses("from ._snf.pure import smith\nsmith(a)") == [1, 2]
     assert snf_uses("import whcalc._snf") == [1]
+    assert smith_callers("def f():\n    _snf.smith(a)\nsmith(b)\n"
+                         "class C:\n    def g(self):\n        smith(c)") \
+        == {"f", "<module>", "C.g"}
     found = {}
     for path in sorted(PACKAGE.rglob("*.py")):
         rel = path.relative_to(PACKAGE)
@@ -318,4 +434,11 @@ def test_only_lattice_reaches_smith_normal_form():
         if lines:
             found[str(rel)] = lines
     assert not found, found
-    assert snf_uses((PACKAGE / "lattice.py").read_text(encoding="utf-8"))
+    source = (PACKAGE / "lattice.py").read_text(encoding="utf-8")
+    assert smith_callers(source) == {"smith_basis"}
+    # in one mode: rows in, (diag, left) out, no flag and no right transform
+    assert list(inspect.signature(_snf.smith).parameters) == ["rows"]
+    diag, left = _snf.smith([[2, 4], [6, 8]])
+    assert diag == [2, 4] and len(left) == 2
+    assert not [path for path in PACKAGE.rglob("*.py")
+                if "want_transforms" in path.read_text(encoding="utf-8")]

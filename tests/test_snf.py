@@ -1,4 +1,6 @@
-"""Smith normal form kernel: contract and randomized invariants."""
+"""Smith normal form: the package's one mode, ``(diag, left)``, checked
+against independent oracles, and the oracle ``smith_form`` that keeps
+both transforms checked against its full contract."""
 
 from __future__ import annotations
 
@@ -8,26 +10,50 @@ from whcalc import _snf, lattice
 from whcalc._snf import pure
 from whcalc.groupring import GroupRingElement, invert_unit
 
-from _oracles import bareiss_determinant, bareiss_rank
+from _oracles import (bareiss_determinant, bareiss_rank, diagonal_divisors,
+                      factored_chain, mat_mul, mat_vec, smith_form)
 
 
 def check_contract(rows):
-    diag, left, right = pure.smith(rows, True)
-    m, n = len(rows), len(rows[0]) if rows else 0
-    prod = lattice.mat_mul(lattice.mat_mul(left, rows), right)
-    for i in range(m):
-        for j in range(n):
-            expect = diag[i] if i == j and i < len(diag) else 0
-            assert prod[i][j] == expect
+    """The package's ``(diag, left)`` for ``rows``, after checking it: a
+    chain of positive entries with the invariant factors of
+    ``diagonal_divisors``, one per unit of rank, and a unimodular
+    ``left`` whose product with ``rows`` spans the lattice of the sum of
+    the d_i Z e_i (0 past ``diag``)."""
+    diag, left = pure.smith(rows)
+    m = len(rows)
     assert all(d > 0 for d in diag)
     for a, b in zip(diag, diag[1:]):
         assert b % a == 0
+    assert factored_chain(diag) == factored_chain(diagonal_divisors(rows))
+    assert len(diag) == (bareiss_rank(rows) if rows and rows[0] else 0)
+    if m:
+        assert abs(bareiss_determinant(left)) == 1
+    # every column of left @ rows lies in that diagonal lattice; both have
+    # rank len(diag) and, as left is unimodular, the same invariant
+    # factors, so the index is 1 and the spans are equal
+    moduli = diag + [0] * (m - len(diag))
+    for col in zip(*rows):
+        assert all(x % d == 0 if d else x == 0
+                   for x, d in zip(mat_vec(left, col), moduli))
+    check_oracle_contract(rows)
+    return diag
+
+
+def check_oracle_contract(rows):
+    """``smith_form`` of ``rows``: ``left @ rows @ right`` diagonal with
+    the package's ``diag``, both transforms unimodular."""
+    diag, left, right = smith_form(rows)
+    m, n = len(rows), len(rows[0]) if rows else 0
+    prod = mat_mul(mat_mul(left, rows), right)
+    for i in range(m):
+        for j in range(n):
+            assert prod[i][j] == (diag[i] if i == j and i < len(diag) else 0)
     if m:
         assert abs(bareiss_determinant(left)) == 1
     if n:
         assert abs(bareiss_determinant(right)) == 1
-    assert len(diag) == bareiss_rank(rows) if rows and rows[0] else True
-    return diag
+    assert diag == pure.smith(rows)[0]
 
 
 def test_identity():
@@ -47,7 +73,8 @@ def test_zero_matrix():
 
 
 def test_empty_and_thin():
-    assert pure.smith([], True)[0] == []
+    assert pure.smith([]) == ([], [])
+    assert smith_form([]) == ([], [], [])
     assert check_contract([[0], [3]]) == [3]
     assert check_contract([[5, 10, 15]]) == [5]
 
@@ -76,11 +103,12 @@ def test_dispatcher_handles_huge_intermediates():
     # determinant far beyond int64: must still be exact
     rng = random.Random(3)
     rows = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)]
-    diag, left, right = _snf.smith(rows, True)
+    diag, left = _snf.smith(rows)
     prod = 1
     for d in diag:
         prod *= d
     assert prod == abs(bareiss_determinant(rows))
+    assert abs(bareiss_determinant(left)) == 1
 
 
 def test_solver_and_kernel():
@@ -95,14 +123,14 @@ def test_solver_and_kernel():
 
 
 def smith_solve(rows, b):
-    """A x = b by dense Smith form: x = R (L b / d), or None."""
+    """A x = b by the oracle's full Smith form: x = R (L b / d), or None."""
     n = len(rows[0])
-    diag, left, right = _snf.smith(rows, True)
-    c = lattice.mat_vec(left, b)
+    diag, left, right = smith_form(rows)
+    c = mat_vec(left, b)
     if any(x % d for x, d in zip(c, diag)) or any(c[len(diag):]):
         return None
     y = [x // d for x, d in zip(c, diag)]
-    return lattice.mat_vec(right, y + [0] * (n - len(diag)))
+    return mat_vec(right, y + [0] * (n - len(diag)))
 
 
 def random_system(rng, shape):
@@ -118,7 +146,7 @@ def random_system(rng, shape):
         rows = [r + [k * r[0] - r[-1]] for r in rows]
     if rng.random() < 0.5:
         x0 = [rng.randint(-4, 4) for _ in rows[0]]
-        return rows, lattice.mat_vec(rows, x0)
+        return rows, mat_vec(rows, x0)
     return rows, [rng.randint(-20, 20) for _ in rows]
 
 
@@ -131,8 +159,8 @@ def test_solve_matches_the_smith_route():
             x, ref = lattice.solve(rows, b), smith_solve(rows, b)
             assert (x is None) == (ref is None), (rows, b)
             if x is not None:
-                assert lattice.mat_vec(rows, x) == b
-                assert lattice.mat_vec(rows, ref) == b
+                assert mat_vec(rows, x) == b
+                assert mat_vec(rows, ref) == b
             verdicts.add(x is None)
         assert verdicts == {True, False}, shape
     # inconsistent over Q, and consistent over Q but not over Z
@@ -147,9 +175,9 @@ def test_solve_and_invert_unit_take_no_smith_form(monkeypatch):
     calls = []
     smith = _snf.smith
 
-    def counting(rows, want_transforms=True):
-        calls.append(want_transforms)
-        return smith(rows, want_transforms)
+    def counting(rows):
+        calls.append(rows)
+        return smith(rows)
 
     monkeypatch.setattr(_snf, "smith", counting)
     a = [[2, 0, 4], [0, 3, 6]]
