@@ -1,5 +1,6 @@
-"""Integer Smith normal form with its left transform, for
-``lattice.smith_basis`` alone: the arbitrary-precision kernel in ``pure``.
+"""Integer diagonal form with its left transform, for
+``lattice.smith_basis`` alone: ``pure.smith`` runs the diagonalisation
+of ``lattice`` on the sparse kernel, with no elimination of its own.
 
 ``BACKEND`` names the kernel in benchmark stamps; there is only one.
 """

@@ -9,7 +9,11 @@ set is a list of column vectors; a group stores its two matrices as
 tuples of row tuples, so groups are hashable and equal by value.
 Homology and Tate homology are cokernels and quotients of the stacked
 relation/action matrices on the sparse elimination of ``lattice``; the
-textbook closed forms only appear in tests, as oracles.
+textbook closed forms only appear in tests, as oracles.  A group reads
+its own size and elements off what it stored when it was built: its
+isomorphism type puts the moduli of its ``smith_basis``, which need not
+divide one another, into a chain, and its elements are the digit vectors
+of the echelon basis of its relation lattice.
 """
 
 from __future__ import annotations
@@ -163,7 +167,7 @@ class InvolutiveAbelianGroup(Frozen):
                 col = [0] * g
                 col[i] = d
                 cols.append(col)
-        inv = [[sign * x for x in row] for row in lattice.identity(g)]
+        inv = [[sign * (i == j) for j in range(g)] for i in range(g)]
         return cls(g, lattice.from_columns(cols, g), inv)
 
     @classmethod
@@ -209,20 +213,24 @@ class InvolutiveAbelianGroup(Frozen):
         return self._lattice.contains(vec)
 
     def isomorphism_type(self):
-        """The Smith moduli of ``smith_basis`` other than 1."""
-        return FgAbGroup(m for m in self.smith_basis[0] if m != 1)
+        """The moduli of ``smith_basis``, put into a chain."""
+        return FgAbGroup.from_factors(self.smith_basis[0])
 
     def order(self):
         return self.isomorphism_type().order()
 
     def elements(self):
         """All elements, each once, as canonical coordinate tuples (finite
-        groups only): the echelon digits of the relation lattice, which
-        are already reduced."""
+        groups only): the digit vectors c with 0 <= c_r < d_r, d_r the
+        pivot of the stored relation lattice at coordinate r (0 where it
+        has none), which are already reduced."""
         g = self.generator_count
-        _factors, gens, radices = lattice.quotient_with_generators(
-            lattice.identity(g), self.relation_columns(), g)
-        return lattice.span_elements(gens, radices, g)
+        radix = [0] * g
+        for row, col in self._lattice.pivots:
+            radix[row] = col[row]
+        digits = [r for r in range(g) if radix[r] != 1]
+        units = [[int(i == r) for i in range(g)] for r in digits]
+        return lattice.span_elements(units, [radix[r] for r in digits], g)
 
     # -- serialization ------------------------------------------------
 

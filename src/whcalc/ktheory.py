@@ -29,9 +29,10 @@ __all__ = [
 
 
 # Largest p ``tor_pi_r`` and ``k3_divisibility`` accept: the boundaries of
-# ``tor_pi_r`` are written as dense (p-1) x (p-1) matrices, so cost grows
-# as p^2 (p = 997: 0.2-0.6 s and 39 MiB peak on 2 vCPUs), and both test
-# primality by trial division, which takes seconds from about 16 digits on.
+# ``tor_pi_r`` are sparse (p-1) x (p-1) matrices with under 3p nonzeros,
+# so cost grows about as p (p = 997: 0.008-0.018 s and 16 MiB peak in a
+# fresh process on 2 vCPUs), and both test primality by trial division,
+# which takes seconds from about 16 digits on.
 TOR_MAX_P = 1000
 
 
@@ -43,38 +44,13 @@ def load_facts():
 
 def _mult_zeta_minus_one(p):
     """Multiplication by (zeta - 1) on Z[zeta_p] in the power basis, as
-    the list of its columns (the images of the basis vectors)."""
+    the list of its columns (the images of the basis vectors), zero-free
+    ``{index: value}`` dicts."""
     dim = p - 1
-    cols = []
-    for k in range(dim):
-        # (zeta - 1) * zeta^k = zeta^(k+1) - zeta^k
-        vec = [0] * dim
-        vec[k] -= 1
-        if k + 1 < dim:
-            vec[k + 1] += 1
-        else:
-            # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
-            for j in range(dim):
-                vec[j] -= 1
-        cols.append(vec)
-    return cols
-
-
-def _mult_norm(p):
-    """Multiplication by 1 + zeta + ... + zeta^(p-1), which is zero, as
-    the list of its columns."""
-    dim = p - 1
-    cols = []
-    for k in range(dim):
-        acc = [0] * dim
-        for e in range(p):
-            exp = (k + e) % p
-            if exp < dim:
-                acc[exp] += 1
-            else:
-                for j in range(dim):
-                    acc[j] -= 1
-        cols.append(acc)
+    # (zeta - 1) * zeta^k = zeta^(k+1) - zeta^k, and for k = p - 2
+    # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
+    cols = [{k: -1, k + 1: 1} for k in range(dim - 1)]
+    cols.append({j: -1 for j in range(dim - 1)} | {dim - 1: -2})
     return cols
 
 
@@ -94,7 +70,8 @@ def tor_pi_r(p, i):
         raise ValueError("degree must be nonnegative")
     dim = p - 1
     zeta_minus_one = _mult_zeta_minus_one(p)
-    norm = _mult_norm(p)
+    # the norm element 1 + zeta + ... + zeta^(p-1) is zero in Z[zeta_p]
+    norm = [{} for _ in range(dim)]
     # boundary entering degree i and boundary leaving degree i; the image
     # of the entering one is spanned by its columns
     d_in = zeta_minus_one if i % 2 == 0 else norm      # d_{i+1}
@@ -102,7 +79,7 @@ def tor_pi_r(p, i):
         return FgAbGroup.from_factors(lattice.cokernel_factors(d_in, dim))
     d_out = norm if i % 2 == 0 else zeta_minus_one
     cycles = lattice.kernel_with_denominator(
-        lattice.from_columns(d_out, dim), [], dim)
+        lattice._sparse_columns(d_out, dim), [], dim)
     return FgAbGroup.from_factors(lattice.quotient_factors(cycles, d_in))
 
 

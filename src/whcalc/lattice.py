@@ -17,12 +17,13 @@ Kernels, lattice bases, quotient coordinates and the echelon bases of
 (``_eliminate``; Dumas, Saunders and Villard 2001, Kaczynski, Mischaikow
 and Mrozek 2004, ch. 3) applied to the constraint systems directly.
 ``Solver`` solves A x = b on the same elimination, as the kernel of
-[-b | A], and cokernels and quotients alternate it on a matrix and on
-the transpose of its echelon basis until that is diagonal
-(``cokernel_factors``).  Dense Smith normal form from ``_snf`` serves
-only ``smith_basis``, on the relation matrix of a group; no other module
-calls it.  ``smith_basis`` keeps its left transform, which turns
-membership in a lattice into one congruence per coordinate.  A finite
+[-b | A].  The one diagonalisation, ``_diagonal``, alternates it on the
+rows and on the columns of a matrix until that is diagonal; cokernels
+and quotients take it bare (``cokernel_factors``), and ``_snf.smith``,
+which serves only ``smith_basis`` on the relation matrix of a group,
+takes it with the rows of the identity riding along.  ``smith_basis``
+keeps that left transform, which turns membership in a lattice into one
+congruence per coordinate.  A finite
 quotient is listed from echelon forms alone: ``quotient_with_generators``
 gives the numerator's echelon vectors, each with the pivot of the
 relations' echelon form as its radix, and ``span_elements`` runs
@@ -31,10 +32,10 @@ through their digits, each element once.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from operator import mul
 
 from . import _snf
-from ._snf.pure import identity
 
 
 def _is_prime(p):
@@ -162,16 +163,22 @@ def _eliminate(cols, keep=0):
     return pivots, kernel
 
 
-def _coordinates(pivots, vec):
-    """Coefficients of ``vec`` in an echelon basis as a zero-free
-    ``{position: coefficient}`` dict, or None if outside its span.
+def _coordinates(pivots, rows, vec):
+    """Coefficients of ``vec`` in an echelon basis, whose pivot rows are
+    ``rows``, as a zero-free ``{position: coefficient}`` dict, or None if
+    outside its span.
 
     Back-substitution by increasing pivot row: a remainder left at a pivot
-    row, like any entry off the pivot rows, is never cleared again.
+    row, like any entry off the pivot rows, is never cleared again.  A
+    pivot column has no entry above its row, so the walk starts at the
+    first pivot at or after the least entry of ``vec`` and stops once
+    nothing is left.
     """
     v = _sparse(vec)
     coords = {}
-    for k, (r, col) in enumerate(pivots):
+    k = bisect_left(rows, min(v, default=0))
+    while v and k < len(pivots):
+        r, col = pivots[k]
         q = v.get(r, 0) // col[r]
         if q:
             for i, x in col.items():
@@ -181,6 +188,7 @@ def _coordinates(pivots, vec):
                 else:
                     del v[i]
             coords[k] = q
+        k += 1
     return None if v else coords
 
 
@@ -218,31 +226,59 @@ def lattice_basis(gens, dim):
     return [col for _row, col in pivots]
 
 
+def _diagonal(vecs, n):
+    """Diagonalise the matrix whose rows are ``vecs`` (dense or sparse)
+    at the coordinates below n.
+
+    Coordinates from n on ride along with their row: row eliminations
+    combine them, and column eliminations never see them.  ``_eliminate``
+    on the rows, which is row operations, alternates with ``_eliminate``
+    on the columns of the pivot rows until each pivot is alone in its row
+    and its column (Kannan and Bachem, SIAM J. Comput. 8, 1979); an input
+    that one row elimination already diagonalises takes no column pass.
+
+    Returns ``(diag, zero)``: ``diag`` lists ``(d, row)`` for each
+    diagonal entry d > 0, ``row`` holding d as its one entry below n and
+    its ride-along coordinates, and ``zero`` lists the rows that went to
+    zero below n.  The diagonal need not be a divisibility chain.
+    """
+    pivots, _kernel = _eliminate([_sparse(v) for v in vecs])
+    zero = [row for r, row in pivots if r >= n]
+    pivots = [(r, row) for r, row in pivots if r < n]
+    while True:
+        heads = [{i: x for i, x in row.items() if i < n}
+                 for _r, row in pivots]
+        if all(len(head) == 1 for head in heads):
+            return [(row[r], row) for r, row in pivots], zero
+        cols, _kernel = _eliminate(_sparse_columns(heads, n))
+        # the rows after the column operations, the pivot columns
+        # renumbered from 0 so that they stay below n
+        rows = [{i: x for i, x in row.items() if i >= n}
+                for _r, row in pivots]
+        for c, (_k, col) in enumerate(cols):
+            for k, x in col.items():
+                rows[k][c] = x
+        if all(len(col) == 1 for _k, col in cols):
+            return [(col[k], rows[k]) for k, col in cols], zero
+        pivots, _kernel = _eliminate(rows)
+
+
 def cokernel_factors(gens, dim):
     """Moduli of the cyclic summands of Z^dim / span(gens): those above 1,
     then one 0 per free summand, not necessarily a divisibility chain
-    (callers pass them through ``FgAbGroup.from_factors``).
-
-    Column elimination alternates with the elimination of the transpose
-    of its echelon basis, that is with row operations, until each pivot
-    is alone in its row and column (Kannan and Bachem, SIAM J. Comput. 8,
-    1979).
-    """
-    pivots, _kernel = _eliminate([_sparse(g) for g in gens])
-    rows = dim
-    while any(len(col) > 1 for _row, col in pivots):
-        cols = _sparse_columns([col for _row, col in pivots], rows)
-        rows = len(pivots)
-        pivots, _kernel = _eliminate(cols)
-    return [col[r] for r, col in pivots if col[r] != 1] + \
-        [0] * (dim - len(pivots))
+    (callers pass them through ``FgAbGroup.from_factors``).  The
+    generators are the rows of the transpose of the relation matrix, so
+    ``_diagonal`` of them with no ride-along coordinates gives the
+    moduli."""
+    diag, _zero = _diagonal(gens, dim)
+    return [d for d, _row in diag if d != 1] + [0] * (dim - len(diag))
 
 
 def smith_basis(gens, dim):
     """A diagonal form of the lattice spanned by ``gens`` in Z^dim.
 
     Returns ``(moduli, left)``: ``left`` is the unimodular left transform
-    of the Smith form of the relation matrix, as tuples of rows, and
+    of a diagonal form of the relation matrix, as tuples of rows, and
     ``moduli`` has one entry per coordinate of ``left`` times a vector.
     Since ``left`` maps the lattice onto the sum of the ``moduli[i] * Z``,
     w lies in it exactly when every ``(left w)_i`` is a multiple of
@@ -274,9 +310,10 @@ def _relations(num_basis, den_gens):
     """Echelon basis of span(num_basis) and the coordinates of each
     denominator vector in it."""
     pivots, _kernel = _eliminate([_sparse(b) for b in num_basis])
+    rows = [r for r, _col in pivots]
     rel = []
     for d in den_gens:
-        y = _coordinates(pivots, d)
+        y = _coordinates(pivots, rows, d)
         if y is None:
             raise ValueError("denominator not contained in numerator")
         rel.append(y)

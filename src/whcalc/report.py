@@ -39,11 +39,6 @@ class Stage(Record):
             data["citation"] = self.citation
         return data
 
-    @classmethod
-    def from_dict(cls, data):
-        return cls(data["name"], data["status"], data.get("witness"),
-                   data.get("citation"))
-
 
 class ReportDocument(Record):
     """A command's report; ``params`` and ``stages`` default to a fresh
@@ -85,13 +80,6 @@ class ReportDocument(Record):
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=False)
-
-    @classmethod
-    def from_dict(cls, data):
-        doc = cls(data["tool"], data["version"], data["command"],
-                  dict(data.get("params", {})))
-        doc.stages = [Stage.from_dict(s) for s in data.get("stages", [])]
-        return doc
 
     def to_text(self):
         lines = []

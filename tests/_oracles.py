@@ -37,6 +37,7 @@ from math import gcd
 
 from whcalc.abelian import FgAbGroup
 from whcalc.falg import NotContractibleError, iota_shriek
+from whcalc.report import ReportDocument, Stage
 from whcalc.simplicial import (SubComplex, codegeneracy_face, coface_face,
                                enumerate_contractible_subcomplexes,
                                is_contractible)
@@ -328,6 +329,10 @@ def diagonal_divisors(mat):
     return divisors
 
 
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
@@ -349,8 +354,7 @@ def smith_form(rows):
     m = len(rows)
     n = len(rows[0]) if m else 0
     a = [list(r) for r in rows]
-    left = [[int(i == j) for j in range(m)] for i in range(m)]
-    right = [[int(i == j) for j in range(n)] for i in range(n)]
+    left, right = identity(m), identity(n)
 
     def swap_rows(i, j):
         for mat in (a, left):
@@ -785,3 +789,13 @@ def symbol_class_equal(a, b):
     q = a.torsion.representative * b.torsion.inverse
     return (a.dim - b.dim) % 2 == 0 and a.twist == b.twist \
         and sorted(map(abs, q.coeffs)) == [0] * (q.order - 1) + [1]
+
+
+def report_from_dict(data):
+    """The ``ReportDocument`` of a parsed ``to_dict``; the package only
+    writes reports."""
+    doc = ReportDocument(data["tool"], data["version"], data["command"],
+                         dict(data.get("params", {})))
+    doc.stages = [Stage(s["name"], s["status"], s.get("witness"),
+                        s.get("citation")) for s in data.get("stages", [])]
+    return doc

@@ -19,6 +19,8 @@ from whcalc import lattice
 from whcalc.abelian import FgAbGroup, InvolutiveAbelianGroup
 from whcalc.falg import falg_group, normalized_group
 
+from _oracles import identity
+
 FA = InvolutiveAbelianGroup.from_factors
 
 ABELIAN_TARGETS = {
@@ -62,9 +64,9 @@ def test_abelian_generators_have_their_exact_orders(name):
     g = a.generator_count
     rel = a.relation_columns()
     factors, gens, radices = lattice.quotient_with_generators(
-        lattice.identity(g), rel, g)
+        identity(g), rel, g)
     assert len(gens) == len(radices)
-    assert factors == lattice.quotient_factors(lattice.identity(g), rel)
+    assert factors == lattice.quotient_factors(identity(g), rel)
     assert FgAbGroup.from_factors(factors) == a.isomorphism_type()
     assert prod(radices) == a.order()
     assert radices.count(0) == a.isomorphism_type().free_rank
@@ -86,7 +88,7 @@ def test_free_targets_refuse_on_the_first_element(name):
     target = FREE_TARGETS[name]
     g = target.generator_count
     _factors, _gens, radices = lattice.quotient_with_generators(
-        lattice.identity(g), target.relation_columns(), g)
+        identity(g), target.relation_columns(), g)
     assert radices.count(0) == target.isomorphism_type().free_rank
     for elements in [target.elements()] + [
             build(target, p).elements()

@@ -29,7 +29,8 @@ Z6 = InvolutiveAbelianGroup.cyclic(6, 1)
 SWAP22 = InvolutiveAbelianGroup(2, [[2, 0], [0, 2]], [[0, 1], [1, 0]])
 # Z/8 acted on by 3 plus Z/2, and Z/15 acted on by 4 plus Z/3 with -1,
 # after the change of generators P = [[1, 1], [0, 1]] (relations P R,
-# action P T P^-1), so that their Smith left transform is not the identity
+# action P T P^-1), so that their Smith left transform is not a signed
+# permutation
 TWISTED_TARGETS = [
     InvolutiveAbelianGroup(2, [[8, 2], [0, 2]], [[3, -2], [0, 1]]),
     InvolutiveAbelianGroup(2, [[15, 3], [0, 3]], [[4, -5], [0, -1]]),
@@ -772,17 +773,27 @@ ORACLE_TARGETS = [
 ]
 
 
+def is_signed_permutation(mat):
+    """Whether each row and each column of ``mat`` has one nonzero, +-1."""
+    return all(sorted(map(abs, line)) == [0] * (len(line) - 1) + [1]
+               for line in [*mat, *zip(*mat)])
+
+
 def test_twisted_targets_have_a_nonidentity_smith_transform():
-    assert [t.smith_basis for t in TWISTED_TARGETS] == [
-        ((2, 8), ((1, 0), (1, -1))), ((3, 15), ((1, 0), (1, -1)))]
+    # the left transform mixes generators, so the compiled checks are not
+    # the plain coordinates of a relabelled group
+    assert is_signed_permutation(((0, -1), (1, 0)))
+    assert not is_signed_permutation(((1, 0), (1, -1)))
+    for target in TWISTED_TARGETS:
+        assert not is_signed_permutation(target.smith_basis[1])
     assert [t.order() for t in TWISTED_TARGETS] == [16, 45]
 
 
 def test_compiled_checks_match_plain_membership():
     # every compiled check against ``is_zero_element`` of its plain forms,
-    # on targets whose Smith moduli are 1 and 6, 3 and 3, 0 and 0, 2 and
+    # on targets whose Smith moduli are 2 and 3, 3 and 3, 0 and 0, 2 and
     # 0, none, and 2 and 8 or 3 and 15 under a left transform other than
-    # the identity: members of F^alg, the same with one face value
+    # a signed permutation: members of F^alg, the same with one face value
     # perturbed and random face values, at ambient 1..3
     rng = random.Random(89)
     verdicts = {"duality": set(), "horns": set()}

@@ -21,7 +21,7 @@ from whcalc.abelian import InvolutiveAbelianGroup
 from whcalc.lattice import Lattice
 
 from _oracles import (bareiss_determinant, bareiss_rank, diagonal_divisors,
-                      factored_chain, mat_mul, smith_form)
+                      factored_chain, identity, mat_mul, smith_form)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "whcalc"
@@ -407,8 +407,8 @@ def test_enumeration_and_sizing_take_no_transforms(monkeypatch):
     monkeypatch.setattr(_snf, "smith", counting)
     rel = a.relation_columns()
     assert lattice.quotient_with_generators(
-        lattice.identity(2), rel, 2)[0] == [6]
-    assert lattice.quotient_factors(lattice.identity(2), rel) == [6]
+        identity(2), rel, 2)[0] == [6]
+    assert lattice.quotient_factors(identity(2), rel) == [6]
     assert lattice.cokernel_factors(rel, 2) == [6]
     assert len(set(a.elements())) == 6
     assert a.isomorphism_type().invariant_factors == (6,)
@@ -442,3 +442,30 @@ def test_only_lattice_reaches_smith_normal_form():
     assert diag == [2, 4] and len(left) == 2
     assert not [path for path in PACKAGE.rglob("*.py")
                 if "want_transforms" in path.read_text(encoding="utf-8")]
+    # with no pivot search of its own: ``smith`` is the module's one
+    # function, and it eliminates only through ``lattice._diagonal``
+    pure = ast.parse((PACKAGE / "_snf" / "pure.py").read_text(
+        encoding="utf-8"))
+    assert [node.name for node in pure.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))] == ["smith"]
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(pure) if isinstance(node, ast.Call)}
+    assert "_diagonal" in called and "_eliminate" not in called
+
+
+def test_one_diagonalisation_serves_smith_and_cokernels(monkeypatch):
+    # ``_snf.smith`` and ``cokernel_factors`` both run ``_diagonal``; its
+    # rows after the pivot rows are the ones that went to zero
+    calls = []
+    diagonal = lattice._diagonal
+
+    def counting(vecs, n):
+        calls.append(n)
+        return diagonal(vecs, n)
+
+    monkeypatch.setattr(lattice, "_diagonal", counting)
+    assert _snf.smith([[2, 4], [6, 8], [1, 2]])[0] == [1, 4]
+    assert lattice.cokernel_factors([[2, 4], [6, 8]], 2) == [2, 4]
+    assert calls == [2, 2]
+    diag, zero = diagonal([[0, 0, 1, 0], [3, 0, 0, 1]], 2)
+    assert diag == [(3, {0: 3, 3: 1})] and zero == [{2: 1}]

@@ -1,8 +1,8 @@
 """The two paths of the homotopy check share nothing beyond the kernel.
 
 ``moore_homotopy`` solves the constraint systems of ``falg``;
-``homology_c2`` takes Smith normal forms of the target's own matrices in
-``abelian``.  Their agreement checks something only while a bug in one
+``homology_c2`` takes cokernels and quotients of the target's own
+matrices in ``abelian``.  Their agreement checks something only while a bug in one
 cannot reach the other, so a call trace of both over the benchmark's
 sweep targets lists the whcalc functions each runs, and every function
 both run must be on ``SHARED``.

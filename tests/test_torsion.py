@@ -9,13 +9,13 @@ import pytest
 from whcalc.abelian import InvolutiveAbelianGroup, homology_c2
 from whcalc.groupring import (GroupRingElement, WhiteheadClass, galois_twist,
                               invert_unit, involution, wh_class_equal)
-from whcalc.lattice import Lattice, columns_of, identity
+from whcalc.lattice import Lattice, columns_of
 from whcalc.torsion import (HCobordismSymbol, ModuleValues, UnitClassValues,
                             basepoint_change_torsion, compose, double,
                             inertial_twist, inertial_twist_torsion,
                             mapping_cylinder, reverse, trivial_cylinder)
 
-from _oracles import symbol_class_equal
+from _oracles import identity, symbol_class_equal
 
 U7 = GroupRingElement(7, (2, 2, 0, -1, -1, -1, 0))
 U5 = GroupRingElement(5, (1, -1, 0, 0, -1))
