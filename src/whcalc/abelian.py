@@ -140,9 +140,9 @@ class InvolutiveAbelianGroup(Frozen):
         rel_cols = self.relation_columns()
         lat = lattice.Lattice(rel_cols, g)
         object.__setattr__(self, "_lattice", lat)
-        t2 = lattice.mat_mul(inv, inv)
-        for j in range(g):
-            col = [t2[i][j] - (1 if i == j else 0) for i in range(g)]
+        for j, col in enumerate(lattice.columns_of(inv)):
+            col = lattice.mat_vec(inv, col)  # column j of T^2
+            col[j] -= 1
             if not lat.contains(col):
                 raise ValueError("involution does not square to the identity")
         for col in rel_cols:
@@ -323,28 +323,17 @@ def homology_c2(a, n):
     return _norm_subquotient(a, eps)
 
 
-def cohomology_c2(a, n):
-    """H^n of the order-two group with coefficients in A (n >= 1)."""
-    if n < 1:
-        raise ValueError("only positive cohomological degrees are needed")
-    eps = -1 if n % 2 == 1 else 1
-    return _norm_subquotient(a, eps)
-
-
 def tate_homology_c2(a, n):
     """Tate homology of the order-two group in any integer degree.
 
-    Positive degrees agree with ``homology_c2``; degree 0 and -1 are the
-    norm-map kernel/cokernel subquotients; degrees <= -2 are group
-    cohomology in degree -n-1 via the dual formulas.
+    Positive degrees agree with ``homology_c2``.  Every degree n <= 0 is
+    a norm-map subquotient, periodic of period two: the kernel/cokernel
+    subquotient ker(1 + T)/im(1 - T) at even n, ker(1 - T)/im(1 + T) at
+    odd n (degrees <= -2 are group cohomology in degree -n-1).
     """
     if n >= 1:
         return homology_c2(a, n)
-    if n == 0:
-        return _norm_subquotient(a, -1)
-    if n == -1:
-        return _norm_subquotient(a, 1)
-    return cohomology_c2(a, -n - 1)
+    return _norm_subquotient(a, -1 if n % 2 == 0 else 1)
 
 
 class DoubleSubgroup(Frozen):

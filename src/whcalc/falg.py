@@ -7,8 +7,11 @@ coordinate.  A ``{face: value}`` dict is read only by ``iota_shriek``
 and written only by ``TorsionFunctor.values``; the group law and the
 structure maps gather over the flat vector.  Faces have one order, their
 mask (``_all_faces``): the constraint systems give proper face f the
-block f - 1, so their solutions are flat vectors once ``_solved_group``
-pads on the empty and the top block.  The value on any other
+block f - 1.  They are solved, and their homotopy quotient taken, on
+the classes of faces that their identifications merge (``_presolve``,
+once per system for every target); a solution copied from each class to
+its faces is a flat vector once ``_solved_group`` pads on the empty and
+the top block.  The value on any other
 contractible subcomplex K is linear in the face values, one integer form
 per complex (``_complex_form``) in closed form: face g of K has the
 coefficient sum of (-1)^(dim f - dim g) over the faces f of K that
@@ -751,12 +754,13 @@ def _membership_rows(ambient):
         if d < 1:
             continue
         sgn = _sign(d)
+        coeffs = [(tau, sgn * _sign(d - face_dim(tau)))
+                  for tau in subfaces(sigma)]
         for i in range(d + 1):
             face = face_boundary(sigma, i)
             vertex = sigma & ~face
             emit({face: 1, sigma: -1},
-                 {tau: sgn * _sign(d - face_dim(tau))
-                  for tau in subfaces(sigma) if tau & vertex})
+                 {tau: c for tau, c in coeffs if tau & vertex})
 
     return tuple(eqs), top - 1
 
@@ -791,16 +795,6 @@ def _expand(target, eqs):
     return rows
 
 
-def _apply_rows(rows, vec):
-    """The sparse ``rows`` times the sparse vector ``vec``, zero-free."""
-    out = {}
-    for i, row in enumerate(rows):
-        x = sum([c * vec.get(j, 0) for j, c in row.items()])
-        if x:
-            out[i] = x
-    return out
-
-
 def _normalization_rows(degree):
     """Equations forcing delta_i = 0 for 1 <= i <= degree."""
     return tuple(eq for i in range(1, degree + 1)
@@ -825,10 +819,10 @@ def _merge_identified_blocks(eqs, n_blocks):
     """Presolve: merge the face blocks that an equation
     ``{a: (1, 0), b: (-1, 0)}`` identifies.
 
-    Returns ``(cls, reduced)``: the class of each face block, numbered by
-    first block, and the other equations rewritten onto one block per
-    class as fresh dicts (``eqs`` may be lru-cached), with those that
-    vanish after the merge dropped.
+    Returns ``(cls, reduced)``, both tuples: the class of each face
+    block, numbered by first block, and the other equations rewritten
+    onto one block per class as fresh dicts (``eqs`` may be lru-cached),
+    with those that vanish after the merge dropped.
     """
     parent = list(range(n_blocks))
 
@@ -845,7 +839,8 @@ def _merge_identified_blocks(eqs, n_blocks):
         else:
             rest.append(eq)
     number = {}
-    cls = [number.setdefault(find(a), len(number)) for a in range(n_blocks)]
+    cls = tuple(number.setdefault(find(a), len(number))
+                for a in range(n_blocks))
     reduced = []
     for eq in rest:
         new = {}
@@ -855,46 +850,48 @@ def _merge_identified_blocks(eqs, n_blocks):
         new = {k: ab for k, ab in new.items() if ab != (0, 0)}
         if new:
             reduced.append(new)
-    return cls, reduced
+    return cls, tuple(reduced)
 
 
-def _solution_basis(target, eqs, n_blocks):
-    """Generators of {x : every equation of ``eqs`` holds}, modulo the
-    relation blocks L^n.
-
-    The equations that only say x_a - x_b in L are solved first
-    (``_merge_identified_blocks``), the rest are expanded to integer rows
-    (``_expand``), and the kernel of those is copied from each class's
-    block to all of its members.  That is exact modulo L^n: each
-    coefficient a + b T preserves L, so the equations map L^n into L^m.
-    Callers add ``_block_lattice_cols`` to get the whole solution lattice.
-    """
-    g = target.generator_count
-    if g == 0 or n_blocks == 0:
-        return []
-    cls, reduced = _merge_identified_blocks(eqs, n_blocks)
-    den = _block_lattice_cols(target, len(reduced))
-    kernel = lattice.kernel_with_denominator(
-        _expand(target, reduced), den, (max(cls) + 1) * g)
-    coords = [(a * g + r, k * g + r) for a, k in enumerate(cls)
-              for r in range(g)]
-    return [{i: vec[j] for i, j in coords if j in vec} for vec in kernel]
-
-
-def _normalized_basis(target, degree):
-    """Generators of the normalized p-simplices modulo the relation
-    blocks (``_solution_basis``), and the number of face blocks."""
+@lru_cache(maxsize=None)
+def _presolve(degree, system):
+    """``_merge_identified_blocks`` of one system of the p-simplices at
+    degree p, which every target shares: ``"all"`` (membership),
+    ``"normalized"`` (and delta_i = 0 for i >= 1) or ``"cycles"`` (and
+    delta_0 = 0 too, from degree 1 up)."""
     eqs, n_faces = _membership_rows(degree + 1)
-    eqs += _normalization_rows(degree)
-    return _solution_basis(target, eqs, n_faces), n_faces
+    if system != "all":
+        eqs += _normalization_rows(degree)
+    if system == "cycles" and degree >= 1:
+        eqs += _delta0_rows(degree)
+    return _merge_identified_blocks(eqs, n_faces)
+
+
+def _class_lattice(target, degree, system):
+    """The solution lattice of a system in face-class coordinates, with
+    the number of classes and ``cls``.
+
+    The lattice is {x in Z^(C g) : every reduced equation holds modulo
+    the relation lattice L}, C the number of classes, one relation block
+    per reduced equation.  Each coefficient a + b T preserves L, so it
+    contains L^C; copied from each class to all of its member faces, with
+    L on every face added, it is the solution lattice of the whole
+    system.
+    """
+    cls, reduced = _presolve(degree, system)
+    n_classes = max(cls) + 1
+    basis = lattice.kernel_with_denominator(
+        _expand(target, reduced), _block_lattice_cols(target, len(reduced)),
+        n_classes * target.generator_count)
+    return basis, n_classes, cls
 
 
 class FAlgGroup(Record):
     """The group of p-simplices, solved from the linear constraint system.
 
     ``mixed_radix`` is ``(vectors, radices)`` from
-    ``lattice.quotient_with_generators``, the vectors in the flat layout
-    of ``TorsionFunctor``."""
+    ``lattice.quotient_with_generators`` on the face classes, the vectors
+    copied to the flat layout of ``TorsionFunctor``."""
 
     _fields = ("target", "degree", "isomorphism_type", "mixed_radix")
 
@@ -917,18 +914,21 @@ class FAlgGroup(Record):
             yield FAlgElement(TorsionFunctor(ambient, self.target, flat))
 
 
-def _solved_group(target, degree, basis, n_faces):
-    """The group spanned by ``basis`` and the relation blocks, modulo the
-    relation blocks.  The blocks of the proper faces are already in mask
-    order, so each basis vector is the flat vector of ``TorsionFunctor``
-    once the empty and the top block are padded on."""
+def _solved_group(target, degree, system):
+    """The solutions of a system modulo the relation blocks: its class
+    lattice modulo L^C.  Each mixed-radix generator is copied from each
+    class to the blocks of its faces, which are already in mask order, so
+    with the empty and the top block padded on it is the flat vector of
+    ``TorsionFunctor``."""
+    basis, n_classes, cls = _class_lattice(target, degree, system)
     g = target.generator_count
-    den = _block_lattice_cols(target, n_faces)
     factors, gens, radices = lattice.quotient_with_generators(
-        basis + den, den, g * n_faces)
+        basis, _block_lattice_cols(target, n_classes), n_classes * g)
     pad = [0] * g
+    flats = [pad + [gen[c * g + r] for c in cls for r in range(g)] + pad
+             for gen in gens]
     return FAlgGroup(target, degree, FgAbGroup.from_factors(factors),
-                     ([pad + gen + pad for gen in gens], radices))
+                     (flats, radices))
 
 
 def falg_group(target, p):
@@ -937,51 +937,53 @@ def falg_group(target, p):
         raise ValueError("constraint solving is capped at degree 3")
     if p < 0:
         raise ValueError("degree must be nonnegative")
-    eqs, n_faces = _membership_rows(p + 1)
-    return _solved_group(target, p, _solution_basis(target, eqs, n_faces),
-                         n_faces)
+    return _solved_group(target, p, "all")
 
 
 def normalized_group(target, degree):
     """The degree-n part of the normalized chain complex, as a group."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    return _solved_group(target, degree, *_normalized_basis(target, degree))
+    return _solved_group(target, degree, "normalized")
 
 
 def moore_homotopy(target, n):
     """Homotopy of the simplicial group: homology of the normalized
     complex at degree n, computed purely from the constraint lattices.
 
-    The cycles and the normalized simplices one degree up are generators
-    modulo the relation blocks (``_solution_basis``), so the quotient
-    adds those blocks to the cycles and to the boundaries.  This path
-    shares no code with ``homology_c2`` beyond the integer kernel, which
-    is the point: the two must agree.
+    The quotient is taken on the face classes of the cycle system.  Let
+    pi read a vector at the first face of each class: on the cycles plus
+    the relation blocks L^F it is onto the cycles' class lattice K, with
+    kernel L^F, so the homotopy is K modulo pi of the boundaries plus
+    L^C.  The boundaries are delta_0 of the normalized class lattice one
+    degree up, whose value at a face sigma is x(coface(sigma, 1)) minus
+    x at the first boundary face of the top; delta_0 maps the relation
+    blocks upstairs into L^F, so only the class lattice's basis needs
+    mapping.  This path shares no code with ``homology_c2`` beyond the
+    integer kernel, which is the point: the two must agree.
     """
     if n > 3:
         raise ValueError("homotopy computation is capped at degree 3")
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    eqs, n_faces = _membership_rows(n + 1)
-    eqs += _normalization_rows(n)
-    if n >= 1:
-        eqs += _delta0_rows(n)
-    cycles = _solution_basis(target, eqs, n_faces)
-
-    # delta_0 maps the relation blocks upstairs into those of ``rel``, so
-    # only the generators of the upstairs basis need applying
-    upstairs, _ = _normalized_basis(target, n + 1)
-    delta0 = _expand(target, _delta0_rows(n + 1))
-    rel = _block_lattice_cols(target, n_faces)
-    den = [_apply_rows(delta0, v) for v in upstairs] + rel
-    return FgAbGroup.from_factors(lattice.quotient_factors(cycles + rel, den))
+    cycles, n_classes, cls = _class_lattice(target, n, "cycles")
+    upstairs, _, up_cls = _class_lattice(target, n + 1, "normalized")
+    g = target.generator_count
+    base = up_cls[(_top_mask(n + 2) & ~2) - 1]
+    read = [up_cls[coface_face(cls.index(c) + 1, 1) - 1]
+            for c in range(n_classes)]
+    den = [{c * g + r: x for c, u in enumerate(read) for r in range(g)
+            if (x := vec.get(u * g + r, 0) - vec.get(base * g + r, 0))}
+           for vec in upstairs]
+    den += _block_lattice_cols(target, n_classes)
+    return FgAbGroup.from_factors(lattice.quotient_factors(cycles, den))
 
 
 class MooreComplex(Record):
     """Normalized chain complex data: per degree, generators of the
-    normalized subgroup modulo the relation blocks (``_normalized_basis``),
-    which delta_0 maps into the relation blocks one degree down."""
+    normalized subgroup modulo the relation blocks, in face blocks (its
+    class lattice copied to the faces), which delta_0 maps into the
+    relation blocks one degree down."""
 
     _fields = ("target", "max_degree", "bases")
 
@@ -994,7 +996,13 @@ class MooreComplex(Record):
 def moore_complex(target, max_degree):
     if max_degree < 0:
         raise ValueError("degree must be nonnegative")
-    bases = [_normalized_basis(target, m)[0] for m in range(max_degree + 1)]
+    g = target.generator_count
+    bases = []
+    for m in range(max_degree + 1):
+        basis, _, cls = _class_lattice(target, m, "normalized")
+        bases.append([{k * g + r: x for k, c in enumerate(cls)
+                       for r in range(g) if (x := vec.get(c * g + r))}
+                      for vec in basis])
     return MooreComplex(target, max_degree, bases)
 
 

@@ -50,13 +50,6 @@ def _is_prime(p):
     return True
 
 
-def mat_mul(a, b):
-    if not a:
-        return []
-    bt = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in bt] for row in a]
-
-
 def mat_vec(a, v):
     return [sum(map(mul, row, v)) for row in a]
 
@@ -75,10 +68,6 @@ def _sparse(vec):
     dict: ``_eliminate`` consumes its columns and divides by their entries."""
     items = vec.items() if isinstance(vec, dict) else enumerate(vec)
     return {i: x for i, x in items if x}
-
-
-def _dense(col, dim):
-    return [col.get(i, 0) for i in range(dim)]
 
 
 def _sparse_columns(rows, n):
@@ -211,7 +200,7 @@ class Solver:
         basis = kernel_with_denominator(rows, [], self.n + 1)
         if not basis or basis[0].get(0) != 1:
             return None
-        return _dense(basis[0], self.n + 1)[1:]
+        return [basis[0].get(i, 0) for i in range(1, self.n + 1)]
 
 
 def solve(rows, b):
@@ -349,7 +338,7 @@ def quotient_with_generators(num_basis, den_gens, dim):
     gens, radices = [], []
     for (_row, col), d in zip(pivots, radix):
         if d != 1:
-            gens.append(_dense(col, dim))
+            gens.append([col.get(i, 0) for i in range(dim)])
             radices.append(d)
     return cokernel_factors(rel, k), gens, radices
 

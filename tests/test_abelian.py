@@ -40,6 +40,8 @@ def test_fgab_rejects_bad_chain():
         FgAbGroup((3, 4))
     with pytest.raises(ValueError):
         FgAbGroup((1,))
+    with pytest.raises(ValueError, match="free factors must come last"):
+        FgAbGroup([0, 2])
 
 
 def test_involution_validation():

@@ -195,6 +195,27 @@ def test_malformed_element_shape_is_usage_error(element, capsys):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["torsion", "compose", "--d", "11", "--order", "7",
+      "--u", "2,2,0,-1,-1,-1,0"], "needs --u2"),
+    (["homology", "--n", "1", "--target",
+      '{"generators":2,"relations":[[2,0],[0,4]],"involution":[[0,1],[1,0]]}'],
+     "does not preserve the relations"),
+    (["homology", "--n", "1", "--target",
+      '{"generators":2,"relations":[[2,0],[0]],"involution":[[1,0],[0,1]]}'],
+     "equal length"),
+    (["homology", "--n", "1", "--target",
+      '{"generators":1,"relations":[[true]],"involution":[[1]]}'],
+     "integer rows"),
+], ids=["compose-without-u2", "involution-breaks-relations",
+        "ragged-relations", "boolean-entry"])
+def test_missing_operand_or_malformed_target_is_usage_error(argv, message,
+                                                            capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert message in err
+
+
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
 

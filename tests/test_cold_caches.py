@@ -122,7 +122,7 @@ def test_caches_are_cold_after_import():
     assert {"whcalc.falg._complex_form",
             "whcalc.falg._compiled_duality", "whcalc.falg._horn_rows",
             "whcalc.falg._horn_basis", "whcalc.falg._duality_form",
-            "whcalc.falg._face_horns",
+            "whcalc.falg._face_horns", "whcalc.falg._presolve",
             "whcalc.simplicial._collapses_to_point",
             "whcalc.lens.reidemeister_torsion"} <= set(sizes)
     assert {name: n for name, n in sizes.items() if n} == {}

@@ -1233,7 +1233,9 @@ def test_membership_rows_match_inclusion_exclusion(ambient):
 def cached_equations():
     return repr([falg._membership_rows(a) for a in range(1, 5)]
                 + [falg._face_rows(d, i) for d in range(4)
-                   for i in range(d + 1)])
+                   for i in range(d + 1)]
+                + [falg._presolve(d, system) for d in range(5)
+                   for system in ("all", "normalized", "cycles")])
 
 
 def test_moore_homotopy_leaves_cached_rows_intact():
@@ -1272,6 +1274,25 @@ def unreduced_kernel(target, eqs, n_faces):
         target.generator_count * n_faces)
 
 
+def on_faces(target, degree, system):
+    """The class lattice of a system copied from each class to the
+    blocks of its faces, and the relation blocks L^F."""
+    basis, _, cls = falg._class_lattice(target, degree, system)
+    g = target.generator_count
+    copies = [{k * g + r: x for k, c in enumerate(cls) for r in range(g)
+               if (x := vec.get(c * g + r))} for vec in basis]
+    return copies + falg._block_lattice_cols(target, len(cls))
+
+
+def apply_rows(rows, vec):
+    """The sparse ``rows`` times the sparse vector ``vec``, zero-free."""
+    out = {}
+    for i, row in enumerate(rows):
+        if x := sum(c * vec.get(j, 0) for j, c in row.items()):
+            out[i] = x
+    return out
+
+
 def same_span(a, b, dim):
     """Mutual containment of the spans of two lists of sparse vectors."""
     a, b = ([[v.get(i, 0) for i in range(dim)] for v in vs] for vs in (a, b))
@@ -1281,26 +1302,23 @@ def same_span(a, b, dim):
 
 @pytest.mark.parametrize("name", sorted(presolve_targets()))
 def test_presolve_matches_the_unreduced_systems(name):
-    # the merged systems plus the relation blocks solve to the same
-    # lattices as the full systems, and moore_homotopy computed from the
-    # full systems agrees with the presolved one
+    # each class lattice copied to the faces, plus the relation blocks,
+    # solves to the same lattice as the full system, and moore_homotopy
+    # on the face classes agrees with the quotient of the full systems
     target = presolve_targets()[name]
     g = target.generator_count
     for ambient in range(1, 5):
         eqs, n_faces = falg._membership_rows(ambient)
-        rel = falg._block_lattice_cols(target, n_faces)
-        merged = falg._solution_basis(target, eqs, n_faces)
-        assert same_span(merged + rel, unreduced_kernel(
-            target, eqs, n_faces), g * n_faces), ("membership", ambient)
+        assert same_span(on_faces(target, ambient - 1, "all"),
+                         unreduced_kernel(target, eqs, n_faces),
+                         g * n_faces), ("membership", ambient)
     normalized = []
     for degree in range(5):
         eqs, n_faces = falg._membership_rows(degree + 1)
         eqs = eqs + falg._normalization_rows(degree)
-        rel = falg._block_lattice_cols(target, n_faces)
-        merged, _ = falg._normalized_basis(target, degree)
         normalized.append(unreduced_kernel(target, eqs, n_faces))
-        assert same_span(merged + rel, normalized[-1], g * n_faces), \
-            ("normalized", degree)
+        assert same_span(on_faces(target, degree, "normalized"),
+                         normalized[-1], g * n_faces), ("normalized", degree)
     for n in range(4):
         eqs, n_faces = falg._membership_rows(n + 1)
         eqs = eqs + falg._normalization_rows(n)
@@ -1308,31 +1326,66 @@ def test_presolve_matches_the_unreduced_systems(name):
             eqs = eqs + falg._delta0_rows(n)
         cycles = unreduced_kernel(target, eqs, n_faces)
         delta0 = falg._expand(target, falg._delta0_rows(n + 1))
-        den = [falg._apply_rows(delta0, v) for v in normalized[n + 1]] \
+        den = [apply_rows(delta0, v) for v in normalized[n + 1]] \
             + falg._block_lattice_cols(target, n_faces)
         assert moore_homotopy(target, n) == FgAbGroup.from_factors(
             lattice.quotient_factors(cycles, den)), n
 
 
-@pytest.mark.parametrize("factors, sign, solve, most", [
+def cycle_coordinates(target, n):
+    """C g, C the number of face classes of the degree-n cycle system."""
+    cls, _reduced = falg._presolve(n, "cycles")
+    return (max(cls) + 1) * target.generator_count
+
+
+@pytest.mark.parametrize("spied, width, solve, most", [
     # the degree-3 normalized system of Z/2+Z/2 has 30 face blocks of 2
     # unknowns each; the identifications leave at most two blocks
-    pytest.param([2, 2], 1, lambda t: falg._normalized_basis(t, 3), 4,
-                 id="z2xz2-trivial-normalized-3"),
+    pytest.param("kernel_with_denominator", lambda rows, den, n: n,
+                 lambda t: falg._class_lattice(t, 3, "normalized"),
+                 lambda t: 4, id="z2xz2-trivial-normalized-3"),
+    # the homotopy quotient holds no per-face relation blocks: its
+    # vectors live on the face classes of the cycles
+    pytest.param("quotient_factors",
+                 lambda num, den: 1 + max(max(v) for v in num + den if v),
+                 lambda t: moore_homotopy(t, 3),
+                 lambda t: cycle_coordinates(t, 3),
+                 id="z2xz2-trivial-homotopy-3"),
 ])
-def test_presolve_collapses_the_face_blocks(monkeypatch, factors, sign, solve,
+def test_presolve_collapses_the_face_blocks(monkeypatch, spied, width, solve,
                                             most):
-    target = InvolutiveAbelianGroup.from_factors(factors, sign)
+    target = InvolutiveAbelianGroup.from_factors([2, 2], 1)
     widths = []
-    kernel = lattice.kernel_with_denominator
+    original = getattr(lattice, spied)
 
-    def spy(rows, den_cols, n_unknowns):
-        widths.append(n_unknowns)
-        return kernel(rows, den_cols, n_unknowns)
+    def spy(*args):
+        widths.append(width(*args))
+        return original(*args)
 
-    monkeypatch.setattr(lattice, "kernel_with_denominator", spy)
+    monkeypatch.setattr(lattice, spied, spy)
     solve(target)
-    assert widths and max(widths) <= most, widths
+    assert widths and max(widths) <= most(target), widths
+
+
+def test_sweep_targets_share_one_presolve_per_system(monkeypatch):
+    # the presolve is target-free: the eight sweep targets at n = 0..3
+    # need the cycles at degrees 0..3 and the normalized simplices at
+    # degrees 1..4, and merge each of those eight systems once
+    merges = []
+    merge = falg._merge_identified_blocks
+
+    def spy(eqs, n_blocks):
+        merges.append(n_blocks)
+        return merge(eqs, n_blocks)
+
+    monkeypatch.setattr(falg, "_merge_identified_blocks", spy)
+    falg._presolve.cache_clear()
+    targets = presolve_targets()
+    for name in ("z2", "z3", "z4", "z2xz2"):
+        for action in ("trivial", "sign"):
+            for n in range(4):
+                moore_homotopy(targets[f"{name}-{action}"], n)
+    assert len(merges) == 8, merges
 
 
 def test_moore_homotopy_against_enumeration_oracle():

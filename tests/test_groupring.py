@@ -177,6 +177,9 @@ def test_wh_class_is_equivalence_relation():
 def test_not_a_unit_propagates():
     with pytest.raises(NotAUnitError):
         WhiteheadClass(GroupRingElement(7, (1, 1, 0, 0, 0, 0, 0)))
+    # a given inverse is checked by multiplying it back
+    with pytest.raises(NotAUnitError, match="does not invert"):
+        WhiteheadClass(U7, U7)
 
 
 def test_cyclotomic_projection():
