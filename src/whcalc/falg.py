@@ -7,15 +7,16 @@ coordinate.  A ``{face: value}`` dict is read only by ``iota_shriek``
 and written only by ``TorsionFunctor.values``; the group law and the
 structure maps gather over the flat vector.  Faces have one order, their
 mask (``_all_faces``): the constraint systems give proper face f the
-block f - 1.  They are solved, and their homotopy quotient taken, on
-the classes of faces that their identifications merge (``_presolve``,
-once per system for every target); a solution copied from each class to
-its faces is a flat vector once ``_solved_group`` pads on the empty and
-the top block.  The value on any other
-contractible subcomplex K is linear in the face values, one integer form
-per complex (``_complex_form``) in closed form: face g of K has the
-coefficient sum of (-1)^(dim f - dim g) over the faces f of K that
-contain g.  This is Mobius inversion on the face lattice, a valuation
+block f - 1.  Their identifications are pairs of face blocks; the
+classes those merge come first, and each face-horn equation is written
+once on them (``_presolve``, once per system for every target).  The
+systems are solved, and their homotopy quotient taken, on the classes;
+a solution copied from each class to its faces is a flat vector once
+``_solved_group`` pads on the empty and the top block.  The value on
+any other contractible subcomplex K is linear in the face values, one
+integer form per complex (``_complex_form``) in closed form: face g of K
+has the coefficient sum of (-1)^(dim f - dim g) over the faces f of K
+that contain g.  This is Mobius inversion on the face lattice, a valuation
 that takes each face value on that face's closure, so it is the value
 every attachment order and every inclusion-exclusion would give.
 
@@ -51,10 +52,11 @@ evaluated on it and reduced once (``value_on``), and the compiled rows
 of each check, one at a time until one fails (``_rows_vanish``).  The
 pushout squares need nothing per functor: every functor is built from
 face values, and the forms make its squares hold by the valuation law
-(``check_square``).  The constraint equations of the homotopy path
-(``_membership_rows``, integer rows only after their presolve) write
-each face-horn duality from its own closed form, one signed term per
-face containing the horn's vertex, and use none of these forms, so the
+(``check_square``).  The constraints of the homotopy path
+(``_membership_rows``: block pairs, and per face-horn duality one
+target-free horn, integer rows only after their presolve) write each
+face-horn duality from its own closed form, one signed term per face
+containing the horn's vertex, and use none of these forms, so the
 element checks and the constraint systems still cross-check each other.
 """
 
@@ -720,68 +722,61 @@ class FAlgElement(Frozen):
 @lru_cache(maxsize=None)
 def _membership_rows(ambient):
     """The membership constraints at the given ambient level as face-block
-    equations, with the number of face blocks; every target shares them.
+    ``(pairs, horns, n_blocks)``; every target shares them.
 
-    An equation ``{k: (a, b)}`` says that the sum of (a + b T) x_k lies in
-    the relation lattice, x_k the block of the proper face with mask
-    k + 1 and T the target's involution; ``_expand`` writes its g integer
-    rows.  So block k is block k + 1 of the flat layout of
-    ``TorsionFunctor``, which drops only the empty and the top block.
-
-    Face-horn duality at a face sigma of dimension d >= 1 and index i is
-    x(d_i sigma) - x(sigma) + (-1)^d sum of (-1)^(d - dim tau) T x(tau)
-    over the faces tau of sigma that hold its i-th vertex, the top face
-    dropped: the inclusion-exclusion over the other boundary faces, as
-    each such tau is the intersection of exactly one set of them.
+    Block k is the proper face with mask k + 1, which is block k + 1 of
+    the flat layout of ``TorsionFunctor``: that drops only the empty and
+    the top block.  A pair ``(a, b)`` says that x_a - x_b lies in the
+    relation lattice: each face of the 0-th face region against the
+    region.  A horn ``(face, sigma, terms)`` is face-horn duality at a
+    face sigma of dimension d >= 1 and index i, face its i-th boundary
+    face: x(face) - x(sigma) + (-1)^d sum of (-1)^(d - dim tau) T x(tau)
+    over the faces tau of sigma that hold its i-th vertex lies in the
+    relation lattice, T the target's involution.  That sum, the ``(tau,
+    coefficient)`` blocks of ``terms``, is the inclusion-exclusion over
+    the other boundary faces, as each such tau is the intersection of
+    exactly one set of them.  The top face has no block: its sigma is
+    None, and it is no tau.
     """
     top = _top_mask(ambient)
-    eqs = []
-
-    def emit(ident, act):
-        eqs.append({f - 1: (ident.get(f, 0), act.get(f, 0))
-                    for f in sorted(ident.keys() | act.keys())
-                    if f != top and (ident.get(f) or act.get(f))})
-
-    # vanishing on the 0-th face region
     region = top & ~1
-    for sigma in subfaces(region):
-        if sigma != region:
-            emit({sigma: 1, region: -1}, {})
-
-    # face-horn duality at every face
+    pairs = tuple((sigma - 1, region - 1) for sigma in subfaces(region)
+                  if sigma != region)
+    horns = []
     for sigma in _all_faces(ambient):
         d = face_dim(sigma)
         if d < 1:
             continue
         sgn = _sign(d)
-        coeffs = [(tau, sgn * _sign(d - face_dim(tau)))
-                  for tau in subfaces(sigma)]
+        # one (block, coefficient) term per subface, shared by its horns
+        terms = [(tau, (tau - 1, sgn * _sign(d - face_dim(tau))))
+                 for tau in subfaces(sigma) if tau != top]
         for i in range(d + 1):
             face = face_boundary(sigma, i)
             vertex = sigma & ~face
-            emit({face: 1, sigma: -1},
-                 {tau: c for tau, c in coeffs if tau & vertex})
-
-    return tuple(eqs), top - 1
+            horns.append((face - 1, sigma - 1 if sigma != top else None,
+                          tuple([term for tau, term in terms
+                                 if tau & vertex])))
+    return pairs, tuple(horns), top - 1
 
 
 @lru_cache(maxsize=None)
 def _face_rows(degree, i):
-    """The face map delta_i at the given degree, as face-block equations.
+    """The face map delta_i at the given degree, as face-block pairs.
 
-    The equation of a proper face sigma one degree down is delta_i(x) at
-    sigma: the block of the image of sigma under the (i+1)-st coface minus
-    the block of the (i+1)-st boundary face of the top.  Setting every
-    one to zero forces delta_i = 0.
+    The pair of a proper face sigma one degree down is delta_i(x) at
+    sigma: the block of the image of sigma under the (i+1)-st coface
+    against the block of the (i+1)-st boundary face of the top.
+    Identifying every pair forces delta_i = 0.
     """
     base = (_top_mask(degree + 1) & ~(1 << (i + 1))) - 1
-    return tuple({coface_face(sigma, i + 1) - 1: (1, 0), base: (-1, 0)}
+    return tuple((coface_face(sigma, i + 1) - 1, base)
                  for sigma in _proper_faces(degree))
 
 
 def _expand(target, eqs):
-    """The zero-free integer rows of face-block equations: row r of an
-    equation is coordinate r of the sum of (a + b T) x_k."""
+    """The zero-free integer rows of face-block equations ``{k: (a, b)}``:
+    row r of an equation is coordinate r of the sum of (a + b T) x_k."""
     g = target.generator_count
     rows = []
     for eq in eqs:
@@ -796,13 +791,13 @@ def _expand(target, eqs):
 
 
 def _normalization_rows(degree):
-    """Equations forcing delta_i = 0 for 1 <= i <= degree."""
-    return tuple(eq for i in range(1, degree + 1)
-                 for eq in _face_rows(degree, i))
+    """Pairs forcing delta_i = 0 for 1 <= i <= degree."""
+    return tuple(pair for i in range(1, degree + 1)
+                 for pair in _face_rows(degree, i))
 
 
 def _delta0_rows(degree):
-    """Equations forcing delta_0 = 0 at the given degree."""
+    """Pairs forcing delta_0 = 0 at the given degree."""
     return _face_rows(degree, 0)
 
 
@@ -815,15 +810,25 @@ def _block_lattice_cols(target, n_blocks):
             for k in range(n_blocks) for col in rel_cols]
 
 
-def _merge_identified_blocks(eqs, n_blocks):
-    """Presolve: merge the face blocks that an equation
-    ``{a: (1, 0), b: (-1, 0)}`` identifies.
+@lru_cache(maxsize=None)
+def _presolve(degree, system):
+    """One system of the p-simplices at degree p on the classes of face
+    blocks that its pairs identify, which every target shares:
+    ``"all"`` (membership), ``"normalized"`` (and delta_i = 0 for
+    i >= 1) or ``"cycles"`` (and delta_0 = 0 too, from degree 1 up).
 
     Returns ``(cls, reduced)``, both tuples: the class of each face
-    block, numbered by first block, and the other equations rewritten
-    onto one block per class as fresh dicts (``eqs`` may be lru-cached),
-    with those that vanish after the merge dropped.
+    block, numbered by first block, and each horn written once onto one
+    block per class as an equation ``{class: (a, b)}``, the sum of
+    (a + b T) x_class lying in the relation lattice, keyed in class
+    order; a horn that vanishes on the classes is dropped, and of equal
+    equations only the first is kept.
     """
+    pairs, horns, n_blocks = _membership_rows(degree + 1)
+    if system != "all":
+        pairs += _normalization_rows(degree)
+    if system == "cycles" and degree >= 1:
+        pairs += _delta0_rows(degree)
     parent = list(range(n_blocks))
 
     def find(a):
@@ -831,40 +836,24 @@ def _merge_identified_blocks(eqs, n_blocks):
             parent[a] = a = parent[parent[a]]
         return a
 
-    rest = []
-    for eq in eqs:
-        if len(eq) == 2 and sorted(eq.values()) == [(-1, 0), (1, 0)]:
-            a, b = sorted(map(find, eq))
-            parent[b] = a
-        else:
-            rest.append(eq)
+    for pair in pairs:
+        a, b = sorted(map(find, pair))
+        parent[b] = a
     number = {}
     cls = tuple(number.setdefault(find(a), len(number))
                 for a in range(n_blocks))
-    reduced = []
-    for eq in rest:
-        new = {}
-        for k, (a, b) in eq.items():
-            x, y = new.get(cls[k], (0, 0))
-            new[cls[k]] = (x + a, y + b)
-        new = {k: ab for k, ab in new.items() if ab != (0, 0)}
-        if new:
-            reduced.append(new)
-    return cls, tuple(reduced)
-
-
-@lru_cache(maxsize=None)
-def _presolve(degree, system):
-    """``_merge_identified_blocks`` of one system of the p-simplices at
-    degree p, which every target shares: ``"all"`` (membership),
-    ``"normalized"`` (and delta_i = 0 for i >= 1) or ``"cycles"`` (and
-    delta_0 = 0 too, from degree 1 up)."""
-    eqs, n_faces = _membership_rows(degree + 1)
-    if system != "all":
-        eqs += _normalization_rows(degree)
-    if system == "cycles" and degree >= 1:
-        eqs += _delta0_rows(degree)
-    return _merge_identified_blocks(eqs, n_faces)
+    reduced = {}
+    for face, sigma, terms in horns:
+        ident = {cls[face]: 1}
+        if sigma is not None:
+            ident[cls[sigma]] = ident.get(cls[sigma], 0) - 1
+        act = {}
+        for tau, c in terms:
+            act[cls[tau]] = act.get(cls[tau], 0) + c
+        if eq := tuple((k, ab) for k in sorted(ident.keys() | act.keys())
+                       if (ab := (ident.get(k, 0), act.get(k, 0))) != (0, 0)):
+            reduced.setdefault(eq)
+    return cls, tuple(map(dict, reduced))
 
 
 def _class_lattice(target, degree, system):

@@ -21,7 +21,11 @@ kind of functor ``whcalc.falg`` does not represent.
 and the normalized complex with those maps and ``duality_holds``, not
 with the compiled checks or the constraint rows of ``whcalc.falg``;
 ``symbol_class_equal`` reads trivial units off the coefficients instead
-of calling ``wh_class_equal``.  ``smith_form`` is a dense Smith form
+of calling ``wh_class_equal``.  ``membership_equations`` writes every
+constraint as a full face-block equation, and
+``merge_identified_blocks`` finds the identifications among them by
+their shape, where ``falg`` keeps identifications as pairs and writes
+each horn once on the face classes.  ``smith_form`` is a dense Smith form
 that keeps both transforms, for the kernel and solve oracles, where the
 package takes cokernels on its sparse elimination and keeps only the
 left transform of ``smith_basis``; ``mobius_form`` sums the coefficients
@@ -703,6 +707,50 @@ def membership_equations(ambient):
             eqs.extend(equation(*face_horn_terms(sigma, i))
                        for i in range(_face_dim(sigma) + 1))
     return eqs, top - 1
+
+
+def pair_equations(pairs):
+    """Face-block pairs ``(a, b)``, as ``falg._face_rows`` writes them, as
+    the equations ``{a: (1, 0), b: (-1, 0)}`` of ``membership_equations``:
+    x_a - x_b lies in the relation lattice."""
+    return [{a: (1, 0), b: (-1, 0)} for a, b in pairs]
+
+
+def merge_identified_blocks(eqs, n_blocks):
+    """A presolve over full face-block equations: merge the blocks that
+    an equation of the shape ``{a: (1, 0), b: (-1, 0)}`` identifies, and
+    rewrite every other equation onto one block per class.
+
+    Returns ``(cls, reduced)``: the class of each block, numbered by
+    first block, and the rewritten equations in their order, those that
+    vanish on the classes dropped and duplicates kept."""
+    parent = list(range(n_blocks))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    rest = []
+    for eq in eqs:
+        if len(eq) == 2 and sorted(eq.values()) == [(-1, 0), (1, 0)]:
+            a, b = sorted(map(find, eq))
+            parent[b] = a
+        else:
+            rest.append(eq)
+    number = {}
+    cls = tuple(number.setdefault(find(a), len(number))
+                for a in range(n_blocks))
+    reduced = []
+    for eq in rest:
+        new = {}
+        for k, (a, b) in eq.items():
+            x, y = new.get(cls[k], (0, 0))
+            new[cls[k]] = (x + a, y + b)
+        new = {k: ab for k, ab in new.items() if ab != (0, 0)}
+        if new:
+            reduced.append(new)
+    return cls, reduced
 
 
 # -- torsion-functor structure maps on face-value dicts ----------------------

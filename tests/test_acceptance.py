@@ -24,7 +24,8 @@ from whcalc.simplicial import enumerate_subcomplexes, is_contractible
 from whcalc.torsion import (HCobordismSymbol, ModuleValues, UnitClassValues,
                             basepoint_change_torsion, compose, double, reverse)
 
-from _oracles import is_acyclic_and_connected, is_simplex_values
+from _oracles import (is_acyclic_and_connected, is_simplex_values,
+                      membership_equations)
 from test_torsion import _h_denominator_lattice, random_symbols
 
 U7 = GroupRingElement(7, (2, 2, 0, -1, -1, -1, 0))
@@ -115,8 +116,9 @@ def test_criterion_05_cardinality_law():
     details = []
     for p in (0, 1, 2):
         ambient = p + 1
-        eqs, n_faces = falg._membership_rows(ambient)
-        # independent count: rank over F_2 of the constraint matrix
+        eqs, n_faces = membership_equations(ambient)
+        # independent count: rank over F_2 of the constraint matrix, from
+        # the oracle's equations, not the solver's
         bits = set()
         for row in falg._expand(z2, eqs):
             word = 0

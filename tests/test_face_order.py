@@ -1,7 +1,8 @@
 """Faces have one order, their bitmask, from the constraint equations to
 the flat layout of a torsion functor.
 
-Block k of the face-block equations of ``falg._membership_rows`` is the
+Block k of the face-block equations of ``falg._membership_rows``, and of
+their full-coordinate oracle ``_oracles.membership_equations``, is the
 proper face with mask k + 1, which is block k + 1 of
 ``TorsionFunctor.flat``: the solved generators need no permutation, and
 ``iota_shriek`` checks the faces in the order it lays them out.
@@ -15,6 +16,8 @@ from test_enumeration import FA, SWEEP_TARGETS
 from whcalc import falg
 from whcalc.falg import falg_group, iota_shriek
 
+import _oracles
+
 
 @pytest.mark.parametrize("name", SWEEP_TARGETS)
 def test_generators_solve_the_equations_in_flat_block_order(name):
@@ -24,7 +27,7 @@ def test_generators_solve_the_equations_in_flat_block_order(name):
     g = target.generator_count
     checked = 0
     for p in range(3):
-        eqs, n_faces = falg._membership_rows(p + 1)
+        eqs, n_faces = _oracles.membership_equations(p + 1)
         rows = falg._expand(target, eqs)
         for gen in falg_group(target, p).mixed_radix[0]:
             blocks = gen[g:(n_faces + 1) * g]

@@ -1222,12 +1222,28 @@ def test_moore_homotopy_examples():
         assert moore_homotopy(zero, n).is_trivial()
 
 
+def horn_equations(horns):
+    """The horns of ``falg._membership_rows`` as full face-block
+    equations ``{k: (a, b)}``, keyed in block order."""
+    eqs = []
+    for face, sigma, terms in horns:
+        eq = {face: [1, 0]}
+        if sigma is not None:
+            eq[sigma] = [-1, 0]
+        for tau, c in terms:
+            eq.setdefault(tau, [0, 0])[1] += c
+        eqs.append({k: tuple(ab) for k, ab in sorted(eq.items())})
+    return eqs
+
+
 @pytest.mark.parametrize("ambient", range(1, 7))
 def test_membership_rows_match_inclusion_exclusion(ambient):
     # the closed-form face-horn coefficients against the subset loop,
-    # beyond the ambient 4 that the degree cap lets the solvers reach
-    eqs, n_faces = falg._membership_rows(ambient)
-    assert (list(eqs), n_faces) == _oracles.membership_equations(ambient)
+    # beyond the ambient 4 that the degree cap lets the solvers reach:
+    # the pairs and the horns written back as full equations
+    pairs, horns, n_faces = falg._membership_rows(ambient)
+    eqs = _oracles.pair_equations(pairs) + horn_equations(horns)
+    assert (eqs, n_faces) == _oracles.membership_equations(ambient)
 
 
 def cached_equations():
@@ -1264,6 +1280,18 @@ def presolve_targets():
     out["z2+z4-sign"] = InvolutiveAbelianGroup.from_factors([2, 4], -1)
     out["z^2-swap"] = InvolutiveAbelianGroup(2, [[]] * 2, [[0, 1], [1, 0]])
     return out
+
+
+def full_system(degree, system):
+    """The unreduced equations of a system at a degree, with the number of
+    face blocks: the oracle's membership equations, then the face pairs
+    of the system written as equations."""
+    eqs, n_faces = _oracles.membership_equations(degree + 1)
+    if system != "all":
+        eqs += _oracles.pair_equations(falg._normalization_rows(degree))
+    if system == "cycles" and degree >= 1:
+        eqs += _oracles.pair_equations(falg._delta0_rows(degree))
+    return eqs, n_faces
 
 
 def unreduced_kernel(target, eqs, n_faces):
@@ -1308,24 +1336,21 @@ def test_presolve_matches_the_unreduced_systems(name):
     target = presolve_targets()[name]
     g = target.generator_count
     for ambient in range(1, 5):
-        eqs, n_faces = falg._membership_rows(ambient)
+        eqs, n_faces = full_system(ambient - 1, "all")
         assert same_span(on_faces(target, ambient - 1, "all"),
                          unreduced_kernel(target, eqs, n_faces),
                          g * n_faces), ("membership", ambient)
     normalized = []
     for degree in range(5):
-        eqs, n_faces = falg._membership_rows(degree + 1)
-        eqs = eqs + falg._normalization_rows(degree)
+        eqs, n_faces = full_system(degree, "normalized")
         normalized.append(unreduced_kernel(target, eqs, n_faces))
         assert same_span(on_faces(target, degree, "normalized"),
                          normalized[-1], g * n_faces), ("normalized", degree)
     for n in range(4):
-        eqs, n_faces = falg._membership_rows(n + 1)
-        eqs = eqs + falg._normalization_rows(n)
-        if n >= 1:
-            eqs = eqs + falg._delta0_rows(n)
+        eqs, n_faces = full_system(n, "cycles")
         cycles = unreduced_kernel(target, eqs, n_faces)
-        delta0 = falg._expand(target, falg._delta0_rows(n + 1))
+        delta0 = falg._expand(
+            target, _oracles.pair_equations(falg._delta0_rows(n + 1)))
         den = [apply_rows(delta0, v) for v in normalized[n + 1]] \
             + falg._block_lattice_cols(target, n_faces)
         assert moore_homotopy(target, n) == FgAbGroup.from_factors(
@@ -1367,25 +1392,46 @@ def test_presolve_collapses_the_face_blocks(monkeypatch, spied, width, solve,
     assert widths and max(widths) <= most(target), widths
 
 
-def test_sweep_targets_share_one_presolve_per_system(monkeypatch):
+def test_sweep_targets_share_one_presolve_per_system():
     # the presolve is target-free: the eight sweep targets at n = 0..3
     # need the cycles at degrees 0..3 and the normalized simplices at
-    # degrees 1..4, and merge each of those eight systems once
-    merges = []
-    merge = falg._merge_identified_blocks
-
-    def spy(eqs, n_blocks):
-        merges.append(n_blocks)
-        return merge(eqs, n_blocks)
-
-    monkeypatch.setattr(falg, "_merge_identified_blocks", spy)
+    # degrees 1..4, and presolve each of those eight systems once
     falg._presolve.cache_clear()
     targets = presolve_targets()
     for name in ("z2", "z3", "z4", "z2xz2"):
         for action in ("trivial", "sign"):
             for n in range(4):
                 moore_homotopy(targets[f"{name}-{action}"], n)
-    assert len(merges) == 8, merges
+    assert falg._presolve.cache_info().misses == 8, falg._presolve.cache_info()
+
+
+@pytest.mark.parametrize("system", ["all", "normalized", "cycles"])
+@pytest.mark.parametrize("degree", range(6))
+def test_presolve_matches_the_merge_oracle(degree, system):
+    # the same classes as the shape-based merge of the full equations,
+    # and each of its distinct equations exactly once, in first-seen order
+    cls, reduced = falg._presolve(degree, system)
+    oracle_cls, oracle_reduced = _oracles.merge_identified_blocks(
+        *full_system(degree, system))
+    assert cls == oracle_cls
+    keys = [tuple(sorted(eq.items())) for eq in reduced]
+    assert keys == list(dict.fromkeys(
+        tuple(sorted(eq.items())) for eq in oracle_reduced))
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_presolve_shape_as_observed(degree):
+    # observations at d <= 6, which no code relies on: "all" has 2^(d+1)
+    # face classes; from degree 1 the normalized system has two classes
+    # and three distinct equations, the cycles one class and one equation
+    counts = {}
+    for system in ("all", "normalized", "cycles"):
+        cls, reduced = falg._presolve(degree, system)
+        counts[system] = (max(cls) + 1, len(reduced))
+    assert counts["all"][0] == 2 ** (degree + 1)
+    if degree >= 1:
+        assert counts["normalized"] == (2, 3)
+        assert counts["cycles"] == (1, 1)
 
 
 def test_moore_homotopy_against_enumeration_oracle():
