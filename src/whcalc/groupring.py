@@ -106,13 +106,12 @@ class GroupRingElement(Frozen):
         """Sum of coefficients (image under t -> 1)."""
         return sum(self.coeffs)
 
-    def trivial_unit_form(self):
-        """(sign, k) if the element is +-t^k, else None."""
-        nonzero = [(k, c) for k, c in enumerate(self.coeffs) if c]
-        if len(nonzero) == 1 and nonzero[0][1] in (1, -1):
-            k, c = nonzero[0]
-            return c, k
-        return None
+    def class_key(self):
+        """Least coefficient tuple of +-t^k * x over every k: two elements
+        share a key exactly when they differ by a trivial unit."""
+        c = self.coeffs
+        return min(v[k:] + v[:k] for v in (c, tuple(-a for a in c))
+                   for k in range(self.order))
 
     def to_dict(self):
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
@@ -224,8 +223,7 @@ class WhiteheadClass(Frozen):
             if inverse is None:
                 raise NotAUnitError(
                     f"{representative} is not a unit of Z[C_{representative.order}]")
-        check = representative * inverse
-        if check.trivial_unit_form() != (1, 0):
+        if representative * inverse != GroupRingElement.one(representative.order):
             raise NotAUnitError("stored inverse does not invert the representative")
         self._freeze(representative, inverse)
 
@@ -235,10 +233,12 @@ class WhiteheadClass(Frozen):
 
     @classmethod
     def trivial(cls, n):
-        return cls(GroupRingElement.one(n))
+        one = GroupRingElement.one(n)
+        return cls(one, one)
 
     def is_trivial(self):
-        return self.representative.trivial_unit_form() is not None
+        return self.representative.class_key() == \
+            GroupRingElement.one(self.order).class_key()
 
     def times(self, other):
         return WhiteheadClass(self.representative * other.representative,
@@ -260,11 +260,11 @@ class WhiteheadClass(Frozen):
 
 
 def wh_class_equal(x, y):
-    """Whether two unit classes agree modulo the trivial units +-t^k."""
+    """Whether two unit classes agree modulo the trivial units +-t^k:
+    whether their representatives have one class key."""
     if x.order != y.order:
         raise ValueError("classes live over different group orders")
-    q = x.representative * y.inverse
-    return q.trivial_unit_form() is not None
+    return x.representative.class_key() == y.representative.class_key()
 
 
 class CyclotomicElement(Frozen):

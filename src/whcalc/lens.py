@@ -136,17 +136,15 @@ def homotopy_auto_image(lens):
     return out
 
 
-def is_simple_auto(lens, i, require_realizable=True):
+def is_simple_auto(lens, i):
     """Whether the degree-i self-equivalence preserves the torsion class.
 
     The criterion is exact equality of the twisted and original torsions
-    up to +-zeta^k.  With ``require_realizable`` (the default) the index
-    must lie in ``homotopy_auto_image``; pass False to evaluate the bare
-    torsion comparison for any unit index.
+    up to +-zeta^k.  The index must lie in ``homotopy_auto_image``.
     """
     if gcd(i, lens.p) != 1:
         raise ValueError("the degree must be prime to p")
-    if require_realizable and i % lens.p not in homotopy_auto_image(lens):
+    if i % lens.p not in homotopy_auto_image(lens):
         raise ValueError(f"degree {i} is not realized by a self-equivalence")
     delta = reidemeister_torsion(lens)
     twisted = RTorsion(lens.p, delta.value.galois(i))
@@ -172,26 +170,23 @@ def inertia_set(lens, unit):
     """Inertia torsion classes of the h-cobordant partner defined by ``unit``.
 
     For each realizable simple degree i the twisted-difference class
-    twist_i(u) * u^{-1} is formed and the results are deduplicated by
-    class equality.  Completeness is a cited input, not a computation.
+    twist_i(u) * u^{-1} is formed and grouped by the class key of its
+    representative; the first class met stands for its group, and the
+    witnesses come in increasing degree.  Completeness is a cited input,
+    not a computation.
     """
     if not isinstance(unit, WhiteheadClass):
         unit = WhiteheadClass(unit)
     if unit.order != lens.p:
         raise ValueError("the unit must live over Z[C_p]")
-    classes, witnesses = [], []
+    groups = {}
     for i in sorted(homotopy_auto_image(lens)):
-        if not is_simple_auto(lens, i):
-            continue
-        cls = inertial_twist_torsion(unit, i)
-        for k, known in enumerate(classes):
-            if wh_class_equal(cls, known):
-                witnesses[k].append(i)
-                break
-        else:
-            classes.append(cls)
-            witnesses.append([i])
-    return InertiaSet(tuple(classes), tuple(tuple(w) for w in witnesses))
+        if is_simple_auto(lens, i):
+            cls = inertial_twist_torsion(unit, i)
+            key = cls.representative.class_key()
+            groups.setdefault(key, (cls, []))[1].append(i)
+    return InertiaSet(tuple(c for c, _ in groups.values()),
+                      tuple(tuple(w) for _, w in groups.values()))
 
 
 def balanced_lens_space(p, k):
@@ -242,7 +237,7 @@ def discrepancy_report(k, p=7, unit_coeffs=None):
     """Full pipeline for the balanced (2(p-1)k-1)-dimensional example.
 
     Verifies the unit, the realizable degrees, simpleness, the fixed top
-    twist, pairwise distinctness, the doubles subgroup, and the
+    twist, distinct class keys, the doubles subgroup, and the
     degree-one homology of the symmetry on Wh(C_p), free abelian of rank
     (p-3)/2; assembles them into the cardinality-ratio conclusion with
     every literature input surfaced as an assumption.

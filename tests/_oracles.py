@@ -20,9 +20,11 @@ kind of functor ``whcalc.falg`` does not represent.
 ``is_simplex_values`` and ``boundary_squares_to_zero`` test simplices
 and the normalized complex with those maps and ``duality_holds``, not
 with the compiled checks or the constraint rows of ``whcalc.falg``;
-``symbol_class_equal`` reads trivial units off the coefficients instead
-of calling ``wh_class_equal``.  ``membership_equations`` writes every
-constraint as a full face-block equation, and
+``unit_class_equal`` and ``symbol_class_equal`` multiply by the inverse
+and read a trivial unit off the coefficients of the quotient, where
+``wh_class_equal`` compares class keys; ``bass_unit`` is the unit of
+Z[C_p] that their tests at larger primes use.  ``membership_equations``
+writes every constraint as a full face-block equation, and
 ``merge_identified_blocks`` finds the identifications among them by
 their shape, where ``falg`` keeps identifications as pairs and writes
 each horn once on the face classes.  ``smith_form`` is a dense Smith form
@@ -41,6 +43,7 @@ from math import gcd
 
 from whcalc.abelian import FgAbGroup
 from whcalc.falg import NotContractibleError, iota_shriek
+from whcalc.groupring import GroupRingElement
 from whcalc.report import ReportDocument, Stage
 from whcalc.simplicial import (SubComplex, codegeneracy_face, coface_face,
                                enumerate_contractible_subcomplexes,
@@ -830,13 +833,29 @@ def boundary_squares_to_zero(moore):
     return True
 
 
+def unit_class_equal(x, y):
+    """Whether two unit classes differ by a trivial unit +-t^k: whether
+    x * y^-1 has a single nonzero coefficient, +-1."""
+    q = x.representative * y.inverse
+    return sorted(map(abs, q.coeffs)) == [0] * (q.order - 1) + [1]
+
+
 def symbol_class_equal(a, b):
     """Whether two h-cobordism symbols name one class: dimensions of one
-    parity, one twist, and torsion units whose quotient is a trivial unit
-    +-t^k, a single nonzero coefficient +-1."""
-    q = a.torsion.representative * b.torsion.inverse
+    parity, one twist, and torsion units of one class."""
     return (a.dim - b.dim) % 2 == 0 and a.twist == b.twist \
-        and sorted(map(abs, q.coeffs)) == [0] * (q.order - 1) + [1]
+        and unit_class_equal(a.torsion, b.torsion)
+
+
+def bass_unit(p):
+    """(1 + t)^m + ((1 - 2^m) / p) N in Z[C_p], m the order of 2 mod p and
+    N the norm element: augmentation 1, a unit since 1 + zeta is one."""
+    m = next(k for k in range(1, p) if pow(2, k, p) == 1)
+    one = GroupRingElement.one(p)
+    u = one
+    for _ in range(m):
+        u = u * (one + GroupRingElement.generator(p))
+    return u + GroupRingElement(p, ((1 - 2 ** m) // p,) * p)
 
 
 def report_from_dict(data):

@@ -59,6 +59,9 @@ def test_wh_eq_non_unit_fails_and_bad_length_is_usage_error(capsys):
     code, out, _ = run(["wh", "eq", "--order", "7", "--x", "1,1,0,0,0,0,0",
                         "--y", "1,0,0,0,0,0,0"], capsys)
     assert code == 1 and "[failed] class-equality" in out
+    code, out, _ = run(["wh", "eq", "--order", "3", "--x", "0,0,0",
+                        "--y", "1,0,0"], capsys)
+    assert code == 1 and "0 is not a unit of Z[C_3]" in out
     code, out, err = run(["wh", "eq", "--order", "7", "--x", "1", "--y", "1"],
                          capsys)
     assert code == 2 and out == "" and "length" in err

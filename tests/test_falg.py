@@ -58,6 +58,9 @@ def test_zero_functor_everywhere():
     tf = TorsionFunctor.zero(2, Z4)
     for k in _oracles.contractible_keys(2):
         assert tf.value_on(k) == (0,)
+    # faces in mask order, each with its value
+    assert repr(tf) == ("TorsionFunctor(p=2, {0:[0], 1:[0], 01:[0], 2:[0], "
+                        "02:[0], 12:[0], 012:[0]})")
 
 
 def test_horn_value_inclusion_exclusion():

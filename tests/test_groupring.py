@@ -16,7 +16,8 @@ from whcalc.groupring import (CyclotomicElement, GroupRingElement,
                               WhiteheadClass, cyclotomic_project, galois_twist,
                               invert_unit, involution, wh_class_equal)
 
-from _oracles import bareiss_determinant, sylvester_resultant
+from _oracles import (bareiss_determinant, bass_unit, sylvester_resultant,
+                      unit_class_equal)
 
 U7 = GroupRingElement(7, (2, 2, 0, -1, -1, -1, 0))
 U7_INV = GroupRingElement(7, (1, -2, 3, -3, 3, -2, 1))
@@ -131,16 +132,6 @@ def test_invert_unit_iff_unimodular_circulant():
             assert x.augmentation() in (1, -1)
 
 
-def bass_unit(p):
-    """(1 + t)^m + ((1 - 2^m) / p) N in Z[C_p], m the order of 2 mod p and
-    N the norm element: augmentation 1, a unit since 1 + zeta is one."""
-    m = next(k for k in range(1, p) if pow(2, k, p) == 1)
-    u = GroupRingElement.one(p)
-    for _ in range(m):
-        u = u * (GroupRingElement.one(p) + gen(p))
-    return u + GroupRingElement(p, ((1 - 2 ** m) // p,) * p)
-
-
 def test_invert_bass_units_past_seven():
     assert bass_unit(7) == gen(7) * U7
     t0 = time.perf_counter()
@@ -158,6 +149,46 @@ def test_wh_class_examples():
     assert not wh_class_equal(u, u.twist(2))
     one = WhiteheadClass.trivial(7)
     assert wh_class_equal(one, WhiteheadClass(-gen(7, 3)))
+
+
+def test_class_key_is_the_least_signed_rotation():
+    shifts = [GroupRingElement.generator(7, k, s) for k in range(7)
+              for s in (1, -1)]
+    orbit = [(x * U7).coeffs for x in shifts]
+    assert len(set(orbit)) == 14
+    assert {(x * U7).class_key() for x in shifts} == {min(orbit)}
+    assert U7.class_key() == (-U7).coeffs
+    assert gen(7, 4).class_key() == (-1,) + (0,) * 6
+    assert WhiteheadClass(-gen(7, 4)).is_trivial()
+    assert not WhiteheadClass(U7).is_trivial()
+
+
+def test_wh_class_equal_matches_the_inverse_product_oracle():
+    # random units of Z[C_7] from the twists of U7 and their inverses,
+    # each also times trivial units +-t^k
+    rng = random.Random(37)
+    u = WhiteheadClass(U7)
+    factors = [u.twist(i) for i in range(1, 7)] + \
+        [u.twist(i).inverse_class() for i in range(1, 7)]
+    units = [WhiteheadClass.trivial(7)]
+    for _ in range(10):
+        c = WhiteheadClass.trivial(7)
+        for _ in range(rng.randint(1, 3)):
+            c = c.times(rng.choice(factors))
+        units.append(c)
+    sample = list(units)
+    for c in units:
+        for _ in range(2):
+            shift = GroupRingElement.generator(7, rng.randrange(7),
+                                               rng.choice((1, -1)))
+            sample.append(c.times(WhiteheadClass(shift)))
+    equal = 0
+    for a in sample:
+        for b in sample:
+            same = unit_class_equal(a, b)
+            assert wh_class_equal(a, b) == same
+            equal += same
+    assert len(sample) < equal < len(sample) ** 2
 
 
 def test_wh_class_is_equivalence_relation():

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from whcalc import groupring, lens
 from whcalc.groupring import (CyclotomicElement, GroupRingElement,
                               WhiteheadClass, galois_twist, wh_class_equal)
 from whcalc.lens import (K_MAX, LensSpace, RTorsion, balanced_lens_space,
@@ -14,7 +15,7 @@ from whcalc.lens import (K_MAX, LensSpace, RTorsion, balanced_lens_space,
                          is_simple_auto, reidemeister_torsion, rt_equivalent,
                          standard_inertia_unit)
 
-from _oracles import report_from_dict
+from _oracles import bass_unit, report_from_dict, unit_class_equal
 
 
 def zeta(p, k=1):
@@ -108,13 +109,15 @@ def test_is_simple_auto_balanced():
 
 def test_is_simple_auto_unbalanced_counterexample():
     # (zeta^2-1)(zeta^4-1) vs (zeta-1)^2: not equivalent, so the degree-2
-    # map is not simple on the (1:1)-space; its degree is not realizable,
-    # so the comparison runs with the realizability check off
+    # twist does not preserve the torsion of the (1:1)-space; that degree
+    # is not realizable, so ``is_simple_auto`` refuses it and the torsions
+    # are compared directly
     space = LensSpace(7, (1, 1))
     assert sorted(homotopy_auto_image(space)) == [1, 6]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not realized"):
         is_simple_auto(space, 2)
-    assert not is_simple_auto(space, 2, require_realizable=False)
+    delta = reidemeister_torsion(space)
+    assert not rt_equivalent(RTorsion(7, delta.value.galois(2)), delta)
     assert is_simple_auto(space, 1)
 
 
@@ -134,6 +137,50 @@ def test_inertia_paper_case():
     for a in range(3):
         for b in range(a + 1, 3):
             assert not wh_class_equal(iner.classes[a], iner.classes[b])
+
+
+def test_inertia_skips_degrees_that_are_not_simple():
+    # on L^5_7(1:1:2) every degree is realizable, but only +-1 preserve
+    # the torsion, and degree 6 fixes the class of the standard unit
+    space = LensSpace(7, (1, 1, 2))
+    assert sorted(homotopy_auto_image(space)) == [1, 2, 3, 4, 5, 6]
+    assert [i for i in range(1, 7) if is_simple_auto(space, i)] == [1, 6]
+    iner = inertia_set(space, standard_inertia_unit(7))
+    assert iner.witnesses == ((1, 6),)
+    assert iner.classes == (WhiteheadClass.trivial(7),)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_inertia_partition_matches_pairwise_oracle(p):
+    # group the simple degrees by comparing each class with the first of
+    # every group through the inverse product
+    space = balanced_lens_space(p, 1)
+    unit = WhiteheadClass(bass_unit(p))
+    groups = []
+    for i in sorted(homotopy_auto_image(space)):
+        if not is_simple_auto(space, i):
+            continue
+        cls = unit.twist(i).times(unit.inverse_class())
+        for first, degrees in groups:
+            if unit_class_equal(cls, first):
+                degrees.append(i)
+                break
+        else:
+            groups.append((cls, [i]))
+    iner = inertia_set(space, unit)
+    assert iner.classes == tuple(first for first, _ in groups)
+    assert iner.witnesses == tuple(tuple(d) for _, d in groups)
+    assert iner.cardinality == (p - 1) // 2
+
+
+def test_inertia_set_compares_no_inverse_products(monkeypatch):
+    def refuse(x, y):
+        raise AssertionError("inertia_set called wh_class_equal")
+
+    monkeypatch.setattr(groupring, "wh_class_equal", refuse)
+    monkeypatch.setattr(lens, "wh_class_equal", refuse)
+    iner = inertia_set(balanced_lens_space(7, 1), standard_inertia_unit(7))
+    assert iner.witnesses == ((1, 6), (2, 5), (3, 4))
 
 
 def test_inertia_trivial_unit():

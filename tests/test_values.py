@@ -88,6 +88,9 @@ def test_equal_fields_give_equal_objects(cls, make, fields):
     a, b = make(), make()
     assert type(a) is cls and a is not b
     assert a == b and not a != b
+    # the repr names the class, then its fields from the first
+    assert repr(a) == repr(b)
+    assert repr(a).startswith(f"{cls.__name__}({fields[0]}=")
     # the constructor takes the fields in this order, positionally or
     # by keyword, and rebuilds an equal object from them
     values = [getattr(a, name) for name in fields]
@@ -138,6 +141,8 @@ def test_defaults():
     assert stage.witness is None and stage.citation is None
     with pytest.raises(ValueError, match="citation"):
         Stage("s", "assumed")
+    with pytest.raises(ValueError, match="unknown stage status 'done'"):
+        Stage("s", "done")
     assert OrientationCharacter() == OrientationCharacter(1) \
         == TRIVIAL_CHARACTER
     unit = GroupRingElement(7, UNIT7)
