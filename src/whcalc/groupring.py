@@ -3,9 +3,13 @@
 Elements of Z[C_n] are stored as length-n coefficient vectors of Python
 ints (coefficient k belongs to t^k), so nothing ever overflows.  On top
 of the ring arithmetic this module provides the coefficient-reversal
-involution, Galois twists t -> t^i, exact unit inversion through the
-circulant linear system, unit classes modulo the trivial units +-t^k,
-and the projection to the cyclotomic integers Z[zeta_p].
+involution t^k -> t^{-k} (it takes no orientation character: C_n of odd
+order has only the trivial one), Galois twists t -> t^i, exact unit
+inversion through the circulant linear system, unit classes modulo the
+trivial units +-t^k, and the projection to the cyclotomic integers
+Z[zeta_p] = Z[C_p]/(N), N = 1 + t + ... + t^{p-1}.  Products and Galois
+maps of Z[zeta_p] lift their operands to Z[C_p], run there and fold the
+result back, so each ring operation is written once.
 
 Unit classes model the rank-1 part of K_1: two units represent the same
 class iff they differ by a trivial unit.  Treating single units as
@@ -23,7 +27,6 @@ from ._value import Frozen
 
 __all__ = [
     "GroupRingElement",
-    "OrientationCharacter",
     "WhiteheadClass",
     "CyclotomicElement",
     "NotAUnitError",
@@ -143,35 +146,10 @@ class GroupRingElement(Frozen):
         return out
 
 
-class OrientationCharacter(Frozen):
-    """Homomorphism C_n -> {+-1}, recorded by its value on the generator."""
-
-    _fields = ("sign_of_generator",)
-
-    def __init__(self, sign_of_generator=1):
-        if sign_of_generator not in (1, -1):
-            raise ValueError("character value must be +1 or -1")
-        self._freeze(sign_of_generator)
-
-    def value(self, k):
-        return 1 if self.sign_of_generator == 1 or k % 2 == 0 else -1
-
-    def check_order(self, n):
-        if n % 2 == 1 and self.sign_of_generator == -1:
-            raise ValueError("a sign character requires even group order")
-
-
-TRIVIAL_CHARACTER = OrientationCharacter(1)
-
-
-def involution(x, w=TRIVIAL_CHARACTER):
-    """Coefficient-reversal anti-involution a_k t^k -> w(t^k) a_k t^{-k}."""
-    w.check_order(x.order)
-    n = x.order
-    out = [0] * n
-    for k, c in enumerate(x.coeffs):
-        out[(n - k) % n] += w.value(k) * c
-    return GroupRingElement(n, tuple(out))
+def involution(x):
+    """Coefficient-reversal anti-involution a_k t^k -> a_k t^{-k}."""
+    c = x.coeffs
+    return GroupRingElement(x.order, c[:1] + c[:0:-1])
 
 
 def galois_twist(x, i):
@@ -251,9 +229,9 @@ class WhiteheadClass(Frozen):
         return WhiteheadClass(galois_twist(self.representative, i),
                               galois_twist(self.inverse, i))
 
-    def conj(self, w=TRIVIAL_CHARACTER):
-        return WhiteheadClass(involution(self.representative, w),
-                              involution(self.inverse, w))
+    def conj(self):
+        return WhiteheadClass(involution(self.representative),
+                              involution(self.inverse))
 
     def to_dict(self):
         return self.representative.to_dict()
@@ -321,29 +299,22 @@ class CyclotomicElement(Frozen):
     def __neg__(self):
         return CyclotomicElement(self.p, tuple(-a for a in self.coeffs))
 
+    def _lift(self):
+        # the representative in Z[C_p] with no zeta^{p-1} term
+        return GroupRingElement(self.p, self.coeffs + (0,))
+
     def __mul__(self, other):
         self._check(other)
-        p = self.p
-        ext = [0] * p
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        ext[(i + j) % p] += a * b
-        return CyclotomicElement._fold(p, ext)
+        return cyclotomic_project(self._lift() * other._lift(), self.p)
 
     def is_zero(self):
         return not any(self.coeffs)
 
     def galois(self, i):
         """Field automorphism zeta -> zeta^i; requires i nonzero mod p."""
-        p = self.p
-        if i % p == 0:
+        if i % self.p == 0:
             raise ValueError("the automorphism index must be prime to p")
-        ext = [0] * p
-        for k, a in enumerate(self.coeffs):
-            ext[(k * i) % p] += a
-        return CyclotomicElement._fold(p, ext)
+        return cyclotomic_project(galois_twist(self._lift(), i), self.p)
 
     def norm(self):
         """Field norm down to Z: the product of all Galois conjugates."""
@@ -360,6 +331,4 @@ def cyclotomic_project(x, p):
     """Image of x in Z[zeta_p] under t -> zeta_p (ring homomorphism)."""
     if x.order != p:
         raise ValueError(f"element lives in Z[C_{x.order}], expected order {p}")
-    if not lattice._is_prime(p):
-        raise ValueError("p must be prime")
-    return CyclotomicElement._fold(p, list(x.coeffs))
+    return CyclotomicElement._fold(p, x.coeffs)

@@ -3,7 +3,9 @@
 Everything here is deliberately implemented by a different route than
 the package: fraction-free (Bareiss) elimination instead of integer SNF,
 brute-force element enumeration instead of lattice subquotients,
-Sylvester resultants instead of conjugate products, and plain pair and
+Sylvester resultants instead of conjugate products, a schoolbook
+product and an index map on Z[zeta_p] instead of the lift to Z[C_p]
+(``cyclotomic_product``, ``cyclotomic_galois``), and plain pair and
 subset loops instead of the per-ambient plans of ``whcalc.falg``.
 The contractibility oracle ``is_acyclic_and_connected`` reads its face
 bitmasks itself (vertices, connectivity by union-find, boundary
@@ -452,6 +454,31 @@ def sylvester_resultant(f, g):
         for j, c in enumerate(reversed(g)):
             mat[dg + i][i + j] = Fraction(c)
     return _fraction_determinant(mat)
+
+
+def _cyclotomic_fold(p, ext):
+    """Coefficients in the basis 1, zeta, ..., zeta^{p-2} of the sum of
+    ext[k] zeta^k over k < p, by zeta^{p-1} = -(1 + ... + zeta^{p-2})."""
+    return tuple(ext[k] - ext[p - 1] for k in range(p - 1))
+
+
+def cyclotomic_product(p, a, b):
+    """Schoolbook product in Z[zeta_p] of two coefficient tuples in the
+    basis 1, zeta, ..., zeta^{p-2}."""
+    ext = [0] * p
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            ext[(i + j) % p] += x * y
+    return _cyclotomic_fold(p, ext)
+
+
+def cyclotomic_galois(p, a, i):
+    """Image of a coefficient tuple under zeta -> zeta^i, by the index map
+    k -> k*i mod p."""
+    ext = [0] * p
+    for k, x in enumerate(a):
+        ext[(k * i) % p] += x
+    return _cyclotomic_fold(p, ext)
 
 
 def _fraction_determinant(mat):

@@ -210,13 +210,25 @@ def test_malformed_element_shape_is_usage_error(element, capsys):
     (["homology", "--n", "1", "--target",
       '{"generators":1,"relations":[[true]],"involution":[[1]]}'],
      "integer rows"),
+    (["torsion", "reverse", "--d", "11", "--order", "7",
+      "--u", "2,2,0,-1,-1,-1,0", "--twist", "14"],
+     "the twist must be invertible mod the group order"),
+    (["lens", "inertia", "--k", "0"], "k must be positive"),
 ], ids=["compose-without-u2", "involution-breaks-relations",
-        "ragged-relations", "boolean-entry"])
+        "ragged-relations", "boolean-entry", "twist-not-invertible",
+        "inertia-k-zero"])
 def test_missing_operand_or_malformed_target_is_usage_error(argv, message,
                                                             capsys):
     code, out, err = run(argv, capsys)
     assert code == 2 and out == "" and err.startswith("error: ")
     assert message in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["lens", "inertia", "--help"]],
+                         ids=["whcalc", "lens-inertia"])
+def test_help_exits_zero_with_usage_on_stdout(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 0 and out.startswith("usage: ") and err == ""
 
 
 def test_unknown_subcommand(capsys):

@@ -1028,10 +1028,19 @@ def test_mixed_duality_on_horns():
             if not falg._collapses_to_point(falg._closure(rest)):
                 continue
             assert mixed_duality_holds(tf, k_faces, q_faces)
+    tf = els[0].functor
+    with pytest.raises(ValueError, match="K must be a union of faces of one "
+                       "dimension"):
+        mixed_duality_holds(tf, [0b0011, 0b0100], [0b0001])
+    with pytest.raises(ValueError, match="Q must consist of boundary faces "
+                       "of K"):
+        mixed_duality_holds(tf, [0b0011], [0b0100])
 
 
 def test_duality_criterion_zero_functor():
     assert duality_criterion(TorsionFunctor.zero(2, Z6))
+    # at ambient 0 there is no horn to check
+    assert duality_criterion(TorsionFunctor.zero(0, Z6))
 
 
 def test_duality_criterion_hypothesis_failure_raises():
@@ -1043,6 +1052,10 @@ def test_duality_criterion_hypothesis_failure_raises():
                for s in falg._proper_faces(2) if face_dim(s) >= 1):
         with pytest.raises(ValueError):
             duality_criterion(bad)
+    # an edge whose vertex values break its 0-th horn duality
+    with pytest.raises(ValueError, match="hypothesis fails: 0-th face-horn "
+                       "duality at the top"):
+        duality_criterion(iota_shriek({0b01: (1,), 0b10: (2,)}, 1, Z4))
 
 
 def hypothesis_solutions_z6_p2():
@@ -1121,6 +1134,15 @@ def test_simplicial_identities():
     for x in falg_group(Z4, 0).elements():
         s = x.degeneracy(0)
         assert s.face(0) == x and s.face(1) == x
+        with pytest.raises(IndexError, match="0-simplices have no faces"):
+            x.face(0)
+        with pytest.raises(IndexError, match="degeneracy index out of range"):
+            x.degeneracy(1)
+    for i in (-1, 2):
+        with pytest.raises(IndexError, match="face index out of range"):
+            els1[0].face(i)
+        with pytest.raises(IndexError, match="degeneracy index out of range"):
+            els1[0].degeneracy(i)
 
 
 def _sum_values(x, y, sign, target):

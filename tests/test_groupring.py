@@ -12,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whcalc.groupring import (CyclotomicElement, GroupRingElement,
-                              NotAUnitError, OrientationCharacter,
-                              WhiteheadClass, cyclotomic_project, galois_twist,
-                              invert_unit, involution, wh_class_equal)
+                              NotAUnitError, WhiteheadClass,
+                              cyclotomic_project, galois_twist, invert_unit,
+                              involution, wh_class_equal)
 
-from _oracles import (bareiss_determinant, bass_unit, sylvester_resultant,
+from _oracles import (bareiss_determinant, bass_unit, cyclotomic_galois,
+                      cyclotomic_product, sylvester_resultant,
                       unit_class_equal)
 
 U7 = GroupRingElement(7, (2, 2, 0, -1, -1, -1, 0))
@@ -45,6 +46,8 @@ def test_exponent_reduction():
 def test_order_mismatch():
     with pytest.raises(ValueError):
         gen(5) * gen(7)
+    with pytest.raises(TypeError, match="expected a GroupRingElement"):
+        gen(5) * 3
 
 
 def test_involution_examples():
@@ -53,12 +56,8 @@ def test_involution_examples():
     # cross-check the frozen value by an independent route: conj agrees
     # with the degree-(n-1) twist for this particular unit
     assert involution(U7) == galois_twist(U7, 6)
-    assert involution(gen(2), OrientationCharacter(-1)) == -gen(2)
-
-
-def test_sign_character_needs_even_order():
-    with pytest.raises(ValueError):
-        involution(gen(7), OrientationCharacter(-1))
+    assert involution(gen(2)) == gen(2)
+    assert involution(GroupRingElement(1, (5,))) == GroupRingElement(1, (5,))
 
 
 @given(st.integers(2, 12), st.data())
@@ -66,11 +65,9 @@ def test_sign_character_needs_even_order():
 def test_involution_is_involutive(n, data):
     coeffs = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
     x = GroupRingElement(n, tuple(coeffs))
-    chars = [OrientationCharacter(1)]
-    if n % 2 == 0:
-        chars.append(OrientationCharacter(-1))
-    for w in chars:
-        assert involution(involution(x, w), w) == x
+    assert involution(involution(x)) == x
+    # coefficient k moves to -k mod n
+    assert all(involution(x).coeffs[-k % n] == c for k, c in enumerate(coeffs))
 
 
 @given(st.integers(2, 9), st.data())
@@ -149,6 +146,8 @@ def test_wh_class_examples():
     assert not wh_class_equal(u, u.twist(2))
     one = WhiteheadClass.trivial(7)
     assert wh_class_equal(one, WhiteheadClass(-gen(7, 3)))
+    with pytest.raises(ValueError, match="different group orders"):
+        wh_class_equal(one, WhiteheadClass.trivial(5))
 
 
 def test_class_key_is_the_least_signed_rotation():
@@ -220,6 +219,9 @@ def test_cyclotomic_projection():
     z = cyclotomic_project(U7, 7)
     assert [int(c) for c in z.coeffs] == [2, 2, 0, -1, -1, -1]
     assert z.norm() in (1, -1)
+    for i in (0, 7, -14):
+        with pytest.raises(ValueError, match="prime to p"):
+            z.galois(i)
 
 
 def test_cyclotomic_coefficients_are_integers():
@@ -230,17 +232,27 @@ def test_cyclotomic_coefficients_are_integers():
     for bad in (Fraction(1, 2), 0.5):
         with pytest.raises(ValueError, match="integers"):
             CyclotomicElement(5, (1, bad, 0, 0))
+    with pytest.raises(ValueError, match="p must be prime"):
+        CyclotomicElement(4, (1, 0, 0))
+    with pytest.raises(ValueError, match="length p-1"):
+        CyclotomicElement(5, (1, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="different primes"):
+        CyclotomicElement.one(5) * CyclotomicElement.one(7)
 
 
 def test_cyclotomic_norm_against_resultant():
     # oracle: norm = resultant of the cyclotomic polynomial with the
     # representative polynomial
-    for x in (U7, gen(7) - GroupRingElement.one(7),
-              GroupRingElement(7, (3, 1, 0, 0, 2, 0, 0))):
-        z = cyclotomic_project(x, 7)
-        poly = [c for c in z.coeffs]
-        res = sylvester_resultant([1] * 7, poly)
-        assert z.norm() == res
+    rng = random.Random(13)
+    for p in (5, 7, 11, 13):
+        one = GroupRingElement.one(p)
+        sample = [gen(p) - one, gen(p, 2) + one + one, bass_unit(p),
+                  GroupRingElement(p, [rng.randint(-3, 3) for _ in range(p)])]
+        if p == 7:
+            sample += [U7, GroupRingElement(7, (3, 1, 0, 0, 2, 0, 0))]
+        for x in sample:
+            z = cyclotomic_project(x, p)
+            assert z.norm() == sylvester_resultant([1] * p, z.coeffs)
 
 
 def test_cyclotomic_projection_is_ring_hom():
@@ -250,6 +262,10 @@ def test_cyclotomic_projection_is_ring_hom():
         y = GroupRingElement(7, tuple(rng.randint(-4, 4) for _ in range(7)))
         assert cyclotomic_project(x * y, 7) == \
             cyclotomic_project(x, 7) * cyclotomic_project(y, 7)
+        # the right side above multiplies in Z[C_7] too; the oracle
+        # multiplies in Z[zeta_7]
+        assert cyclotomic_project(x * y, 7).coeffs == cyclotomic_product(
+            7, cyclotomic_project(x, 7).coeffs, cyclotomic_project(y, 7).coeffs)
         assert cyclotomic_project(x + y, 7) == \
             cyclotomic_project(x, 7) + cyclotomic_project(y, 7)
 
@@ -257,6 +273,21 @@ def test_cyclotomic_projection_is_ring_hom():
 def test_cyclotomic_project_requires_matching_order():
     with pytest.raises(ValueError):
         cyclotomic_project(gen(6), 7)
+    with pytest.raises(ValueError, match="p must be prime"):
+        cyclotomic_project(gen(4), 4)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 23])
+def test_cyclotomic_product_and_galois_match_schoolbook_oracles(p):
+    rng = random.Random(p)
+    twists = [i for i in range(1 - 2 * p, 2 * p) if i % p]
+    for _ in range(20):
+        a = tuple(rng.randint(-9, 9) for _ in range(p - 1))
+        b = tuple(rng.randint(-9, 9) for _ in range(p - 1))
+        x, y = CyclotomicElement(p, a), CyclotomicElement(p, b)
+        assert (x * y).coeffs == cyclotomic_product(p, a, b)
+        for i in twists:
+            assert x.galois(i).coeffs == cyclotomic_galois(p, a, i)
 
 
 def test_serialization_round_trip():

@@ -15,8 +15,7 @@ from whcalc.abelian import (DoubleSubgroup, FgAbGroup, InvolutiveAbelianGroup,
                             double_subgroup)
 from whcalc.falg import (FAlgElement, FAlgGroup, MooreComplex, falg_group,
                          moore_complex)
-from whcalc.groupring import (TRIVIAL_CHARACTER, CyclotomicElement,
-                              GroupRingElement, OrientationCharacter,
+from whcalc.groupring import (CyclotomicElement, GroupRingElement,
                               WhiteheadClass, invert_unit)
 from whcalc.ktheory import LocalizedGroup, localize
 from whcalc.lens import InertiaSet, LensSpace, RTorsion
@@ -47,8 +46,6 @@ FROZEN = [
     (SubComplex, lambda: full_simplex(2), ("p", "faces")),
     (GroupRingElement, lambda: GroupRingElement(7, UNIT7),
      ("order", "coeffs")),
-    (OrientationCharacter, lambda: OrientationCharacter(-1),
-     ("sign_of_generator",)),
     (WhiteheadClass, _unit, ("representative", "inverse")),
     (CyclotomicElement, lambda: CyclotomicElement(5, (1, 2, 0, 1)),
      ("p", "coeffs")),
@@ -143,8 +140,6 @@ def test_defaults():
         Stage("s", "assumed")
     with pytest.raises(ValueError, match="unknown stage status 'done'"):
         Stage("s", "done")
-    assert OrientationCharacter() == OrientationCharacter(1) \
-        == TRIVIAL_CHARACTER
     unit = GroupRingElement(7, UNIT7)
     cls = WhiteheadClass(unit)
     assert cls.inverse == invert_unit(unit)
