@@ -10,7 +10,8 @@ here hold those methods instead.
 
 A subclass names its fields, in constructor order, in ``_fields`` and
 writes its own ``__init__``, which keeps the signature, the argument
-checks and the normalisation together.
+checks and the normalisation together.  A field the constructor does
+not take, such as the stages a report accumulates, comes last.
 """
 
 from __future__ import annotations

@@ -339,10 +339,10 @@ def tate_homology_c2(a, n):
 class DoubleSubgroup(Frozen):
     """Image of id + (-1)^d * involution, as a subgroup of A."""
 
-    _fields = ("generators", "subgroup", "quotient")
+    _fields = ("subgroup", "quotient")
 
-    def __init__(self, generators, subgroup, quotient):
-        self._freeze(generators, subgroup, quotient)
+    def __init__(self, subgroup, quotient):
+        self._freeze(subgroup, quotient)
 
 
 def double_subgroup(a, d):
@@ -355,9 +355,8 @@ def double_subgroup(a, d):
     """
     sign = 1 if d % 2 == 0 else -1
     g = a.generator_count
-    endo = _one_plus(a, sign)
     rel_cols = a.relation_columns()
-    gens = lattice.columns_of(endo) + rel_cols
+    gens = lattice.columns_of(_one_plus(a, sign)) + rel_cols
     sub = FgAbGroup.from_factors(lattice.quotient_factors(gens, rel_cols))
     quot = FgAbGroup.from_factors(lattice.cokernel_factors(gens, g))
-    return DoubleSubgroup(tuple(map(tuple, endo)), sub, quot)
+    return DoubleSubgroup(sub, quot)

@@ -41,7 +41,7 @@ import json
 import os
 import sys
 
-from . import __version__, abelian, falg, simplicial
+from . import abelian, falg, simplicial
 from .report import ASSUMED, DERIVED, FAILED, VERIFIED, ReportDocument
 
 gc.freeze()
@@ -101,17 +101,14 @@ def _check_max_p(args, p):
         raise UsageError(f"p exceeds the --max-p cap ({args.max_p})")
 
 
-def _document(command, params):
-    return ReportDocument("whcalc", __version__, command, params)
-
-
 # -- subcommand handlers --------------------------------------------------
 
 
 def _cmd_unit_verify(args):
     from .groupring import invert_unit
 
-    doc = _document("unit verify", {"order": args.order, "coeffs": args.coeffs})
+    doc = ReportDocument("unit verify",
+                         {"order": args.order, "coeffs": args.coeffs})
     x = _element(args.order, args.coeffs)
     inv = invert_unit(x)
     if inv is None:
@@ -127,7 +124,8 @@ def _cmd_unit_verify(args):
 def _cmd_wh_eq(args):
     from .groupring import NotAUnitError, WhiteheadClass, wh_class_equal
 
-    doc = _document("wh eq", {"order": args.order, "x": args.x, "y": args.y})
+    doc = ReportDocument("wh eq",
+                         {"order": args.order, "x": args.x, "y": args.y})
     x = _element(args.order, args.x)
     y = _element(args.order, args.y)
     try:
@@ -141,7 +139,7 @@ def _cmd_wh_eq(args):
 
 
 def _cmd_homology(args):
-    doc = _document("homology", {"target": args.target, "n": args.n})
+    doc = ReportDocument("homology", {"target": args.target, "n": args.n})
     a = _parse_target(args.target)
     h = abelian.homology_c2(a, args.n)
     doc.add("homology", DERIVED, h.to_dict())
@@ -149,7 +147,7 @@ def _cmd_homology(args):
 
 
 def _cmd_tate(args):
-    doc = _document("tate", {"target": args.target, "n": args.n})
+    doc = ReportDocument("tate", {"target": args.target, "n": args.n})
     a = _parse_target(args.target)
     h = abelian.tate_homology_c2(a, args.n)
     doc.add("tate-homology", DERIVED, h.to_dict())
@@ -157,7 +155,7 @@ def _cmd_tate(args):
 
 
 def _cmd_falg_pi(args):
-    doc = _document("falg pi", {"target": args.target, "n": args.n})
+    doc = ReportDocument("falg pi", {"target": args.target, "n": args.n})
     a = _parse_target(args.target)
     pi = falg.moore_homotopy(a, args.n)
     h = abelian.homology_c2(a, args.n)
@@ -168,7 +166,7 @@ def _cmd_falg_pi(args):
 
 
 def _cmd_falg_check(args):
-    doc = _document("falg check", {})
+    doc = ReportDocument("falg check", {})
     try:
         data = json.loads(args.element)
     except json.JSONDecodeError as exc:
@@ -188,7 +186,7 @@ def _cmd_falg_check(args):
 
 
 def _cmd_subcomplex_enum(args):
-    doc = _document("subcomplex enum", {"p": args.p, "all": args.all})
+    doc = ReportDocument("subcomplex enum", {"p": args.p, "all": args.all})
     if args.p > 3:
         raise UsageError("exhaustive enumeration is capped at p = 3")
     if args.all:
@@ -216,8 +214,8 @@ def _parse_symbol(order, d, coeffs, twist):
 def _cmd_torsion(args):
     from .torsion import compose, double, reverse
 
-    doc = _document(f"torsion {args.op}",
-                    {"d": args.d, "order": args.order, "op": args.op})
+    doc = ReportDocument(f"torsion {args.op}",
+                         {"d": args.d, "order": args.order, "op": args.op})
     w = _parse_symbol(args.order, args.d, args.u, args.twist)
     if args.op == "compose":
         if args.u2 is None:
@@ -236,7 +234,7 @@ def _cmd_lens_inertia(args):
     from . import lens
     from .groupring import GroupRingElement, WhiteheadClass
 
-    doc = _document("lens inertia", {"p": args.p, "k": args.k})
+    doc = ReportDocument("lens inertia", {"p": args.p, "k": args.k})
     _check_max_p(args, args.p)
     # the unit refuses an unknown or mismatched p before the lens space
     # builds (p - 1) * k weights
@@ -264,7 +262,7 @@ def _cmd_lens_report(args):
 def _cmd_kapp_tor(args):
     from . import ktheory
 
-    doc = _document("kapp tor", {"p": args.p, "i": args.i})
+    doc = ReportDocument("kapp tor", {"p": args.p, "i": args.i})
     _check_max_p(args, args.p)
     group = ktheory.tor_pi_r(args.p, args.i)
     expected = [args.p] if args.i % 2 == 0 else []
@@ -276,7 +274,7 @@ def _cmd_kapp_tor(args):
 def _cmd_kapp_k3(args):
     from . import ktheory
 
-    doc = _document("kapp k3", {"p": args.p})
+    doc = ReportDocument("kapp k3", {"p": args.p})
     _check_max_p(args, args.p)
     rep = ktheory.k3_divisibility(args.p)
     doc.add("divisibility", DERIVED, rep)

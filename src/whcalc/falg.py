@@ -22,7 +22,8 @@ every attachment order and every inclusion-exclusion would give.
 
 The simplicial group built here has p-simplices the functors at ambient
 dimension p+1 that vanish on the 0-th face region and satisfy face-horn
-duality for every face.  Its normalized chain complex is degreewise
+duality for every face.  Its normalized chain complex, whose bases
+``moore_complex`` returns as one plain list per degree, is degreewise
 isomorphic to the two-periodic complex ... -> A -> A -> A -> 0 via the
 evaluation at the 0-th vertex, which is the central comparison this
 package verifies against the independent C2-homology computation.
@@ -76,7 +77,6 @@ __all__ = [
     "TorsionFunctor",
     "FAlgElement",
     "FAlgGroup",
-    "MooreComplex",
     "NotContractibleError",
     "iota_shriek",
     "check_square",
@@ -968,21 +968,12 @@ def moore_homotopy(target, n):
     return FgAbGroup.from_factors(lattice.quotient_factors(cycles, den))
 
 
-class MooreComplex(Record):
-    """Normalized chain complex data: per degree, generators of the
-    normalized subgroup modulo the relation blocks, in face blocks (its
-    class lattice copied to the faces), which delta_0 maps into the
-    relation blocks one degree down."""
-
-    _fields = ("target", "max_degree", "bases")
-
-    def __init__(self, target, max_degree, bases):
-        self.target = target
-        self.max_degree = max_degree
-        self.bases = bases
-
-
 def moore_complex(target, max_degree):
+    """Normalized chain complex data, degrees 0 to ``max_degree``: per
+    degree, the list of generators of the normalized subgroup modulo the
+    relation blocks, in face blocks (its class lattice copied to the
+    faces), which delta_0 maps into the relation blocks one degree down.
+    """
     if max_degree < 0:
         raise ValueError("degree must be nonnegative")
     g = target.generator_count
@@ -992,7 +983,7 @@ def moore_complex(target, max_degree):
         bases.append([{k * g + r: x for k, c in enumerate(cls)
                        for r in range(g) if (x := vec.get(c * g + r))}
                       for vec in basis])
-    return MooreComplex(target, max_degree, bases)
+    return bases
 
 
 def psi(element):

@@ -3,9 +3,10 @@
 The one real computation: homology of the two-periodic free resolution
 of Z over Z[C_p] tensored into the cyclotomic integers, which is Z/p in
 even degrees and zero in odd ones.  The divisibility arithmetic behind
-the degree-three injectivity statement and the localization helpers are
-elementary; every deep input is quoted from the shipped facts table,
-never recomputed.
+the degree-three injectivity statement is elementary, and so are the
+localization helpers, which return the l-primary and the prime-to-l
+parts of a finite group as plain groups; every deep input is quoted
+from the shipped facts table, never recomputed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 from importlib import resources
 
 from . import lattice
-from ._value import Frozen
 from .abelian import FgAbGroup
 from .lattice import _is_prime
 
@@ -22,7 +22,7 @@ __all__ = [
     "tor_pi_r",
     "k3_divisibility",
     "localize",
-    "LocalizedGroup",
+    "away_part",
     "load_facts",
     "TOR_MAX_P",
 ]
@@ -110,13 +110,24 @@ def k3_divisibility(p):
     }
 
 
-class LocalizedGroup(Frozen):
-    """The l-primary part of a finite group, tagged with the prime."""
-
-    _fields = ("base", "prime", "localized")
-
-    def __init__(self, base, prime, localized):
-        self._freeze(base, prime, localized)
+def _split(group, ell):
+    """The invariant factors of a finite group split into their l-power
+    and their prime-to-l parts, each without the factors 1."""
+    if not _is_prime(ell):
+        raise ValueError("the localization prime must be prime")
+    if group.free_rank:
+        raise ValueError("localization requires a finite group")
+    local, away = [], []
+    for f in group.invariant_factors:
+        q = 1
+        while f % ell == 0:
+            f //= ell
+            q *= ell
+        if q > 1:
+            local.append(q)
+        if f > 1:
+            away.append(f)
+    return local, away
 
 
 def localize(group, ell):
@@ -125,29 +136,10 @@ def localize(group, ell):
     Free summands are rejected: localization bookkeeping here is for
     torsion only.
     """
-    if not _is_prime(ell):
-        raise ValueError("the localization prime must be prime")
-    if group.free_rank:
-        raise ValueError("localization requires a finite group")
-    parts = []
-    for f in group.invariant_factors:
-        q = 1
-        while f % ell == 0:
-            f //= ell
-            q *= ell
-        if q > 1:
-            parts.append(q)
-    return LocalizedGroup(group, ell, FgAbGroup.from_factors(parts))
+    return FgAbGroup.from_factors(_split(group, ell)[0])
 
 
 def away_part(group, ell):
-    """Complementary part: everything of order prime to l."""
-    if group.free_rank:
-        raise ValueError("requires a finite group")
-    parts = []
-    for f in group.invariant_factors:
-        while f % ell == 0:
-            f //= ell
-        if f > 1:
-            parts.append(f)
-    return FgAbGroup.from_factors(parts)
+    """Complementary part: everything of order prime to l, with the same
+    refusals as ``localize``."""
+    return FgAbGroup.from_factors(_split(group, ell)[1])

@@ -17,7 +17,6 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from . import __version__
 from ._value import Frozen
 from .abelian import (FgAbGroup, InvolutiveAbelianGroup, double_subgroup,
                       homology_c2)
@@ -29,7 +28,6 @@ from .torsion import inertial_twist_torsion
 
 __all__ = [
     "LensSpace",
-    "RTorsion",
     "InertiaSet",
     "reidemeister_torsion",
     "rt_equivalent",
@@ -79,42 +77,31 @@ class LensSpace(Frozen):
         return f"L^{self.dim}_{self.p}({w})"
 
 
-class RTorsion(Frozen):
-    """Reidemeister torsion, recorded in the cyclotomic component."""
-
-    _fields = ("p", "value")
-
-    def __init__(self, p, value):
-        if value.p != p:
-            raise ValueError("component prime mismatch")
-        if value.is_zero():
-            raise ValueError("torsion must be nonzero")
-        self._freeze(p, value)
-
-
 @lru_cache(maxsize=None)
 def reidemeister_torsion(lens):
     """Product of (zeta^w - 1) over the weights, exactly in Z[zeta_p].
 
-    Cached per lens space: ``is_simple_auto`` compares against it once
-    for every realizable degree, and a report asks for every degree
-    twice, directly and through ``inertia_set``.
+    Never zero: no factor is, as every weight is prime to p, and
+    Z[zeta_p] is a domain.  Cached per lens space: ``is_simple_auto`` compares against
+    it once for every realizable degree, and a report asks for every
+    degree twice, directly and through ``inertia_set``.
     """
     p = lens.p
     prod = CyclotomicElement.one(p)
     for w in lens.weights:
         prod = prod * (CyclotomicElement.zeta(p, w) - CyclotomicElement.one(p))
-    return RTorsion(p, prod)
+    return prod
 
 
 def rt_equivalent(x, y):
-    """Equality up to +-zeta^k: a finite check of 2p exact candidates."""
+    """Equality of two elements of Z[zeta_p] up to +-zeta^k: a finite
+    check of 2p exact candidates, stopping at the first match."""
     if x.p != y.p:
         raise ValueError("torsions live over different primes")
     p = x.p
     for k in range(p):
-        scaled = y.value * CyclotomicElement.zeta(p, k)
-        if (x.value - scaled).is_zero() or (x.value + scaled).is_zero():
+        scaled = y * CyclotomicElement.zeta(p, k)
+        if (x - scaled).is_zero() or (x + scaled).is_zero():
             return True
     return False
 
@@ -147,8 +134,7 @@ def is_simple_auto(lens, i):
     if i % lens.p not in homotopy_auto_image(lens):
         raise ValueError(f"degree {i} is not realized by a self-equivalence")
     delta = reidemeister_torsion(lens)
-    twisted = RTorsion(lens.p, delta.value.galois(i))
-    return rt_equivalent(twisted, delta)
+    return rt_equivalent(delta.galois(i), delta)
 
 
 class InertiaSet(Frozen):
@@ -242,8 +228,7 @@ def discrepancy_report(k, p=7, unit_coeffs=None):
     (p-3)/2; assembles them into the cardinality-ratio conclusion with
     every literature input surfaced as an assumption.
     """
-    doc = ReportDocument("whcalc", __version__, "lens report-theorem-a",
-                         {"k": k, "p": p})
+    doc = ReportDocument("lens report-theorem-a", {"k": k, "p": p})
     if k < 1:
         raise ValueError("k must be positive")
     # the unit refuses an unknown or mismatched p before the lens space

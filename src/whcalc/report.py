@@ -2,13 +2,16 @@
 
 Every stage carries exactly one status.  ``assumed`` marks a literature
 input and must cite its source, so computed facts and quoted theorems
-never blur together in the output.
+never blur together in the output.  A document holds only what its
+command chose, the command and its parameters, and the stages it adds;
+``to_dict`` names the tool and its version itself.
 """
 
 from __future__ import annotations
 
 import json
 
+from . import __version__
 from ._value import Record
 
 VERIFIED = "verified"
@@ -41,17 +44,15 @@ class Stage(Record):
 
 
 class ReportDocument(Record):
-    """A command's report; ``params`` and ``stages`` default to a fresh
-    dict and list per document."""
+    """A command's report; ``params`` defaults to a fresh dict, and
+    ``stages`` starts as a fresh empty list that ``add`` extends."""
 
-    _fields = ("tool", "version", "command", "params", "stages")
+    _fields = ("command", "params", "stages")
 
-    def __init__(self, tool, version, command, params=None, stages=None):
-        self.tool = tool
-        self.version = version
+    def __init__(self, command, params=None):
         self.command = command
         self.params = {} if params is None else params
-        self.stages = [] if stages is None else stages
+        self.stages = []
 
     def add(self, name, status, witness=None, citation=None):
         stage = Stage(name, status, witness, citation)
@@ -69,8 +70,8 @@ class ReportDocument(Record):
 
     def to_dict(self):
         return {
-            "tool": self.tool,
-            "version": self.version,
+            "tool": "whcalc",
+            "version": __version__,
             "command": self.command,
             "params": self.params,
             "stages": [s.to_dict() for s in self.stages],

@@ -43,6 +43,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+import whcalc
 from whcalc.abelian import FgAbGroup
 from whcalc.falg import NotContractibleError, iota_shriek
 from whcalc.groupring import GroupRingElement
@@ -842,15 +843,15 @@ def is_simplex_values(target, p, face_values):
                for i in range(_face_dim(sigma) + 1) if _face_dim(sigma) >= 1)
 
 
-def boundary_squares_to_zero(moore):
-    """Whether delta_0 delta_0 vanishes on the normalized bases of a
-    ``MooreComplex`` from degree 2 up: each basis vector, block k the
-    value on the face with mask k + 1, is read as a functor and taken
-    through ``coface_restrict`` at 1 twice, leaving only zero values."""
-    target = moore.target
+def boundary_squares_to_zero(target, bases):
+    """Whether delta_0 delta_0 vanishes on the normalized bases over
+    ``target`` that ``moore_complex`` lists, from degree 2 up: each basis
+    vector, block k the value on the face with mask k + 1, is read as a
+    functor and taken through ``coface_restrict`` at 1 twice, leaving
+    only zero values."""
     g = target.generator_count
-    for m in range(2, moore.max_degree + 1):
-        for vec in moore.bases[m]:
+    for m in range(2, len(bases)):
+        for vec in bases[m]:
             tf = iota_shriek({
                 f: tuple(vec.get((f - 1) * g + r, 0) for r in range(g))
                 for f in range(1, (1 << (m + 2)) - 1)}, m + 1, target)
@@ -887,9 +888,11 @@ def bass_unit(p):
 
 def report_from_dict(data):
     """The ``ReportDocument`` of a parsed ``to_dict``; the package only
-    writes reports."""
-    doc = ReportDocument(data["tool"], data["version"], data["command"],
-                         dict(data.get("params", {})))
+    writes reports.  A report of another tool or version is refused."""
+    if (data["tool"], data["version"]) != ("whcalc", whcalc.__version__):
+        raise ValueError(f"not a report of whcalc {whcalc.__version__}: "
+                         f"{data['tool']} {data['version']}")
+    doc = ReportDocument(data["command"], dict(data.get("params", {})))
     doc.stages = [Stage(s["name"], s["status"], s.get("witness"),
                         s.get("citation")) for s in data.get("stages", [])]
     return doc

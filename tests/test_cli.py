@@ -430,6 +430,13 @@ def test_json_round_trip_and_determinism(capsys):
     assert outs[0] == outs[1]
     doc = report_from_dict(json.loads(outs[0]))
     assert doc.to_json() + "\n" == outs[0] or doc.to_json() == outs[0].rstrip("\n")
+    # the document writes the tool and its version itself, so a report of
+    # another tool or version does not parse back into one
+    for key, other in (("tool", "other"), ("version", "0.0.0")):
+        data = json.loads(outs[0])
+        data[key] = other
+        with pytest.raises(ValueError, match="not a report of whcalc"):
+            report_from_dict(data)
 
 
 def test_out_flag(tmp_path, capsys):

@@ -1475,7 +1475,9 @@ def test_moore_homotopy_against_enumeration_oracle():
 
 def test_boundary_squares_to_zero():
     for target in (Z2, Z4S):
-        assert _oracles.boundary_squares_to_zero(moore_complex(target, 3))
+        bases = moore_complex(target, 3)
+        assert len(bases) == 4
+        assert _oracles.boundary_squares_to_zero(target, bases)
 
 
 def test_psi_examples():

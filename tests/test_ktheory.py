@@ -56,14 +56,27 @@ def test_k3_divisibility():
 
 
 def test_localize_examples():
-    assert str(localize(FgAbGroup.from_factors([48]), 3).localized) == "Z/3"
-    assert localize(FgAbGroup.from_factors([2]), 3).localized.is_trivial()
+    assert str(localize(FgAbGroup.from_factors([48]), 3)) == "Z/3"
+    assert localize(FgAbGroup.from_factors([2]), 3).is_trivial()
     mixed = FgAbGroup.from_factors([6, 9])
-    assert str(localize(mixed, 3).localized) == "Z/3 x Z/9"
-    with pytest.raises(ValueError):
-        localize(FgAbGroup.from_factors([0]), 3)
-    with pytest.raises(ValueError):
-        localize(FgAbGroup.from_factors([4]), 6)
+    assert str(localize(mixed, 3)) == "Z/3 x Z/9"
+    assert str(away_part(mixed, 3)) == "Z/2"
+    assert str(away_part(FgAbGroup.from_factors([48]), 2)) == "Z/3"
+    for part in (localize, away_part):
+        with pytest.raises(ValueError, match="finite group"):
+            part(FgAbGroup.from_factors([0]), 3)
+
+
+@pytest.mark.parametrize("ell", [4, 6, 1, 0, -1])
+def test_both_parts_refuse_a_non_prime(ell):
+    # dividing out a composite l leaves a nonzero part of order "prime
+    # to l" (Z/2 of Z/8 at 4, of Z/12 at 6); l = 1 or -1 never stops
+    # dividing, and l = 0 divides by zero
+    for group in (FgAbGroup.from_factors([8]), FgAbGroup.from_factors([12])):
+        for part in (localize, away_part):
+            with pytest.raises(ValueError,
+                               match="the localization prime must be prime"):
+                part(group, ell)
 
 
 def test_localize_reconstruction():
@@ -71,7 +84,7 @@ def test_localize_reconstruction():
                for f in ([48], [6, 9], [2, 4, 8], [30], [])]
     for g in samples:
         for ell in (2, 3, 5):
-            local = localize(g, ell).localized
+            local = localize(g, ell)
             away = away_part(g, ell)
             combined = FgAbGroup.from_factors(
                 list(local.invariant_factors) + list(away.invariant_factors))

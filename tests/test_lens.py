@@ -10,7 +10,7 @@ import pytest
 from whcalc import groupring, lens
 from whcalc.groupring import (CyclotomicElement, GroupRingElement,
                               WhiteheadClass, galois_twist, wh_class_equal)
-from whcalc.lens import (K_MAX, LensSpace, RTorsion, balanced_lens_space,
+from whcalc.lens import (K_MAX, LensSpace, balanced_lens_space,
                          discrepancy_report, homotopy_auto_image, inertia_set,
                          is_simple_auto, reidemeister_torsion, rt_equivalent,
                          standard_inertia_unit)
@@ -37,13 +37,13 @@ def test_lens_space_validation():
 
 def test_r_torsion_single_weight():
     space = LensSpace(7, (1,))
-    assert reidemeister_torsion(space).value == zeta(7) - one(7)
+    assert reidemeister_torsion(space) == zeta(7) - one(7)
 
 
 def test_r_torsion_two_weights_exact():
     space = LensSpace(7, (1, 2))
     expected = (zeta(7) - one(7)) * (zeta(7, 2) - one(7))
-    assert reidemeister_torsion(space).value == expected
+    assert reidemeister_torsion(space) == expected
 
 
 def test_r_torsion_balanced_product_form():
@@ -54,34 +54,51 @@ def test_r_torsion_balanced_product_form():
             factor = zeta(7, j) - one(7)
             for _ in range(k):
                 prod = prod * factor
-        assert reidemeister_torsion(space).value == prod
+        assert reidemeister_torsion(space) == prod
 
 
 def test_r_torsion_weight_permutation_invariance():
     rng = random.Random(4)
     ws = [1, 2, 2, 5, 6]
-    base = reidemeister_torsion(LensSpace(7, tuple(ws))).value
+    base = reidemeister_torsion(LensSpace(7, tuple(ws)))
     for _ in range(5):
         rng.shuffle(ws)
-        assert reidemeister_torsion(LensSpace(7, tuple(ws))).value == base
+        assert reidemeister_torsion(LensSpace(7, tuple(ws))) == base
 
 
 def test_rt_equivalence():
     space = balanced_lens_space(7, 1)
     delta = reidemeister_torsion(space)
     assert rt_equivalent(delta, delta)
-    scaled = RTorsion(7, -(delta.value * zeta(7, 3)))
+    scaled = -(delta * zeta(7, 3))
     assert rt_equivalent(delta, scaled)
-    x = RTorsion(7, zeta(7) - one(7))
-    y = RTorsion(7, zeta(7, 2) - one(7))
+    x = zeta(7) - one(7)
+    y = zeta(7, 2) - one(7)
     assert not rt_equivalent(x, y)
+    # refused before any product, which would refuse with its own message
+    with pytest.raises(ValueError, match="torsions live over different"):
+        rt_equivalent(zeta(5) - one(5), x)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_r_torsion_is_nonzero_and_equivalent_to_itself(p):
+    # each factor zeta^w - 1 with w prime to p is nonzero and Z[zeta_p] is
+    # a domain, so the product never vanishes, whatever the weights
+    rng = random.Random(p)
+    for _ in range(10):
+        ws = tuple(rng.randrange(1, p) for _ in range(rng.randrange(1, 7)))
+        delta = reidemeister_torsion(LensSpace(p, ws))
+        assert isinstance(delta, CyclotomicElement) and delta.p == p
+        assert not delta.is_zero()
+        assert rt_equivalent(delta, delta)
+        assert rt_equivalent(delta, -(delta * zeta(p, ws[0])))
 
 
 def test_rt_equivalence_is_equivalence_relation():
-    vals = [RTorsion(7, zeta(7) - one(7)),
-            RTorsion(7, -(zeta(7) - one(7)) * zeta(7, 2)),
-            RTorsion(7, zeta(7, 3) - one(7)),
-            RTorsion(7, (zeta(7) - one(7)) * (zeta(7) - one(7)))]
+    vals = [zeta(7) - one(7),
+            -(zeta(7) - one(7)) * zeta(7, 2),
+            zeta(7, 3) - one(7),
+            (zeta(7) - one(7)) * (zeta(7) - one(7))]
     for a in vals:
         assert rt_equivalent(a, a)
         for b in vals:
@@ -117,7 +134,7 @@ def test_is_simple_auto_unbalanced_counterexample():
     with pytest.raises(ValueError, match="not realized"):
         is_simple_auto(space, 2)
     delta = reidemeister_torsion(space)
-    assert not rt_equivalent(RTorsion(7, delta.value.galois(2)), delta)
+    assert not rt_equivalent(delta.galois(2), delta)
     assert is_simple_auto(space, 1)
 
 
