@@ -10,10 +10,9 @@ tuples of row tuples, so groups are hashable and equal by value.
 Homology and Tate homology are cokernels and quotients of the stacked
 relation/action matrices on the sparse elimination of ``lattice``; the
 textbook closed forms only appear in tests, as oracles.  A group reads
-its own size and elements off what it stored when it was built: its
-isomorphism type puts the moduli of its ``smith_basis``, which need not
-divide one another, into a chain, and its elements are the digit vectors
-of the echelon basis of its relation lattice.
+its own size off what it stored when it was built: its isomorphism type
+puts the moduli of its ``smith_basis``, which need not divide one
+another, into a chain.
 """
 
 from __future__ import annotations
@@ -75,10 +74,6 @@ class FgAbGroup(Frozen):
     def from_factors(cls, values):
         return cls(_factor_chain(values))
 
-    @classmethod
-    def trivial(cls):
-        return cls(())
-
     def is_trivial(self):
         return not self.invariant_factors
 
@@ -97,10 +92,6 @@ class FgAbGroup(Frozen):
 
     def to_dict(self):
         return {"invariant_factors": list(self.invariant_factors)}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(tuple(int(x) for x in data["invariant_factors"]))
 
     def __str__(self):
         if not self.invariant_factors:
@@ -171,16 +162,8 @@ class InvolutiveAbelianGroup(Frozen):
         return cls(g, lattice.from_columns(cols, g), inv)
 
     @classmethod
-    def cyclic(cls, m, sign=1):
-        return cls.from_factors([m], sign)
-
-    @classmethod
     def free(cls, rank, sign=1):
         return cls.from_factors([0] * rank, sign)
-
-    @classmethod
-    def zero(cls):
-        return cls(0, (), ())
 
     def parity_action(self, d):
         """Same group with the action rescaled by (-1)^(d-1).
@@ -219,38 +202,19 @@ class InvolutiveAbelianGroup(Frozen):
     def order(self):
         return self.isomorphism_type().order()
 
-    def elements(self):
-        """All elements, each once, as canonical coordinate tuples (finite
-        groups only): the digit vectors c with 0 <= c_r < d_r, d_r the
-        pivot of the stored relation lattice at coordinate r (0 where it
-        has none), which are already reduced."""
-        g = self.generator_count
-        radix = [0] * g
-        for row, col in self._lattice.pivots:
-            radix[row] = col[row]
-        digits = [r for r in range(g) if radix[r] != 1]
-        units = [[int(i == r) for i in range(g)] for r in digits]
-        return lattice.span_elements(units, [radix[r] for r in digits], g)
-
-    # -- serialization ------------------------------------------------
-
-    def to_dict(self):
-        return {
-            "generators": self.generator_count,
-            "relations": [list(r) for r in self.relations],
-            "involution": [list(r) for r in self.involution],
-        }
+    # -- parsing --------------------------------------------------------
 
     @classmethod
     def from_dict(cls, data):
-        """Inverse of ``to_dict``; a malformed shape raises ValueError."""
+        """The group of a ``{"generators", "relations", "involution"}``
+        presentation, rows as lists; a malformed shape raises ValueError."""
         if not isinstance(data, dict):
             raise ValueError("group presentation must be a JSON object")
         g = data.get("generators")
         if not _is_int(g) or g < 0:
             raise ValueError("'generators' must be a nonnegative integer")
         if not g:
-            return cls.zero()
+            return cls(0, (), ())
         # the involution's row count bounds g by the input's size before
         # any row, or the default empty relation rows, is built
         inv_rows = _int_rows(data.get("involution"), "involution", g)
@@ -289,8 +253,6 @@ def _one_plus(a, s):
 def _norm_subquotient(a, eps):
     """ker(1 - eps*T) / im(1 + eps*T) inside A, as a lattice quotient."""
     g = a.generator_count
-    if g == 0:
-        return FgAbGroup.trivial()
     rel_cols = a.relation_columns()
     numerator = lattice.kernel_with_denominator(_one_plus(a, -eps), rel_cols, g)
     denominator = lattice.columns_of(_one_plus(a, eps)) + rel_cols
@@ -301,8 +263,6 @@ def _norm_subquotient(a, eps):
 def _coinvariants(a):
     """A / {b - b*}: cokernel of the stacked relation/action matrix."""
     g = a.generator_count
-    if g == 0:
-        return FgAbGroup.trivial()
     gens = a.relation_columns() + lattice.columns_of(_one_plus(a, -1))
     return FgAbGroup.from_factors(lattice.cokernel_factors(gens, g))
 

@@ -6,10 +6,13 @@ stage failed, 2 for usage errors (unknown command, malformed input,
 exceeded caps).
 
 Every command runs in a fresh process, so start-up is paid per command.
-On 2 vCPUs, with the sources compiled afresh (``PYTHONDONTWRITEBYTECODE=1``),
-one command spends about 22 ms in the interpreter and ``site``, 19 ms in
-``import whcalc.cli`` (15 ms of it compiling the sources), 3 to 12 ms in
-the command itself and, before the freeze below, 5.4 ms at exit.
+On a 2-vCPU Xeon host with Python 3.11.7 (the median, and the least in
+brackets, of 25 fresh processes; the import as ``python -X importtime``
+reports it), the interpreter and ``site`` took 77 ms (57 ms), and
+``import whcalc.cli`` 47 ms (32 ms) with the sources compiled afresh
+(``PYTHONDONTWRITEBYTECODE=1``) and 11.5 ms (8.4 ms) from cached
+bytecode: compiling is three quarters of the import.  Before the freeze
+below, the exit took 5.4 ms.
 
 Only ``abelian``, ``falg``, ``simplicial``, ``report`` and what they
 import (``lattice``, ``_snf``, ``_value``) load with this module; each

@@ -22,11 +22,12 @@ every attachment order and every inclusion-exclusion would give.
 
 The simplicial group built here has p-simplices the functors at ambient
 dimension p+1 that vanish on the 0-th face region and satisfy face-horn
-duality for every face.  Its normalized chain complex, whose bases
-``moore_complex`` returns as one plain list per degree, is degreewise
+duality for every face.  Its normalized chain complex is degreewise
 isomorphic to the two-periodic complex ... -> A -> A -> A -> 0 via the
-evaluation at the 0-th vertex, which is the central comparison this
-package verifies against the independent C2-homology computation.
+evaluation psi at the 0-th vertex (``psi_is_bijective`` checks that by
+enumeration), so its homotopy (``moore_homotopy``) is the C2-homology
+of A: the central comparison this package verifies against the
+independent ``homology_c2``.
 
 The element-level checks split their work by what it depends on.  The
 combinatorics of an ambient simplex are computed once and cached
@@ -69,9 +70,9 @@ from operator import add, itemgetter, mul, neg, sub
 from . import lattice
 from ._value import Frozen, Record
 from .abelian import FgAbGroup, InvolutiveAbelianGroup, _is_int
-from .simplicial import (SubComplex, _collapses_to_point, codegeneracy_face,
-                         coface_face, face_boundary, face_dim, face_str,
-                         face_from_str, subfaces)
+from .simplicial import (SubComplex, _collapses_to_point, coface_face,
+                         face_boundary, face_dim, face_str, face_from_str,
+                         subfaces)
 
 __all__ = [
     "TorsionFunctor",
@@ -80,16 +81,11 @@ __all__ = [
     "NotContractibleError",
     "iota_shriek",
     "check_square",
-    "check_face_horn_duality",
     "generalized_duality_holds",
     "mixed_duality_holds",
-    "duality_criterion",
     "falg_group",
     "normalized_group",
-    "moore_complex",
     "moore_homotopy",
-    "psi",
-    "psi_section",
     "psi_is_bijective",
     "all_dualities_hold",
 ]
@@ -334,35 +330,21 @@ class TorsionFunctor:
 
     # -- cosimplicial structure maps ----------------------------------------
 
-    def _pullback(self, ambient, face_map, base=0):
-        """The functor at ``ambient`` whose face sigma takes the value of
-        this one at ``face_map(sigma)`` minus its value at face ``base``:
-        one gather over the face masks, the empty mask left zero."""
-        g, flat = self.target.generator_count, self.flat
-        shift = flat[base * g:base * g + g]
-        out = [0] * g
-        for sigma in range(1, _top_mask(ambient) + 1):
-            f = face_map(sigma) * g
-            out += map(sub, flat[f:f + g], shift)
-        return TorsionFunctor(ambient, self.target, out)
-
     def coface_restrict(self, j):
         """Restriction along the coface embedding the (ambient-1)-simplex
-        as the j-th boundary face: each face's value less that face's."""
+        as the j-th boundary face: each face's value less that face's, one
+        gather over the face masks, the empty mask left zero."""
         p = self.ambient
         if p == 0 or not 0 <= j <= p:
             raise IndexError("coface index out of range")
-        return self._pullback(p - 1, lambda sigma: coface_face(sigma, j),
-                              _top_mask(p) & ~(1 << j))
-
-    def codegeneracy(self, j):
-        """Corrected degeneracy: pull back face values along the
-        codegeneracy vertex map, then re-extend by inclusion-exclusion."""
-        p = self.ambient
-        if not 0 <= j <= p:
-            raise IndexError("codegeneracy index out of range")
-        return self._pullback(p + 1,
-                              lambda sigma: codegeneracy_face(sigma, j))
+        g, flat = self.target.generator_count, self.flat
+        base = (_top_mask(p) & ~(1 << j)) * g
+        shift = flat[base:base + g]
+        out = [0] * g
+        for sigma in range(1, _top_mask(p - 1) + 1):
+            f = coface_face(sigma, j) * g
+            out += map(sub, flat[f:f + g], shift)
+        return TorsionFunctor(p - 1, self.target, out)
 
     def __repr__(self):
         parts = ", ".join(f"{face_str(f)}:{list(v)}"
@@ -467,14 +449,6 @@ def _duality_ok(tf, sigma, i):
                         tf.flat)
 
 
-def check_face_horn_duality(tf, sigma):
-    """Face-horn duality of tau at one face, for every omitted index."""
-    _check_faces(tf.ambient, (sigma,))
-    if face_dim(sigma) < 1:
-        return True
-    return all(_duality_ok(tf, sigma, i) for i in range(face_dim(sigma) + 1))
-
-
 @lru_cache(maxsize=None)
 def _face_horns(ambient):
     """Every ``(sigma, i)`` with sigma a face of dimension >= 1 of the
@@ -558,27 +532,6 @@ def mixed_duality_holds(tf, k_faces, q_faces):
     return tf.target.is_zero_element(diff)
 
 
-def duality_criterion(tf):
-    """Inductive duality criterion: once every proper face satisfies
-    face-horn duality and the top face satisfies it for the 0-th horn,
-    check that the top face satisfies it for every horn.
-
-    Raises if the hypothesis itself fails.
-    """
-    p = tf.ambient
-    top = _top_mask(p)
-    for sigma in _all_faces(p):
-        if sigma == top or face_dim(sigma) < 1:
-            continue
-        if not check_face_horn_duality(tf, sigma):
-            raise ValueError("hypothesis fails: a proper face breaks duality")
-    if p >= 1 and not _duality_ok(tf, top, 0):
-        raise ValueError("hypothesis fails: 0-th face-horn duality at the top")
-    if p == 0:
-        return True
-    return all(_duality_ok(tf, top, i) for i in range(1, p + 1))
-
-
 # -- the simplicial abelian group ----------------------------------------
 
 
@@ -641,13 +594,6 @@ class FAlgElement(Frozen):
             raise IndexError("face index out of range")
         return FAlgElement(self.functor.coface_restrict(i + 1))
 
-    def degeneracy(self, i):
-        """s_i: the corrected degeneracy at index i+1."""
-        p = self.degree
-        if not 0 <= i <= p:
-            raise IndexError("degeneracy index out of range")
-        return FAlgElement(self.functor.codegeneracy(i + 1))
-
     def is_normalized(self):
         return all(self.face(i).is_zero() for i in range(1, self.degree + 1))
 
@@ -655,24 +601,6 @@ class FAlgElement(Frozen):
         """Evaluation at the 0-th vertex (the chain isomorphism to A)."""
         g = self.target.generator_count
         return self.functor.flat[g:2 * g]
-
-    def to_dict(self, target_name=None):
-        """The form ``parse_dict`` reads; refused above degree 8, whose
-        vertex 10 has no single-digit name."""
-        if self.degree > 8:
-            raise ValueError("single-digit vertex names cap the degree at 8")
-        return {
-            "p": self.degree,
-            "target": target_name if target_name is not None
-            else self.target.to_dict(),
-            "face_values": {face_str(f): list(v)
-                            for f, v in sorted(self.functor.values.items())
-                            if f != _top_mask(self.functor.ambient)},
-        }
-
-    @classmethod
-    def from_dict(cls, data, target=None):
-        return cls.from_face_values(*cls.parse_dict(data, target))
 
     @staticmethod
     def parse_dict(data, target=None):
@@ -966,51 +894,6 @@ def moore_homotopy(target, n):
            for vec in upstairs]
     den += _block_lattice_cols(target, n_classes)
     return FgAbGroup.from_factors(lattice.quotient_factors(cycles, den))
-
-
-def moore_complex(target, max_degree):
-    """Normalized chain complex data, degrees 0 to ``max_degree``: per
-    degree, the list of generators of the normalized subgroup modulo the
-    relation blocks, in face blocks (its class lattice copied to the
-    faces), which delta_0 maps into the relation blocks one degree down.
-    """
-    if max_degree < 0:
-        raise ValueError("degree must be nonnegative")
-    g = target.generator_count
-    bases = []
-    for m in range(max_degree + 1):
-        basis, _, cls = _class_lattice(target, m, "normalized")
-        bases.append([{k * g + r: x for k, c in enumerate(cls)
-                       for r in range(g) if (x := vec.get(c * g + r))}
-                      for vec in basis])
-    return bases
-
-
-def psi(element):
-    """Evaluation at the 0-th vertex, defined on the normalized part."""
-    if not element.is_normalized():
-        raise ValueError("psi is defined on normalized simplices")
-    return element.psi_value()
-
-
-def psi_section(target, n, value):
-    """The normalized simplex with given 0-th vertex evaluation.
-
-    Inverts psi degreewise: all proper faces carry the value except the
-    1-st boundary face, which carries (-1)^(n+1) times the acted value
-    (for n = 0 the roles of the two vertices give the same shape).
-    """
-    value = target.reduce(value)
-    acted = target.act(value)
-    sgn = _sign(n + 1)
-    signed = target.reduce(tuple(sgn * x for x in acted))
-    ambient = n + 1
-    top = _top_mask(ambient)
-    special = top & ~2 if n >= 1 else 1 << 1
-    vals = {}
-    for f in _proper_faces(ambient):
-        vals[f] = signed if f == special else value
-    return FAlgElement.from_face_values(target, n, vals)
 
 
 def psi_is_bijective(target, n):

@@ -68,12 +68,6 @@ class GroupRingElement(Frozen):
     def one(cls, n):
         return cls(n, (1,) + (0,) * (n - 1))
 
-    @classmethod
-    def generator(cls, n, power=1, sign=1):
-        coeffs = [0] * n
-        coeffs[power % n] = sign
-        return cls(n, tuple(coeffs))
-
     def _check(self, other):
         if not isinstance(other, GroupRingElement):
             raise TypeError("expected a GroupRingElement")
@@ -118,10 +112,6 @@ class GroupRingElement(Frozen):
 
     def to_dict(self):
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(int(data["order"]), tuple(int(c) for c in data["coeffs"]))
 
     def __str__(self):
         terms = []
@@ -208,15 +198,6 @@ class WhiteheadClass(Frozen):
     @property
     def order(self):
         return self.representative.order
-
-    @classmethod
-    def trivial(cls, n):
-        one = GroupRingElement.one(n)
-        return cls(one, one)
-
-    def is_trivial(self):
-        return self.representative.class_key() == \
-            GroupRingElement.one(self.order).class_key()
 
     def times(self, other):
         return WhiteheadClass(self.representative * other.representative,

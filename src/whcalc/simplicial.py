@@ -1,4 +1,4 @@
-"""Subcomplexes of a standard simplex: lattice operations and collapsing.
+"""Faces and subcomplexes of a standard simplex: collapsing and enumeration.
 
 A face is a nonempty bitmask over the vertices 0..p; a subcomplex is a
 nonempty downward-closed set of faces.  Contractibility is decided by
@@ -16,27 +16,15 @@ from ._value import Frozen
 
 __all__ = [
     "SubComplex",
-    "EmptyIntersectionError",
     "face_from_vertices",
     "vertices_of",
     "face_dim",
     "face_str",
     "face_boundary",
-    "maximal_faces",
-    "full_simplex",
-    "single_face",
-    "boundary_face",
-    "horn",
-    "boundary",
     "is_contractible",
     "enumerate_subcomplexes",
     "enumerate_contractible_subcomplexes",
-    "codegeneracy_image",
 ]
-
-
-class EmptyIntersectionError(ValueError):
-    """Intersection of subcomplexes was empty (not a subcomplex)."""
 
 
 def face_from_vertices(vertices):
@@ -86,12 +74,6 @@ def face_boundary(face, i):
     return face & ~(1 << verts[i])
 
 
-def maximal_faces(faces):
-    """The faces contained in no other face of ``faces``, sorted."""
-    return sorted(f for f in faces
-                  if not any(g != f and g & f == f for g in faces))
-
-
 class SubComplex(Frozen):
     """Downward-closed nonempty set of faces of the p-simplex."""
 
@@ -110,45 +92,8 @@ class SubComplex(Frozen):
                     raise ValueError("face set is not downward closed")
         self._freeze(p, faces)
 
-    @classmethod
-    def closure(cls, p, seeds):
-        faces = set()
-        for f in seeds:
-            faces.update(subfaces(f))
-        return cls(p, frozenset(faces))
-
-    # -- basic structure ----------------------------------------------
-
-    def maximal_faces(self):
-        return maximal_faces(self.faces)
-
     def canonical_key(self):
         return tuple(sorted(self.faces))
-
-    # -- lattice operations -------------------------------------------
-
-    def _check_ambient(self, other):
-        if self.p != other.p:
-            raise ValueError("subcomplexes live in different ambient simplices")
-
-    def union(self, other):
-        self._check_ambient(other)
-        return SubComplex(self.p, self.faces | other.faces)
-
-    def intersection(self, other):
-        self._check_ambient(other)
-        common = self.faces & other.faces
-        if not common:
-            raise EmptyIntersectionError("subcomplexes are disjoint")
-        return SubComplex(self.p, common)
-
-    def is_subcomplex_of(self, other):
-        self._check_ambient(other)
-        return self.faces <= other.faces
-
-    __or__ = union
-    __and__ = intersection
-    __le__ = is_subcomplex_of
 
     # -- serialization ------------------------------------------------
 
@@ -161,53 +106,6 @@ class SubComplex(Frozen):
         if any(f >> 10 for f in self.faces):
             raise ValueError("single-digit vertex names stop at vertex 9")
         return {"p": self.p, "faces": [face_str(f) for f in sorted(self.faces)]}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(int(data["p"]),
-                   frozenset(face_from_str(s) for s in data["faces"]))
-
-
-# -- standard complexes ------------------------------------------------
-
-def full_simplex(p):
-    return SubComplex.closure(p, [(1 << (p + 1)) - 1])
-
-
-def single_face(p, face):
-    return SubComplex.closure(p, [face])
-
-
-def boundary_face(p, i):
-    """The closure of the face of the p-simplex omitting vertex i."""
-    if not 0 <= i <= p:
-        raise IndexError("face index out of range")
-    top = (1 << (p + 1)) - 1
-    return single_face(p, top & ~(1 << i))
-
-
-def horn(p, i):
-    """Union of all codimension-one faces except the i-th one."""
-    if not 0 <= i <= p:
-        raise IndexError("horn index out of range")
-    if p == 0:
-        raise ValueError("the 0-simplex has no horns")
-    out = None
-    for j in range(p + 1):
-        if j != i:
-            piece = boundary_face(p, j)
-            out = piece if out is None else out.union(piece)
-    return out
-
-
-def boundary(p):
-    """All proper faces of the p-simplex."""
-    if p == 0:
-        raise ValueError("the 0-simplex has empty boundary")
-    out = boundary_face(p, 0)
-    for j in range(1, p + 1):
-        out = out.union(boundary_face(p, j))
-    return out
 
 
 # -- collapsibility -----------------------------------------------------
@@ -277,19 +175,7 @@ def enumerate_contractible_subcomplexes(p):
     return [k for k in enumerate_subcomplexes(p) if is_contractible(k)]
 
 
-# -- cosimplicial structure maps -----------------------------------------
-
-def codegeneracy_vertex(v, i):
-    """Vertex map of the codegeneracy collapsing vertices i, i+1 to i."""
-    return v if v <= i else v - 1
-
-
-def codegeneracy_face(face, i):
-    out = 0
-    for v in vertices_of(face):
-        out |= 1 << codegeneracy_vertex(v, i)
-    return out
-
+# -- the coface maps ------------------------------------------------------
 
 def coface_vertex(v, i):
     """Vertex map of the coface skipping vertex i."""
@@ -302,9 +188,3 @@ def coface_face(face, i):
         out |= 1 << coface_vertex(v, i)
     return out
 
-
-def codegeneracy_image(k, i):
-    """Image subcomplex under the codegeneracy collapsing i, i+1 -> i."""
-    if not 0 <= i <= k.p - 1:
-        raise IndexError("codegeneracy index out of range")
-    return SubComplex(k.p - 1, frozenset(codegeneracy_face(f, i) for f in k.faces))

@@ -19,7 +19,7 @@ from math import gcd
 
 from ._value import Frozen
 from .abelian import InvolutiveAbelianGroup
-from .groupring import WhiteheadClass
+from .groupring import GroupRingElement, WhiteheadClass
 from .lattice import mat_vec
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "compose",
     "reverse",
     "double",
-    "trivial_cylinder",
-    "mapping_cylinder",
     "inertial_twist",
     "inertial_twist_torsion",
     "basepoint_change_torsion",
@@ -58,16 +56,6 @@ class HCobordismSymbol(Frozen):
     def to_dict(self):
         return {"d": self.dim, "torsion": self.torsion.to_dict(),
                 "twist": self.twist}
-
-
-def trivial_cylinder(d, order):
-    """The product cobordism: zero torsion, identity twist."""
-    return HCobordismSymbol(d, WhiteheadClass.trivial(order), 1)
-
-
-def mapping_cylinder(d, order, i):
-    """Cylinder of a self-identification t -> t^i: zero torsion, twist i."""
-    return HCobordismSymbol(d, WhiteheadClass.trivial(order), i)
 
 
 def _check_composable(w, w2):
@@ -113,9 +101,10 @@ def inertial_twist(w, i):
     identification, then through w again."""
     if gcd(i, w.order) != 1:
         raise ValueError("the automorphism index must be invertible")
-    back = reverse(w)
-    mid = compose(back, mapping_cylinder(w.dim, w.order, pow(i, -1, w.order)))
-    return compose(mid, w)
+    one = GroupRingElement.one(w.order)
+    cylinder = HCobordismSymbol(w.dim, WhiteheadClass(one, one),
+                                pow(i, -1, w.order))
+    return compose(compose(reverse(w), cylinder), w)
 
 
 def inertial_twist_torsion(u, i):
@@ -132,7 +121,8 @@ class UnitClassValues:
         self.twist_index = twist % order
 
     def zero(self):
-        return WhiteheadClass.trivial(self.order)
+        one = GroupRingElement.one(self.order)
+        return WhiteheadClass(one, one)
 
     def add(self, x, y):
         return x.times(y)

@@ -13,9 +13,10 @@ matrices) and calls nothing of ``whcalc.simplicial``.
 ``attached_value`` evaluates a functor on a complex by attaching one
 maximal face at a time, along every admissible attachment, on reduced
 values, where ``TorsionFunctor`` evaluates one closed-form integer form
-per complex.  The structure maps and the group law of torsion
-functors work face by face on ``{face: value}`` dicts, as
-``TorsionFunctor`` did before it gathered its flat vector.  A
+per complex.  The coface maps and the group law of torsion functors
+work face by face on ``{face: value}`` dicts, as ``TorsionFunctor`` did
+before it gathered its flat vector; so does the corrected degeneracy
+``codegeneracy``, which the package does not ship.  A
 ``Table``, such as the ``raw_degeneracy`` that breaks the pushout-square
 condition, stores a value for every contractible subcomplex, the one
 kind of functor ``whcalc.falg`` does not represent.
@@ -35,6 +36,17 @@ package takes cokernels on its sparse elimination and keeps only the
 left transform of ``smith_basis``; ``mobius_form`` sums the coefficients
 of a complex's form over every pair of faces, where
 ``falg._complex_form`` takes a superset sum.
+
+The last section is model code that no command, report stage or
+benchmark workload reaches, kept for the tests that use it
+(``test_reach.py`` keeps it out of the package): horns, boundaries and
+the lattice operations of subcomplexes, codegeneracies and the
+degeneracies of the simplicial group, group elements and presentations
+as dicts, the lemma checks ``check_face_horn_duality`` and
+``duality_criterion``, ``psi`` and its section ``psi_section``,
+``moore_complex``, trivial units and classes, and the cylinders of the
+torsion calculus.  Unlike the oracles, it may call the package's
+private helpers.
 """
 
 from __future__ import annotations
@@ -44,13 +56,17 @@ from itertools import combinations
 from math import gcd
 
 import whcalc
-from whcalc.abelian import FgAbGroup
-from whcalc.falg import NotContractibleError, iota_shriek
-from whcalc.groupring import GroupRingElement
+from whcalc import falg
+from whcalc.abelian import FgAbGroup, InvolutiveAbelianGroup
+from whcalc.falg import FAlgElement, NotContractibleError, iota_shriek
+from whcalc.groupring import GroupRingElement, WhiteheadClass
+from whcalc.lattice import span_elements
 from whcalc.report import ReportDocument, Stage
-from whcalc.simplicial import (SubComplex, codegeneracy_face, coface_face,
-                               enumerate_contractible_subcomplexes,
-                               is_contractible)
+from whcalc.simplicial import (SubComplex, coface_face,
+                               enumerate_contractible_subcomplexes, face_dim,
+                               face_from_str, face_str, is_contractible,
+                               subfaces)
+from whcalc.torsion import HCobordismSymbol
 
 
 def bareiss_determinant(rows):
@@ -194,7 +210,7 @@ def _cyclic_c2_homology_free(sign, n):
     if eps * sign == 1:
         # kernel all of Z, image 2Z
         return FgAbGroup.from_factors([2])
-    return FgAbGroup.trivial()
+    return FgAbGroup(())
 
 
 # -- reduced simplicial homology ----------------------------------------
@@ -539,7 +555,7 @@ class Table:
         masks): ValueError for a mask outside the ambient simplex,
         NotContractibleError for a complex without an entry."""
         faces = getattr(faces, "faces", faces)
-        key = tuple(sorted(SubComplex.closure(self.ambient, faces).faces))
+        key = tuple(sorted(closure(self.ambient, faces).faces))
         if key not in self.table:
             raise NotContractibleError("complex outside the table")
         return self.table[key]
@@ -642,9 +658,8 @@ def attached_value(tf, faces, memo=None):
     else:
         outs = set()
         for sigma in maximal:
-            rest = SubComplex.closure(tf.ambient,
-                                      [m for m in maximal if m != sigma])
-            inter = rest.faces & SubComplex.closure(tf.ambient, [sigma]).faces
+            rest = closure(tf.ambient, [m for m in maximal if m != sigma])
+            inter = rest.faces & closure(tf.ambient, [sigma]).faces
             if not inter or not is_contractible(rest) \
                     or not is_contractible(SubComplex(tf.ambient, inter)):
                 continue
@@ -882,7 +897,7 @@ def bass_unit(p):
     one = GroupRingElement.one(p)
     u = one
     for _ in range(m):
-        u = u * (one + GroupRingElement.generator(p))
+        u = u * (one + generator(p))
     return u + GroupRingElement(p, ((1 - 2 ** m) // p,) * p)
 
 
@@ -896,3 +911,262 @@ def report_from_dict(data):
     doc.stages = [Stage(s["name"], s["status"], s.get("witness"),
                         s.get("citation")) for s in data.get("stages", [])]
     return doc
+
+
+# -- model code the package does not ship ------------------------------------
+#
+# Constructions that no command, report stage or benchmark workload
+# reaches, kept for the tests that use them (``test_reach.py`` keeps
+# them out of ``src``).  Each was a method or function of the package;
+# a method is a function that takes the object.
+
+
+class EmptyIntersectionError(ValueError):
+    """Intersection of subcomplexes was empty (not a subcomplex)."""
+
+
+def closure(p, seeds):
+    """The subcomplex of the p-simplex generated by the faces ``seeds``."""
+    faces = set()
+    for f in seeds:
+        faces.update(subfaces(f))
+    return SubComplex(p, frozenset(faces))
+
+
+def maximal_faces(faces):
+    """The faces contained in no other face of ``faces``, sorted."""
+    return sorted(f for f in faces
+                  if not any(g != f and g & f == f for g in faces))
+
+
+def full_simplex(p):
+    return closure(p, [(1 << (p + 1)) - 1])
+
+
+def single_face(p, face):
+    return closure(p, [face])
+
+
+def boundary_face(p, i):
+    """The closure of the face of the p-simplex omitting vertex i."""
+    if not 0 <= i <= p:
+        raise IndexError("face index out of range")
+    return single_face(p, ((1 << (p + 1)) - 1) & ~(1 << i))
+
+
+def union(a, b):
+    if a.p != b.p:
+        raise ValueError("subcomplexes live in different ambient simplices")
+    return SubComplex(a.p, a.faces | b.faces)
+
+
+def intersection(a, b):
+    if a.p != b.p:
+        raise ValueError("subcomplexes live in different ambient simplices")
+    common = a.faces & b.faces
+    if not common:
+        raise EmptyIntersectionError("subcomplexes are disjoint")
+    return SubComplex(a.p, common)
+
+
+def horn(p, i):
+    """Union of all codimension-one faces except the i-th one."""
+    if not 0 <= i <= p:
+        raise IndexError("horn index out of range")
+    if p == 0:
+        raise ValueError("the 0-simplex has no horns")
+    top = (1 << (p + 1)) - 1
+    return closure(p, [top & ~(1 << j) for j in range(p + 1) if j != i])
+
+
+def boundary(p):
+    """All proper faces of the p-simplex."""
+    if p == 0:
+        raise ValueError("the 0-simplex has empty boundary")
+    top = (1 << (p + 1)) - 1
+    return closure(p, [top & ~(1 << j) for j in range(p + 1)])
+
+
+def subcomplex_from_dict(data):
+    """The subcomplex of ``SubComplex.to_dict``."""
+    return SubComplex(int(data["p"]),
+                      frozenset(face_from_str(s) for s in data["faces"]))
+
+
+def codegeneracy_face(face, i):
+    """The image of a face under the codegeneracy collapsing the vertices
+    i, i+1 to i."""
+    out = 0
+    for v in _vertices(face):
+        out |= 1 << (v if v <= i else v - 1)
+    return out
+
+
+def codegeneracy_image(k, i):
+    """Image subcomplex under the codegeneracy collapsing i, i+1 -> i."""
+    if not 0 <= i <= k.p - 1:
+        raise IndexError("codegeneracy index out of range")
+    return SubComplex(k.p - 1,
+                      frozenset(codegeneracy_face(f, i) for f in k.faces))
+
+
+def cyclic(m, sign=1):
+    """Z/m (m = 0 meaning Z) with the action sign * id."""
+    return InvolutiveAbelianGroup.from_factors([m], sign)
+
+
+def zero_group():
+    return InvolutiveAbelianGroup(0, (), ())
+
+
+def group_elements(a):
+    """All elements of a finite group, each once, as canonical coordinate
+    tuples: the digit vectors c with 0 <= c_r < d_r, d_r the pivot of the
+    group's relation lattice at coordinate r (0 where it has none)."""
+    g = a.generator_count
+    radix = [0] * g
+    for row, col in a.relation_lattice().pivots:
+        radix[row] = col[row]
+    digits = [r for r in range(g) if radix[r] != 1]
+    units = [[int(i == r) for i in range(g)] for r in digits]
+    return span_elements(units, [radix[r] for r in digits], g)
+
+
+def group_to_dict(a):
+    """The presentation ``InvolutiveAbelianGroup.from_dict`` reads."""
+    return {"generators": a.generator_count,
+            "relations": [list(r) for r in a.relations],
+            "involution": [list(r) for r in a.involution]}
+
+
+def fg_group_from_dict(data):
+    """The group of ``FgAbGroup.to_dict``."""
+    return FgAbGroup(tuple(int(x) for x in data["invariant_factors"]))
+
+
+def degeneracy(x, i):
+    """s_i of a simplex: the corrected degeneracy ``codegeneracy`` of its
+    functor at index i+1."""
+    if not 0 <= i <= x.degree:
+        raise IndexError("degeneracy index out of range")
+    return FAlgElement(codegeneracy(x.functor, i + 1))
+
+
+def simplex_to_dict(x, target_name=None):
+    """The form ``FAlgElement.parse_dict`` reads; refused above degree 8,
+    whose vertex 10 has no single-digit name."""
+    if x.degree > 8:
+        raise ValueError("single-digit vertex names cap the degree at 8")
+    top = (1 << (x.degree + 2)) - 1
+    return {"p": x.degree,
+            "target": target_name if target_name is not None
+            else group_to_dict(x.target),
+            "face_values": {face_str(f): list(v)
+                            for f, v in sorted(x.functor.values.items())
+                            if f != top}}
+
+
+def simplex_from_dict(data, target=None):
+    return FAlgElement.from_face_values(*FAlgElement.parse_dict(data, target))
+
+
+def check_face_horn_duality(tf, sigma):
+    """Face-horn duality of ``tf`` at one face, for every omitted index,
+    by the package's compiled rows."""
+    falg._check_faces(tf.ambient, (sigma,))
+    if face_dim(sigma) < 1:
+        return True
+    return all(falg._duality_ok(tf, sigma, i)
+               for i in range(face_dim(sigma) + 1))
+
+
+def duality_criterion(tf):
+    """Inductive duality criterion: once every proper face satisfies
+    face-horn duality and the top face satisfies it for the 0-th horn,
+    check that the top face satisfies it for every horn.
+
+    Raises ValueError if the hypothesis itself fails.
+    """
+    p = tf.ambient
+    top = (1 << (p + 1)) - 1
+    for sigma in range(1, top):
+        if face_dim(sigma) >= 1 and not check_face_horn_duality(tf, sigma):
+            raise ValueError("hypothesis fails: a proper face breaks duality")
+    if p >= 1 and not falg._duality_ok(tf, top, 0):
+        raise ValueError("hypothesis fails: 0-th face-horn duality at the top")
+    return all(falg._duality_ok(tf, top, i) for i in range(1, p + 1))
+
+
+def moore_complex(target, max_degree):
+    """Normalized chain complex data, degrees 0 to ``max_degree``: per
+    degree, the generators of the normalized subgroup modulo the relation
+    blocks, in face blocks (the class lattice of ``falg`` copied to the
+    faces), which delta_0 maps into the relation blocks one degree down."""
+    if max_degree < 0:
+        raise ValueError("degree must be nonnegative")
+    g = target.generator_count
+    bases = []
+    for m in range(max_degree + 1):
+        basis, _, cls = falg._class_lattice(target, m, "normalized")
+        bases.append([{k * g + r: x for k, c in enumerate(cls)
+                       for r in range(g) if (x := vec.get(c * g + r))}
+                      for vec in basis])
+    return bases
+
+
+def psi(x):
+    """Evaluation at the 0-th vertex, defined on the normalized part."""
+    if not x.is_normalized():
+        raise ValueError("psi is defined on normalized simplices")
+    return x.psi_value()
+
+
+def psi_section(target, n, value):
+    """The normalized n-simplex whose 0-th vertex evaluation is ``value``.
+
+    Inverts psi degreewise: every proper face carries the value but the
+    1-st boundary face, which carries (-1)^(n+1) times the acted value
+    (for n = 0 the roles of the two vertices give the same shape).
+    """
+    value = target.reduce(value)
+    sgn = 1 if n % 2 else -1
+    signed = target.reduce(tuple(sgn * x for x in target.act(value)))
+    top = (1 << (n + 2)) - 1
+    special = top & ~2 if n >= 1 else 0b10
+    return FAlgElement.from_face_values(
+        target, n, {f: signed if f == special else value
+                    for f in range(1, top)})
+
+
+def generator(n, power=1, sign=1):
+    """The trivial unit sign * t^power of Z[C_n]."""
+    coeffs = [0] * n
+    coeffs[power % n] = sign
+    return GroupRingElement(n, coeffs)
+
+
+def ring_element_from_dict(data):
+    """The element of ``GroupRingElement.to_dict``."""
+    return GroupRingElement(int(data["order"]),
+                            tuple(int(c) for c in data["coeffs"]))
+
+
+def trivial_class(n):
+    one = GroupRingElement.one(n)
+    return WhiteheadClass(one, one)
+
+
+def is_trivial_class(c):
+    """Whether a unit class is that of 1, by class keys."""
+    return c.representative.class_key() == \
+        GroupRingElement.one(c.order).class_key()
+
+
+def trivial_cylinder(d, order):
+    """The product cobordism: zero torsion, identity twist."""
+    return HCobordismSymbol(d, trivial_class(order), 1)
+
+
+def mapping_cylinder(d, order, i):
+    """Cylinder of a self-identification t -> t^i: zero torsion, twist i."""
+    return HCobordismSymbol(d, trivial_class(order), i)

@@ -10,7 +10,9 @@ import pytest
 from whcalc.abelian import (FgAbGroup, InvolutiveAbelianGroup,
                             double_subgroup, homology_c2, tate_homology_c2)
 
-from _oracles import cyclic_c2_homology, factored_chain
+from _oracles import (cyclic, cyclic_c2_homology, factored_chain,
+                      fg_group_from_dict, group_elements, group_to_dict,
+                      zero_group)
 
 
 def test_fgab_normalization():
@@ -49,7 +51,7 @@ def test_involution_validation():
         InvolutiveAbelianGroup(
             1, [[]], [[2]])
     # sign involution is fine on Z/5 because -1 squares to 1
-    InvolutiveAbelianGroup.cyclic(5, -1)
+    cyclic(5, -1)
 
 
 def test_shape_errors_name_the_expected_shape():
@@ -79,7 +81,7 @@ def test_golden_values():
 def test_cyclic_against_closed_form_oracle():
     for m in range(1, 13):
         for sign in (1, -1):
-            a = InvolutiveAbelianGroup.cyclic(m, sign)
+            a = cyclic(m, sign)
             for n in range(5):
                 assert homology_c2(a, n) == cyclic_c2_homology(m, sign, n), \
                     (m, sign, n)
@@ -95,7 +97,7 @@ def test_free_against_closed_form_oracle():
 def test_two_periodicity():
     groups = [InvolutiveAbelianGroup.free(1, 1),
               InvolutiveAbelianGroup.free(2, -1),
-              InvolutiveAbelianGroup.cyclic(8, 1),
+              cyclic(8, 1),
               InvolutiveAbelianGroup.from_factors([2, 4], -1)]
     for a in groups:
         for n in range(1, 4):
@@ -122,17 +124,17 @@ def test_nontrivial_involution_matrix():
 def test_tate_examples():
     zt = InvolutiveAbelianGroup.free(1, 1)
     assert tate_homology_c2(zt, 0).is_trivial()  # {a = -a} inside Z
-    z2 = InvolutiveAbelianGroup.cyclic(2, 1)
+    z2 = cyclic(2, 1)
     for n in (-4, -3, -2, -1, 0, 1, 2, 3):
         assert str(tate_homology_c2(z2, n)) == "Z/2"
-    zero = InvolutiveAbelianGroup.zero()
+    zero = zero_group()
     for n in (-2, -1, 0, 1):
         assert tate_homology_c2(zero, n).is_trivial()
 
 
 def test_tate_matches_homology_positively_and_periodicity():
     groups = [InvolutiveAbelianGroup.free(1, 1),
-              InvolutiveAbelianGroup.cyclic(4, -1),
+              cyclic(4, -1),
               InvolutiveAbelianGroup.from_factors([2, 6], 1)]
     for a in groups:
         for n in range(1, 4):
@@ -146,9 +148,9 @@ def test_double_subgroup():
     assert double_subgroup(zt, 1).subgroup.is_trivial()
     even = double_subgroup(zt, 0)
     assert str(even.subgroup) == "Z" and str(even.quotient) == "Z/2"
-    z6 = InvolutiveAbelianGroup.cyclic(6, 1)
+    z6 = cyclic(6, 1)
     assert str(double_subgroup(z6, 0).subgroup) == "Z/3"
-    zero = InvolutiveAbelianGroup.zero()
+    zero = zero_group()
     assert double_subgroup(zero, 1).subgroup.is_trivial()
     # only the parity of the dimension matters
     assert double_subgroup(zt, 11).subgroup.is_trivial()
@@ -157,7 +159,7 @@ def test_double_subgroup():
 def test_double_quotient_matches_degree_zero_homology():
     # when the stored action matches the parity convention, A/D = H_0
     for m, sign in ((6, 1), (8, -1), (0, 1)):
-        a = InvolutiveAbelianGroup.cyclic(m, sign) if m else \
+        a = cyclic(m, sign) if m else \
             InvolutiveAbelianGroup.free(1, sign)
         for d in (10, 11):
             full = a.parity_action(d)
@@ -187,7 +189,7 @@ def test_randomized_presentations_against_enumeration():
 
 def _brute_homology(a, n):
     """Order of the homology by raw element enumeration."""
-    elems = list(a.elements())
+    elems = list(group_elements(a))
     lat = a.relation_lattice()
 
     def act(v, eps):
@@ -222,6 +224,6 @@ def _span(gens, a):
 
 def test_serialization_round_trip():
     a = InvolutiveAbelianGroup.from_factors([2, 4], -1)
-    assert InvolutiveAbelianGroup.from_dict(a.to_dict()) == a
+    assert InvolutiveAbelianGroup.from_dict(group_to_dict(a)) == a
     h = homology_c2(a, 1)
-    assert FgAbGroup.from_dict(h.to_dict()) == h
+    assert fg_group_from_dict(h.to_dict()) == h

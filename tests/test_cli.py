@@ -12,11 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from whcalc.abelian import InvolutiveAbelianGroup
 from whcalc.cli import main
 from whcalc.falg import FAlgElement
 
-from _oracles import report_from_dict
+from _oracles import cyclic, report_from_dict, simplex_to_dict
 
 
 def run(argv, capsys):
@@ -116,8 +115,8 @@ def test_falg_check(capsys):
 def test_falg_check_at_degree_3_reports_the_square_condition(capsys):
     # at degree 3 the functor has ambient 4; built from face values it
     # meets the square condition at every ambient, so the verdict is true
-    target = InvolutiveAbelianGroup.cyclic(2, 1)
-    element = FAlgElement.zero(target, 3).to_dict("z2-trivial")
+    target = cyclic(2, 1)
+    element = simplex_to_dict(FAlgElement.zero(target, 3), "z2-trivial")
     code, out, _ = run(["falg", "check", "--element", json.dumps(element),
                         "--json"], capsys)
     assert code == 0
@@ -135,7 +134,7 @@ def test_huge_degree_with_missing_values_fails_fast(capsys):
     code, out, err = run(["falg", "check", "--element", json.dumps(element)],
                          capsys)
     with pytest.raises(ValueError, match="missing value"):
-        FAlgElement.from_face_values(InvolutiveAbelianGroup.cyclic(2, 1),
+        FAlgElement.from_face_values(cyclic(2, 1),
                                      40, {})
     assert time.perf_counter() - start < 1
     assert code == 2 and out == "" and "degree" in err

@@ -17,8 +17,9 @@ from whcalc.groupring import (CyclotomicElement, GroupRingElement,
                               involution, wh_class_equal)
 
 from _oracles import (bareiss_determinant, bass_unit, cyclotomic_galois,
-                      cyclotomic_product, sylvester_resultant,
-                      unit_class_equal)
+                      cyclotomic_product, generator, is_trivial_class,
+                      ring_element_from_dict, sylvester_resultant,
+                      trivial_class, unit_class_equal)
 
 U7 = GroupRingElement(7, (2, 2, 0, -1, -1, -1, 0))
 U7_INV = GroupRingElement(7, (1, -2, 3, -3, 3, -2, 1))
@@ -26,7 +27,7 @@ U5 = GroupRingElement(5, (1, -1, 0, 0, -1))
 
 
 def gen(n, k=1):
-    return GroupRingElement.generator(n, k)
+    return generator(n, k)
 
 
 def test_addition_cancellation():
@@ -144,22 +145,21 @@ def test_wh_class_examples():
     u = WhiteheadClass(U7)
     assert wh_class_equal(u, u.twist(6))
     assert not wh_class_equal(u, u.twist(2))
-    one = WhiteheadClass.trivial(7)
+    one = trivial_class(7)
     assert wh_class_equal(one, WhiteheadClass(-gen(7, 3)))
     with pytest.raises(ValueError, match="different group orders"):
-        wh_class_equal(one, WhiteheadClass.trivial(5))
+        wh_class_equal(one, trivial_class(5))
 
 
 def test_class_key_is_the_least_signed_rotation():
-    shifts = [GroupRingElement.generator(7, k, s) for k in range(7)
-              for s in (1, -1)]
+    shifts = [generator(7, k, s) for k in range(7) for s in (1, -1)]
     orbit = [(x * U7).coeffs for x in shifts]
     assert len(set(orbit)) == 14
     assert {(x * U7).class_key() for x in shifts} == {min(orbit)}
     assert U7.class_key() == (-U7).coeffs
     assert gen(7, 4).class_key() == (-1,) + (0,) * 6
-    assert WhiteheadClass(-gen(7, 4)).is_trivial()
-    assert not WhiteheadClass(U7).is_trivial()
+    assert is_trivial_class(WhiteheadClass(-gen(7, 4)))
+    assert not is_trivial_class(WhiteheadClass(U7))
 
 
 def test_wh_class_equal_matches_the_inverse_product_oracle():
@@ -169,17 +169,16 @@ def test_wh_class_equal_matches_the_inverse_product_oracle():
     u = WhiteheadClass(U7)
     factors = [u.twist(i) for i in range(1, 7)] + \
         [u.twist(i).inverse_class() for i in range(1, 7)]
-    units = [WhiteheadClass.trivial(7)]
+    units = [trivial_class(7)]
     for _ in range(10):
-        c = WhiteheadClass.trivial(7)
+        c = trivial_class(7)
         for _ in range(rng.randint(1, 3)):
             c = c.times(rng.choice(factors))
         units.append(c)
     sample = list(units)
     for c in units:
         for _ in range(2):
-            shift = GroupRingElement.generator(7, rng.randrange(7),
-                                               rng.choice((1, -1)))
+            shift = generator(7, rng.randrange(7), rng.choice((1, -1)))
             sample.append(c.times(WhiteheadClass(shift)))
     equal = 0
     for a in sample:
@@ -192,7 +191,7 @@ def test_wh_class_equal_matches_the_inverse_product_oracle():
 
 def test_wh_class_is_equivalence_relation():
     u = WhiteheadClass(U7)
-    sample = [WhiteheadClass.trivial(7), u, u.twist(2), u.twist(3),
+    sample = [trivial_class(7), u, u.twist(2), u.twist(3),
               u.twist(6), u.conj(), WhiteheadClass(-gen(7, 2)),
               u.times(u), u.inverse_class()]
     for a in sample:
@@ -292,6 +291,6 @@ def test_cyclotomic_product_and_galois_match_schoolbook_oracles(p):
 
 def test_serialization_round_trip():
     blob = json.dumps(U7.to_dict())
-    assert GroupRingElement.from_dict(json.loads(blob)) == U7
+    assert ring_element_from_dict(json.loads(blob)) == U7
     big = GroupRingElement(3, (10 ** 40, -(10 ** 41), 7))
-    assert GroupRingElement.from_dict(json.loads(json.dumps(big.to_dict()))) == big
+    assert ring_element_from_dict(json.loads(json.dumps(big.to_dict()))) == big

@@ -19,14 +19,16 @@ from whcalc.groupring import (CyclotomicElement, GroupRingElement,
                               WhiteheadClass, invert_unit)
 from whcalc.lens import InertiaSet, LensSpace
 from whcalc.report import ReportDocument, Stage
-from whcalc.simplicial import SubComplex, full_simplex
+from whcalc.simplicial import SubComplex
 from whcalc.torsion import HCobordismSymbol
+
+from _oracles import cyclic, full_simplex
 
 UNIT7 = (2, 2, 0, -1, -1, -1, 0)
 
 
 def _z2():
-    return InvolutiveAbelianGroup.cyclic(2, 1)
+    return cyclic(2, 1)
 
 
 def _unit():
@@ -157,7 +159,7 @@ def test_report_documents_share_no_params_or_stages():
 
 
 def test_equal_targets_share_one_cache_entry():
-    a = InvolutiveAbelianGroup.cyclic(5, -1)
+    a = cyclic(5, -1)
     b = InvolutiveAbelianGroup(1, [[5]], [[-1]])
     assert a is not b and a == b and hash(a) == hash(b)
     group = abelian._norm_subquotient(a, 1)
