@@ -68,7 +68,7 @@ def _element(order, text):
 
     It is only as large as the typed list; an order above ``ORDER_MAX`` is
     refused by ``groupring.invert_unit``, which every command calls before
-    it builds a matrix, and ``main`` maps that ValueError to exit 2."""
+    it multiplies anything, and ``main`` maps that ValueError to exit 2."""
     from .groupring import GroupRingElement
 
     return GroupRingElement(order, _parse_coeffs(text))

@@ -5,7 +5,7 @@ ints (coefficient k belongs to t^k), so nothing ever overflows.  On top
 of the ring arithmetic this module provides the coefficient-reversal
 involution t^k -> t^{-k} (it takes no orientation character: C_n of odd
 order has only the trivial one), Galois twists t -> t^i, exact unit
-inversion through the circulant linear system, unit classes modulo the
+inversion through the product of the twists, unit classes modulo the
 trivial units +-t^k, and the projection to the cyclotomic integers
 Z[zeta_p] = Z[C_p]/(N), N = 1 + t + ... + t^{p-1}.  Products and Galois
 maps of Z[zeta_p] lift their operands to Z[C_p], run there and fold the
@@ -39,11 +39,10 @@ __all__ = [
 ]
 
 
-# Largest group order ``invert_unit`` accepts: it solves a dense n x n
-# circulant system, so memory grows as n^2 (the identity unit takes 0.10 s
-# and 30 MiB peak at n = 1000, 1.8 s and 267 MiB at n = 4000), and a dense
-# element's entries grow during the elimination (a random one of order
-# 200 runs past 100 s).
+# Largest group order ``invert_unit`` accepts: it multiplies phi(n) twists
+# in O(n) memory, but each product takes up to n^2 steps on entries that
+# grow along the way (a random dense element takes 0.47 s at order 200,
+# 5.4 s at 400 and 96 s at 1000; the identity 0.19 s at 1000).
 ORDER_MAX = 1000
 
 
@@ -153,27 +152,25 @@ def galois_twist(x, i):
     return GroupRingElement(n, tuple(out))
 
 
-def _circulant(x):
-    """Rows of multiplication by x: entry (r, c) is coefficient (r - c) mod n."""
-    c = x.coeffs
-    return [[*c[r::-1], *c[:r:-1]] for r in range(x.order)]
-
-
 def invert_unit(x):
     """Exact inverse of x in Z[C_n], or None when x is not a unit.
 
-    Solves the n x n circulant system x*y = 1 over Z; a solution exists
-    iff the circulant matrix is invertible over the integers.  Capped at
-    ``ORDER_MAX``.
+    With w the product of the twists sigma_i(x), i in (Z/n)^* other than
+    1, v = w*x is fixed by every twist, so each of its components under
+    Q[C_n] = prod_{m | n} Q(zeta_m) is rational.  For a unit they are
+    also algebraic-integer units, hence +-1, so v*v = 1; conversely
+    v*v = 1 makes w*v the inverse.  Capped at ``ORDER_MAX``.
     """
     n = x.order
     if n > ORDER_MAX:
         raise ValueError(f"the group order is capped at {ORDER_MAX}")
-    e0 = [1] + [0] * (n - 1)
-    y = lattice.solve(_circulant(x), e0)
-    if y is None:
-        return None
-    return GroupRingElement(n, tuple(y))
+    one = GroupRingElement.one(n)
+    w = one
+    for i in range(2, n):
+        if gcd(i, n) == 1:
+            w = w * galois_twist(x, i)
+    v = w * x
+    return w * v if v * v == one else None
 
 
 class WhiteheadClass(Frozen):
@@ -296,16 +293,6 @@ class CyclotomicElement(Frozen):
         if i % self.p == 0:
             raise ValueError("the automorphism index must be prime to p")
         return cyclotomic_project(galois_twist(self._lift(), i), self.p)
-
-    def norm(self):
-        """Field norm down to Z: the product of all Galois conjugates."""
-        p = self.p
-        prod = CyclotomicElement.one(p)
-        for i in range(1, p):
-            prod = prod * self.galois(i)
-        if any(prod.coeffs[1:]):
-            raise ArithmeticError("norm did not land in Z")
-        return prod.coeffs[0]
 
 
 def cyclotomic_project(x, p):

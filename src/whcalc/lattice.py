@@ -17,8 +17,10 @@ Kernels, lattice bases, quotient coordinates and the echelon bases of
 (``_eliminate``; Dumas, Saunders and Villard 2001, Kaczynski, Mischaikow
 and Mrozek 2004, ch. 3) applied to the constraint systems directly.
 ``Solver`` solves A x = b on the same elimination, as the kernel of
-[-b | A].  The one diagonalisation, ``_diagonal``, alternates it on the
-rows and on the columns of a matrix until that is diagonal; cokernels
+[-b | A]; no command calls it, and it stays only because the
+benchmark's tracer binds ``Solver.solve``, until ROADMAP item 5.  The
+one diagonalisation, ``_diagonal``, alternates it on the rows and on the
+columns of a matrix until that is diagonal; cokernels
 and quotients take it bare (``cokernel_factors``), and ``_snf.smith``,
 which serves only ``smith_basis`` on the relation matrix of a group,
 takes it with the rows of the identity riding along.  ``smith_basis``
@@ -201,10 +203,6 @@ class Solver:
         if not basis or basis[0].get(0) != 1:
             return None
         return [basis[0].get(i, 0) for i in range(1, self.n + 1)]
-
-
-def solve(rows, b):
-    return Solver(rows).solve(b)
 
 
 def lattice_basis(gens, dim):

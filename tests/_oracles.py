@@ -437,6 +437,17 @@ def smith_form(rows):
     return [a[i][i] for i in range(k)], left, right
 
 
+def smith_solve(rows, b):
+    """A x = b by the oracle's full Smith form: x = R (L b / d), or None."""
+    n = len(rows[0])
+    diag, left, right = smith_form(rows)
+    c = mat_vec(left, b)
+    if any(x % d for x, d in zip(c, diag)) or any(c[len(diag):]):
+        return None
+    y = [x // d for x, d in zip(c, diag)]
+    return mat_vec(right, y + [0] * (n - len(diag)))
+
+
 def mobius_form(faces):
     """The closed form of ``falg._complex_form`` summed face by face:
     face g of the closure K of ``faces`` has the coefficient sum of
@@ -890,15 +901,18 @@ def symbol_class_equal(a, b):
         and unit_class_equal(a.torsion, b.torsion)
 
 
-def bass_unit(p):
-    """(1 + t)^m + ((1 - 2^m) / p) N in Z[C_p], m the order of 2 mod p and
-    N the norm element: augmentation 1, a unit since 1 + zeta is one."""
-    m = next(k for k in range(1, p) if pow(2, k, p) == 1)
-    one = GroupRingElement.one(p)
+def bass_unit(n, k=2):
+    """(1 + t + ... + t^(k-1))^m + ((1 - k^m) / n) N in Z[C_n], for k prime
+    to n, m the order of k mod n and N the norm element.  Each image in
+    Z[zeta_d], d > 1 dividing n, is a power of the cyclotomic unit
+    (zeta^k - 1) / (zeta - 1), and the augmentation is 1, so it is a unit."""
+    m = next(j for j in range(1, n + 1) if pow(k, j, n) == 1)
+    one = GroupRingElement.one(n)
+    base = GroupRingElement(n, (1,) * k + (0,) * (n - k))
     u = one
     for _ in range(m):
-        u = u * (one + generator(p))
-    return u + GroupRingElement(p, ((1 - 2 ** m) // p,) * p)
+        u = u * base
+    return u + GroupRingElement(n, ((1 - k ** m) // n,) * n)
 
 
 def report_from_dict(data):

@@ -11,17 +11,17 @@ import time
 from itertools import combinations, product
 
 from whcalc import falg
-from whcalc.abelian import InvolutiveAbelianGroup, double_subgroup, homology_c2
+from whcalc.abelian import InvolutiveAbelianGroup, homology_c2
 from whcalc.cli import main as cli_main
 from whcalc.falg import (falg_group, iota_shriek, moore_homotopy,
                          psi_is_bijective)
-from whcalc.groupring import (GroupRingElement, WhiteheadClass, galois_twist,
-                              invert_unit, involution, wh_class_equal)
+from whcalc.groupring import (GroupRingElement, WhiteheadClass, invert_unit,
+                              involution, wh_class_equal)
 from whcalc.ktheory import k3_divisibility, tor_pi_r
 from whcalc.lens import (balanced_lens_space, discrepancy_report, inertia_set,
                          is_simple_auto, standard_inertia_unit)
 from whcalc.simplicial import enumerate_subcomplexes, is_contractible
-from whcalc.torsion import (HCobordismSymbol, ModuleValues, UnitClassValues,
+from whcalc.torsion import (HCobordismSymbol, ModuleValues,
                             basepoint_change_torsion, compose, double, reverse)
 
 from _oracles import (cyclic, duality_criterion, group_elements,

@@ -393,7 +393,7 @@ ONE_AT_1001 = "1" + ",0" * 1000
     ["torsion", "double", "--d", "11", "--order", "1001", "--u", ONE_AT_1001],
 ], ids=["unit-verify", "wh-eq", "torsion"])
 def test_group_order_cap_is_usage_error(argv, capsys):
-    # one above groupring.ORDER_MAX: refused before the circulant system
+    # one above groupring.ORDER_MAX: refused before the first twist product
     start = time.perf_counter()
     code, out, err = run(argv, capsys)
     assert time.perf_counter() - start < 1

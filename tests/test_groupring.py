@@ -6,6 +6,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,8 @@ from whcalc.groupring import (CyclotomicElement, GroupRingElement,
 
 from _oracles import (bareiss_determinant, bass_unit, cyclotomic_galois,
                       cyclotomic_product, generator, is_trivial_class,
-                      ring_element_from_dict, sylvester_resultant,
-                      trivial_class, unit_class_equal)
+                      ring_element_from_dict, smith_solve,
+                      sylvester_resultant, trivial_class, unit_class_equal)
 
 U7 = GroupRingElement(7, (2, 2, 0, -1, -1, -1, 0))
 U7_INV = GroupRingElement(7, (1, -2, 3, -3, 3, -2, 1))
@@ -130,6 +131,42 @@ def test_invert_unit_iff_unimodular_circulant():
             assert x.augmentation() in (1, -1)
 
 
+def test_invert_unit_at_composite_orders():
+    # twisted products of Bass-type units, and the same products plus 1,
+    # against the circulant system's determinant and, up to n = 21, its
+    # Smith-form solution (the oracle's full Smith form with transforms
+    # takes over 6 s on one such unit at n = 35)
+    rng = random.Random(44)
+    verdicts, nontrivial = set(), set()
+    for n in (4, 6, 8, 9, 10, 12, 15, 21, 35):
+        prime = [k for k in range(1, n) if gcd(k, n) == 1]
+        # k = -1 gives a trivial unit, the only choice at n = 4 and 6
+        ks = (prime[1:-1] or prime[1:])[:4]
+        one = GroupRingElement.one(n)
+        for _ in range(3):
+            x = one
+            for _ in range(rng.randint(1, 2)):
+                u = bass_unit(n, rng.choice(ks))
+                x = x * galois_twist(u, rng.choice(prime))
+            if x.class_key() != (-1,) + (0,) * (n - 1):
+                nontrivial.add(n)
+            for y in (x, x + one):
+                rows = circulant(y)
+                inv = invert_unit(y)
+                assert (inv is None) == (abs(bareiss_determinant(rows)) != 1)
+                if n <= 21:
+                    ref = smith_solve(rows, [1] + [0] * (n - 1))
+                    assert inv == (None if ref is None
+                                   else GroupRingElement(n, ref)), y
+                elif inv is not None:
+                    assert y * inv == one
+                verdicts.add((y == x, inv is None))
+    # each product is a unit, and on this seed no product plus 1 is one
+    assert verdicts == {(True, False), (False, True)}
+    # Z[C_4] and Z[C_6] have only the trivial units (Higman 1940)
+    assert nontrivial == {8, 9, 10, 12, 15, 21, 35}
+
+
 def test_invert_bass_units_past_seven():
     assert bass_unit(7) == gen(7) * U7
     t0 = time.perf_counter()
@@ -217,7 +254,6 @@ def test_cyclotomic_projection():
     assert cyclotomic_project(gen(7), 7) == CyclotomicElement.zeta(7)
     z = cyclotomic_project(U7, 7)
     assert [int(c) for c in z.coeffs] == [2, 2, 0, -1, -1, -1]
-    assert z.norm() in (1, -1)
     for i in (0, 7, -14):
         with pytest.raises(ValueError, match="prime to p"):
             z.galois(i)
@@ -226,7 +262,6 @@ def test_cyclotomic_projection():
 def test_cyclotomic_coefficients_are_integers():
     z = cyclotomic_project(U7, 7) * CyclotomicElement.zeta(7, 3)
     assert all(type(c) is int for c in z.coeffs)
-    assert type(z.norm()) is int
     assert CyclotomicElement(5, (2.0, Fraction(3), 0, -1)).coeffs == (2, 3, 0, -1)
     for bad in (Fraction(1, 2), 0.5):
         with pytest.raises(ValueError, match="integers"):
@@ -239,10 +274,13 @@ def test_cyclotomic_coefficients_are_integers():
         CyclotomicElement.one(5) * CyclotomicElement.one(7)
 
 
-def test_cyclotomic_norm_against_resultant():
-    # oracle: norm = resultant of the cyclotomic polynomial with the
+def test_invert_unit_against_augmentation_and_resultant():
+    # oracle: Z[C_p] is the pullback of Z and Z[zeta_p] over F_p, so x is
+    # a unit exactly when its augmentation is +-1 and so is the norm of
+    # its projection, the resultant of the cyclotomic polynomial with the
     # representative polynomial
     rng = random.Random(13)
+    verdicts = set()
     for p in (5, 7, 11, 13):
         one = GroupRingElement.one(p)
         sample = [gen(p) - one, gen(p, 2) + one + one, bass_unit(p),
@@ -251,7 +289,14 @@ def test_cyclotomic_norm_against_resultant():
             sample += [U7, GroupRingElement(7, (3, 1, 0, 0, 2, 0, 0))]
         for x in sample:
             z = cyclotomic_project(x, p)
-            assert z.norm() == sylvester_resultant([1] * p, z.coeffs)
+            unit = x.augmentation() in (1, -1) and \
+                sylvester_resultant([1] * p, z.coeffs) in (1, -1)
+            inv = invert_unit(x)
+            assert (inv is not None) == unit, x
+            if unit:
+                assert x * inv == one
+            verdicts.add(unit)
+    assert verdicts == {True, False}
 
 
 def test_cyclotomic_projection_is_ring_hom():

@@ -46,7 +46,6 @@ WORKLOADS = ROOT / "perfbench" / "workloads.py"
 TRACED = "a span of perfbench/tracer.py binds it"
 HELPER = "reached only from a name that perfbench/tracer.py binds"
 ITEM_18 = "the power-residue characters will run it (ROADMAP item 18)"
-ITEM_20 = "the unit inverse through the norm will use it (ROADMAP item 20)"
 REFUSAL = "refuses a change to a frozen value"
 PROTOCOL = "value protocol: equality, hashing, repr or the group law"
 
@@ -67,6 +66,8 @@ ALLOWED = {
     "ktheory.localize": TRACED,
     "ktheory.away_part": TRACED,
     "ktheory._split": HELPER,
+    "lattice.Solver.solve": TRACED,
+    "lattice.Solver.__init__": HELPER,
     # the two value groups of the torsion formulas
     "torsion.UnitClassValues.__init__": ITEM_18,
     "torsion.UnitClassValues.zero": ITEM_18,
@@ -104,8 +105,6 @@ ALLOWED = {
     "groupring.GroupRingElement.__neg__": PROTOCOL,
     "groupring.CyclotomicElement.__add__": PROTOCOL,
     "groupring.CyclotomicElement.__neg__": PROTOCOL,
-    # unused until the norm inverse lands
-    "groupring.CyclotomicElement.norm": ITEM_20,
 }
 
 

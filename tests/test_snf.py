@@ -12,7 +12,8 @@ from whcalc.abelian import FgAbGroup
 from whcalc.groupring import GroupRingElement, invert_unit
 
 from _oracles import (bareiss_determinant, bareiss_rank, diagonal_divisors,
-                      factored_chain, mat_mul, mat_vec, smith_form)
+                      factored_chain, mat_mul, mat_vec, smith_form,
+                      smith_solve)
 
 
 def check_contract(rows):
@@ -114,24 +115,13 @@ def test_dispatcher_handles_huge_intermediates():
 
 def test_solver_and_kernel():
     a = [[2, 0, 4], [0, 3, 6]]
-    x = lattice.solve(a, [6, 9])
+    x = lattice.Solver(a).solve([6, 9])
     assert x is not None and lattice.mat_vec(a, x) == [6, 9]
-    assert lattice.solve([[2]], [3]) is None
+    assert lattice.Solver([[2]]).solve([3]) is None
     # one sparse column, zero-free with a positive leading entry
     (k,) = lattice.kernel_with_denominator(a, [], 3)
     assert all(k.values()) and k[min(k)] > 0
     assert lattice.mat_vec(a, [k.get(i, 0) for i in range(3)]) == [0, 0]
-
-
-def smith_solve(rows, b):
-    """A x = b by the oracle's full Smith form: x = R (L b / d), or None."""
-    n = len(rows[0])
-    diag, left, right = smith_form(rows)
-    c = mat_vec(left, b)
-    if any(x % d for x, d in zip(c, diag)) or any(c[len(diag):]):
-        return None
-    y = [x // d for x, d in zip(c, diag)]
-    return mat_vec(right, y + [0] * (n - len(diag)))
 
 
 def random_system(rng, shape):
@@ -157,7 +147,7 @@ def test_solve_matches_the_smith_route():
         verdicts = set()
         for _ in range(150):
             rows, b = random_system(rng, shape)
-            x, ref = lattice.solve(rows, b), smith_solve(rows, b)
+            x, ref = lattice.Solver(rows).solve(b), smith_solve(rows, b)
             assert (x is None) == (ref is None), (rows, b)
             if x is not None:
                 assert mat_vec(rows, x) == b
@@ -165,11 +155,11 @@ def test_solve_matches_the_smith_route():
             verdicts.add(x is None)
         assert verdicts == {True, False}, shape
     # inconsistent over Q, and consistent over Q but not over Z
-    assert lattice.solve([[1, 2], [2, 4]], [1, 3]) is None
+    assert lattice.Solver([[1, 2], [2, 4]]).solve([1, 3]) is None
     assert smith_solve([[1, 2], [2, 4]], [1, 3]) is None
-    assert lattice.solve([[2, 4], [6, 2]], [1, 1]) is None
+    assert lattice.Solver([[2, 4], [6, 2]]).solve([1, 1]) is None
     assert smith_solve([[2, 4], [6, 2]], [1, 1]) is None
-    assert lattice.solve([[0, 0]], [0]) == [0, 0]
+    assert lattice.Solver([[0, 0]]).solve([0]) == [0, 0]
 
 
 def test_solve_and_invert_unit_take_no_smith_form(monkeypatch):
@@ -182,10 +172,16 @@ def test_solve_and_invert_unit_take_no_smith_form(monkeypatch):
 
     monkeypatch.setattr(_snf, "smith", counting)
     a = [[2, 0, 4], [0, 3, 6]]
-    assert lattice.mat_vec(a, lattice.solve(a, [6, 9])) == [6, 9]
-    u = GroupRingElement(7, (2, 2, 0, -1, -1, -1, 0))
-    assert u * invert_unit(u) == GroupRingElement.one(7)
+    assert lattice.mat_vec(a, lattice.Solver(a).solve([6, 9])) == [6, 9]
     assert calls == []
+
+    # the unit inverse is group-ring arithmetic: it reaches no elimination
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("invert_unit reached lattice._eliminate")
+
+    monkeypatch.setattr(lattice, "_eliminate", refuse)
+    u = GroupRingElement(7, (2, 2, 0, -1, -1, -1, 0))
+    assert invert_unit(u) == GroupRingElement(7, (1, -2, 3, -3, 3, -2, 1))
 
 
 def test_lattice_reduction():
