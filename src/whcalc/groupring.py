@@ -40,9 +40,9 @@ __all__ = [
 
 
 # Largest group order ``invert_unit`` accepts: it multiplies phi(n) twists
-# in O(n) memory, but each product takes up to n^2 steps on entries that
-# grow along the way (a random dense element takes 0.47 s at order 200,
-# 5.4 s at 400 and 96 s at 1000; the identity 0.19 s at 1000).
+# in O(n) memory, but each product takes up to n^2 steps on growing entries
+# (a random dense element of augmentation 1: 0.48 s at order 200, 4.3 s at
+# 400 and 98 s at 1000; the identity 0.22 s at 1000).
 ORDER_MAX = 1000
 
 
@@ -159,11 +159,14 @@ def invert_unit(x):
     1, v = w*x is fixed by every twist, so each of its components under
     Q[C_n] = prod_{m | n} Q(zeta_m) is rational.  For a unit they are
     also algebraic-integer units, hence +-1, so v*v = 1; conversely
-    v*v = 1 makes w*v the inverse.  Capped at ``ORDER_MAX``.
+    v*v = 1 makes w*v the inverse.  A unit has augmentation +-1 (a ring
+    map to Z), so any other is refused first.  Capped at ``ORDER_MAX``.
     """
     n = x.order
     if n > ORDER_MAX:
         raise ValueError(f"the group order is capped at {ORDER_MAX}")
+    if x.augmentation() not in (1, -1):
+        return None
     one = GroupRingElement.one(n)
     w = one
     for i in range(2, n):
@@ -278,15 +281,20 @@ class CyclotomicElement(Frozen):
         return CyclotomicElement(self.p, tuple(-a for a in self.coeffs))
 
     def _lift(self):
-        # the representative in Z[C_p] with no zeta^{p-1} term
-        return GroupRingElement(self.p, self.coeffs + (0,))
+        """The preimage in Z[C_p] with sum in [-(p//2), (p-1)//2]: preimages
+        differ by multiples of N, which move the sum by p, so the lift of
+        +-zeta^k * x is +-t^k times that of x (at p = 2, -1 = zeta)."""
+        c = self.coeffs + (0,)
+        m = (sum(c) + self.p // 2) // self.p
+        return GroupRingElement(self.p, tuple(a - m for a in c))
+
+    def class_key(self):
+        """Shared exactly by elements that differ by +-zeta^k."""
+        return self._lift().class_key()
 
     def __mul__(self, other):
         self._check(other)
         return cyclotomic_project(self._lift() * other._lift(), self.p)
-
-    def is_zero(self):
-        return not any(self.coeffs)
 
     def galois(self, i):
         """Field automorphism zeta -> zeta^i; requires i nonzero mod p."""

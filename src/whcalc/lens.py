@@ -21,7 +21,7 @@ from ._value import Frozen
 from .abelian import (FgAbGroup, InvolutiveAbelianGroup, double_subgroup,
                       homology_c2)
 from .groupring import (CyclotomicElement, GroupRingElement, WhiteheadClass,
-                        wh_class_equal)
+                        galois_twist, wh_class_equal)
 from .lattice import _is_prime
 from .report import ASSUMED, DERIVED, FAILED, VERIFIED, ReportDocument
 from .torsion import inertial_twist_torsion
@@ -94,16 +94,10 @@ def reidemeister_torsion(lens):
 
 
 def rt_equivalent(x, y):
-    """Equality of two elements of Z[zeta_p] up to +-zeta^k: a finite
-    check of 2p exact candidates, stopping at the first match."""
+    """Whether x = +-zeta^k * y in Z[zeta_p] for some k, by class key."""
     if x.p != y.p:
         raise ValueError("torsions live over different primes")
-    p = x.p
-    for k in range(p):
-        scaled = y * CyclotomicElement.zeta(p, k)
-        if (x - scaled).is_zero() or (x + scaled).is_zero():
-            return True
-    return False
+    return x.class_key() == y.class_key()
 
 
 def homotopy_auto_image(lens):
@@ -155,24 +149,22 @@ class InertiaSet(Frozen):
 def inertia_set(lens, unit):
     """Inertia torsion classes of the h-cobordant partner defined by ``unit``.
 
-    For each realizable simple degree i the twisted-difference class
-    twist_i(u) * u^{-1} is formed and grouped by the class key of its
-    representative; the first class met stands for its group, and the
-    witnesses come in increasing degree.  Completeness is a cited input,
-    not a computation.
+    The realizable simple degrees i are grouped by the class key of
+    twist_i(u), which decides that of twist_i(u) * u^{-1} as u is a unit;
+    the class of the first degree, formed once, stands for its group, and
+    the witnesses come in increasing degree.  Completeness is a cited
+    input, not a computation.
     """
-    if not isinstance(unit, WhiteheadClass):
-        unit = WhiteheadClass(unit)
     if unit.order != lens.p:
         raise ValueError("the unit must live over Z[C_p]")
     groups = {}
     for i in sorted(homotopy_auto_image(lens)):
         if is_simple_auto(lens, i):
-            cls = inertial_twist_torsion(unit, i)
-            key = cls.representative.class_key()
-            groups.setdefault(key, (cls, []))[1].append(i)
-    return InertiaSet(tuple(c for c, _ in groups.values()),
-                      tuple(tuple(w) for _, w in groups.values()))
+            key = galois_twist(unit.representative, i).class_key()
+            groups.setdefault(key, []).append(i)
+    return InertiaSet(tuple(inertial_twist_torsion(unit, w[0])
+                            for w in groups.values()),
+                      tuple(map(tuple, groups.values())))
 
 
 def balanced_lens_space(p, k):

@@ -5,8 +5,10 @@ the package: fraction-free (Bareiss) elimination instead of integer SNF,
 brute-force element enumeration instead of lattice subquotients,
 Sylvester resultants instead of conjugate products, a schoolbook
 product and an index map on Z[zeta_p] instead of the lift to Z[C_p]
-(``cyclotomic_product``, ``cyclotomic_galois``), and plain pair and
-subset loops instead of the per-ambient plans of ``whcalc.falg``.
+(``cyclotomic_product``, ``cyclotomic_galois``), a search of the 2p
+multiples +-zeta^k instead of class keys (``root_multiple_by_search``),
+and plain pair and subset loops instead of the per-ambient plans of
+``whcalc.falg``.
 The contractibility oracle ``is_acyclic_and_connected`` reads its face
 bitmasks itself (vertices, connectivity by union-find, boundary
 matrices) and calls nothing of ``whcalc.simplicial``.
@@ -498,6 +500,19 @@ def cyclotomic_product(p, a, b):
         for j, y in enumerate(b):
             ext[(i + j) % p] += x * y
     return _cyclotomic_fold(p, ext)
+
+
+def root_multiple_by_search(x, y):
+    """Whether x = +-zeta^k * y in Z[zeta_p] for some k: each of the 2p
+    candidates +-zeta^k * y by the schoolbook product, where
+    ``lens.rt_equivalent`` compares class keys of balanced lifts."""
+    p = x.p
+    minus_x = tuple(-a for a in x.coeffs)
+    for k in range(p):
+        zeta_k = _cyclotomic_fold(p, [int(j == k) for j in range(p)])
+        if cyclotomic_product(p, y.coeffs, zeta_k) in (x.coeffs, minus_x):
+            return True
+    return False
 
 
 def cyclotomic_galois(p, a, i):
