@@ -2,9 +2,11 @@
 
 The classification data of a lens space with odd prime fundamental group
 is carried by the product of (zeta^r - 1) over its weights, compared up
-to sign and a root-of-unity factor.  Combining this with the unit
-calculus gives the set of inertia torsion classes and, for the balanced
-weight family, the cardinality discrepancy report.
+to sign and a root-of-unity factor by class key.  The simple degrees,
+those realizable degrees whose twist keeps that class, are decided once
+per lens space by ``simple_degrees``; the inertia torsion classes and,
+for the balanced weight family, the cardinality discrepancy report read
+them from there.
 
 Completeness of the inertia computation rests on two literature inputs
 that are cited, never recomputed: linear lens spaces admit no nontrivial
@@ -15,7 +17,6 @@ is realized by a diffeomorphism.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 
 from ._value import Frozen
 from .abelian import (FgAbGroup, InvolutiveAbelianGroup, double_subgroup,
@@ -30,9 +31,8 @@ __all__ = [
     "LensSpace",
     "InertiaSet",
     "reidemeister_torsion",
-    "rt_equivalent",
     "homotopy_auto_image",
-    "is_simple_auto",
+    "simple_degrees",
     "inertia_set",
     "balanced_lens_space",
     "standard_inertia_unit",
@@ -77,27 +77,18 @@ class LensSpace(Frozen):
         return f"L^{self.dim}_{self.p}({w})"
 
 
-@lru_cache(maxsize=None)
 def reidemeister_torsion(lens):
     """Product of (zeta^w - 1) over the weights, exactly in Z[zeta_p].
 
     Never zero: no factor is, as every weight is prime to p, and
-    Z[zeta_p] is a domain.  Cached per lens space: ``is_simple_auto`` compares against
-    it once for every realizable degree, and a report asks for every
-    degree twice, directly and through ``inertia_set``.
+    Z[zeta_p] is a domain.  Formed once per lens space, by the cached
+    ``simple_degrees``.
     """
     p = lens.p
     prod = CyclotomicElement.one(p)
     for w in lens.weights:
         prod = prod * (CyclotomicElement.zeta(p, w) - CyclotomicElement.one(p))
     return prod
-
-
-def rt_equivalent(x, y):
-    """Whether x = +-zeta^k * y in Z[zeta_p] for some k, by class key."""
-    if x.p != y.p:
-        raise ValueError("torsions live over different primes")
-    return x.class_key() == y.class_key()
 
 
 def homotopy_auto_image(lens):
@@ -117,18 +108,19 @@ def homotopy_auto_image(lens):
     return out
 
 
-def is_simple_auto(lens, i):
-    """Whether the degree-i self-equivalence preserves the torsion class.
+@lru_cache(maxsize=None)
+def simple_degrees(lens):
+    """Sorted realizable degrees i whose twist preserves the torsion class.
 
-    The criterion is exact equality of the twisted and original torsions
-    up to +-zeta^k.  The index must lie in ``homotopy_auto_image``.
+    Degree i is simple when Delta^(i) = +-zeta^k * Delta for some k, which
+    holds exactly when the two class keys agree.  Delta and its key are
+    formed once; cached per lens space, as a report asks for the simple
+    degrees directly and through ``inertia_set``.
     """
-    if gcd(i, lens.p) != 1:
-        raise ValueError("the degree must be prime to p")
-    if i % lens.p not in homotopy_auto_image(lens):
-        raise ValueError(f"degree {i} is not realized by a self-equivalence")
     delta = reidemeister_torsion(lens)
-    return rt_equivalent(delta.galois(i), delta)
+    key = delta.class_key()
+    return tuple(i for i in sorted(homotopy_auto_image(lens))
+                 if delta.galois(i).class_key() == key)
 
 
 class InertiaSet(Frozen):
@@ -149,19 +141,23 @@ class InertiaSet(Frozen):
 def inertia_set(lens, unit):
     """Inertia torsion classes of the h-cobordant partner defined by ``unit``.
 
-    The realizable simple degrees i are grouped by the class key of
-    twist_i(u), which decides that of twist_i(u) * u^{-1} as u is a unit;
-    the class of the first degree, formed once, stands for its group, and
-    the witnesses come in increasing degree.  Completeness is a cited
-    input, not a computation.
+    ``unit`` is a WhiteheadClass; a bare group-ring element is refused,
+    as nothing has checked that it is a unit.  The degrees of
+    ``simple_degrees(lens)`` are grouped by the class key of twist_i(u),
+    which decides that of twist_i(u) * u^{-1} as u is a unit; the class
+    of the first degree, formed once, stands for its group, and the
+    witnesses come in increasing degree.  Completeness is a cited input,
+    not a computation.
     """
+    if not isinstance(unit, WhiteheadClass):
+        raise ValueError("the unit must be a WhiteheadClass, not "
+                         f"{type(unit).__name__}")
     if unit.order != lens.p:
         raise ValueError("the unit must live over Z[C_p]")
     groups = {}
-    for i in sorted(homotopy_auto_image(lens)):
-        if is_simple_auto(lens, i):
-            key = galois_twist(unit.representative, i).class_key()
-            groups.setdefault(key, []).append(i)
+    for i in simple_degrees(lens):
+        key = galois_twist(unit.representative, i).class_key()
+        groups.setdefault(key, []).append(i)
     return InertiaSet(tuple(inertial_twist_torsion(unit, w[0])
                             for w in groups.values()),
                       tuple(map(tuple, groups.values())))
@@ -255,11 +251,10 @@ def discrepancy_report(k, p=7, unit_coeffs=None):
             {"degrees": sorted(image),
              "orientation": {str(i): s for i, s in sorted(image.items())}})
 
-    simple = {i: is_simple_auto(lens, i) for i in sorted(image)}
-    all_simple = all(simple.values())
+    simple = simple_degrees(lens)
     doc.add("simpleness-r-torsion",
-            VERIFIED if all_simple else DERIVED,
-            {"simple_degrees": [i for i, s in sorted(simple.items()) if s]})
+            VERIFIED if len(simple) == len(image) else DERIVED,
+            {"simple_degrees": list(simple)})
 
     fixed = wh_class_equal(unit.twist(p - 1), unit)
     doc.add("top-twist-fixes-unit", VERIFIED if fixed else FAILED,

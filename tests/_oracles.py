@@ -504,8 +504,8 @@ def cyclotomic_product(p, a, b):
 
 def root_multiple_by_search(x, y):
     """Whether x = +-zeta^k * y in Z[zeta_p] for some k: each of the 2p
-    candidates +-zeta^k * y by the schoolbook product, where
-    ``lens.rt_equivalent`` compares class keys of balanced lifts."""
+    candidates +-zeta^k * y by the schoolbook product, where ``lens``
+    compares class keys of balanced lifts."""
     p = x.p
     minus_x = tuple(-a for a in x.coeffs)
     for k in range(p):

@@ -19,7 +19,7 @@ from whcalc.groupring import (GroupRingElement, WhiteheadClass, invert_unit,
                               involution, wh_class_equal)
 from whcalc.ktheory import k3_divisibility, tor_pi_r
 from whcalc.lens import (balanced_lens_space, discrepancy_report, inertia_set,
-                         is_simple_auto, standard_inertia_unit)
+                         simple_degrees, standard_inertia_unit)
 from whcalc.simplicial import enumerate_subcomplexes, is_contractible
 from whcalc.torsion import (HCobordismSymbol, ModuleValues,
                             basepoint_change_torsion, compose, double, reverse)
@@ -254,10 +254,7 @@ def test_criterion_11_collapsibility_oracle():
 
 
 def test_criterion_12_r_torsion_classification():
-    ok = True
-    for k in (1, 2):
-        space = balanced_lens_space(7, k)
-        for i in range(1, 7):
-            ok = ok and is_simple_auto(space, i)
+    ok = all(simple_degrees(balanced_lens_space(7, k)) == tuple(range(1, 7))
+             for k in (1, 2))
     report(12, ok, "every unit degree is simple on the balanced spaces, "
                    "k in {1, 2}")

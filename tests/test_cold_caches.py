@@ -133,7 +133,7 @@ def test_caches_are_cold_after_import():
             "whcalc.falg._horn_basis", "whcalc.falg._duality_form",
             "whcalc.falg._face_horns", "whcalc.falg._presolve",
             "whcalc.simplicial._collapses_to_point",
-            "whcalc.lens.reidemeister_torsion"} <= set(sizes)
+            "whcalc.lens.simple_degrees"} <= set(sizes)
     assert {name: n for name, n in sizes.items() if n} == {}
 
 

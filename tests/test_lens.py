@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -12,7 +13,7 @@ from whcalc.groupring import (CyclotomicElement, GroupRingElement,
                               WhiteheadClass, galois_twist, wh_class_equal)
 from whcalc.lens import (K_MAX, LensSpace, balanced_lens_space,
                          discrepancy_report, homotopy_auto_image, inertia_set,
-                         is_simple_auto, reidemeister_torsion, rt_equivalent,
+                         reidemeister_torsion, simple_degrees,
                          standard_inertia_unit)
 from whcalc.torsion import inertial_twist_torsion
 
@@ -28,6 +29,12 @@ def zeta(p, k=1):
 
 def one(p):
     return CyclotomicElement.one(p)
+
+
+def same_class(x, y):
+    """Torsion equivalence, x = +-zeta^k * y, as the lens module decides
+    it: by equal class keys."""
+    return x.class_key() == y.class_key()
 
 
 def test_lens_space_validation():
@@ -73,15 +80,12 @@ def test_r_torsion_weight_permutation_invariance():
 def test_rt_equivalence():
     space = balanced_lens_space(7, 1)
     delta = reidemeister_torsion(space)
-    assert rt_equivalent(delta, delta)
+    assert same_class(delta, delta)
     scaled = -(delta * zeta(7, 3))
-    assert rt_equivalent(delta, scaled)
+    assert same_class(delta, scaled)
     x = zeta(7) - one(7)
     y = zeta(7, 2) - one(7)
-    assert not rt_equivalent(x, y)
-    # refused before any product, which would refuse with its own message
-    with pytest.raises(ValueError, match="torsions live over different"):
-        rt_equivalent(zeta(5) - one(5), x)
+    assert not same_class(x, y)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -94,8 +98,8 @@ def test_r_torsion_is_nonzero_and_equivalent_to_itself(p):
         delta = reidemeister_torsion(LensSpace(p, ws))
         assert isinstance(delta, CyclotomicElement) and delta.p == p
         assert any(delta.coeffs)
-        assert rt_equivalent(delta, delta)
-        assert rt_equivalent(delta, -(delta * zeta(p, ws[0])))
+        assert same_class(delta, delta)
+        assert same_class(delta, -(delta * zeta(p, ws[0])))
 
 
 def test_rt_equivalence_is_equivalence_relation():
@@ -104,12 +108,12 @@ def test_rt_equivalence_is_equivalence_relation():
             zeta(7, 3) - one(7),
             (zeta(7) - one(7)) * (zeta(7) - one(7))]
     for a in vals:
-        assert rt_equivalent(a, a)
+        assert same_class(a, a)
         for b in vals:
-            assert rt_equivalent(a, b) == rt_equivalent(b, a)
+            assert same_class(a, b) == same_class(b, a)
             for c in vals:
-                if rt_equivalent(a, b) and rt_equivalent(b, c):
-                    assert rt_equivalent(a, c)
+                if same_class(a, b) and same_class(b, c):
+                    assert same_class(a, c)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
@@ -137,7 +141,7 @@ def test_rt_equivalent_matches_the_search_oracle(p):
             delta = reidemeister_torsion(LensSpace(p, ws))
             pairs.append((delta.galois(i), delta))
     verdicts = [root_multiple_by_search(x, y) for x, y in pairs]
-    assert [rt_equivalent(x, y) for x, y in pairs] == verdicts
+    assert [same_class(x, y) for x, y in pairs] == verdicts
     assert set(verdicts) == {True, False}
 
 
@@ -147,11 +151,11 @@ def test_rt_equivalent_multiplies_nothing(monkeypatch):
     x, y = zeta(7) - one(7), zeta(7, 2) - one(7)
 
     def refuse(self, other):
-        raise AssertionError("rt_equivalent multiplied")
+        raise AssertionError("the class key comparison multiplied")
 
     monkeypatch.setattr(CyclotomicElement, "__mul__", refuse)
-    assert rt_equivalent(delta, scaled)
-    assert not rt_equivalent(x, y)
+    assert same_class(delta, scaled)
+    assert not same_class(x, y)
 
 
 def test_homotopy_auto_image():
@@ -164,24 +168,43 @@ def test_homotopy_auto_image():
     assert 1 in homotopy_auto_image(LensSpace(7, (1, 1, 1)))
 
 
-def test_is_simple_auto_balanced():
+def test_simple_degrees_balanced():
     space = balanced_lens_space(7, 1)
-    for i in range(1, 7):
-        assert is_simple_auto(space, i)
+    assert simple_degrees(space) == (1, 2, 3, 4, 5, 6)
 
 
-def test_is_simple_auto_unbalanced_counterexample():
+def test_simple_degrees_unbalanced_counterexample():
     # (zeta^2-1)(zeta^4-1) vs (zeta-1)^2: not equivalent, so the degree-2
     # twist does not preserve the torsion of the (1:1)-space; that degree
-    # is not realizable, so ``is_simple_auto`` refuses it and the torsions
-    # are compared directly
+    # is not realizable, so ``simple_degrees`` never asks and the
+    # torsions are compared directly
     space = LensSpace(7, (1, 1))
     assert sorted(homotopy_auto_image(space)) == [1, 6]
-    with pytest.raises(ValueError, match="not realized"):
-        is_simple_auto(space, 2)
+    assert simple_degrees(space) == (1, 6)
     delta = reidemeister_torsion(space)
-    assert not rt_equivalent(delta.galois(2), delta)
-    assert is_simple_auto(space, 1)
+    assert not same_class(delta.galois(2), delta)
+
+
+def _simple_degrees_by_search(space):
+    delta = reidemeister_torsion(space)
+    return tuple(i for i in sorted(homotopy_auto_image(space))
+                 if root_multiple_by_search(delta.galois(i), delta))
+
+
+@pytest.mark.parametrize("p, n, spaces, not_all_simple",
+                         [(7, 3, 56, 48), (11, 3, 220, 0)])
+def test_simple_degrees_match_the_search_oracle(p, n, spaces,
+                                                not_all_simple):
+    # every weight multiset, with the 2p candidates +-zeta^k * Delta
+    # searched for each realizable degree, no class key involved; at
+    # p = 11 only +-1 are realizable, and both are always simple
+    lenses = [LensSpace(p, ws)
+              for ws in combinations_with_replacement(range(1, p), n)]
+    got = [simple_degrees(space) for space in lenses]
+    assert got == [_simple_degrees_by_search(space) for space in lenses]
+    assert len(lenses) == spaces
+    assert sum(len(d) < len(homotopy_auto_image(space))
+               for d, space in zip(got, lenses)) == not_all_simple
 
 
 def test_inertia_paper_case():
@@ -207,7 +230,7 @@ def test_inertia_skips_degrees_that_are_not_simple():
     # the torsion, and degree 6 fixes the class of the standard unit
     space = LensSpace(7, (1, 1, 2))
     assert sorted(homotopy_auto_image(space)) == [1, 2, 3, 4, 5, 6]
-    assert [i for i in range(1, 7) if is_simple_auto(space, i)] == [1, 6]
+    assert simple_degrees(space) == (1, 6) == _simple_degrees_by_search(space)
     iner = inertia_set(space, WhiteheadClass(standard_inertia_unit(7)))
     assert iner.witnesses == ((1, 6),)
     assert iner.classes == (trivial_class(7),)
@@ -220,9 +243,7 @@ def test_inertia_partition_matches_pairwise_oracle(p):
     space = balanced_lens_space(p, 1)
     unit = WhiteheadClass(bass_unit(p))
     groups = []
-    for i in sorted(homotopy_auto_image(space)):
-        if not is_simple_auto(space, i):
-            continue
+    for i in simple_degrees(space):
         cls = unit.twist(i).times(unit.inverse_class())
         for first, degrees in groups:
             if unit_class_equal(cls, first):
@@ -259,8 +280,7 @@ def test_inertia_set_forms_one_class_per_group(monkeypatch):
     monkeypatch.setattr(lens, "inertial_twist_torsion", spy)
     space = balanced_lens_space(13, 1)
     iner = inertia_set(space, WhiteheadClass(bass_unit(13)))
-    assert [i for i in range(1, 13) if is_simple_auto(space, i)] == \
-        list(range(1, 13))
+    assert simple_degrees(space) == tuple(range(1, 13))
     assert iner.cardinality == 6
     assert calls == [w[0] for w in iner.witnesses] == [1, 2, 3, 4, 5, 6]
 
@@ -300,10 +320,13 @@ def test_inertia_rejects_wrong_order():
 
 
 def test_inertia_rejects_non_unit():
-    # inertia_set takes a WhiteheadClass, which refuses a non-unit
-    with pytest.raises(ValueError, match="not a unit"):
-        inertia_set(balanced_lens_space(7, 1),
-                    WhiteheadClass(GroupRingElement(7, (1, 1, 0, 0, 0, 0, 0))))
+    # only a WhiteheadClass is known to be a unit: a bare group-ring
+    # element is refused as such, a unit or not, before any twist
+    space = balanced_lens_space(7, 1)
+    for element in (GroupRingElement(7, (1, 1, 0, 0, 0, 0, 0)),
+                    standard_inertia_unit(7)):
+        with pytest.raises(ValueError, match="must be a WhiteheadClass"):
+            inertia_set(space, element)
 
 
 def test_report_k1_and_k2():
@@ -335,6 +358,42 @@ def test_report_p5_uses_rank_one():
     assert h1.status == "verified" and h1.witness["group"] == "Z/2"
     assert stages["inertia-mod-doubles"].witness["cardinality"] == 2
     assert doc.params["dimension"] == 7
+
+
+def test_report_decides_each_degree_once(monkeypatch):
+    # at p = 13 with the Bass unit: one class key for Delta and one for
+    # each of the 12 twists, and the realizable degrees computed by the
+    # report and by ``simple_degrees``; deciding every degree twice made
+    # 48 and 26
+    keys, images = [], []
+    class_key = CyclotomicElement.class_key
+    image = lens.homotopy_auto_image
+
+    def count_key(self):
+        keys.append(self)
+        return class_key(self)
+
+    def count_image(space):
+        images.append(space)
+        return image(space)
+
+    monkeypatch.setattr(CyclotomicElement, "class_key", count_key)
+    monkeypatch.setattr(lens, "homotopy_auto_image", count_image)
+    lens.simple_degrees.cache_clear()
+    doc = discrepancy_report(1, 13, unit_coeffs=bass_unit(13).coeffs)
+    assert doc.exit_code() == 0
+    assert len(keys) <= 13
+    assert len(images) <= 2
+
+
+@pytest.mark.parametrize("p", [5, 11, 13, 17, 19, 23])
+def test_report_across_primes_with_the_bass_unit(p):
+    doc = discrepancy_report(1, p, unit_coeffs=bass_unit(p).coeffs)
+    stages = {s.name: s for s in doc.stages}
+    assert not doc.failed()
+    assert stages["simpleness-r-torsion"].witness["simple_degrees"] == \
+        list(range(1, p))
+    assert stages["cardinality-ratio"].witness["factor"] == (p - 1) // 2
 
 
 def test_report_without_standard_unit_is_value_error():
