@@ -5,11 +5,8 @@ ints (coefficient k belongs to t^k), so nothing ever overflows.  On top
 of the ring arithmetic this module provides the coefficient-reversal
 involution t^k -> t^{-k} (it takes no orientation character: C_n of odd
 order has only the trivial one), Galois twists t -> t^i, exact unit
-inversion through the product of the twists, unit classes modulo the
-trivial units +-t^k, and the projection to the cyclotomic integers
-Z[zeta_p] = Z[C_p]/(N), N = 1 + t + ... + t^{p-1}.  Products and Galois
-maps of Z[zeta_p] lift their operands to Z[C_p], run there and fold the
-result back, so each ring operation is written once.
+inversion through the product of the twists, and unit classes modulo
+the trivial units +-t^k.
 
 Unit classes model the rank-1 part of K_1: two units represent the same
 class iff they differ by a trivial unit.  Treating single units as
@@ -22,20 +19,17 @@ from __future__ import annotations
 
 from math import gcd
 
-from . import lattice
 from ._value import Frozen
 
 __all__ = [
     "GroupRingElement",
     "WhiteheadClass",
-    "CyclotomicElement",
     "NotAUnitError",
     "ORDER_MAX",
     "involution",
     "galois_twist",
     "invert_unit",
     "wh_class_equal",
-    "cyclotomic_project",
 ]
 
 
@@ -225,86 +219,3 @@ def wh_class_equal(x, y):
         raise ValueError("classes live over different group orders")
     return x.representative.class_key() == y.representative.class_key()
 
-
-class CyclotomicElement(Frozen):
-    """Element of Z[zeta_p] in the basis 1, zeta, ..., zeta^{p-2}.
-
-    Every element the library builds is an integer combination of powers
-    of zeta, so the coefficients are ints and a non-integral one raises
-    ValueError.
-    """
-
-    _fields = ("p", "coeffs")
-
-    def __init__(self, p, coeffs):
-        if not lattice._is_prime(p):
-            raise ValueError("p must be prime")
-        coeffs = tuple(coeffs)
-        ints = tuple(map(int, coeffs))
-        if ints != coeffs:
-            raise ValueError("cyclotomic coefficients must be integers")
-        if len(coeffs) != p - 1:
-            raise ValueError("coefficient vector must have length p-1")
-        self._freeze(p, ints)
-
-    @classmethod
-    def one(cls, p):
-        return cls(p, (1,) + (0,) * (p - 2))
-
-    @classmethod
-    def zeta(cls, p, power=1):
-        ext = [0] * p
-        ext[power % p] = 1
-        return cls._fold(p, ext)
-
-    @classmethod
-    def _fold(cls, p, ext):
-        # ext has length p (exponents mod p); zeta^{p-1} = -(1 + ... + zeta^{p-2})
-        top = ext[p - 1]
-        return cls(p, tuple(ext[k] - top for k in range(p - 1)))
-
-    def _check(self, other):
-        if self.p != other.p:
-            raise ValueError("cyclotomic elements over different primes")
-
-    def __add__(self, other):
-        self._check(other)
-        return CyclotomicElement(
-            self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return CyclotomicElement(
-            self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return CyclotomicElement(self.p, tuple(-a for a in self.coeffs))
-
-    def _lift(self):
-        """The preimage in Z[C_p] with sum in [-(p//2), (p-1)//2]: preimages
-        differ by multiples of N, which move the sum by p, so the lift of
-        +-zeta^k * x is +-t^k times that of x (at p = 2, -1 = zeta)."""
-        c = self.coeffs + (0,)
-        m = (sum(c) + self.p // 2) // self.p
-        return GroupRingElement(self.p, tuple(a - m for a in c))
-
-    def class_key(self):
-        """Shared exactly by elements that differ by +-zeta^k."""
-        return self._lift().class_key()
-
-    def __mul__(self, other):
-        self._check(other)
-        return cyclotomic_project(self._lift() * other._lift(), self.p)
-
-    def galois(self, i):
-        """Field automorphism zeta -> zeta^i; requires i nonzero mod p."""
-        if i % self.p == 0:
-            raise ValueError("the automorphism index must be prime to p")
-        return cyclotomic_project(galois_twist(self._lift(), i), self.p)
-
-
-def cyclotomic_project(x, p):
-    """Image of x in Z[zeta_p] under t -> zeta_p (ring homomorphism)."""
-    if x.order != p:
-        raise ValueError(f"element lives in Z[C_{x.order}], expected order {p}")
-    return CyclotomicElement._fold(p, x.coeffs)

@@ -1,8 +1,8 @@
 """Lens spaces: Reidemeister torsion, simple self-equivalences, inertia.
 
 The classification data of a lens space with odd prime fundamental group
-is carried by the product of (zeta^r - 1) over its weights, compared up
-to sign and a root-of-unity factor by class key.  The simple degrees,
+is carried by the product of (t^r - 1) over its weights in Z[C_p],
+compared up to the trivial units +-t^k by class key.  The simple degrees,
 those realizable degrees whose twist keeps that class, are decided once
 per lens space by ``simple_degrees``; the inertia torsion classes and,
 for the balanced weight family, the cardinality discrepancy report read
@@ -21,8 +21,8 @@ from functools import lru_cache
 from ._value import Frozen
 from .abelian import (FgAbGroup, InvolutiveAbelianGroup, double_subgroup,
                       homology_c2)
-from .groupring import (CyclotomicElement, GroupRingElement, WhiteheadClass,
-                        galois_twist, wh_class_equal)
+from .groupring import (GroupRingElement, WhiteheadClass, galois_twist,
+                        wh_class_equal)
 from .lattice import _is_prime
 from .report import ASSUMED, DERIVED, FAILED, VERIFIED, ReportDocument
 from .torsion import inertial_twist_torsion
@@ -42,9 +42,9 @@ __all__ = [
 
 
 # Largest repetition count ``balanced_lens_space`` accepts: a report's
-# cost grows linearly in k, about 1 ms per step at p = 7 with the torsion
-# computed once per lens space (k = 20: 0.02 to 0.03 s, k = 100: 0.08 to
-# 0.14 s in fresh processes on 2 vCPUs), and the weights are built before
+# cost grows linearly in k, about 0.1 ms per step at p = 7 with the torsion
+# computed once per lens space (k = 20: 0.004 s, k = 100: 0.009 to 0.016
+# s in fresh processes on 2 vCPUs), and the weights are built before
 # any other check can refuse them.
 K_MAX = 100
 
@@ -78,17 +78,19 @@ class LensSpace(Frozen):
 
 
 def reidemeister_torsion(lens):
-    """Product of (zeta^w - 1) over the weights, exactly in Z[zeta_p].
+    """Product of (t^w - 1) over the weights, exactly in Z[C_p].
 
-    Never zero: no factor is, as every weight is prime to p, and
-    Z[zeta_p] is a domain.  Formed once per lens space, by the cached
-    ``simple_degrees``.
+    Each factor, so Delta, has augmentation 0, and the kernel of the
+    projection to Z[zeta_p] is Z*N with aug(N) = p: so two such elements
+    differ by +-zeta^k there exactly when by +-t^k here, as class keys
+    decide.  Never zero, as its image prod (zeta^w - 1) is not.  Formed
+    once per lens space, by the cached ``simple_degrees``.
     """
     p = lens.p
-    prod = CyclotomicElement.one(p)
+    delta = one = GroupRingElement.one(p)
     for w in lens.weights:
-        prod = prod * (CyclotomicElement.zeta(p, w) - CyclotomicElement.one(p))
-    return prod
+        delta = delta * (GroupRingElement(p, [k == w for k in range(p)]) - one)
+    return delta
 
 
 def homotopy_auto_image(lens):
@@ -110,17 +112,15 @@ def homotopy_auto_image(lens):
 
 @lru_cache(maxsize=None)
 def simple_degrees(lens):
-    """Sorted realizable degrees i whose twist preserves the torsion class.
-
-    Degree i is simple when Delta^(i) = +-zeta^k * Delta for some k, which
-    holds exactly when the two class keys agree.  Delta and its key are
-    formed once; cached per lens space, as a report asks for the simple
-    degrees directly and through ``inertia_set``.
+    """Sorted realizable degrees i whose twist preserves the torsion class,
+    sigma_i(Delta) = +-t^k * Delta, as equal class keys decide.  Delta and
+    its key are formed once; cached per lens space, as a report asks for
+    the simple degrees directly and through ``inertia_set``.
     """
     delta = reidemeister_torsion(lens)
     key = delta.class_key()
     return tuple(i for i in sorted(homotopy_auto_image(lens))
-                 if delta.galois(i).class_key() == key)
+                 if galois_twist(delta, i).class_key() == key)
 
 
 class InertiaSet(Frozen):

@@ -4,9 +4,10 @@ Everything here is deliberately implemented by a different route than
 the package: fraction-free (Bareiss) elimination instead of integer SNF,
 brute-force element enumeration instead of lattice subquotients,
 Sylvester resultants instead of conjugate products, a schoolbook
-product and an index map on Z[zeta_p] instead of the lift to Z[C_p]
-(``cyclotomic_product``, ``cyclotomic_galois``), a search of the 2p
-multiples +-zeta^k instead of class keys (``root_multiple_by_search``),
+product and an index map on Z[zeta_p] instead of the product and twists
+of Z[C_p] (``cyclotomic_product``, ``cyclotomic_galois``), a search of
+the 2p multiples +-zeta^k in Z[zeta_p] instead of class keys in Z[C_p]
+(``root_multiple_by_search``),
 and plain pair and subset loops instead of the per-ambient plans of
 ``whcalc.falg``.
 The contractibility oracle ``is_acyclic_and_connected`` reads its face
@@ -503,14 +504,17 @@ def cyclotomic_product(p, a, b):
 
 
 def root_multiple_by_search(x, y):
-    """Whether x = +-zeta^k * y in Z[zeta_p] for some k: each of the 2p
-    candidates +-zeta^k * y by the schoolbook product, where ``lens``
-    compares class keys of balanced lifts."""
-    p = x.p
-    minus_x = tuple(-a for a in x.coeffs)
+    """Whether the images of x, y in Z[C_p] satisfy x = +-zeta^k * y in
+    Z[zeta_p] for some k: both are folded into the basis 1, zeta, ...,
+    zeta^{p-2}, and each of the 2p candidates +-zeta^k * y is formed by
+    the schoolbook product, where ``lens`` compares class keys in
+    Z[C_p]."""
+    p = x.order
+    a, b = _cyclotomic_fold(p, x.coeffs), _cyclotomic_fold(p, y.coeffs)
+    minus_a = tuple(-c for c in a)
     for k in range(p):
         zeta_k = _cyclotomic_fold(p, [int(j == k) for j in range(p)])
-        if cyclotomic_product(p, y.coeffs, zeta_k) in (x.coeffs, minus_x):
+        if cyclotomic_product(p, b, zeta_k) in (a, minus_a):
             return True
     return False
 

@@ -90,6 +90,12 @@ import whcalc.cli
 print(json.dumps([gc.get_freeze_count(), gc.isenabled()]))
 """
 
+GROUPRING_IMPORTS_SCRIPT = """
+import json, sys
+import whcalc.groupring
+print(json.dumps(sorted(sys.modules)))
+"""
+
 COMMAND_IMPORTS_SCRIPT = """
 import contextlib, io, json, sys
 import whcalc.cli
@@ -160,14 +166,22 @@ def test_cli_import_set():
 
 def test_kapp_commands_skip_the_group_ring():
     # ``ktheory`` needs only the primality test, which lives in
-    # ``lattice``: loading ``groupring`` would bring ``fractions`` and
-    # ``decimal`` along, most of what a ``kapp`` command spent on imports
+    # ``lattice``, and no group ring; no whcalc module imports
+    # ``fractions`` or ``decimal``
     for argv in (["kapp", "tor", "--p", "7", "--i", "2"],
                  ["kapp", "k3", "--p", "7"]):
         code, loaded = _fresh_interpreter(COMMAND_IMPORTS_SCRIPT, *argv)
         assert code == 0
         assert "whcalc.ktheory" in loaded
         assert not {"whcalc.groupring", "fractions"} & set(loaded), argv
+
+
+def test_groupring_loads_no_kernel():
+    # the group ring is pure coefficient arithmetic: importing it loads
+    # neither ``lattice`` nor ``_snf``
+    loaded = _fresh_interpreter(GROUPRING_IMPORTS_SCRIPT)
+    assert [name for name in loaded if name.startswith("whcalc")] == \
+        ["whcalc", "whcalc._value", "whcalc.groupring"]
 
 
 def test_only_the_cli_freezes_the_start_up_heap():

@@ -9,31 +9,48 @@ from itertools import combinations_with_replacement
 import pytest
 
 from whcalc import groupring, lens
-from whcalc.groupring import (CyclotomicElement, GroupRingElement,
-                              WhiteheadClass, galois_twist, wh_class_equal)
+from whcalc.groupring import (GroupRingElement, WhiteheadClass, galois_twist,
+                              wh_class_equal)
 from whcalc.lens import (K_MAX, LensSpace, balanced_lens_space,
                          discrepancy_report, homotopy_auto_image, inertia_set,
                          reidemeister_torsion, simple_degrees,
                          standard_inertia_unit)
 from whcalc.torsion import inertial_twist_torsion
 
-from _oracles import (bass_unit, cyclotomic_product, generator,
-                      is_trivial_class, report_from_dict,
+from _oracles import (_cyclotomic_fold, bass_unit, cyclotomic_product,
+                      generator, is_trivial_class, report_from_dict,
                       root_multiple_by_search, trivial_class, unit_class_equal)
 from test_cold_caches import _fresh_interpreter
 
 
-def zeta(p, k=1):
-    return CyclotomicElement.zeta(p, k)
+def gen(p, k=1):
+    return generator(p, k)
 
 
 def one(p):
-    return CyclotomicElement.one(p)
+    return GroupRingElement.one(p)
+
+
+def fold(x):
+    """The image of x in Z[zeta_p], in the basis 1, zeta, ..., zeta^{p-2}."""
+    return _cyclotomic_fold(x.order, x.coeffs)
+
+
+def field_factor(p, w):
+    """zeta^w - 1 in the basis 1, zeta, ..., zeta^{p-2}."""
+    return _cyclotomic_fold(p, [(k == w) - (k == 0) for k in range(p)])
+
+
+def field_product(p, weights):
+    prod = _cyclotomic_fold(p, [k == 0 for k in range(p)])
+    for w in weights:
+        prod = cyclotomic_product(p, prod, field_factor(p, w))
+    return prod
 
 
 def same_class(x, y):
-    """Torsion equivalence, x = +-zeta^k * y, as the lens module decides
-    it: by equal class keys."""
+    """Torsion equivalence, x = +-t^k * y, as the lens module decides it:
+    by equal class keys."""
     return x.class_key() == y.class_key()
 
 
@@ -46,67 +63,91 @@ def test_lens_space_validation():
     assert space.weights == (1, 2) and space.dim == 3
 
 
+# each torsion has augmentation 0, and its image in Z[zeta_p] is the
+# schoolbook product of the factors zeta^w - 1
+
+
 def test_r_torsion_single_weight():
-    space = LensSpace(7, (1,))
-    assert reidemeister_torsion(space) == zeta(7) - one(7)
+    delta = reidemeister_torsion(LensSpace(7, (1,)))
+    assert delta == gen(7) - one(7)
+    assert delta.augmentation() == 0
+    assert fold(delta) == field_factor(7, 1)
 
 
 def test_r_torsion_two_weights_exact():
-    space = LensSpace(7, (1, 2))
-    expected = (zeta(7) - one(7)) * (zeta(7, 2) - one(7))
-    assert reidemeister_torsion(space) == expected
+    delta = reidemeister_torsion(LensSpace(7, (1, 2)))
+    assert delta.augmentation() == 0
+    assert fold(delta) == cyclotomic_product(7, field_factor(7, 1),
+                                             field_factor(7, 2))
 
 
 def test_r_torsion_balanced_product_form():
     for k in (1, 2):
-        space = balanced_lens_space(7, k)
-        prod = one(7)
-        for j in range(1, 7):
-            factor = zeta(7, j) - one(7)
-            for _ in range(k):
-                prod = prod * factor
-        assert reidemeister_torsion(space) == prod
+        delta = reidemeister_torsion(balanced_lens_space(7, k))
+        assert delta.augmentation() == 0
+        assert fold(delta) == field_product(
+            7, [j for j in range(1, 7) for _ in range(k)])
 
 
 def test_r_torsion_weight_permutation_invariance():
     rng = random.Random(4)
     ws = [1, 2, 2, 5, 6]
     base = reidemeister_torsion(LensSpace(7, tuple(ws)))
+    assert base.augmentation() == 0
+    assert fold(base) == field_product(7, ws)
     for _ in range(5):
         rng.shuffle(ws)
         assert reidemeister_torsion(LensSpace(7, tuple(ws))) == base
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_r_torsion_is_the_augmentation_zero_preimage_of_its_image(p):
+    # an element of Z[zeta_p] has one preimage of augmentation 0 in
+    # Z[C_p], as preimages differ by multiples of N and aug(N) = p; the
+    # twist sigma_i of Delta is that of the product of (zeta^(iw) - 1)
+    for n in (1, 2, 3):
+        for ws in combinations_with_replacement(range(1, p), n):
+            delta = reidemeister_torsion(LensSpace(p, ws))
+            for i in range(1, p):
+                twist = galois_twist(delta, i)
+                assert twist.augmentation() == 0
+                assert fold(twist) == field_product(
+                    p, [w * i % p for w in ws])
 
 
 def test_rt_equivalence():
     space = balanced_lens_space(7, 1)
     delta = reidemeister_torsion(space)
     assert same_class(delta, delta)
-    scaled = -(delta * zeta(7, 3))
+    scaled = -(delta * gen(7, 3))
     assert same_class(delta, scaled)
-    x = zeta(7) - one(7)
-    y = zeta(7, 2) - one(7)
+    x = gen(7) - one(7)
+    y = gen(7, 2) - one(7)
     assert not same_class(x, y)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_r_torsion_is_nonzero_and_equivalent_to_itself(p):
     # each factor zeta^w - 1 with w prime to p is nonzero and Z[zeta_p] is
-    # a domain, so the product never vanishes, whatever the weights
+    # a domain, so the image of the product never vanishes, whatever the
+    # weights
     rng = random.Random(p)
     for _ in range(10):
         ws = tuple(rng.randrange(1, p) for _ in range(rng.randrange(1, 7)))
         delta = reidemeister_torsion(LensSpace(p, ws))
-        assert isinstance(delta, CyclotomicElement) and delta.p == p
-        assert any(delta.coeffs)
+        assert isinstance(delta, GroupRingElement) and delta.order == p
+        assert delta.augmentation() == 0
+        assert fold(delta) == field_product(p, ws)
+        assert any(fold(delta))
         assert same_class(delta, delta)
-        assert same_class(delta, -(delta * zeta(p, ws[0])))
+        assert same_class(delta, -(delta * gen(p, ws[0])))
 
 
 def test_rt_equivalence_is_equivalence_relation():
-    vals = [zeta(7) - one(7),
-            -(zeta(7) - one(7)) * zeta(7, 2),
-            zeta(7, 3) - one(7),
-            (zeta(7) - one(7)) * (zeta(7) - one(7))]
+    vals = [gen(7) - one(7),
+            -(gen(7) - one(7)) * gen(7, 2),
+            gen(7, 3) - one(7),
+            (gen(7) - one(7)) * (gen(7) - one(7))]
     for a in vals:
         assert same_class(a, a)
         for b in vals:
@@ -118,28 +159,33 @@ def test_rt_equivalence_is_equivalence_relation():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_rt_equivalent_matches_the_search_oracle(p):
-    # +-zeta^k multiples (always equivalent), Galois images of random
+    # pairs of augmentation 0 in Z[C_p], where the class key decides
+    # x = +-t^k * y and the oracle searches x = +-zeta^k * y in Z[zeta_p]:
+    # +-t^k multiples (always equivalent), Galois images of random
     # elements and of lens torsions (equivalent for some degrees), and
-    # random pairs with entries in [-1, 1] (equivalent when they collide)
+    # random pairs with entries mostly in [-1, 1] (equivalent when they
+    # collide)
     rng = random.Random(p)
 
     def element(bound):
-        return CyclotomicElement(
-            p, tuple(rng.randint(-bound, bound) for _ in range(p - 1)))
+        c = [rng.randint(-bound, bound) for _ in range(p)]
+        c[0] -= sum(c)
+        return GroupRingElement(p, c)
 
     pairs = []
     for _ in range(40):
         x = element(4)
         k, sign = rng.randrange(p), rng.choice((1, -1))
-        y = cyclotomic_product(p, x.coeffs, zeta(p, k).coeffs)
-        pairs.append((x, CyclotomicElement(p, tuple(sign * a for a in y))))
+        y = x * gen(p, k)
+        pairs.append((x, y if sign == 1 else -y))
         i = rng.randrange(1, p)
-        pairs.append((x, x.galois(i)))
+        pairs.append((x, galois_twist(x, i)))
         pairs.append((element(1), element(1)))
         if p > 2:
             ws = tuple(rng.randrange(1, p) for _ in range(rng.randrange(1, 4)))
             delta = reidemeister_torsion(LensSpace(p, ws))
-            pairs.append((delta.galois(i), delta))
+            pairs.append((galois_twist(delta, i), delta))
+    assert all(x.augmentation() == y.augmentation() == 0 for x, y in pairs)
     verdicts = [root_multiple_by_search(x, y) for x, y in pairs]
     assert [same_class(x, y) for x, y in pairs] == verdicts
     assert set(verdicts) == {True, False}
@@ -147,13 +193,13 @@ def test_rt_equivalent_matches_the_search_oracle(p):
 
 def test_rt_equivalent_multiplies_nothing(monkeypatch):
     delta = reidemeister_torsion(balanced_lens_space(7, 1))
-    scaled = -(delta * zeta(7, 3))
-    x, y = zeta(7) - one(7), zeta(7, 2) - one(7)
+    scaled = -(delta * gen(7, 3))
+    x, y = gen(7) - one(7), gen(7, 2) - one(7)
 
     def refuse(self, other):
         raise AssertionError("the class key comparison multiplied")
 
-    monkeypatch.setattr(CyclotomicElement, "__mul__", refuse)
+    monkeypatch.setattr(GroupRingElement, "__mul__", refuse)
     assert same_class(delta, scaled)
     assert not same_class(x, y)
 
@@ -182,13 +228,13 @@ def test_simple_degrees_unbalanced_counterexample():
     assert sorted(homotopy_auto_image(space)) == [1, 6]
     assert simple_degrees(space) == (1, 6)
     delta = reidemeister_torsion(space)
-    assert not same_class(delta.galois(2), delta)
+    assert not same_class(galois_twist(delta, 2), delta)
 
 
 def _simple_degrees_by_search(space):
     delta = reidemeister_torsion(space)
     return tuple(i for i in sorted(homotopy_auto_image(space))
-                 if root_multiple_by_search(delta.galois(i), delta))
+                 if root_multiple_by_search(galois_twist(delta, i), delta))
 
 
 @pytest.mark.parametrize("p, n, spaces, not_all_simple",
@@ -361,28 +407,36 @@ def test_report_p5_uses_rank_one():
 
 
 def test_report_decides_each_degree_once(monkeypatch):
-    # at p = 13 with the Bass unit: one class key for Delta and one for
-    # each of the 12 twists, and the realizable degrees computed by the
-    # report and by ``simple_degrees``; deciding every degree twice made
-    # 48 and 26
-    keys, images = [], []
-    class_key = CyclotomicElement.class_key
+    # at p = 13 with the Bass unit: one torsion, and 27 class keys, for
+    # Delta, its 12 twists, the 12 twists of the unit that ``inertia_set``
+    # groups and the 2 classes ``wh_class_equal`` compares; the realizable
+    # degrees are computed by the report and by ``simple_degrees``;
+    # deciding every degree twice made 48 torsion keys and 26 images
+    keys, torsions, images = [], [], []
+    class_key = GroupRingElement.class_key
+    torsion = lens.reidemeister_torsion
     image = lens.homotopy_auto_image
 
     def count_key(self):
         keys.append(self)
         return class_key(self)
 
+    def count_torsion(space):
+        torsions.append(space)
+        return torsion(space)
+
     def count_image(space):
         images.append(space)
         return image(space)
 
-    monkeypatch.setattr(CyclotomicElement, "class_key", count_key)
+    monkeypatch.setattr(GroupRingElement, "class_key", count_key)
+    monkeypatch.setattr(lens, "reidemeister_torsion", count_torsion)
     monkeypatch.setattr(lens, "homotopy_auto_image", count_image)
     lens.simple_degrees.cache_clear()
     doc = discrepancy_report(1, 13, unit_coeffs=bass_unit(13).coeffs)
     assert doc.exit_code() == 0
-    assert len(keys) <= 13
+    assert len(keys) <= 27
+    assert len(torsions) == 1
     assert len(images) <= 2
 
 

@@ -101,10 +101,7 @@ ALLOWED = {
     "falg.FAlgElement.__sub__": PROTOCOL,
     "falg.FAlgElement.__neg__": PROTOCOL,
     "groupring.GroupRingElement.__add__": PROTOCOL,
-    "groupring.GroupRingElement.__sub__": PROTOCOL,
     "groupring.GroupRingElement.__neg__": PROTOCOL,
-    "groupring.CyclotomicElement.__add__": PROTOCOL,
-    "groupring.CyclotomicElement.__neg__": PROTOCOL,
 }
 
 
