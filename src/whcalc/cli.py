@@ -242,15 +242,13 @@ def _cmd_lens_inertia(args):
     # the unit refuses an unknown or mismatched p before the lens space
     # builds (p - 1) * k weights
     unit = GroupRingElement(args.p, _parse_coeffs(args.unit)) \
-        if args.unit else lens.standard_inertia_unit(args.p)
+        if args.unit is not None else lens.standard_inertia_unit(args.p)
     space = lens.balanced_lens_space(args.p, args.k)
     iner = lens.inertia_set(space, WhiteheadClass(unit))
     doc.add("inertia-set", DERIVED,
             {"lens_space": str(space),
              "cardinality": iner.cardinality,
-             "classes": [{"degrees": list(w),
-                          "class": c.representative.to_dict()}
-                         for c, w in zip(iner.classes, iner.witnesses)]})
+             "classes": iner.to_list()})
     return doc
 
 
@@ -258,7 +256,7 @@ def _cmd_lens_report(args):
     from . import lens
 
     _check_max_p(args, 7)
-    unit = _parse_coeffs(args.unit) if args.unit else None
+    unit = _parse_coeffs(args.unit) if args.unit is not None else None
     return lens.discrepancy_report(args.k, unit_coeffs=unit)
 
 

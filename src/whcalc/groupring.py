@@ -6,7 +6,8 @@ of the ring arithmetic this module provides the coefficient-reversal
 involution t^k -> t^{-k} (it takes no orientation character: C_n of odd
 order has only the trivial one), Galois twists t -> t^i, exact unit
 inversion through the product of the twists, and unit classes modulo
-the trivial units +-t^k.
+the trivial units +-t^k, checked once, where an element becomes one:
+their algebra sends inverse pairs to inverse pairs.
 
 Unit classes model the rank-1 part of K_1: two units represent the same
 class iff they differ by a trivial unit.  Treating single units as
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from ._value import Frozen
+from ._value import Frozen, _setattr
 
 __all__ = [
     "GroupRingElement",
@@ -173,40 +174,46 @@ def invert_unit(x):
 class WhiteheadClass(Frozen):
     """Unit class in Z[C_n] modulo trivial units +-t^k.
 
-    The constructor inverts the representative; non-units are rejected
-    with NotAUnitError, which callers building torsion data propagate.
+    Only the constructor checks, through ``invert_unit``; its algebra needs
+    no check, as twists and conj are ring maps and (ab)(b^-1 a^-1) = 1.
     """
 
-    _fields = ("representative", "inverse")
+    _fields = ("representative",)
 
-    def __init__(self, representative, inverse=None):
+    def __init__(self, representative):
+        inverse = invert_unit(representative)
         if inverse is None:
-            inverse = invert_unit(representative)
-            if inverse is None:
-                raise NotAUnitError(
-                    f"{representative} is not a unit of Z[C_{representative.order}]")
-        if representative * inverse != GroupRingElement.one(representative.order):
-            raise NotAUnitError("stored inverse does not invert the representative")
-        self._freeze(representative, inverse)
+            raise NotAUnitError(
+                f"{representative} is not a unit of Z[C_{representative.order}]")
+        self._freeze(representative)
+        _setattr(self, "inverse", inverse)
+
+    @classmethod
+    def _pair(cls, representative, inverse):
+        """A class whose inverse holds by construction, unchecked."""
+        self = cls.__new__(cls)
+        self._freeze(representative)
+        _setattr(self, "inverse", inverse)
+        return self
 
     @property
     def order(self):
         return self.representative.order
 
     def times(self, other):
-        return WhiteheadClass(self.representative * other.representative,
-                              other.inverse * self.inverse)
+        return WhiteheadClass._pair(self.representative * other.representative,
+                                    other.inverse * self.inverse)
 
     def inverse_class(self):
-        return WhiteheadClass(self.inverse, self.representative)
+        return WhiteheadClass._pair(self.inverse, self.representative)
 
     def twist(self, i):
-        return WhiteheadClass(galois_twist(self.representative, i),
-                              galois_twist(self.inverse, i))
+        return WhiteheadClass._pair(galois_twist(self.representative, i),
+                                    galois_twist(self.inverse, i))
 
     def conj(self):
-        return WhiteheadClass(involution(self.representative),
-                              involution(self.inverse))
+        return WhiteheadClass._pair(involution(self.representative),
+                                    involution(self.inverse))
 
     def to_dict(self):
         return self.representative.to_dict()

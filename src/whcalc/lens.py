@@ -137,6 +137,10 @@ class InertiaSet(Frozen):
     def cardinality(self):
         return len(self.classes)
 
+    def to_list(self):
+        return [{"degrees": list(w), "class": c.to_dict()}
+                for c, w in zip(self.classes, self.witnesses)]
+
 
 def inertia_set(lens, unit):
     """Inertia torsion classes of the h-cobordant partner defined by ``unit``.
@@ -234,8 +238,11 @@ def discrepancy_report(k, p=7, unit_coeffs=None):
         doc.add("unit-inverse", FAILED,
                 {"element": element.to_dict(), "reason": "not a unit"})
         return doc
-    doc.add("unit-inverse", VERIFIED,
+    inverts = element * unit.inverse == GroupRingElement.one(p)
+    doc.add("unit-inverse", VERIFIED if inverts else FAILED,
             {"unit": element.to_dict(), "inverse": unit.inverse.to_dict()})
+    if not inverts:
+        return doc
 
     rank = (p - 3) // 2
     rank_statement = f"Wh(C_{p}) is free abelian of rank {rank}"
@@ -261,14 +268,11 @@ def discrepancy_report(k, p=7, unit_coeffs=None):
             {"degree": p - 1, "fixed": fixed})
 
     iner = inertia_set(lens, unit)
-    witness = [{"degrees": list(w),
-                "class": c.representative.to_dict()}
-               for c, w in zip(iner.classes, iner.witnesses)]
     expected = {7: 3, 5: 2}.get(p)
     distinct_ok = iner.cardinality > 1
     doc.add("inertia-classes-distinct",
             VERIFIED if distinct_ok else FAILED,
-            {"cardinality": iner.cardinality, "classes": witness})
+            {"cardinality": iner.cardinality, "classes": iner.to_list()})
     if not distinct_ok:
         return doc
 

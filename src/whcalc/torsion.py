@@ -101,9 +101,9 @@ def inertial_twist(w, i):
     identification, then through w again."""
     if gcd(i, w.order) != 1:
         raise ValueError("the automorphism index must be invertible")
-    one = GroupRingElement.one(w.order)
-    cylinder = HCobordismSymbol(w.dim, WhiteheadClass(one, one),
-                                pow(i, -1, w.order))
+    cylinder = HCobordismSymbol(
+        w.dim, WhiteheadClass(GroupRingElement.one(w.order)),
+        pow(i, -1, w.order))
     return compose(compose(reverse(w), cylinder), w)
 
 
@@ -121,8 +121,7 @@ class UnitClassValues:
         self.twist_index = twist % order
 
     def zero(self):
-        one = GroupRingElement.one(self.order)
-        return WhiteheadClass(one, one)
+        return WhiteheadClass(GroupRingElement.one(self.order))
 
     def add(self, x, y):
         return x.times(y)

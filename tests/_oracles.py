@@ -1185,8 +1185,7 @@ def ring_element_from_dict(data):
 
 
 def trivial_class(n):
-    one = GroupRingElement.one(n)
-    return WhiteheadClass(one, one)
+    return WhiteheadClass(GroupRingElement.one(n))
 
 
 def is_trivial_class(c):

@@ -213,9 +213,13 @@ def test_malformed_element_shape_is_usage_error(element, capsys):
       "--u", "2,2,0,-1,-1,-1,0", "--twist", "14"],
      "the twist must be invertible mod the group order"),
     (["lens", "inertia", "--k", "0"], "k must be positive"),
+    (["lens", "inertia", "--p", "5", "--unit", ""],
+     "malformed coefficient list: ''"),
+    (["lens", "report-theorem-a", "--k", "1", "--unit", ""],
+     "malformed coefficient list: ''"),
 ], ids=["compose-without-u2", "involution-breaks-relations",
         "ragged-relations", "boolean-entry", "twist-not-invertible",
-        "inertia-k-zero"])
+        "inertia-k-zero", "inertia-empty-unit", "report-empty-unit"])
 def test_missing_operand_or_malformed_target_is_usage_error(argv, message,
                                                             capsys):
     code, out, err = run(argv, capsys)

@@ -440,6 +440,36 @@ def test_report_decides_each_degree_once(monkeypatch):
     assert len(images) <= 2
 
 
+def test_report_multiplies_each_inverse_once(monkeypatch):
+    # at p = 13 with the Bass unit: 14 products invert the unit, 1 is the
+    # report's own check of that inverse, 12 form the torsion and each of
+    # the 6 inertia classes takes 2; re-checking the inverse of every
+    # class the algebra builds made 58
+    coeffs = bass_unit(13).coeffs
+    mul = GroupRingElement.__mul__
+    calls = []
+
+    def count(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(GroupRingElement, "__mul__", count)
+    lens.simple_degrees.cache_clear()
+    doc = discrepancy_report(1, 13, unit_coeffs=coeffs)
+    assert doc.exit_code() == 0
+    assert len(calls) == 39
+
+
+def test_report_fails_a_wrong_inverse(monkeypatch):
+    # the report multiplies its unit-inverse witness back itself, apart
+    # from the test inside ``invert_unit``
+    monkeypatch.setattr(groupring, "invert_unit", lambda x: x)
+    doc = discrepancy_report(1)
+    assert doc.exit_code() == 1
+    assert [(s.name, s.status) for s in doc.stages] == \
+        [("unit-inverse", "failed")]
+
+
 @pytest.mark.parametrize("p", [5, 11, 13, 17, 19, 23])
 def test_report_across_primes_with_the_bass_unit(p):
     doc = discrepancy_report(1, p, unit_coeffs=bass_unit(p).coeffs)
@@ -499,10 +529,11 @@ print(json.dumps({"seconds": time.perf_counter() - start,
 
 
 def test_report_at_97_with_the_bass_unit_is_fast():
-    # budget 2 s for the report alone, in a fresh process: 0.77-0.95 s on
-    # 2 vCPUs (Python 3.11.7); searching the 2p multiples of zeta for each
-    # simple degree took it to 1.33-1.49 s, and inverting the unit by a
-    # circulant solve to 3.0-3.2 s
+    # budget 2 s for the report alone, in a fresh process: 0.41-0.77 s on
+    # 2 vCPUs (Python 3.11.7, ten runs); multiplying back the inverse of
+    # every class took it to 0.65-1.19 s, searching the 2p multiples of
+    # zeta for each simple degree to 1.33-1.49 s, and inverting the unit
+    # by a circulant solve to 3.0-3.2 s
     result = _fresh_interpreter(REPORT_97_SCRIPT,
                                 json.dumps(bass_unit(97).coeffs))
     assert set(result["statuses"]) <= {"verified", "derived", "assumed"}

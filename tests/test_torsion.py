@@ -161,6 +161,32 @@ def test_inertial_twist_matches_closed_form():
         assert wh_class_equal(via_chain.torsion, closed)
 
 
+@pytest.mark.parametrize("op, products", [
+    (lambda u: u.twist(3), 0),
+    (lambda u: u.conj(), 0),
+    (lambda u: u.inverse_class(), 0),
+    (lambda u: u.times(u), 2),
+    (lambda u: inertial_twist_torsion(u, 3), 2),
+], ids=["twist", "conj", "inverse_class", "times", "inertial_twist_torsion"])
+def test_class_algebra_multiplies_nothing_back(op, products, monkeypatch):
+    # a class is checked once, when it is built from an element; its
+    # algebra carries the inverse along, and a product multiplies only the
+    # representatives and the inverses (re-checking every result made 1,
+    # 1, 1, 3 and 5 products)
+    u = WhiteheadClass(U7)
+    mul = GroupRingElement.__mul__
+    calls = []
+
+    def count(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(GroupRingElement, "__mul__", count)
+    v = op(u)
+    assert len(calls) == products
+    assert mul(v.representative, v.inverse) == GroupRingElement.one(7)
+
+
 def test_mapping_cylinder_twist():
     c = mapping_cylinder(11, 7, 3)
     assert is_trivial_class(c.torsion) and c.twist == 3
