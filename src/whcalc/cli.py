@@ -405,10 +405,7 @@ def main(argv=None):
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         doc = args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, KeyError) as exc:
+    except (UsageError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     text = doc.to_json() if args.json else doc.to_text()

@@ -38,20 +38,20 @@ T, face and index set, one linear form per output coordinate of a
 generalized duality (``_duality_form``, shared by every target with the
 same action).  The duality holds when L(v) - sgn T(R(v)) lies in the
 relation lattice, where L and R are the forms of the closures of the
-boundary faces in the index set and in its complement.  The blocks of
-all face-horn dualities are cut to a Z-basis once per T and ambient
-(``_horn_basis``), the one elimination of the element checks.
-Every membership condition is then compiled once per target against the
-flat vector of a functor (``_compile_checks``): with the target's
-``smith_basis``, a block of g forms lies in the relation lattice exactly
-when each row of the left transform times the block takes a multiple of
-its modulus, so each check becomes a few rows ``(getter, coefficients,
-modulus)``, rows of modulus 1 dropped.  So are compiled one generalized
-duality (``_compiled_duality``) and every face-horn duality at once,
-from the basis of the target's action (``_horn_rows``).  Per functor
+boundary faces in the index set and in its complement.  Each
+generalized duality is compiled once per target against the flat vector
+of a functor (``_compiled_duality``, by ``_compile_checks``): with the
+target's ``smith_basis``, a block of g forms lies in the relation lattice
+exactly when each row of the left transform times the block takes a
+multiple of its modulus, so each check becomes a few rows ``(getter,
+coefficients, modulus)``, rows of modulus 1 dropped.  A face-horn duality
+is the one at a single index (``_duality_ok``), and ``all_dualities_hold``
+runs it at every horn; the element checks eliminate nothing.  Per functor
 run its flat vector, reduced in one blockwise call, a complex form
 evaluated on it and reduced once (``value_on``), and the compiled rows
-of each check, one at a time until one fails (``_rows_vanish``).  The
+of each check, one at a time until one fails (``_rows_vanish``).  These
+checks are Z-linear modulo the relation lattice, so a solved group runs
+them on its generators only (``FAlgGroup.elements``).  The
 pushout squares need nothing per functor: every functor is built from
 face values, and the forms make its squares hold by the valuation law
 (``check_square``).  The constraints of the homotopy path
@@ -176,10 +176,10 @@ def _compile_row(terms):
     return itemgetter(*index), coeffs
 
 
-def _compile_checks(target, blocks):
-    """Blocks of g linear forms over a flat vector, each block to be
-    tested for membership in the relation lattice, compiled into rows
-    ``(getter, coefficients, modulus)`` for ``_rows_vanish``.
+def _compile_checks(target, block):
+    """A block of g linear forms over a flat vector, to be tested for
+    membership in the relation lattice, compiled into rows ``(getter,
+    coefficients, modulus)`` for ``_rows_vanish``.
 
     A block is a sequence of ``(key, coefficient)`` terms as
     ``_duality_form`` writes them, key i*g + r for the coefficient of
@@ -189,8 +189,7 @@ def _compile_checks(target, blocks):
     is 0.  Rows of modulus 1 always hold and are dropped; every other row
     is reduced modulo its modulus (a row of modulus m > 0 matters only
     modulo m) and compiled by ``_compile_row``, in the order of the
-    moduli.  Nothing is eliminated here: a caller with many blocks passes
-    a Z-basis of them (``_horn_basis``).
+    moduli.
     """
     moduli, left = target.smith_basis
     g = target.generator_count
@@ -198,15 +197,14 @@ def _compile_checks(target, blocks):
     for m, u_row in zip(moduli, left):
         if m == 1:
             continue
-        for block in blocks:
-            form = {}
-            for k, c in block:
-                i, r = divmod(k, g)
-                form[i] = form.get(i, 0) + u_row[r] * c
-            terms = [(i, x) for i, c in sorted(form.items())
-                     if (x := c % m if m else c)]
-            if terms:
-                rows.append(_compile_row(terms) + (m,))
+        form = {}
+        for k, c in block:
+            i, r = divmod(k, g)
+            form[i] = form.get(i, 0) + u_row[r] * c
+        terms = [(i, x) for i, c in sorted(form.items())
+                 if (x := c % m if m else c)]
+        if terms:
+            rows.append(_compile_row(terms) + (m,))
     return tuple(rows)
 
 
@@ -438,8 +436,8 @@ def _duality_form(involution, ambient, sigma, index_set):
 def _compiled_duality(target, ambient, sigma, index_set):
     """The generalized duality of ``sigma`` at ``index_set`` for
     ``target``, as the rows of ``_compile_checks``."""
-    return _compile_checks(target, [_duality_form(target.involution, ambient,
-                                                  sigma, index_set)])
+    return _compile_checks(target, _duality_form(target.involution, ambient,
+                                                 sigma, index_set))
 
 
 def _duality_ok(tf, sigma, i):
@@ -457,34 +455,11 @@ def _face_horns(ambient):
                  if face_dim(sigma) >= 1 for i in range(face_dim(sigma) + 1))
 
 
-@lru_cache(maxsize=None)
-def _horn_basis(involution, ambient):
-    """A Z-basis of the blocks of every face-horn duality under the
-    involution T, in the layout of ``_duality_form``: the pivot columns
-    of one ``lattice._eliminate`` over the horns' blocks, each block one
-    vector.  For a fixed target, a block B passes the membership test of
-    ``_compile_checks`` exactly when left * B is 0 modulo the Smith
-    moduli, a Z-linear condition on B: so every horn block passes exactly
-    when every basis block does.  This depends on the target only through
-    T, so targets with one action share one elimination.
-    """
-    pivots, _kernel = lattice._eliminate(
-        [dict(_duality_form(involution, ambient, sigma, (i,)))
-         for sigma, i in _face_horns(ambient)])
-    return tuple(tuple(sorted(col.items())) for _row, col in pivots)
-
-
-@lru_cache(maxsize=None)
-def _horn_rows(target, ambient):
-    """Every face-horn duality for ``target``: the blocks of
-    ``_horn_basis`` for its involution, compiled by ``_compile_checks``."""
-    return _compile_checks(target, _horn_basis(target.involution, ambient))
-
-
 def all_dualities_hold(tf):
-    """Face-horn duality at every face: the rows of every horn at once
-    (``_horn_rows``)."""
-    return _rows_vanish(_horn_rows(tf.target, tf.ambient), tf.flat)
+    """Face-horn duality at every face: ``_duality_ok`` at each horn of
+    ``_face_horns``, stopping at the first that fails."""
+    return all(_duality_ok(tf, sigma, i)
+               for sigma, i in _face_horns(tf.ambient))
 
 
 def generalized_duality_holds(tf, sigma, index_set):
@@ -556,6 +531,13 @@ class FAlgElement(Frozen):
         if not all_dualities_hold(functor):
             raise ValueError("functor violates face-horn duality")
         self._freeze(functor)
+
+    @classmethod
+    def _unchecked(cls, functor):
+        """An element whose checks hold by construction, unchecked."""
+        self = cls.__new__(cls)
+        self._freeze(functor)
+        return self
 
     @property
     def degree(self):
@@ -824,11 +806,24 @@ class FAlgGroup(Record):
 
     def elements(self):
         """Every element once, from the mixed-radix digits, which the
-        ``TorsionFunctor`` constructor reduces."""
+        ``TorsionFunctor`` constructor reduces.
+
+        Before the first is yielded, each generator vector is checked as
+        an ``FAlgElement``, and no element after that.  The z-condition
+        and every face-horn duality each ask that a Z-linear map of the
+        flat vector land in the relation lattice, and each map takes
+        relation vectors to relation vectors: the vectors that pass form
+        a subgroup closed under reduction, so generators that pass prove
+        every reduced Z-combination of them.
+        """
         ambient = self.degree + 1
+        gens, radices = self.mixed_radix
+        for flat in gens:
+            FAlgElement(TorsionFunctor(ambient, self.target, flat))
         dim = (_top_mask(ambient) + 1) * self.target.generator_count
-        for flat in lattice.span_elements(*self.mixed_radix, dim):
-            yield FAlgElement(TorsionFunctor(ambient, self.target, flat))
+        for flat in lattice.span_elements(gens, radices, dim):
+            yield FAlgElement._unchecked(
+                TorsionFunctor(ambient, self.target, flat))
 
 
 def _solved_group(target, degree, system):

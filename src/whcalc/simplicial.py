@@ -41,7 +41,7 @@ def vertices_of(face):
 
 
 def face_dim(face):
-    return bin(face).count("1") - 1
+    return face.bit_count() - 1
 
 
 def face_str(face):

@@ -135,8 +135,7 @@ def test_caches_are_cold_after_import():
     sizes = _fresh_interpreter(SCRIPT)
     # the scan sees the caches it is meant to guard
     assert {"whcalc.falg._complex_form",
-            "whcalc.falg._compiled_duality", "whcalc.falg._horn_rows",
-            "whcalc.falg._horn_basis", "whcalc.falg._duality_form",
+            "whcalc.falg._compiled_duality", "whcalc.falg._duality_form",
             "whcalc.falg._face_horns", "whcalc.falg._presolve",
             "whcalc.simplicial._collapses_to_point",
             "whcalc.lens.simple_degrees"} <= set(sizes)

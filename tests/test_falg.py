@@ -637,22 +637,21 @@ def plain_block(target, ambient, sigma, index_set):
 
 
 def test_all_dualities_hold_checks_each_horn_once(monkeypatch):
-    # one pass over one set of compiled rows and no membership test; the
-    # rows impose exactly the conditions of every horn's own compiled
-    # rows, one horn per (face of dimension >= 1, omitted index)
-    runs, tests = [], []
-    rows_vanish = falg._rows_vanish
+    # one _duality_ok per horn, one horn per (face of dimension >= 1,
+    # omitted index), and no membership test
+    calls, tests = [], []
+    duality_ok = falg._duality_ok
     is_zero = InvolutiveAbelianGroup.is_zero_element
 
-    def counted_rows(rows, vec):
-        runs.append(rows)
-        return rows_vanish(rows, vec)
+    def counted_duality(tf, sigma, i):
+        calls.append((sigma, i))
+        return duality_ok(tf, sigma, i)
 
     def counted_tests(self, vec):
         tests.append(len(vec))
         return is_zero(self, vec)
 
-    monkeypatch.setattr(falg, "_rows_vanish", counted_rows)
+    monkeypatch.setattr(falg, "_duality_ok", counted_duality)
     monkeypatch.setattr(InvolutiveAbelianGroup, "is_zero_element",
                         counted_tests)
     z2z2 = InvolutiveAbelianGroup.from_factors([2, 2], -1)
@@ -660,53 +659,34 @@ def test_all_dualities_hold_checks_each_horn_once(monkeypatch):
         g = target.generator_count
         for n in (0, 1, 2, 3):
             el = psi_section(target, n, (1,) * g)
-            runs.clear()
+            calls.clear()
             tests.clear()
             assert all_dualities_hold(el.functor)
             faces = [s for s in falg._all_faces(n + 1) if face_dim(s) >= 1]
             horns = [(s, i) for s in faces for i in range(face_dim(s) + 1)]
             assert sorted(falg._face_horns(n + 1)) == sorted(horns)
-            rows = falg._horn_rows(target, n + 1)
-            assert runs == [rows]
+            assert calls == list(falg._face_horns(n + 1))
             assert tests == []
-            size = len(el.functor.flat)
-            assert_same_conditions(
-                row_conditions(rows, size),
-                row_conditions([row for s, i in falg._face_horns(n + 1)
-                                for row in falg._compiled_duality(
-                                    target, n + 1, s, (i,))], size),
-                size)
 
 
-def test_targets_with_one_involution_share_duality_forms(monkeypatch):
-    # the forms and the horn basis depend on the target only through its
-    # involution, so Z/2, Z/3, Z/4 and Z/6 share one cached form per horn
-    # and one basis, one elimination, per ambient; each target compiles
-    # its own rows, modulo its own order
+def test_targets_with_one_involution_share_duality_forms():
+    # the forms depend on the target only through its involution, so
+    # Z/2, Z/3, Z/4 and Z/6 share one cached form per horn; each target
+    # compiles its own rows, modulo its own order
     targets = {Z2: 2, cyclic(3, 1): 3, Z4: 4, Z6: 6}
     zeros = [TorsionFunctor.zero(p, target)
              for p in (1, 2, 3) for target in targets]
     falg._duality_form.cache_clear()
-    falg._horn_basis.cache_clear()
-    falg._horn_rows.cache_clear()
-    eliminations = []
-    eliminate = lattice._eliminate
-
-    def counted(*args, **kwargs):
-        eliminations.append(args)
-        return eliminate(*args, **kwargs)
-
-    monkeypatch.setattr(lattice, "_eliminate", counted)
+    falg._compiled_duality.cache_clear()
     assert all(map(all_dualities_hold, zeros))
-    assert len(eliminations) == 3
     horns = sum(len(falg._face_horns(p)) for p in (1, 2, 3))
     info = falg._duality_form.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (horns, horns, 0)
-    info = falg._horn_basis.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (3, 3, 9)
-    assert falg._horn_rows.cache_info().currsize == 12
+    assert (info.currsize, info.misses, info.hits) == (horns, horns,
+                                                       3 * horns)
+    assert falg._compiled_duality.cache_info().currsize == 4 * horns
     for target, m in targets.items():
-        rows = falg._horn_rows(target, 3)
+        rows = [row for sigma, i in falg._face_horns(3)
+                for row in falg._compiled_duality(target, 3, sigma, (i,))]
         assert rows and {row[2] for row in rows} == {m}
 
 
@@ -721,10 +701,10 @@ def plain_duality(tf, sigma, index_set):
 
 
 def test_compiled_and_stacked_forms_match_plain_forms():
-    # the compiled rows of one duality and of every horn at once impose
-    # exactly the conditions of the plain forms, and the verdicts equal
-    # membership of the plain outputs; on members of F^alg, the same with
-    # one face value perturbed, and random values
+    # the compiled rows of each duality impose exactly the conditions of
+    # its plain forms, and the verdicts of one duality and of every horn
+    # at once equal membership of the plain outputs; on members of F^alg,
+    # the same with one face value perturbed, and random values
     rng = random.Random(73)
     swap_sq = InvolutiveAbelianGroup(2, [[3, 0], [0, 3]], [[0, 1], [1, 0]])
     z2z2 = InvolutiveAbelianGroup.from_factors([2, 2], -1)
@@ -743,11 +723,6 @@ def test_compiled_and_stacked_forms_match_plain_forms():
                                                           idx), size),
                     block_conditions(target, [plain_block(target, p, sigma,
                                                           idx)]), size)
-            assert_same_conditions(
-                row_conditions(falg._horn_rows(target, p), size),
-                block_conditions(target, [plain_block(target, p, sigma, (i,))
-                                          for sigma, i in
-                                          falg._face_horns(p)]), size)
             faces = falg._proper_faces(p)
             for el in islice(falg_group(target, p - 1).elements(), 3):
                 fv = el.functor.values
@@ -842,11 +817,10 @@ BENCHMARK_TARGETS = [InvolutiveAbelianGroup.from_factors(f, s)
 
 
 def test_horn_basis_checks_every_horn_of_its_action():
-    # the basis blocks of an action span its horn blocks over Z, and the
-    # horn rows compiled from them give each target the verdict of every
-    # horn's own rows and of membership of the plain forms: on members of
-    # F^alg, the same with one face value perturbed and random face
-    # values, at ambient 1..3, both verdicts occurring for every target
+    # all_dualities_hold gives each target the verdict of every horn's
+    # own rows and of membership of the plain forms: on members of F^alg,
+    # the same with one face value perturbed and random face values, at
+    # ambient 1..3, both verdicts occurring for every target
     rng = random.Random(97)
     targets = [*BENCHMARK_TARGETS, *TWISTED_TARGETS,
                InvolutiveAbelianGroup(2, [[], []], [[0, 1], [1, 0]]),
@@ -855,15 +829,6 @@ def test_horn_basis_checks_every_horn_of_its_action():
         g = target.generator_count
         verdicts = set()
         for p in (1, 2, 3):
-            n = (falg._top_mask(p) + 1) * g
-            horns = [[x for vec in plain_block(target, p, sigma, (i,))
-                      for x in vec] for sigma, i in falg._face_horns(p)]
-            basis = [[x for vec in dense_block(block, g, n) for x in vec]
-                     for block in falg._horn_basis(target.involution, p)]
-            horn_span = lattice.Lattice(horns, g * n)
-            basis_span = lattice.Lattice(basis, g * n)
-            assert all(basis_span.contains(v) for v in horns)
-            assert all(horn_span.contains(v) for v in basis)
             faces = falg._proper_faces(p)
             for value in ((0,) * g, tuple(range(1, g + 1))):
                 member = psi_section(target, p - 1, value).functor
@@ -1004,6 +969,37 @@ def test_generalized_dualities_exhaustive_p2():
                     assert generalized_duality_holds(tf, sigma, idx)
                     checked += 1
     assert checked == 6 ** 4 * (6 * 2 + 4 * 6 + 14)
+
+
+def test_enumeration_checks_every_generator_first():
+    # the last generator, perturbed at vertex 0 (outside the 0-th face
+    # region), breaks a horn: the enumeration refuses it before it yields
+    # the zero element, whose digits are all 0
+    group = falg_group(Z4S, 2)
+    gens, radices = group.mixed_radix
+    g = Z4S.generator_count
+    bad = list(gens[-1])
+    bad[g] += 1
+    tf = TorsionFunctor(3, Z4S, bad)
+    assert falg._z_condition_holds(tf) and not all_dualities_hold(tf)
+    broken = falg.FAlgGroup(Z4S, 2, group.isomorphism_type,
+                            ([*gens[:-1], bad], radices))
+    with pytest.raises(ValueError, match="face-horn duality"):
+        next(broken.elements())
+
+
+def test_enumerated_elements_pass_every_check():
+    # what the enumeration yields unchecked passes the z-condition and
+    # every face-horn duality, for the benchmark's targets at degrees 0..2
+    for target in BENCHMARK_TARGETS:
+        for p in (0, 1, 2):
+            group = falg_group(target, p)
+            count = 0
+            for el in group.elements():
+                assert falg._z_condition_holds(el.functor)
+                assert all_dualities_hold(el.functor)
+                count += 1
+            assert count == group.order, (target, p)
 
 
 def test_generalized_duality_rejects_bad_index_sets():

@@ -168,6 +168,6 @@ def test_element_checks_and_constraint_rows_share_only_face_helpers():
             ("falg.py", "_complex_form")} <= elements
     assert ("falg.py", "_membership_rows") in constraint
     shared = elements & constraint
-    assert ("lattice.py", "_eliminate") in shared
+    assert ("lattice.py", "_eliminate") not in shared
     assert not not_allowed(shared, ELEMENT_SHARED), \
         not_allowed(shared, ELEMENT_SHARED)

@@ -57,7 +57,6 @@ ALLOWED = {
     "abelian.InvolutiveAbelianGroup.is_zero_element": TRACED,
     "falg.TorsionFunctor.value_on": TRACED,
     "falg.TorsionFunctor._combine": HELPER,
-    "falg._duality_ok": TRACED,
     "falg.mixed_duality_holds": TRACED,
     "falg._pure_boundary": HELPER,
     "falg.TorsionFunctor.pair_value": HELPER,
