@@ -10,9 +10,9 @@ tuples of row tuples, so groups are hashable and equal by value.
 Homology and Tate homology are cokernels and quotients of the stacked
 relation/action matrices on the sparse elimination of ``lattice``; the
 textbook closed forms only appear in tests, as oracles.  A group reads
-its own size off what it stored when it was built: its isomorphism type
-puts the moduli of its ``smith_basis``, which need not divide one
-another, into a chain.
+its isomorphism type off what it stored when it was built: it puts the
+moduli of its ``smith_basis``, which need not divide one another, into
+a chain.
 """
 
 from __future__ import annotations
@@ -76,19 +76,6 @@ class FgAbGroup(Frozen):
 
     def is_trivial(self):
         return not self.invariant_factors
-
-    @property
-    def free_rank(self):
-        return sum(1 for f in self.invariant_factors if f == 0)
-
-    def order(self):
-        """Cardinality, or None when the group is infinite."""
-        if self.free_rank:
-            return None
-        n = 1
-        for f in self.invariant_factors:
-            n *= f
-        return n
 
     def to_dict(self):
         return {"invariant_factors": list(self.invariant_factors)}
@@ -198,9 +185,6 @@ class InvolutiveAbelianGroup(Frozen):
     def isomorphism_type(self):
         """The moduli of ``smith_basis``, put into a chain."""
         return FgAbGroup.from_factors(self.smith_basis[0])
-
-    def order(self):
-        return self.isomorphism_type().order()
 
     # -- parsing --------------------------------------------------------
 

@@ -115,7 +115,7 @@ def _split(group, ell):
     and their prime-to-l parts, each without the factors 1."""
     if not _is_prime(ell):
         raise ValueError("the localization prime must be prime")
-    if group.free_rank:
+    if 0 in group.invariant_factors:
         raise ValueError("localization requires a finite group")
     local, away = [], []
     for f in group.invariant_factors:

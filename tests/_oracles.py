@@ -47,16 +47,17 @@ the lattice operations of subcomplexes, codegeneracies and the
 degeneracies of the simplicial group, group elements and presentations
 as dicts, the lemma checks ``check_face_horn_duality`` and
 ``duality_criterion``, ``psi`` and its section ``psi_section``,
-``moore_complex``, trivial units and classes, and the cylinders of the
-torsion calculus.  Unlike the oracles, it may call the package's
-private helpers.
+``psi_bijective_by_enumeration``, which lists the normalized group where
+``falg.psi_is_bijective`` works on its generators, ``moore_complex``,
+trivial units and classes, and the cylinders of the torsion calculus.
+Unlike the oracles, it may call the package's private helpers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import whcalc
 from whcalc import falg
@@ -1065,6 +1066,13 @@ def group_elements(a):
     return span_elements(units, [radix[r] for r in digits], g)
 
 
+def group_order(fg):
+    """The cardinality of an ``FgAbGroup``, None when it is infinite."""
+    if 0 in fg.invariant_factors:
+        return None
+    return prod(fg.invariant_factors)
+
+
 def group_to_dict(a):
     """The presentation ``InvolutiveAbelianGroup.from_dict`` reads."""
     return {"generators": a.generator_count,
@@ -1093,7 +1101,7 @@ def simplex_to_dict(x, target_name=None):
     top = (1 << (x.degree + 2)) - 1
     return {"p": x.degree,
             "target": target_name if target_name is not None
-            else group_to_dict(x.target),
+            else group_to_dict(x.functor.target),
             "face_values": {face_str(f): list(v)
                             for f, v in sorted(x.functor.values.items())
                             if f != top}}
@@ -1147,11 +1155,35 @@ def moore_complex(target, max_degree):
     return bases
 
 
+def _is_normalized(tf):
+    """Whether the simplex of functor ``tf`` has faces 1..degree zero:
+    each read through ``coface_restrict``, not ``FAlgElement.face``."""
+    return all(coface_restrict(tf, j).is_zero()
+               for j in range(2, tf.ambient + 1))
+
+
 def psi(x):
     """Evaluation at the 0-th vertex, defined on the normalized part."""
-    if not x.is_normalized():
+    if not _is_normalized(x.functor):
         raise ValueError("psi is defined on normalized simplices")
-    return x.psi_value()
+    return x.functor.values[1]
+
+
+def psi_bijective_by_enumeration(target, n):
+    """Whether psi is a bijection from the normalized group at degree n
+    onto the target, by listing every element: each must be normalized,
+    and psi, read as a slice of the flat vector, must take as many
+    values as the group and the target have elements.  An infinite
+    target raises ValueError."""
+    group = falg.normalized_group(target, n)
+    g = target.generator_count
+    images = set()
+    for el in group.elements():
+        if not _is_normalized(el.functor):
+            return False
+        images.add(el.functor.flat[g:2 * g])
+    return len(images) == group_order(group.isomorphism_type) \
+        == group_order(target.isomorphism_type())
 
 
 def psi_section(target, n, value):

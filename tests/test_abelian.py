@@ -11,8 +11,8 @@ from whcalc.abelian import (FgAbGroup, InvolutiveAbelianGroup,
                             double_subgroup, homology_c2, tate_homology_c2)
 
 from _oracles import (cyclic, cyclic_c2_homology, factored_chain,
-                      fg_group_from_dict, group_elements, group_to_dict,
-                      zero_group)
+                      fg_group_from_dict, group_elements, group_order,
+                      group_to_dict, zero_group)
 
 
 def test_fgab_normalization():
@@ -20,8 +20,8 @@ def test_fgab_normalization():
     assert FgAbGroup.from_factors([1, 1]).is_trivial()
     assert FgAbGroup.from_factors([0, 4, 2]).invariant_factors == (2, 4, 0)
     assert str(FgAbGroup.from_factors([2, 0])) == "Z/2 x Z"
-    assert FgAbGroup.from_factors([4, 6]).order() == 24
-    assert FgAbGroup.from_factors([0]).order() is None
+    assert group_order(FgAbGroup.from_factors([4, 6])) == 24
+    assert group_order(FgAbGroup.from_factors([0])) is None
 
 
 def test_factor_chain_matches_factoring_oracle():
@@ -179,12 +179,12 @@ def test_randomized_presentations_against_enumeration():
         sign = rng.choice((1, -1))
         inv = [[sign * (i == j) for j in range(g)] for i in range(g)]
         a = InvolutiveAbelianGroup(g, rel, inv)
-        if a.order() is None:
+        if group_order(a.isomorphism_type()) is None:
             continue
         for n in range(3):
             got = homology_c2(a, n)
             expect = _brute_homology(a, n)
-            assert got.order() == expect, (rel, sign, n)
+            assert group_order(got) == expect, (rel, sign, n)
 
 
 def _brute_homology(a, n):

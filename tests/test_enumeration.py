@@ -19,7 +19,7 @@ from whcalc import lattice
 from whcalc.abelian import FgAbGroup, InvolutiveAbelianGroup
 from whcalc.falg import falg_group, normalized_group
 
-from _oracles import group_elements, identity, zero_group
+from _oracles import group_elements, group_order, identity, zero_group
 
 FA = InvolutiveAbelianGroup.from_factors
 
@@ -52,7 +52,7 @@ FREE_TARGETS = {
 def test_abelian_elements_once_each_and_reduced(name):
     a = ABELIAN_TARGETS[name]
     elems = list(group_elements(a))
-    assert len(set(elems)) == len(elems) == a.order()
+    assert len(set(elems)) == len(elems) == group_order(a.isomorphism_type())
     assert all(a.reduce(v) == v for v in elems)
 
 
@@ -68,8 +68,8 @@ def test_abelian_generators_have_their_exact_orders(name):
     assert len(gens) == len(radices)
     assert factors == lattice.quotient_factors(identity(g), rel)
     assert FgAbGroup.from_factors(factors) == a.isomorphism_type()
-    assert prod(radices) == a.order()
-    assert radices.count(0) == a.isomorphism_type().free_rank
+    assert prod(radices) == group_order(a.isomorphism_type())
+    assert radices.count(0) == a.isomorphism_type().invariant_factors.count(0)
 
 
 @pytest.mark.parametrize("build", [falg_group, normalized_group])
@@ -79,7 +79,8 @@ def test_falg_elements_once_each_and_reduced(name, build):
     for p in range(3):
         group = build(target, p)
         flats = [el.functor.flat for el in group.elements()]
-        assert len(set(flats)) == len(flats) == group.order, (name, p)
+        assert len(set(flats)) == len(flats) \
+            == group_order(group.isomorphism_type), (name, p)
         assert all(target.reduce(v) == v for v in flats)
 
 
@@ -89,7 +90,8 @@ def test_free_targets_refuse_on_the_first_element(name):
     g = target.generator_count
     _factors, _gens, radices = lattice.quotient_with_generators(
         identity(g), target.relation_columns(), g)
-    assert radices.count(0) == target.isomorphism_type().free_rank
+    assert radices.count(0) \
+        == target.isomorphism_type().invariant_factors.count(0)
     for elements in [group_elements(target)] + [
             build(target, p).elements()
             for build in (falg_group, normalized_group) for p in range(3)]:

@@ -21,7 +21,8 @@ from whcalc.simplicial import (SubComplex, enumerate_subcomplexes, face_dim,
 import _oracles
 from _oracles import (boundary_face, check_face_horn_duality, closure,
                       cyclic, degeneracy, duality_criterion, group_elements,
-                      group_to_dict, horn, maximal_faces, moore_complex, psi,
+                      group_order, group_to_dict, horn, maximal_faces,
+                      moore_complex, psi, psi_bijective_by_enumeration,
                       psi_section, simplex_from_dict, simplex_to_dict,
                       zero_group)
 
@@ -38,6 +39,11 @@ TWISTED_TARGETS = [
     InvolutiveAbelianGroup(2, [[8, 2], [0, 2]], [[3, -2], [0, 1]]),
     InvolutiveAbelianGroup(2, [[15, 3], [0, 3]], [[4, -5], [0, -1]]),
 ]
+PSI_SWEEP = [Z2, cyclic(3, 1), cyclic(3, -1), Z4, Z4S,
+             InvolutiveAbelianGroup.from_factors([2, 2], 1),
+             InvolutiveAbelianGroup.from_factors([2, 2], -1)]
+SWAP_SQ = InvolutiveAbelianGroup(2, [[3, 0], [0, 3]], [[0, 1], [1, 0]])
+MUL5 = InvolutiveAbelianGroup(1, [[12]], [[5]])
 
 
 def functor_from(values, p, target):
@@ -768,7 +774,8 @@ def test_twisted_targets_have_a_nonidentity_smith_transform():
     assert not is_signed_permutation(((1, 0), (1, -1)))
     for target in TWISTED_TARGETS:
         assert not is_signed_permutation(target.smith_basis[1])
-    assert [t.order() for t in TWISTED_TARGETS] == [16, 45]
+    assert [group_order(t.isomorphism_type()) for t in TWISTED_TARGETS] \
+        == [16, 45]
 
 
 def test_compiled_checks_match_plain_membership():
@@ -861,7 +868,7 @@ def test_zero_group_has_empty_blocks():
         assert all_dualities_hold(tf)
         assert check_square(tf)
         assert all(tf.value_on(k) == () for k in _oracles.contractible_keys(p))
-    assert FAlgElement.zero(zero, 2).psi_value() == ()
+    assert psi(FAlgElement.zero(zero, 2)) == ()
 
 
 def test_value_on_face_unions_matches_inclusion_exclusion():
@@ -999,7 +1006,20 @@ def test_enumerated_elements_pass_every_check():
                 assert falg._z_condition_holds(el.functor)
                 assert all_dualities_hold(el.functor)
                 count += 1
-            assert count == group.order, (target, p)
+            assert count == group_order(group.isomorphism_type), (target, p)
+
+
+def test_faces_of_elements_are_elements():
+    # FAlgElement.face builds unchecked; every face of every element the
+    # enumeration yields passes the z-condition and every face-horn
+    # duality, for the benchmark's targets at degrees 1 and 2
+    for target in BENCHMARK_TARGETS:
+        for p in (1, 2):
+            for el in falg_group(target, p).elements():
+                for i in range(p + 1):
+                    face = el.face(i).functor
+                    assert falg._z_condition_holds(face), (target, p, i)
+                    assert all_dualities_hold(face), (target, p, i)
 
 
 def test_generalized_duality_rejects_bad_index_sets():
@@ -1092,15 +1112,15 @@ def test_duality_criterion_exhaustive_z6():
 
 def test_falg_cardinalities():
     for p in (0, 1, 2):
-        assert falg_group(Z2, p).order == 2 ** (2 ** p)
+        assert group_order(falg_group(Z2, p).isomorphism_type) == 2 ** (2 ** p)
     zero = zero_group()
-    assert falg_group(zero, 1).order == 1
+    assert group_order(falg_group(zero, 1).isomorphism_type) == 1
 
 
 def test_falg_degree_zero_is_target():
     # determined by the 0-vertex value with the other vertex forced
     g0 = falg_group(Z4S, 0)
-    assert g0.order == 4
+    assert group_order(g0.isomorphism_type) == 4
     for el in g0.elements():
         b = el.functor.values[0b01]
         forced = el.functor.values[0b10]
@@ -1468,7 +1488,7 @@ def test_moore_homotopy_against_enumeration_oracle():
             img = up.face(0)
             bnd.add(tuple(sorted(img.functor.values.items())))
         order = len(cyc) // len(bnd)
-        assert moore_homotopy(Z2, n).order() == order
+        assert group_order(moore_homotopy(Z2, n)) == order
 
 
 def test_boundary_squares_to_zero():
@@ -1499,13 +1519,13 @@ def test_psi_rejects_unnormalized():
 def test_psi_chain_map():
     # psi(delta_0 x) = b + (-1)^n b* where b = psi(x)
     for target in (Z2, Z4S, Z6):
-        m = target.order()
+        m = group_order(target.isomorphism_type())
         for n in (1, 2, 3):
             sgn = 1 if n % 2 == 0 else -1
             for braw in range(m):
                 el = psi_section(target, n, (braw,))
-                lhs = el.face(0).psi_value()
-                b = el.psi_value()
+                lhs = psi(el.face(0))
+                b = psi(el)
                 rhs = target.reduce(
                     tuple(x + sgn * y for x, y in zip(b, target.act(b))))
                 assert target.reduce(lhs) == rhs
@@ -1523,12 +1543,55 @@ def test_psi_reconstruction_relation():
 
 
 def test_psi_bijective_full_sweep():
-    targets = [Z2, cyclic(3, 1), cyclic(3, -1), Z4, Z4S,
-               InvolutiveAbelianGroup.from_factors([2, 2], 1),
-               InvolutiveAbelianGroup.from_factors([2, 2], -1)]
-    for a in targets:
-        for n in range(3):
-            assert psi_is_bijective(a, n), (str(group_to_dict(a)), n)
+    # on generators, and on every element listed with the oracle's faces
+    for target in [*PSI_SWEEP, SWAP_SQ, MUL5, *TWISTED_TARGETS]:
+        for n in range(4):
+            assert psi_is_bijective(target, n) \
+                is psi_bijective_by_enumeration(target, n) is True, \
+                (group_to_dict(target), n)
+
+
+def test_psi_refuses_a_lost_generator(monkeypatch):
+    # a normalized group missing one mixed-radix generator is no longer
+    # onto the target: both paths say so
+    solved = normalized_group
+
+    def lossy(target, degree):
+        group = solved(target, degree)
+        gens, radices = group.mixed_radix
+        return falg.FAlgGroup(target, degree, group.isomorphism_type,
+                              (gens[1:], radices[1:]))
+
+    monkeypatch.setattr(falg, "normalized_group", lossy)
+    for target in (Z4S, SWAP_SQ, *TWISTED_TARGETS):
+        for n in (1, 2):
+            assert not psi_is_bijective(target, n), (group_to_dict(target), n)
+            assert not psi_bijective_by_enumeration(target, n)
+
+
+def test_psi_checks_each_generator_once(monkeypatch):
+    # no element is listed, and each of the two generators of Z/2 + Z/2
+    # at degree 3 runs its 75 horns once: a face of an element is not
+    # checked again
+    calls = []
+    duality_ok = falg._duality_ok
+
+    def counted_duality(tf, sigma, i):
+        calls.append((sigma, i))
+        return duality_ok(tf, sigma, i)
+
+    def refuse(self):
+        raise AssertionError("FAlgGroup.elements called")
+
+    monkeypatch.setattr(falg, "_duality_ok", counted_duality)
+    monkeypatch.setattr(falg.FAlgGroup, "elements", refuse)
+    z2z2 = InvolutiveAbelianGroup.from_factors([2, 2], -1)
+    assert len(normalized_group(z2z2, 3).mixed_radix[0]) == 2
+    assert len(falg._face_horns(4)) == 75
+    assert psi_is_bijective(z2z2, 3)
+    assert len(calls) == 150
+    for target in free_targets():
+        assert psi_is_bijective(target, 2), group_to_dict(target)
 
 
 def test_central_comparison_small():
@@ -1539,11 +1602,9 @@ def test_central_comparison_small():
 
 
 def test_central_comparison_nonscalar_involutions():
-    swap_sq = InvolutiveAbelianGroup(2, [[3, 0], [0, 3]], [[0, 1], [1, 0]])
-    mul5 = InvolutiveAbelianGroup(1, [[12]], [[5]])
-    assert [str(homology_c2(mul5, n)) for n in range(3)] == \
+    assert [str(homology_c2(MUL5, n)) for n in range(3)] == \
         ["Z/4", "Z/2", "Z/2"]
-    for target in (swap_sq, mul5):
+    for target in (SWAP_SQ, MUL5):
         for n in range(3):
             assert moore_homotopy(target, n) == homology_c2(target, n)
         assert psi_is_bijective(target, 1)
@@ -1567,12 +1628,11 @@ def test_free_targets_agree_on_both_paths():
         for n in range(4):
             assert moore_homotopy(target, n) == homology_c2(target, n), \
                 (group_to_dict(target), n)
+            assert psi_is_bijective(target, n), (group_to_dict(target), n)
     # enumeration, and only enumeration, refuses an infinite group
     z = InvolutiveAbelianGroup.free(1, 1)
     with pytest.raises(ValueError, match="infinite"):
         next(falg_group(z, 1).elements())
-    with pytest.raises(ValueError, match="infinite"):
-        psi_is_bijective(z, 1)
     with pytest.raises(ValueError, match="infinite"):
         next(group_elements(z))
 

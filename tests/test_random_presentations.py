@@ -171,7 +171,7 @@ def test_random_presentation(target, rng):
     expect = FgAbGroup.from_factors(divisors + [0] * (g - len(divisors)))
     assert target.isomorphism_type() == expect
 
-    order = target.order()
+    order = _oracles.group_order(target.isomorphism_type())
     if order is None:
         with pytest.raises(ValueError, match="infinite"):
             next(iter(_oracles.group_elements(target)))
@@ -200,9 +200,10 @@ def test_random_presentation(target, rng):
 
     for p in range(2):
         group = falg_group(target, p)
-        if group.order is None:
+        order = _oracles.group_order(group.isomorphism_type)
+        if order is None:
             with pytest.raises(ValueError, match="infinite"):
                 next(iter(group.elements()))
-        elif group.order <= FALG_ORDER_CAP:
+        elif order <= FALG_ORDER_CAP:
             assert_lists_once((el.functor.flat for el in group.elements()),
-                              group.order, target.reduce)
+                              order, target.reduce)
