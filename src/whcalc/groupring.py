@@ -13,7 +13,8 @@ Unit classes model the rank-1 part of K_1: two units represent the same
 class iff they differ by a trivial unit.  Treating single units as
 complete class representatives rests on the vanishing of SK_1 of Z[C_p]
 for the primes used here; that is a standing assumption of this library
-(documented, never derived).
+(documented, never derived; Bass-Milnor-Serre, and Milnor, Introduction
+to algebraic K-theory, Cor. 16.3).
 """
 
 from __future__ import annotations

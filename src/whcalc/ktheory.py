@@ -5,14 +5,12 @@ of Z over Z[C_p] tensored into the cyclotomic integers, which is Z/p in
 even degrees and zero in odd ones.  The divisibility arithmetic behind
 the degree-three injectivity statement is elementary, and so are the
 localization helpers, which return the l-primary and the prime-to-l
-parts of a finite group as plain groups; every deep input is quoted
-from the shipped facts table, never recomputed.
+parts of a finite group as plain groups.  The two deep inputs of the
+degree-three report, K_3 of Z and of a prime field, are quoted with
+their citations by ``load_facts``, never recomputed.
 """
 
 from __future__ import annotations
-
-import json
-from importlib import resources
 
 from . import lattice
 from .abelian import FgAbGroup
@@ -37,9 +35,18 @@ TOR_MAX_P = 1000
 
 
 def load_facts():
-    """The versioned table of cited literature inputs."""
-    text = resources.files("whcalc").joinpath("facts.json").read_text()
-    return json.loads(text)
+    """The cited literature inputs of the degree-three report, in report
+    order, each an ``id``, a ``statement`` and its ``citation``."""
+    return [
+        {"id": "k3-of-integers",
+         "statement": "K_3(Z) = Z/48",
+         "citation": "Lee-Szczarba, The group K_3(Z) is cyclic of order "
+                     "forty-eight"},
+        {"id": "k3-of-prime-field",
+         "statement": "K_3(Z/p) = Z/(p^2 - 1)",
+         "citation": "Quillen, On the cohomology and K-theory of the "
+                     "general linear groups over a finite field, Thm. 8"},
+    ]
 
 
 def _mult_zeta_minus_one(p):
@@ -93,8 +100,11 @@ def _v3(n):
 
 def k3_divisibility(p):
     """Divisibility report in degree three: p^2 - 1, its 3-adic valuation,
-    and whether the cited injectivity conclusion applies (p != 3).
-    Capped at ``TOR_MAX_P``, checked before the primality test."""
+    and whether the cited injectivity conclusion applies (p != 3): Im J
+    localized at an odd prime maps isomorphically to K_3(Z/p) localized
+    there (Quillen, letter to Milnor on Im J and the K-theory of finite
+    fields).  Capped at ``TOR_MAX_P``, checked before the primality
+    test."""
     if p > TOR_MAX_P:
         raise ValueError(f"p is capped at {TOR_MAX_P}")
     if not _is_prime(p):

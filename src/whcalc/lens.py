@@ -268,7 +268,6 @@ def discrepancy_report(k, p=7, unit_coeffs=None):
             {"degree": p - 1, "fixed": fixed})
 
     iner = inertia_set(lens, unit)
-    expected = {7: 3, 5: 2}.get(p)
     distinct_ok = iner.cardinality > 1
     doc.add("inertia-classes-distinct",
             VERIFIED if distinct_ok else FAILED,
@@ -285,9 +284,9 @@ def discrepancy_report(k, p=7, unit_coeffs=None):
             {"dimension_parity": "odd" if d % 2 else "even",
              "subgroup": str(doubles.subgroup)})
 
-    doc.add("inertia-mod-doubles",
-            VERIFIED if expected is None or iner.cardinality == expected
-            else FAILED,
+    # a trivial D makes A -> A/D injective, so the classes shown
+    # distinct above stay distinct modulo doubles
+    doc.add("inertia-mod-doubles", VERIFIED if doubles_trivial else FAILED,
             {"cardinality": iner.cardinality})
 
     # the involution is trivial and d is odd, so H_1 = (Z/2)^rank

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from whcalc import groupring
 from whcalc.cli import main
 from whcalc.falg import FAlgElement
 
@@ -37,6 +38,16 @@ def test_unit_verify_non_unit_fails(capsys):
                         "--coeffs", "1,1,0,0,0,0,0"], capsys)
     assert code == 1
     assert "[failed]" in out
+
+
+def test_unit_verify_fails_a_wrong_inverse(capsys, monkeypatch):
+    # the command multiplies its inverse witness back itself, apart from
+    # the test inside ``invert_unit``
+    monkeypatch.setattr(groupring, "invert_unit", lambda x: x)
+    code, out, _ = run(["unit", "verify", "--order", "7",
+                        "--coeffs", "2,2,0,-1,-1,-1,0"], capsys)
+    assert code == 1
+    assert "[failed] unit-inverse" in out
 
 
 def test_wh_eq(capsys):

@@ -122,12 +122,13 @@ print(json.dumps(gc.get_freeze_count()))
 """
 
 
-def _fresh_interpreter(script, *args):
+def _fresh_interpreter(script, *args, flags=()):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run([sys.executable, "-c", script, *args], env=env,
-                         check=True, capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, *flags, "-c", script, *args],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
     return json.loads(out)
 
 
@@ -166,13 +167,17 @@ def test_cli_import_set():
 def test_kapp_commands_skip_the_group_ring():
     # ``ktheory`` needs only the primality test, which lives in
     # ``lattice``, and no group ring; no whcalc module imports
-    # ``fractions`` or ``decimal``
+    # ``fractions`` or ``decimal``.  Its citations are constants, so no
+    # package resource is read either; ``-S`` keeps a ``.pth`` file of
+    # site-packages from loading these modules first
     for argv in (["kapp", "tor", "--p", "7", "--i", "2"],
                  ["kapp", "k3", "--p", "7"]):
-        code, loaded = _fresh_interpreter(COMMAND_IMPORTS_SCRIPT, *argv)
+        code, loaded = _fresh_interpreter(COMMAND_IMPORTS_SCRIPT, *argv,
+                                          flags=["-S"])
         assert code == 0
         assert "whcalc.ktheory" in loaded
-        assert not {"whcalc.groupring", "fractions"} & set(loaded), argv
+        assert not {"whcalc.groupring", "fractions", "importlib.resources",
+                    "zipfile", "pathlib"} & set(loaded), argv
 
 
 def test_groupring_loads_no_kernel():

@@ -8,7 +8,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from whcalc import groupring, lens
+from whcalc import abelian, groupring, lens
 from whcalc.groupring import (GroupRingElement, WhiteheadClass, galois_twist,
                               wh_class_equal)
 from whcalc.lens import (K_MAX, LensSpace, balanced_lens_space,
@@ -468,6 +468,17 @@ def test_report_fails_a_wrong_inverse(monkeypatch):
     assert doc.exit_code() == 1
     assert [(s.name, s.status) for s in doc.stages] == \
         [("unit-inverse", "failed")]
+
+
+def test_report_fails_inertia_mod_nontrivial_doubles(monkeypatch):
+    # the stage is decided by the doubles subgroup the report built, at
+    # every p: the even-parity subgroup 2A of a free A is not trivial
+    monkeypatch.setattr(lens, "double_subgroup",
+                        lambda a, d: abelian.double_subgroup(a, 0))
+    doc = discrepancy_report(1, 11, unit_coeffs=bass_unit(11).coeffs)
+    stages = {s.name: s for s in doc.stages}
+    assert stages["inertia-mod-doubles"].status == "failed"
+    assert stages["inertia-mod-doubles"].witness == {"cardinality": 5}
 
 
 @pytest.mark.parametrize("p", [5, 11, 13, 17, 19, 23])
